@@ -134,7 +134,7 @@ fn flagged_executions_replay_by_seed_epoch_index() {
     assert!(replayed.found_bug(), "replay must reproduce the bug");
     // The replay ran under the strategy the epoch's mix assigned.
     let mix = StrategyMix::parse(&record.mix).expect("trace mix parses");
-    assert_eq!(replayed.strategy, mix.strategy_at(SEED, first).spec());
+    assert_eq!(*replayed.strategy, *mix.strategy_at(SEED, first).spec());
 
     // Spot-check replays across later (reweighted) epochs too: the
     // recorded per-epoch mix governs the assignment, not the initial
@@ -145,7 +145,7 @@ fn flagged_executions_replay_by_seed_epoch_index() {
         let replayed = campaign
             .replay(&report.trace, record.epoch, 0, racy)
             .expect("offset 0 in range");
-        assert_eq!(replayed.strategy, mix.strategy_at(SEED, index).spec());
+        assert_eq!(*replayed.strategy, *mix.strategy_at(SEED, index).spec());
     }
 }
 

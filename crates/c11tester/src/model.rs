@@ -1,7 +1,7 @@
 //! The [`Model`]: drives one or many controlled executions of a test
 //! program (paper §3 `Explore` and §7.6 repeated execution).
 
-use crate::config::Config;
+use crate::config::{Config, Strategy};
 use crate::ctx::{self, ModelCtx};
 use crate::engine::Engine;
 use crate::report::{ExecutionReport, Failure, TestReport};
@@ -90,6 +90,11 @@ pub struct Model {
     /// (spawn-per-execution mode only; pool growth is counted by the
     /// pool itself).
     fresh_spawns: u64,
+    /// Report labels handed out so far: one shared allocation per
+    /// distinct strategy (`None` = the custom plugin), so an
+    /// [`ExecutionReport`] takes a reference count instead of
+    /// re-formatting its spec every execution.
+    labels: Vec<(Option<Strategy>, Arc<str>)>,
 }
 
 /// Model-thread provisioning counters over a [`Model`]'s lifetime
@@ -179,39 +184,25 @@ impl Model {
     /// Panics if `stride == 0`.
     pub fn for_shard_from(config: Config, first_index: u64, stride: u64) -> Self {
         assert!(stride > 0, "shard stride must be positive");
-        let thread_pool = config.thread_pool.then(ThreadPool::new);
-        Model {
+        Model::from_parts(ModelParts {
             config,
-            race: Some(RaceDetector::new()),
             scheduler: None,
-            execution_index: first_index,
+            race: RaceDetector::new(),
+            next_execution_index: first_index,
             stride,
-            runs: 0,
-            exec_pool: None,
-            trace_sink: None,
-            trace_epoch: 0,
-            thread_pool,
-            fresh_spawns: 0,
-        }
+        })
     }
 
     /// Creates a model driven by a custom strategy plugin (paper §3:
     /// "C11Tester has a pluggable framework for testing algorithms").
     pub fn with_scheduler(config: Config, scheduler: Box<dyn Scheduler>) -> Self {
-        let thread_pool = config.thread_pool.then(ThreadPool::new);
-        Model {
+        Model::from_parts(ModelParts {
             config,
-            race: Some(RaceDetector::new()),
             scheduler: Some(scheduler),
-            execution_index: 0,
+            race: RaceDetector::new(),
+            next_execution_index: 0,
             stride: 1,
-            runs: 0,
-            exec_pool: None,
-            trace_sink: None,
-            trace_epoch: 0,
-            thread_pool,
-            fresh_spawns: 0,
-        }
+        })
     }
 
     /// Disassembles the model into its reusable parts.
@@ -240,6 +231,7 @@ impl Model {
             trace_epoch: 0,
             thread_pool,
             fresh_spawns: 0,
+            labels: Vec::new(),
         }
     }
 
@@ -335,11 +327,7 @@ impl Model {
         let race = self.race.take().expect("race detector present");
         let custom = self.scheduler.is_some();
         let scheduler = self.scheduler.take();
-        let strategy = if custom {
-            "custom".to_string()
-        } else {
-            self.config.strategy_for(execution_index).spec()
-        };
+        let strategy = self.label((!custom).then(|| self.config.strategy_for(execution_index)));
         let engine = Engine::new(
             &self.config,
             execution_index,
@@ -432,7 +420,7 @@ impl Model {
             execution_index,
             strategy,
             races,
-            failure: eng.failure.clone(),
+            failure: eng.failure.take(),
             stats: *eng.exec.stats(),
             elided_volatile_races: elided,
             coverage: eng.exec.take_coverage(),
@@ -477,6 +465,16 @@ impl Model {
         F: Fn() + Send + Sync,
     {
         self.run_many(iterations, f)
+    }
+
+    /// The shared report label of `strategy` (`None` = custom plugin).
+    fn label(&mut self, strategy: Option<Strategy>) -> Arc<str> {
+        if let Some((_, label)) = self.labels.iter().find(|(s, _)| *s == strategy) {
+            return Arc::clone(label);
+        }
+        let label: Arc<str> = strategy.map_or_else(|| "custom".into(), |s| s.spec().into());
+        self.labels.push((strategy, Arc::clone(&label)));
+        label
     }
 
     /// Main thread finished its program: if other threads remain, hand

@@ -12,6 +12,7 @@ pub use c11tester_race::{
     RaceKind, RaceReport, StrategyBucket, StrategyLedger,
 };
 use std::fmt;
+use std::sync::Arc;
 
 /// A fatal condition that ended an execution early.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -64,8 +65,9 @@ pub struct ExecutionReport {
     /// Canonical spec of the strategy that drove this execution
     /// ([`crate::Strategy::spec`]; `"custom"` for plugin schedulers).
     /// Under a [`crate::StrategyMix`] this is the per-index assignment
-    /// `config.strategy_for(execution_index)`.
-    pub strategy: String,
+    /// `config.strategy_for(execution_index)`. Shared: a model hands
+    /// every execution of one strategy the same allocation.
+    pub strategy: Arc<str>,
     /// Data races detected during this execution (deduplicated within
     /// the execution).
     pub races: Vec<RaceReport>,
@@ -240,27 +242,18 @@ impl TestReport {
         self.executions_with_bug += other.executions_with_bug;
         self.races.merge(&other.races);
         self.per_strategy.merge(&other.per_strategy);
-        // Merge two index-sorted failure lists, preserving the invariant.
-        let mut merged = Vec::with_capacity(self.failures.len() + other.failures.len());
-        let (mut a, mut b) = (
-            self.failures.iter().peekable(),
-            other.failures.iter().peekable(),
-        );
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(x), Some(y)) => {
-                    if x.0 <= y.0 {
-                        merged.push(a.next().expect("peeked").clone());
-                    } else {
-                        merged.push(b.next().expect("peeked").clone());
-                    }
-                }
-                (Some(_), None) => merged.push(a.next().expect("peeked").clone()),
-                (None, Some(_)) => merged.push(b.next().expect("peeked").clone()),
-                (None, None) => break,
+        // Merge two index-sorted failure lists, preserving the
+        // invariant: own entries move, only `other`'s are cloned.
+        let mine = std::mem::take(&mut self.failures);
+        self.failures.reserve(mine.len() + other.failures.len());
+        let mut theirs = other.failures.iter().peekable();
+        for failure in mine {
+            while let Some(earlier) = theirs.next_if(|t| t.0 < failure.0) {
+                self.failures.push(earlier.clone());
             }
+            self.failures.push(failure);
         }
-        self.failures = merged;
+        self.failures.extend(theirs.cloned());
         self.total_stats.absorb(&other.total_stats);
         self.elided_volatile_races += other.elided_volatile_races;
         self.coverage.merge(&other.coverage);
@@ -315,7 +308,7 @@ mod tests {
     fn empty_exec(ix: u64) -> ExecutionReport {
         ExecutionReport {
             execution_index: ix,
-            strategy: "random".to_string(),
+            strategy: "random".into(),
             races: Vec::new(),
             failure: None,
             stats: ExecStats::default(),
@@ -330,7 +323,7 @@ mod tests {
         for ix in 0..6u64 {
             let mut r = empty_exec(ix);
             if ix % 2 == 1 {
-                r.strategy = "pct2".to_string();
+                r.strategy = "pct2".into();
             }
             if ix == 3 {
                 r.failure = Some(Failure::Deadlock);

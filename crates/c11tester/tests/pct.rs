@@ -53,7 +53,7 @@ fn pct_execution_is_deterministic_by_seed_and_index() {
         let keys =
             |r: &c11tester::ExecutionReport| r.races.iter().map(|x| x.key()).collect::<Vec<_>>();
         assert_eq!(keys(&replayed), keys(expected), "race set at index {i}");
-        assert_eq!(replayed.strategy, "pct3@64");
+        assert_eq!(&*replayed.strategy, "pct3@64");
     }
     // A different seed steers the stream elsewhere (compare the whole
     // 4-execution stat vector so a single collision can't flake this).

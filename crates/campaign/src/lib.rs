@@ -14,10 +14,12 @@
 //!   random stream from `(seed, index)` alone, so **any single
 //!   execution is reproducible by `(seed, execution_index)` regardless
 //!   of worker count** (replay with [`Model::run_at`]);
-//! * workers stream [`ExecutionReport`]s through a channel into an
-//!   aggregator that merges race dedup histories
-//!   ([`c11tester_race::DedupHistory`]), sums
-//!   [`c11tester_core::ExecStats`], and computes detection rates;
+//! * aggregation is **shard-local**: each worker folds its executions
+//!   into its own [`TestReport`] (race dedup histories, summed
+//!   [`c11tester_core::ExecStats`], detection counts) and hands back
+//!   one partial when its loop ends; the caller, which runs shard 0
+//!   itself, folds the others into its own with the order-independent
+//!   [`TestReport::merge`] — no per-execution cross-thread message;
 //! * the resulting [`CampaignReport`] is **byte-identical for any
 //!   worker count** (over a fixed budget), and equal to the serial
 //!   [`Model::run_many`] aggregate — parallelism is a pure speedup,
@@ -77,10 +79,9 @@ pub use epoch::{EpochRecord, EpochTrace};
 pub use exec::{CrashKind, CrashRecord, Executor, InProcess, RangeOutcome};
 pub use forensics::{CaptureSink, ForensicsSummary, Witness};
 
-use c11tester::{Config, ExecutionReport, Model, TestReport};
+use c11tester::{Config, Model, TestReport};
 use c11tester_telemetry::{CampaignMetrics, WorkerMetrics};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Resource bounds for one campaign.
@@ -323,7 +324,7 @@ impl Campaign {
 
     /// Runs the campaign: fans executions of `program` out over the
     /// workers until the budget is exhausted (or an early-stop bound
-    /// triggers) and aggregates the streamed per-execution reports.
+    /// triggers) and merges the workers' shard-local aggregates.
     pub fn run<F>(&self, budget: &CampaignBudget, program: F) -> CampaignReport
     where
         F: Fn() + Send + Sync,
@@ -340,6 +341,9 @@ impl Campaign {
     /// fixed-budget range aggregates byte-identically for any worker
     /// count, exactly like [`Campaign::run`] (which is
     /// `run_range(0, …)`).
+    ///
+    /// `N` workers are the calling thread plus `N − 1` scoped threads;
+    /// a panic on any of them is re-raised here.
     pub fn run_range<F>(
         &self,
         first_index: u64,
@@ -357,73 +361,66 @@ impl Campaign {
             .workers
             .min(budget.max_executions.max(1).min(usize::MAX as u64) as usize)
             .max(1);
-        let stop = AtomicBool::new(false);
         let bug_stop = AtomicBool::new(false);
         let deadline_stop = AtomicBool::new(false);
-        let (tx, rx) = mpsc::channel::<ExecutionReport>();
-        // Diagnostic side channel: one message per worker at loop exit
-        // (two clock reads per worker for the whole campaign — the
-        // telemetry cost model keeps the hot loop untouched).
-        let (mtx, mrx) = mpsc::channel::<WorkerMetrics>();
+        let stopped = || bug_stop.load(Ordering::Relaxed) || deadline_stop.load(Ordering::Relaxed);
 
-        let aggregate = std::thread::scope(|scope| {
-            for w in 0..workers {
-                let tx = tx.clone();
-                let mtx = mtx.clone();
-                let config = self.config.clone();
-                let program = &program;
-                let (stop, bug_stop, deadline_stop) = (&stop, &bug_stop, &deadline_stop);
-                let builder = std::thread::Builder::new().name(format!("c11campaign-{w}"));
-                builder
-                    .spawn_scoped(scope, move || {
-                        let busy_start = Instant::now();
-                        let mut completed = 0u64;
-                        let mut model =
-                            Model::for_shard_from(config, first_index + w as u64, workers as u64);
-                        while model.next_execution_index() < end_index
-                            && !stop.load(Ordering::Relaxed)
-                        {
-                            if let Some(deadline) = budget.deadline {
-                                if start.elapsed() >= deadline {
-                                    deadline_stop.store(true, Ordering::Relaxed);
-                                    stop.store(true, Ordering::Relaxed);
-                                    break;
-                                }
-                            }
-                            let report = model.run(program);
-                            let bug = report.found_bug();
-                            if tx.send(report).is_err() {
-                                break;
-                            }
-                            completed += 1;
-                            if bug && budget.stop_on_first_bug {
-                                bug_stop.store(true, Ordering::Relaxed);
-                                stop.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                        let thread_stats = model.thread_stats();
-                        let _ = mtx.send(WorkerMetrics {
-                            worker: w as u64,
-                            executions: completed,
-                            busy_nanos: busy_start.elapsed().as_nanos() as u64,
-                            pooled_dispatches: thread_stats.pooled_dispatches,
-                            fresh_spawns: thread_stats.fresh_spawns,
-                        });
-                    })
-                    .expect("failed to spawn campaign worker");
+        // One shard: walk indices `first + w, first + w + N, …`, folding
+        // each execution into a shard-local partial where `Model::run`
+        // returned it. Nothing crosses threads until the loop ends.
+        let run_shard = |w: usize| -> (TestReport, WorkerMetrics) {
+            let busy_start = Instant::now();
+            let mut partial = TestReport::default();
+            let mut model =
+                Model::for_shard_from(self.config.clone(), first_index + w as u64, workers as u64);
+            while model.next_execution_index() < end_index && !stopped() {
+                if budget.deadline.is_some_and(|d| start.elapsed() >= d) {
+                    deadline_stop.store(true, Ordering::Relaxed);
+                    break;
+                }
+                let report = model.run(&program);
+                partial.absorb(&report);
+                if budget.stop_on_first_bug && report.found_bug() {
+                    bug_stop.store(true, Ordering::Relaxed);
+                    break;
+                }
             }
-            drop(tx);
-            drop(mtx);
-            // Aggregate on the calling thread while workers stream.
-            let mut aggregate = TestReport::default();
-            while let Ok(report) = rx.recv() {
-                aggregate.absorb(&report);
+            let thread_stats = model.thread_stats();
+            let metrics = WorkerMetrics {
+                worker: w as u64,
+                executions: partial.executions,
+                busy_nanos: busy_start.elapsed().as_nanos() as u64,
+                pooled_dispatches: thread_stats.pooled_dispatches,
+                fresh_spawns: thread_stats.fresh_spawns,
+                handover: self.config.handover.effective().name(),
+            };
+            (partial, metrics)
+        };
+
+        // The caller runs shard 0 itself and adopts that partial by
+        // move; shards 1..N run on scoped threads and return theirs
+        // through the join handles, merged by reference.
+        let (aggregate, worker_metrics) = std::thread::scope(|scope| {
+            let run_shard = &run_shard;
+            let spawned: Vec<_> = (1..workers)
+                .map(|w| {
+                    std::thread::Builder::new()
+                        .name(format!("c11campaign-{w}"))
+                        .spawn_scoped(scope, move || run_shard(w))
+                        .expect("failed to spawn campaign worker")
+                })
+                .collect();
+            let (mut aggregate, own_metrics) = run_shard(0);
+            let mut worker_metrics = vec![own_metrics];
+            for handle in spawned {
+                let (partial, metrics) = handle
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                aggregate.merge(&partial);
+                worker_metrics.push(metrics);
             }
-            aggregate
+            (aggregate, worker_metrics)
         });
-        let mut worker_metrics: Vec<WorkerMetrics> = mrx.iter().collect();
-        worker_metrics.sort_by_key(|m| m.worker);
 
         let stop_reason = if bug_stop.load(Ordering::Relaxed) {
             StopReason::FirstBug

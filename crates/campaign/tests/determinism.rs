@@ -111,3 +111,84 @@ fn any_campaign_execution_replays_by_seed_and_index() {
         "replay of execution #{index} must reproduce the race"
     );
 }
+
+// ---- the merge path on a failure-heavy target ------------------------
+//
+// `seqlock-buggy` executions end in `Failure::Panic` ~20 % of the time
+// and never race, so these campaigns exercise what the `rwlock-buggy`
+// ones above cannot: the index-sorted failure merge of the per-worker
+// partials, at volume.
+
+fn torn() {
+    c11tester_workloads::ds::seqlock::run_buggy();
+}
+
+#[test]
+fn failure_heavy_canonical_report_is_byte_identical_across_1_2_3_8_workers() {
+    let executions = 2000;
+    let budget = CampaignBudget::executions(executions);
+    let serial = Model::new(Config::new().with_seed(SEED)).run_many(executions, torn);
+    assert!(
+        serial.failures.len() > 100,
+        "the target must fail at volume (got {})",
+        serial.failures.len()
+    );
+    let mut canon: Option<String> = None;
+    for workers in [1usize, 2, 3, 8] {
+        let report = Campaign::new(Config::new().with_seed(SEED))
+            .with_workers(workers)
+            .run(&budget, torn);
+        assert_eq!(report.aggregate, serial, "{workers} worker(s) vs run_many");
+        let json = report.canonical_json();
+        match &canon {
+            None => canon = Some(json),
+            Some(first) => assert_eq!(&json, first, "1 vs {workers} workers"),
+        }
+    }
+}
+
+/// Every worker hands back exactly one row with its partial report, in
+/// worker order, and the rows account for every aggregated execution.
+fn assert_worker_rows_sum_to_aggregate(report: &c11tester_campaign::CampaignReport) {
+    let rows = &report.metrics.workers;
+    assert_eq!(rows.len(), report.workers);
+    for (w, row) in rows.iter().enumerate() {
+        assert_eq!(row.worker, w as u64, "rows arrive in worker order");
+        assert_eq!(
+            row.handover,
+            Config::new().handover.effective().name(),
+            "the effective handover kind travels with the row"
+        );
+    }
+    assert_eq!(
+        rows.iter().map(|r| r.executions).sum::<u64>(),
+        report.aggregate.executions
+    );
+    assert_eq!(report.metrics.executions, report.aggregate.executions);
+}
+
+#[test]
+fn worker_rows_sum_to_the_aggregate_under_every_budget_kind() {
+    let campaign = Campaign::new(Config::new().with_seed(SEED)).with_workers(3);
+
+    let fixed = campaign.run(&CampaignBudget::executions(200), torn);
+    assert_eq!(fixed.stop_reason, StopReason::BudgetExhausted);
+    assert_eq!(fixed.aggregate.executions, 200);
+    assert_worker_rows_sum_to_aggregate(&fixed);
+
+    let first_bug = campaign.run(
+        &CampaignBudget::executions(1_000_000).with_stop_on_first_bug(true),
+        torn,
+    );
+    assert_eq!(first_bug.stop_reason, StopReason::FirstBug);
+    assert!(!first_bug.aggregate.failures.is_empty());
+    assert_worker_rows_sum_to_aggregate(&first_bug);
+
+    let deadline = campaign.run(
+        &CampaignBudget::executions(u64::MAX).with_deadline(std::time::Duration::from_millis(50)),
+        torn,
+    );
+    assert_eq!(deadline.stop_reason, StopReason::Deadline);
+    assert!(deadline.aggregate.executions > 0);
+    assert_worker_rows_sum_to_aggregate(&deadline);
+}

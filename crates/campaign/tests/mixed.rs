@@ -110,8 +110,8 @@ fn run_at_replays_under_the_strategy_the_campaign_assigned() {
         let assigned = mix.strategy_at(SEED, index);
         let replayed = replayer.run_at(index, racy);
         assert_eq!(
-            replayed.strategy,
-            assigned.spec(),
+            *replayed.strategy,
+            *assigned.spec(),
             "execution #{index} must replay under its assigned strategy"
         );
     }
@@ -126,7 +126,7 @@ fn run_at_replays_under_the_strategy_the_campaign_assigned() {
         .expect("campaign found a race");
     let index = entry.first_execution;
     let replayed = replayer.run_at(index, racy);
-    assert_eq!(replayed.strategy, mix.strategy_at(SEED, index).spec());
+    assert_eq!(*replayed.strategy, *mix.strategy_at(SEED, index).spec());
     assert!(
         replayed.races.iter().any(|r| r.key() == entry.report.key()),
         "replay of execution #{index} must reproduce the race"

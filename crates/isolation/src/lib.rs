@@ -518,6 +518,8 @@ impl Executor for ForkServer {
                         busy_nanos: busy_start.elapsed().as_nanos() as u64,
                         pooled_dispatches: threads.pooled_dispatches,
                         fresh_spawns: threads.fresh_spawns,
+                        // The children are this binary on this host.
+                        handover: config.handover.effective().name(),
                     });
                 });
             }

@@ -548,7 +548,7 @@ pub fn parse_frame(payload: &str) -> Result<Frame, String> {
             }
             Ok(Frame::Exec(Box::new(ExecutionReport {
                 execution_index: u64_field(&doc, "execution")?,
-                strategy: str_field(&doc, "strategy")?.to_string(),
+                strategy: str_field(&doc, "strategy")?.into(),
                 races,
                 failure: parse_failure(&doc)?,
                 stats: parse_stats(doc.get("stats").ok_or("missing `stats`")?)?,
@@ -623,7 +623,7 @@ mod tests {
         ] {
             let report = ExecutionReport {
                 execution_index: 9,
-                strategy: "pct2".to_string(),
+                strategy: "pct2".into(),
                 races: Vec::new(),
                 failure: Some(failure.clone()),
                 stats: Default::default(),

@@ -84,7 +84,11 @@ impl StrategyLedger {
         races: &[RaceReport],
         found_bug: bool,
     ) {
-        let bucket = self.buckets.entry(strategy.to_string()).or_default();
+        // Look up by `&str`; the key is allocated only for a new bucket.
+        let bucket = match self.buckets.get_mut(strategy) {
+            Some(bucket) => bucket,
+            None => self.buckets.entry(strategy.to_string()).or_default(),
+        };
         bucket.executions += 1;
         if !races.is_empty() {
             bucket.executions_with_race += 1;

@@ -17,7 +17,7 @@
 //! scheduling policy live a layer above (in the `c11tester` facade);
 //! this module is deliberately mechanism-only.
 
-use crate::fiber::{self, Fibers};
+use crate::fiber::Fibers;
 use crate::handover::{HandoverKind, Notifier};
 use crate::pool::{panic_message, ThreadPool};
 use parking_lot::Mutex;
@@ -69,14 +69,7 @@ impl Runtime {
     }
 
     fn build(kind: HandoverKind, pool: Option<Arc<ThreadPool>>) -> Arc<Self> {
-        // Fiber handover needs the x86_64 context switch; elsewhere it
-        // degrades to the futex strategy (same observable behavior,
-        // kernel-mediated switches).
-        let kind = if kind == HandoverKind::Fiber && !fiber::supported() {
-            HandoverKind::Park
-        } else {
-            kind
-        };
+        let kind = kind.effective();
         let fibers = (kind == HandoverKind::Fiber).then(Fibers::new);
         // Fibers never leave the driver thread: a backing pool would be
         // dead weight, so it is not retained.

@@ -65,14 +65,24 @@ impl HandoverKind {
     /// user-space context switch is implemented, futex park/unpark
     /// elsewhere. What `Config::new` selects.
     pub fn default_fast() -> HandoverKind {
-        if crate::fiber::supported() {
-            HandoverKind::Fiber
-        } else {
+        HandoverKind::Fiber.effective()
+    }
+
+    /// The kind a [`crate::Runtime`] built with `self` actually runs:
+    /// [`HandoverKind::Fiber`] degrades to [`HandoverKind::Park`] where
+    /// the user-space context switch is not implemented (same
+    /// observable behavior, kernel-mediated switches); every other
+    /// kind is itself.
+    pub fn effective(self) -> HandoverKind {
+        if self == HandoverKind::Fiber && !crate::fiber::supported() {
             HandoverKind::Park
+        } else {
+            self
         }
     }
 
-    /// Name used in the Figure-14 table output.
+    /// Name used in the Figure-14 table output and as the `handover`
+    /// value of `c11metrics/v1` worker rows.
     pub fn name(self) -> &'static str {
         match self {
             HandoverKind::Park => "futex park/unpark",

@@ -58,6 +58,12 @@ pub struct WorkerMetrics {
     /// spawn with the pool disabled, only pool growth with it enabled —
     /// so a warmed-up pooled worker's count stays flat.
     pub fresh_spawns: u64,
+    /// Display name of the run-token handover this worker's model
+    /// *effectively* ran (`HandoverKind::effective().name()` — fibers
+    /// degrade to futex park off x86_64, a ~14× handover-cost
+    /// difference). A property of `(config, host)`, so every row of
+    /// one campaign carries the same value and folding keeps it.
+    pub handover: &'static str,
 }
 
 /// Fork-server child health counters.
@@ -302,13 +308,14 @@ impl CampaignMetrics {
             };
             out.push_str(&format!(
                 "{{\"worker\":{},\"executions\":{},\"busy_nanos\":{},\"utilization\":{},\
-                 \"pooled_dispatches\":{},\"fresh_spawns\":{}}}",
+                 \"pooled_dispatches\":{},\"fresh_spawns\":{},\"handover\":\"{}\"}}",
                 w.worker,
                 w.executions,
                 w.busy_nanos,
                 json_f64(utilization),
                 w.pooled_dispatches,
                 w.fresh_spawns,
+                esc(w.handover),
             ));
         }
         out.push(']');
@@ -408,6 +415,7 @@ mod tests {
                 busy_nanos: 100,
                 pooled_dispatches: 30,
                 fresh_spawns: 3,
+                handover: "futex park/unpark",
             }],
             executions: 10,
             ..CampaignMetrics::default()
@@ -419,6 +427,7 @@ mod tests {
                 busy_nanos: 50,
                 pooled_dispatches: 15,
                 fresh_spawns: 0,
+                handover: "futex park/unpark",
             }],
             executions: 5,
             ..CampaignMetrics::default()
@@ -428,7 +437,9 @@ mod tests {
         assert_eq!(w0.pooled_dispatches, 45);
         assert_eq!(w0.fresh_spawns, 3);
         let json = a.to_json(&MetricsMeta::default());
-        assert!(json.contains("\"pooled_dispatches\":45,\"fresh_spawns\":3"));
+        assert!(json.contains(
+            "\"pooled_dispatches\":45,\"fresh_spawns\":3,\"handover\":\"futex park/unpark\"}"
+        ));
     }
 
     #[test]
