@@ -80,6 +80,47 @@ fn healthy_target_fork_server_matches_in_process_byte_for_byte() {
     );
 }
 
+/// The read-path fixtures of crates/campaign/tests/determinism.rs
+/// (captured before the single-pass read path), through fork-isolated
+/// children.
+#[test]
+fn read_path_fixtures_reproduce_under_isolation() {
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../campaign/tests/golden");
+    for (fixture, args) in [
+        (
+            "silo_large_graph.json",
+            &["--target", "silo-large", "--executions", "50"][..],
+        ),
+        (
+            "gdax_graph.json",
+            &["--target", "gdax", "--executions", "100"][..],
+        ),
+        (
+            "mpmc_queue_10x_memlimit.json",
+            &[
+                "--target",
+                "mpmc-queue-10x",
+                "--memory-limit",
+                "--executions",
+                "60",
+            ][..],
+        ),
+    ] {
+        let expected =
+            std::fs::read_to_string(format!("{golden}/{fixture}")).expect("fixture present");
+        let mut args = args.to_vec();
+        args.extend([
+            "--seed",
+            "3089",
+            "--workers",
+            "4",
+            "--isolate",
+            "--canonical",
+        ]);
+        assert_eq!(canonical(&args), expected, "{fixture} under --isolate");
+    }
+}
+
 #[test]
 fn thread_pool_opt_out_is_byte_identical_in_process_and_isolated() {
     // The pooled model-thread runtime must be behaviorally invisible:

@@ -7,7 +7,9 @@
 //!   `Model::run_many` path with the same base seed;
 //! * stop-on-first-bug on `workloads::ds::rwlock_buggy` ends the
 //!   campaign early with the bug in hand;
-//! * any single execution replays by `(seed, execution_index)`.
+//! * any single execution replays by `(seed, execution_index)`;
+//! * the read-path fixtures — long RMW chains, a race per execution,
+//!   windowed pruning with compaction — reproduce byte for byte.
 
 use c11tester::{Config, Model};
 use c11tester_campaign::{Campaign, CampaignBudget, StopReason};
@@ -191,4 +193,55 @@ fn worker_rows_sum_to_the_aggregate_under_every_budget_kind() {
     assert_eq!(deadline.stop_reason, StopReason::Deadline);
     assert!(deadline.aggregate.executions > 0);
     assert_worker_rows_sum_to_aggregate(&deadline);
+}
+
+// ---- read-path fixtures -----------------------------------------------
+//
+// Canonical reports captured from the commit *before* the single-pass
+// read path (`c11campaign --target <t> --seed 3089 --canonical`), on
+// the targets the older graph fixtures do not reach: `silo-large`
+// (250-long `fetch_add` chain, spun-on lock words), `gdax` (a race in
+// every execution) and `mpmc-queue-10x --memory-limit` (pruning and
+// compaction beside inserts). A selection, chain-end or pruning change
+// that moves one verdict, candidate order or RNG draw shows up here.
+// The `--isolate` leg lives in crates/adaptive/tests/isolation.rs,
+// where the fork server's binary is.
+
+fn assert_matches_fixture(target: &str, executions: u64, memory_limit: bool, fixture: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(fixture);
+    let expected = std::fs::read_to_string(&path).expect("fixture present");
+    let target = c11tester_campaign::targets::find(target).expect("built-in target");
+    let mut config = Config::new().with_seed(3089);
+    if memory_limit {
+        config = config.with_memory_limit();
+    }
+    for workers in [1usize, 4, 8] {
+        let report = Campaign::new(config.clone())
+            .with_workers(workers)
+            .run(&CampaignBudget::executions(executions), move || {
+                target.run()
+            });
+        assert_eq!(
+            format!("{}\n", report.canonical_json()),
+            expected,
+            "{fixture} diverged at {workers} worker(s)"
+        );
+    }
+}
+
+#[test]
+fn silo_large_matches_its_parent_generated_fixture() {
+    assert_matches_fixture("silo-large", 50, false, "silo_large_graph.json");
+}
+
+#[test]
+fn gdax_matches_its_parent_generated_fixture() {
+    assert_matches_fixture("gdax", 100, false, "gdax_graph.json");
+}
+
+#[test]
+fn memory_limited_mpmc_queue_10x_matches_its_parent_generated_fixture() {
+    assert_matches_fixture("mpmc-queue-10x", 60, true, "mpmc_queue_10x_memlimit.json");
 }

@@ -14,16 +14,22 @@
 //!    check (`ReadPriorSet` + Theorem 1 clock-vector reachability);
 //! 3. [`Execution::commit_load`] establishes the `rf` edge, adds the
 //!    implied mo-graph edges, and applies the Fig. 9 clock rules.
+//!
+//! Step 2 leaves the candidate-independent half of its work behind as a
+//! *read plan*; a step 3 for the same `(thread, object, order)` with no
+//! event in between builds the chosen candidate's prior set from it
+//! instead of recomputing, so each operation scans the histories once.
 
 use crate::clock::ClockVector;
 use crate::event::{
     AccessRef, FenceIdx, FenceRecord, LoadIdx, LoadRecord, MemOrder, ObjId, SeqNum, StoreIdx,
     StoreKind, StoreRecord, ThreadId,
 };
-use crate::location::LocationState;
+use crate::location::{seq_prefix_len, LocationState};
 use crate::mograph::{MoGraph, NodeId};
 use crate::policy::Policy;
-use crate::prune::PruneConfig;
+use crate::priorset::{edges_into_feasible, prior_set_of};
+use crate::prune::{PruneConfig, PruneScratch};
 use crate::stats::{AllocStats, ExecStats};
 use c11tester_telemetry::{phase_start, ExecCoverage, Phase, PhaseProfile, TraceEvent, TraceKind};
 
@@ -53,6 +59,31 @@ pub struct ThreadState {
     /// for the whole execution pins `CV_min` at zero and long-running
     /// workloads never prune anything.
     pub waiting_on: Option<ThreadId>,
+}
+
+/// Key of the hoisted prior-set state a candidate selection leaves for
+/// the commit that follows it. The bests depend only on `(t, obj,
+/// order)` and the histories, and every history change advances the
+/// event count, so an equal key means the buffers still hold what a
+/// recomputation would produce.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct ReadPlan {
+    t: ThreadId,
+    obj: ObjId,
+    order: MemOrder,
+    /// Event count at selection time.
+    seq: u64,
+    /// For an RMW selection: length of the `WritePriorSet` proper at
+    /// the front of `wbests_buf`.
+    wps_len: Option<usize>,
+}
+
+/// [`Execution::node_of`] over the two fields it touches, for callers
+/// that hold other fields of the execution borrowed.
+pub(crate) fn node_of(stores: &mut [StoreRecord], graph: &mut MoGraph, s: StoreIdx) -> NodeId {
+    let r = &mut stores[s.index()];
+    *r.node
+        .get_or_insert_with(|| graph.add_node(r.tid, r.seq, r.obj))
 }
 
 impl ThreadState {
@@ -119,11 +150,17 @@ pub struct Execution {
     /// Reusable scratch for prior-set computation (taken/returned
     /// around each use; never observed non-empty outside a commit).
     pub(crate) pset_buf: Vec<StoreIdx>,
-    /// Reusable scratch for the hoisted per-thread prior-set bests of
-    /// [`Execution::feasible_read_candidates_into`].
+    /// The per-thread prior-set bests of the latest candidate
+    /// selection; meaningful while `plan` is set.
     pub(crate) bests_buf: Vec<StoreIdx>,
-    /// Reusable scratch for the hoisted RMW write prior set.
+    /// The RMW write prior set of the latest candidate selection;
+    /// meaningful while `plan` names its length.
     pub(crate) wbests_buf: Vec<StoreIdx>,
+    /// What the latest candidate selection computed `bests_buf` (and
+    /// `wbests_buf`) for; consumed by the next commit.
+    pub(crate) plan: Option<ReadPlan>,
+    /// Reusable scratch of the pruning pass.
+    pub(crate) prune_buf: PruneScratch,
     /// Committed-event buffer for structured schedule traces. Empty
     /// (and allocation-free) unless tracing is enabled; drained by the
     /// model layer into a `TraceSink` after each execution.
@@ -177,6 +214,8 @@ impl Execution {
             pset_buf: Vec::new(),
             bests_buf: Vec::new(),
             wbests_buf: Vec::new(),
+            plan: None,
+            prune_buf: PruneScratch::default(),
             trace_buf: Vec::new(),
             coverage: if c11tester_telemetry::coverage_enabled() {
                 ExecCoverage::collecting()
@@ -218,6 +257,7 @@ impl Execution {
         self.free_stores.clear();
         self.free_loads.clear();
         self.next_obj = 0;
+        self.plan = None;
         self.trace_buf.clear();
         self.coverage.reset(c11tester_telemetry::coverage_enabled());
         self.last_event_tid = ThreadId::MAIN;
@@ -335,17 +375,17 @@ impl Execution {
     /// (stores/loads arenas, histories, and the mo-graph). Drives the
     /// §7.1 memory-limiting experiments.
     pub fn approx_bytes(&self) -> usize {
-        let mut total = self.stores.capacity() * std::mem::size_of::<StoreRecord>()
-            + self.loads.capacity() * std::mem::size_of::<LoadRecord>()
-            + self.fences.capacity() * std::mem::size_of::<FenceRecord>();
+        fn heap<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let mut total = heap(&self.stores) + heap(&self.loads) + heap(&self.fences);
         for s in &self.stores {
-            total += (s.rf_cv.len() + s.hb_cv.len()) * 8;
+            total += (s.rf_cv.len() + s.hb_cv.len()) * std::mem::size_of::<u64>();
         }
         for loc in &self.locations {
             for h in &loc.per_thread {
-                total += h.stores.capacity() * 4
-                    + h.accesses.capacity() * 8
-                    + h.sc_stores.capacity() * 4;
+                total +=
+                    heap(&h.stores) + heap(&h.accesses) + heap(&h.sc_stores) + heap(&h.rmw_free);
             }
         }
         total + self.graph.approx_bytes()
@@ -450,16 +490,7 @@ impl Execution {
     /// Public for tests and tools that want to inspect modification-
     /// order constraints.
     pub fn node_of(&mut self, s: StoreIdx) -> NodeId {
-        if let Some(n) = self.stores[s.index()].node {
-            return n;
-        }
-        let (tid, seq, obj) = {
-            let r = &self.stores[s.index()];
-            (r.tid, r.seq, r.obj)
-        };
-        let n = self.graph.add_node(tid, seq, obj);
-        self.stores[s.index()].node = Some(n);
-        n
+        node_of(&mut self.stores, &mut self.graph, s)
     }
 
     /// `AddEdges` (Fig. 7): adds an mo edge from every member of `set`
@@ -583,7 +614,7 @@ impl Execution {
         value: u64,
         kind: StoreKind,
     ) -> StoreIdx {
-        let idx = self.store_inner(t, obj, order, value, kind, false, None);
+        let idx = self.store_inner(t, obj, order, value, kind, None, None);
         if Self::trace_enabled() {
             self.trace_buf.push(TraceEvent {
                 kind: TraceKind::Store,
@@ -617,7 +648,9 @@ impl Execution {
     /// and — following Fig. 11's ordering — `AddRMWEdge` runs right
     /// after the node exists, *before* the write-prior-set edges, so
     /// that edge migration and clock-vector propagation interleave
-    /// correctly.
+    /// correctly. `hoisted_wps` is the length of an already computed
+    /// write prior set at the front of `wbests_buf` (see
+    /// [`Execution::commit_rmw`]).
     #[allow(clippy::too_many_arguments)]
     fn store_inner(
         &mut self,
@@ -626,14 +659,26 @@ impl Execution {
         order: MemOrder,
         value: u64,
         kind: StoreKind,
-        is_rmw: bool,
         rmw_src: Option<StoreIdx>,
+        hoisted_wps: Option<usize>,
     ) -> StoreIdx {
         let seq = self.next_event(t);
         // Prior set computed before the store enters any history list
         // (into the reusable scratch buffer — no per-store allocation).
         let mut pset = std::mem::take(&mut self.pset_buf);
-        self.write_prior_set_into(t, obj, order, &mut pset);
+        match hoisted_wps {
+            Some(len) => {
+                pset.clear();
+                pset.extend_from_slice(&self.wbests_buf[..len]);
+                #[cfg(debug_assertions)]
+                {
+                    let mut fresh = Vec::new();
+                    self.write_prior_set_into(t, obj, order, &mut fresh);
+                    debug_assert_eq!(pset, fresh, "hoisted write prior set went stale");
+                }
+            }
+            None => self.write_prior_set_into(t, obj, order, &mut pset),
+        }
 
         let thread = &self.threads[t.index()];
         let mut rf_cv = if kind == StoreKind::NonAtomic {
@@ -647,10 +692,9 @@ impl Execution {
         if let Some(src) = rmw_src {
             // RMWs continue every release sequence of the store they read
             // from (C++20 rule): RF_rmw ∪= RF_src.
-            let src_rf = self.stores[src.index()].rf_cv.clone();
-            rf_cv.union_with(&src_rf);
+            rf_cv.union_with(&self.stores[src.index()].rf_cv);
         }
-        let hb_cv = self.threads[t.index()].cv.clone();
+        let hb_cv = thread.cv.clone();
 
         let record = StoreRecord {
             tid: t,
@@ -661,7 +705,7 @@ impl Execution {
             rf_cv,
             hb_cv,
             node: None,
-            is_rmw,
+            is_rmw: rmw_src.is_some(),
             rmw_read_by: None,
             kind,
             pruned: false,
@@ -671,7 +715,13 @@ impl Execution {
         // RMW atomicity first (Fig. 11 [ATOMIC RMW]): order the RMW
         // immediately after the store it read from.
         if let Some(src) = rmw_src {
-            self.stores[src.index()].rmw_read_by = Some(seq);
+            let consumed = &mut self.stores[src.index()];
+            consumed.rmw_read_by = Some(seq);
+            let (src_tid, src_seq) = (consumed.tid, consumed.seq);
+            let free = &mut self.loc_mut(obj).thread_mut(src_tid.index()).rmw_free;
+            let at = seq_prefix_len(free, src_seq.0) - 1;
+            debug_assert_eq!(free[at].1, src, "consumed store missing from rmw_free");
+            free.remove(at);
             let nfrom = self.node_of(src);
             let nrmw = self.node_of(idx);
             self.graph.add_rmw_edge(nfrom, nrmw);
@@ -697,10 +747,11 @@ impl Execution {
         let is_sc = order.is_seq_cst() && kind != StoreKind::NonAtomic;
         let loc = self.loc_mut(obj);
         let h = loc.thread_mut(t.index());
-        h.stores.push(idx);
-        h.accesses.push(AccessRef::Store(idx));
+        h.stores.push((seq, idx));
+        h.rmw_free.push((seq, idx));
+        h.accesses.push((seq, AccessRef::Store(idx)));
         if is_sc {
-            h.sc_stores.push(idx);
+            h.sc_stores.push((seq, idx));
             loc.last_sc_store = Some(idx);
         }
         loc.last_store_exec = Some(idx);
@@ -742,9 +793,67 @@ impl Execution {
     // Atomic load ([ATOMIC LOAD], Fig. 11; [ACQUIRE/RELAXED LOAD], Fig. 9)
     // ------------------------------------------------------------------
 
+    /// Computes the candidate-independent halves of the §4.3 check for
+    /// an operation by `t` at `obj` — the per-thread `last({S1..S4})`
+    /// bests of `ReadPriorSet` and, for RMWs, the write prior set —
+    /// and records them as the read plan. Both depend only on
+    /// `(t, obj, order)`, so one history scan serves every candidate
+    /// [`Execution::vet_candidate`] is asked about *and* the commit of
+    /// the chosen one.
+    fn plan_read(&mut self, t: ThreadId, obj: ObjId, order: MemOrder, for_rmw: bool) {
+        let mut bests = std::mem::take(&mut self.bests_buf);
+        self.read_prior_bests_into(t, obj, order, &mut bests);
+        self.bests_buf = bests;
+        let wps_len = for_rmw.then(|| {
+            let mut wbests = std::mem::take(&mut self.wbests_buf);
+            let len = self.rmw_write_prior_set_into(t, obj, order, &mut wbests);
+            self.wbests_buf = wbests;
+            len
+        });
+        self.plan = Some(ReadPlan {
+            t,
+            obj,
+            order,
+            seq: self.seq,
+            wps_len,
+        });
+    }
+
+    /// The candidate-dependent half of the §4.3 check against the
+    /// current plan: the seq_cst read filter (Fig. 12 lines 9–11), no
+    /// cycle through `cand`'s read prior set, and — for RMWs — none
+    /// through the store half's write prior set. Counts a rejection.
+    fn vet_candidate(
+        &mut self,
+        obj: ObjId,
+        order: MemOrder,
+        cand: StoreIdx,
+        for_rmw: bool,
+    ) -> bool {
+        let ok = self.sc_read_allowed(obj, order, cand) && {
+            let Execution {
+                stores,
+                graph,
+                pset_buf,
+                bests_buf,
+                wbests_buf,
+                ..
+            } = self;
+            prior_set_of(bests_buf, cand, pset_buf);
+            let ok = edges_into_feasible(stores, graph, pset_buf, cand)
+                && (!for_rmw || edges_into_feasible(stores, graph, wbests_buf, cand));
+            pset_buf.clear();
+            ok
+        };
+        if !ok {
+            self.stats.candidates_rejected += 1;
+        }
+        ok
+    }
+
     /// Step 2 of a load: is reading from `cand` feasible, i.e. does the
     /// implied set of mo edges keep the mo-graph acyclic (§4.3)? Also
-    /// re-applies the seq_cst read filter (Fig. 12 lines 9–11) so the
+    /// applies the seq_cst read filter (Fig. 12 lines 9–11) so the
     /// check is complete for candidates that were *not* produced by
     /// [`Execution::read_candidates_into`] with the same order — the
     /// failed-compare-exchange path, where the candidate was chosen
@@ -756,18 +865,8 @@ impl Execution {
         order: MemOrder,
         cand: StoreIdx,
     ) -> bool {
-        if !self.sc_read_allowed(obj, order, cand) {
-            self.stats.candidates_rejected += 1;
-            return false;
-        }
-        let mut pset = std::mem::take(&mut self.pset_buf);
-        let ok = self.read_prior_set_into(t, obj, order, cand, &mut pset);
-        pset.clear();
-        self.pset_buf = pset;
-        if !ok {
-            self.stats.candidates_rejected += 1;
-        }
-        ok
+        self.plan_read(t, obj, order, false);
+        self.vet_candidate(obj, order, cand, false)
     }
 
     /// Step 2 for RMWs: read feasibility plus the store-half check
@@ -780,19 +879,8 @@ impl Execution {
         order: MemOrder,
         cand: StoreIdx,
     ) -> bool {
-        if !self.sc_read_allowed(obj, order, cand) {
-            self.stats.candidates_rejected += 1;
-            return false;
-        }
-        let mut pset = std::mem::take(&mut self.pset_buf);
-        let ok = self.read_prior_set_into(t, obj, order, cand, &mut pset);
-        pset.clear();
-        self.pset_buf = pset;
-        if !ok || !self.check_rmw_store_feasible(t, obj, order, cand) {
-            self.stats.candidates_rejected += 1;
-            return false;
-        }
-        true
+        self.plan_read(t, obj, order, true);
+        self.vet_candidate(obj, order, cand, true)
     }
 
     /// Convenience: may-read-from filtered through the feasibility
@@ -813,14 +901,13 @@ impl Execution {
     /// [`Execution::feasible_read_candidates`] into a caller-provided
     /// buffer (cleared first) — the allocation-free hot path.
     ///
-    /// The candidate-independent halves of the §4.3 check — the
-    /// per-thread `last({S1..S4})` bests of `ReadPriorSet` and, for
-    /// RMWs, the write prior set — depend only on `(t, obj, order)`,
-    /// so they are hoisted out of the per-candidate loop: the former
-    /// O(candidates × threads) history scan becomes O(threads)
+    /// The candidate-independent halves of the §4.3 check are planned
+    /// once (`plan_read`): the O(candidates × threads)
+    /// history scan of a per-candidate check becomes O(threads)
     /// followed by O(|priorset|) clock work per candidate. Verdicts,
     /// rejection counts, and mo-graph node creation order are
-    /// identical to running the unhoisted checks per candidate.
+    /// identical to running [`Execution::check_read_feasible`] /
+    /// [`Execution::check_rmw_feasible`] per candidate.
     pub fn feasible_read_candidates_into(
         &mut self,
         t: ThreadId,
@@ -832,32 +919,50 @@ impl Execution {
         let timer = phase_start(Phase::ReadFrom);
         self.read_candidates_into(t, obj, order, for_rmw, cands);
         if !cands.is_empty() {
-            let mut bests = std::mem::take(&mut self.bests_buf);
-            self.read_prior_bests_into(t, obj, order, &mut bests);
-            let mut wbests = std::mem::take(&mut self.wbests_buf);
-            if for_rmw {
-                self.rmw_write_prior_set_into(t, obj, order, &mut wbests);
-            }
-            let mut pset = std::mem::take(&mut self.pset_buf);
-            cands.retain(|&c| {
-                let ok = self.sc_read_allowed(obj, order, c)
-                    && self.read_prior_set_from_bests(&bests, c, &mut pset)
-                    && (!for_rmw || self.rmw_store_feasible_from_wpset(&wbests, c));
-                if !ok {
-                    self.stats.candidates_rejected += 1;
-                }
-                ok
-            });
-            pset.clear();
-            self.pset_buf = pset;
-            bests.clear();
-            self.bests_buf = bests;
-            wbests.clear();
-            self.wbests_buf = wbests;
+            self.plan_read(t, obj, order, for_rmw);
+            cands.retain(|&c| self.vet_candidate(obj, order, c, for_rmw));
         }
         if let Some(timer) = timer {
             timer.stop(&mut self.stats.phase);
         }
+    }
+
+    /// The prior set of the candidate a load or RMW by `t` commits to,
+    /// into `pset`: from the read plan when the latest selection was
+    /// for this very `(t, obj, order)` with no event since, otherwise
+    /// from a fresh history scan (direct API callers). Consumes the
+    /// plan and returns its hoisted write-prior-set length, if any.
+    /// No reachability query: feasibility was the selection's job
+    /// (the engine never rolls back, §4.3) and is only asserted.
+    fn commit_prior_set(
+        &mut self,
+        t: ThreadId,
+        obj: ObjId,
+        order: MemOrder,
+        cand: StoreIdx,
+        pset: &mut Vec<StoreIdx>,
+    ) -> Option<usize> {
+        let plan = self
+            .plan
+            .take()
+            .filter(|p| (p.t, p.obj, p.order, p.seq) == (t, obj, order, self.seq));
+        if plan.is_none() {
+            let mut bests = std::mem::take(&mut self.bests_buf);
+            self.read_prior_bests_into(t, obj, order, &mut bests);
+            self.bests_buf = bests;
+        }
+        prior_set_of(&self.bests_buf, cand, pset);
+        #[cfg(debug_assertions)]
+        {
+            let mut fresh = Vec::new();
+            self.read_prior_bests_into(t, obj, order, &mut fresh);
+            debug_assert_eq!(self.bests_buf, fresh, "read plan went stale");
+            debug_assert!(
+                edges_into_feasible(&mut self.stores, &mut self.graph, pset, cand),
+                "commit of an infeasible candidate"
+            );
+        }
+        plan.and_then(|p| p.wps_len)
     }
 
     /// Step 3 of a load: commits the `rf` edge to `cand` and returns the
@@ -868,11 +973,9 @@ impl Execution {
     /// Debug builds panic if `cand` is infeasible — callers must check
     /// first (the engine never rolls back, §4.3).
     pub fn commit_load(&mut self, t: ThreadId, obj: ObjId, order: MemOrder, cand: StoreIdx) -> u64 {
-        let seq = self.next_event(t);
         let mut pset = std::mem::take(&mut self.pset_buf);
-        let ok = self.read_prior_set_into(t, obj, order, cand, &mut pset);
-        debug_assert!(ok, "commit_load of an infeasible candidate");
-        let _ = ok;
+        self.commit_prior_set(t, obj, order, cand, &mut pset);
+        let seq = self.next_event(t);
         self.add_edges(&pset, cand);
         pset.clear();
         self.pset_buf = pset;
@@ -910,7 +1013,7 @@ impl Execution {
         self.loc_mut(obj)
             .thread_mut(t.index())
             .accesses
-            .push(AccessRef::Load(lidx));
+            .push((seq, AccessRef::Load(lidx)));
         self.stats.atomic_loads += 1;
         self.threads[t.index()].in_store_run = false;
         self.maybe_prune();
@@ -919,12 +1022,15 @@ impl Execution {
 
     /// Fig. 9 `[ACQUIRE LOAD]` / `[RELAXED LOAD]`.
     fn apply_load_clocks(&mut self, t: ThreadId, order: MemOrder, src: StoreIdx) {
-        let src_rf = self.stores[src.index()].rf_cv.clone();
-        let thread = &mut self.threads[t.index()];
+        let Execution {
+            stores, threads, ..
+        } = self;
+        let src_rf = &stores[src.index()].rf_cv;
+        let thread = &mut threads[t.index()];
         if order.is_acquire() {
-            thread.cv.union_with(&src_rf);
+            thread.cv.union_with(src_rf);
         } else {
-            thread.fence_acq.union_with(&src_rf);
+            thread.fence_acq.union_with(src_rf);
         }
     }
 
@@ -952,20 +1058,21 @@ impl Execution {
             self.stores[cand.index()].rmw_read_by.is_none(),
             "RMW atomicity violated: candidate already consumed"
         );
-        // Load half: prior-set edges into the store read from + clocks.
+        #[cfg(debug_assertions)]
         {
+            let mut wpset = Vec::new();
+            self.rmw_write_prior_set_into(t, obj, order, &mut wpset);
             debug_assert!(
-                self.check_rmw_store_feasible(t, obj, order, cand),
+                edges_into_feasible(&mut self.stores, &mut self.graph, &wpset, cand),
                 "commit_rmw: store half would close a cycle"
             );
-            let mut pset = std::mem::take(&mut self.pset_buf);
-            let ok = self.read_prior_set_into(t, obj, order, cand, &mut pset);
-            debug_assert!(ok, "commit_rmw of an infeasible candidate");
-            let _ = ok;
-            self.add_edges(&pset, cand);
-            pset.clear();
-            self.pset_buf = pset;
         }
+        // Load half: prior-set edges into the store read from + clocks.
+        let mut pset = std::mem::take(&mut self.pset_buf);
+        let hoisted_wps = self.commit_prior_set(t, obj, order, cand, &mut pset);
+        self.add_edges(&pset, cand);
+        pset.clear();
+        self.pset_buf = pset;
         self.apply_load_clocks(t, order, cand);
         let old = self.stores[cand.index()].value;
         if self.coverage.collected {
@@ -977,15 +1084,18 @@ impl Execution {
         }
 
         // Store half (assigns the event's sequence number; installs the
-        // rmw edge before the write-prior-set edges, per Fig. 11).
+        // rmw edge before the write-prior-set edges, per Fig. 11). The
+        // selection's write prior set saw pre-acquire clocks, so it
+        // stands in for the store half's only when the load half just
+        // now acquired nothing.
         let idx = self.store_inner(
             t,
             obj,
             order,
             new_value,
             StoreKind::Atomic,
-            true,
             Some(cand),
+            hoisted_wps.filter(|_| !order.is_acquire()),
         );
         if Self::trace_enabled() {
             self.trace_buf.push(TraceEvent {
@@ -1081,7 +1191,7 @@ impl Execution {
             None => Vec::new(),
             Some(loc) => loc
                 .threads()
-                .flat_map(|(_, h)| h.stores.iter().copied())
+                .flat_map(|(_, h)| h.stores.iter().map(|&(_, s)| s))
                 .collect(),
         }
     }
@@ -1154,5 +1264,230 @@ mod tests {
                 .is_empty(),
             "no stale read candidates"
         );
+    }
+
+    // ---- the read plan ------------------------------------------------
+
+    /// Everything a commit can change, as text: two executions with
+    /// equal renderings are field-for-field equal.
+    fn state(e: &Execution) -> String {
+        format!("{e:?}")
+    }
+
+    /// Drives a seeded random program over 4 threads × 2 objects the
+    /// way the engine does — select, pick, commit — covering loads,
+    /// relaxed RMWs (store half reuses the hoisted write prior set),
+    /// acquire RMWs (store half recomputes), failed CASes re-vetted
+    /// under a seq_cst failure order, seq_cst stores and fences. With
+    /// `use_plan == false` the plan is dropped before every commit, so
+    /// each commit takes the recompute path.
+    fn drive_random(seed: u64, use_plan: bool) -> Execution {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const ORDERS: [MemOrder; 5] = [
+            MemOrder::Relaxed,
+            MemOrder::Acquire,
+            MemOrder::Release,
+            MemOrder::AcqRel,
+            MemOrder::SeqCst,
+        ];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut e = Execution::new(Policy::C11Tester);
+        let main = ThreadId::MAIN;
+        let objs = [e.new_object(), e.new_object()];
+        for &o in &objs {
+            e.atomic_store(main, o, MemOrder::Relaxed, 0, StoreKind::Atomic);
+        }
+        let threads = [e.fork(main), e.fork(main), e.fork(main), main];
+        let mut cands = Vec::new();
+        for step in 1..=120u64 {
+            let t = threads[rng.gen_range(0..threads.len())];
+            let obj = objs[rng.gen_range(0..objs.len())];
+            let order = ORDERS[rng.gen_range(0..ORDERS.len())];
+            match rng.gen_range(0..10u32) {
+                0..=2 => {
+                    let order = match order {
+                        MemOrder::Acquire | MemOrder::AcqRel => MemOrder::Release,
+                        o => o,
+                    };
+                    e.atomic_store(t, obj, order, step, StoreKind::Atomic);
+                }
+                3..=5 => {
+                    let order = match order {
+                        MemOrder::Release | MemOrder::AcqRel => MemOrder::Acquire,
+                        o => o,
+                    };
+                    e.feasible_read_candidates_into(t, obj, order, false, &mut cands);
+                    let c = cands[rng.gen_range(0..cands.len())];
+                    if !use_plan {
+                        e.plan = None;
+                    }
+                    e.commit_load(t, obj, order, c);
+                }
+                6..=7 => {
+                    e.feasible_read_candidates_into(t, obj, order, true, &mut cands);
+                    let c = cands[rng.gen_range(0..cands.len())];
+                    if !use_plan {
+                        e.plan = None;
+                    }
+                    e.commit_rmw(t, obj, order, c, step);
+                }
+                8 => {
+                    // Failed CAS: selected as an RMW under `order`,
+                    // committed as a seq_cst load.
+                    e.feasible_read_candidates_into(t, obj, order, true, &mut cands);
+                    let mut c = cands[rng.gen_range(0..cands.len())];
+                    if !e.check_read_feasible(t, obj, MemOrder::SeqCst, c) {
+                        e.feasible_read_candidates_into(
+                            t,
+                            obj,
+                            MemOrder::SeqCst,
+                            false,
+                            &mut cands,
+                        );
+                        c = cands[rng.gen_range(0..cands.len())];
+                    }
+                    if !use_plan {
+                        e.plan = None;
+                    }
+                    e.commit_load(t, obj, MemOrder::SeqCst, c);
+                }
+                _ => e.fence(t, order),
+            }
+        }
+        e
+    }
+
+    /// (i) A commit fed by the plan leaves the execution exactly where
+    /// a commit that recomputed would. (Debug builds additionally
+    /// assert plan-derived == recomputed inside every commit.)
+    #[test]
+    fn planned_commits_equal_recomputed_commits() {
+        for seed in 0..24 {
+            let planned = drive_random(seed, true);
+            let recomputed = drive_random(seed, false);
+            assert_eq!(state(&planned), state(&recomputed), "seed {seed}");
+            assert!(planned.stats().rmws > 0 && planned.stats().atomic_loads > 0);
+        }
+    }
+
+    /// `w` stored 1 then 2 to `x` and published through `flag`; `w2`
+    /// stored 5 to `x` and published nothing. `r` has read `flag`
+    /// relaxed, so an acquire fence is all it takes for `w`'s stores
+    /// to enter its bests at `x`; `w` has an sc fence, so seq_cst and
+    /// relaxed bests differ too.
+    struct PlanFixture {
+        e: Execution,
+        w: ThreadId,
+        r: ThreadId,
+        x: ObjId,
+        flag: ObjId,
+        s2: StoreIdx,
+        s5: StoreIdx,
+        sf: StoreIdx,
+    }
+
+    fn plan_fixture() -> PlanFixture {
+        let mut e = Execution::new(Policy::C11Tester);
+        let main = ThreadId::MAIN;
+        let (x, flag) = (e.new_object(), e.new_object());
+        e.atomic_store(main, x, MemOrder::Relaxed, 0, StoreKind::Atomic);
+        e.atomic_store(main, flag, MemOrder::Relaxed, 0, StoreKind::Atomic);
+        let (w, w2, r) = (e.fork(main), e.fork(main), e.fork(main));
+        e.atomic_store(w, x, MemOrder::Relaxed, 1, StoreKind::Atomic);
+        let s2 = e.atomic_store(w, x, MemOrder::Relaxed, 2, StoreKind::Atomic);
+        e.fence(w, MemOrder::SeqCst);
+        let sf = e.atomic_store(w, flag, MemOrder::Release, 1, StoreKind::Atomic);
+        let s5 = e.atomic_store(w2, x, MemOrder::Relaxed, 5, StoreKind::Atomic);
+        e.commit_load(r, flag, MemOrder::Relaxed, sf);
+        PlanFixture {
+            e,
+            w,
+            r,
+            x,
+            flag,
+            s2,
+            s5,
+            sf,
+        }
+    }
+
+    /// (ii) A plan is dropped rather than consumed once anything it
+    /// was computed from may have moved on. Each scenario selects for
+    /// `r`'s relaxed load at `x`, does something else, then commits
+    /// without re-selecting — and must land where a twin whose plan
+    /// was thrown away lands (in debug builds a stale plan also trips
+    /// the commit's own assertion).
+    #[test]
+    fn plan_is_not_consumed_after_an_event_or_for_another_key() {
+        type Scenario = fn(&mut Execution, &PlanFixture);
+        let scenarios: [Scenario; 4] = [
+            // An intervening event: the fence brings `w`'s stores into
+            // `r`'s bests, so reading 5 now orders 2 before it.
+            |e, f| {
+                e.fence(f.r, MemOrder::Acquire);
+                e.commit_load(f.r, f.x, MemOrder::Relaxed, f.s5);
+            },
+            // Another thread, another object, another order.
+            |e, f| assert_eq!(e.commit_load(f.w, f.x, MemOrder::Relaxed, f.s2), 2),
+            |e, f| assert_eq!(e.commit_load(f.r, f.flag, MemOrder::Relaxed, f.sf), 1),
+            |e, f| assert_eq!(e.commit_load(f.r, f.x, MemOrder::SeqCst, f.s5), 5),
+        ];
+        for (i, scenario) in scenarios.into_iter().enumerate() {
+            let f = plan_fixture();
+            let (mut a, mut b) = (f.e.clone(), f.e.clone());
+            for e in [&mut a, &mut b] {
+                let cands = e.feasible_read_candidates(f.r, f.x, MemOrder::Relaxed, false);
+                assert_eq!(cands.len(), 4, "init, 1, 2 and 5 are all readable");
+                assert!(e.plan.is_some());
+            }
+            b.plan = None;
+            scenario(&mut a, &f);
+            scenario(&mut b, &f);
+            assert!(a.plan.is_none(), "a commit leaves no plan behind");
+            assert_eq!(state(&a), state(&b), "scenario {i}");
+        }
+
+        // `reset` and a pruning pass void the plan outright.
+        let PlanFixture { mut e, r, x, .. } = plan_fixture();
+        e.feasible_read_candidates(r, x, MemOrder::Relaxed, false);
+        assert!(e.plan.is_some());
+        e.reset(Policy::C11Tester, PruneConfig::conservative(0));
+        assert!(e.plan.is_none());
+        let x = e.new_object();
+        e.atomic_store(ThreadId::MAIN, x, MemOrder::Relaxed, 0, StoreKind::Atomic);
+        e.feasible_read_candidates(ThreadId::MAIN, x, MemOrder::Relaxed, false);
+        assert!(e.plan.is_some());
+        e.prune_now();
+        assert!(e.plan.is_none());
+    }
+
+    /// (iii) The PR 9 bug class: a compare-exchange selected under a
+    /// weak success order and failing with a seq_cst failure order must
+    /// still have its candidate re-vetted under seq_cst — the success
+    /// order's plan answers nothing about it.
+    #[test]
+    fn failed_cas_with_seq_cst_failure_order_revets_the_candidate() {
+        let mut e = Execution::new(Policy::C11Tester);
+        let main = ThreadId::MAIN;
+        let x = e.new_object();
+        let (w, r) = (e.fork(main), e.fork(main));
+        let s_old = e.atomic_store(w, x, MemOrder::SeqCst, 1, StoreKind::Atomic);
+        let s_new = e.atomic_store(w, x, MemOrder::SeqCst, 2, StoreKind::Atomic);
+        let cands = e.feasible_read_candidates(r, x, MemOrder::Release, true);
+        assert_eq!(cands, vec![s_old, s_new], "the weak order allows both");
+        let rejected = e.stats().candidates_rejected;
+        assert!(
+            !e.check_read_feasible(r, x, MemOrder::SeqCst, s_old),
+            "s_old is sc-before the last sc store: not readable by an sc load"
+        );
+        assert_eq!(e.stats().candidates_rejected, rejected + 1);
+        assert!(e.check_read_feasible(r, x, MemOrder::SeqCst, s_new));
+        // The re-vet's own plan (seq_cst, load) is what the commit uses.
+        let mut twin = e.clone();
+        twin.plan = None;
+        assert_eq!(e.commit_load(r, x, MemOrder::SeqCst, s_new), 2);
+        twin.commit_load(r, x, MemOrder::SeqCst, s_new);
+        assert_eq!(state(&e), state(&twin));
     }
 }

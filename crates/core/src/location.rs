@@ -5,19 +5,50 @@
 //! per-thread list of atomic memory accesses to each memory location").
 //! All lists are sorted by sequence number because events are appended
 //! as they execute, which lets the `last(...)` helper functions of
-//! Fig. 12/13 run as binary searches.
+//! Fig. 12/13 run as binary searches. Each entry carries its sequence
+//! number beside the arena reference, so a search compares keys in the
+//! list it scans instead of dereferencing the store/load arenas on
+//! every probe.
 
-use crate::event::{AccessRef, StoreIdx};
+use crate::event::{AccessRef, SeqNum, StoreIdx};
 
 /// History of one thread's accesses to one location.
 #[derive(Clone, Debug, Default)]
 pub struct PerThreadLoc {
     /// `stores(t, a)`: stores and RMWs by this thread, in seq order.
-    pub stores: Vec<StoreIdx>,
+    pub stores: Vec<(SeqNum, StoreIdx)>,
     /// `loads_stores(t, a)`: loads, stores, and RMWs, in seq order.
-    pub accesses: Vec<AccessRef>,
+    pub accesses: Vec<(SeqNum, AccessRef)>,
     /// `sc_stores(t, a)`: the seq_cst subset of `stores`, in seq order.
-    pub sc_stores: Vec<StoreIdx>,
+    pub sc_stores: Vec<(SeqNum, StoreIdx)>,
+    /// The subset of `stores` no RMW has read from yet, in seq order —
+    /// the only stores an RMW may still read (RMW atomicity), so RMW
+    /// candidates are enumerated from here instead of filtering
+    /// `stores`, most of which a long RMW chain has consumed.
+    pub rmw_free: Vec<(SeqNum, StoreIdx)>,
+}
+
+/// Length of the prefix of the seq-sorted `list` whose sequence
+/// numbers are `≤ bound`. The two common answers — everything (the
+/// bound is a clock slot that already covers the thread's history) and
+/// nothing — cost one compare each; only a bound that falls inside the
+/// list bisects.
+pub fn seq_prefix_len<T>(list: &[(SeqNum, T)], bound: u64) -> usize {
+    let (Some(first), Some(last)) = (list.first(), list.last()) else {
+        return 0;
+    };
+    if last.0 .0 <= bound {
+        list.len()
+    } else if bound < first.0 .0 {
+        0
+    } else {
+        list.partition_point(|e| e.0 .0 <= bound)
+    }
+}
+
+/// Last entry of the seq-sorted `list` with sequence number `≤ bound`.
+pub fn last_at_or_before<T: Copy>(list: &[(SeqNum, T)], bound: u64) -> Option<(SeqNum, T)> {
+    seq_prefix_len(list, bound).checked_sub(1).map(|p| list[p])
 }
 
 impl PerThreadLoc {
@@ -32,6 +63,7 @@ impl PerThreadLoc {
         self.stores.clear();
         self.accesses.clear();
         self.sc_stores.clear();
+        self.rmw_free.clear();
     }
 }
 
@@ -107,7 +139,7 @@ mod tests {
     #[test]
     fn thread_table_grows_on_demand() {
         let mut loc = LocationState::default();
-        loc.thread_mut(3).stores.push(StoreIdx(0));
+        loc.thread_mut(3).stores.push((SeqNum(1), StoreIdx(0)));
         assert_eq!(loc.per_thread.len(), 4);
         assert!(loc.thread(0).is_some());
         assert!(loc.thread(0).expect("slot 0 exists").is_empty());
@@ -116,9 +148,21 @@ mod tests {
     }
 
     #[test]
+    fn seq_prefix_len_matches_a_linear_count() {
+        let list: Vec<(SeqNum, ())> = [2u64, 5, 5, 9].iter().map(|&s| (SeqNum(s), ())).collect();
+        for bound in 0..12 {
+            let expect = list.iter().filter(|e| e.0 .0 <= bound).count();
+            assert_eq!(seq_prefix_len(&list, bound), expect, "bound {bound}");
+        }
+        assert_eq!(seq_prefix_len::<()>(&[], 7), 0);
+    }
+
+    #[test]
     fn threads_iter_skips_idle_threads() {
         let mut loc = LocationState::default();
-        loc.thread_mut(2).accesses.push(AccessRef::Load(LoadIdx(0)));
+        loc.thread_mut(2)
+            .accesses
+            .push((SeqNum(1), AccessRef::Load(LoadIdx(0))));
         let active: Vec<usize> = loc.threads().map(|(ix, _)| ix).collect();
         assert_eq!(active, vec![2]);
     }

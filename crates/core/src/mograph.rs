@@ -36,6 +36,16 @@
 //! counters — and therefore the canonical campaign reports — are
 //! bit-identical to the traversal-free baseline.
 //!
+//! # RMW chains
+//!
+//! `AddEdge` redirects an edge whose source feeds an RMW to the end of
+//! the chain of RMWs reading one another, and the feasibility check
+//! asks for that end once per prior-set member per candidate. Chains
+//! grow to hundreds of nodes (a `fetch_add` counter, a spun-on lock
+//! word), so every node records its chain, its position on it and its
+//! rmw-predecessor, and every chain its tail: [`MoGraph::chain_end`],
+//! [`MoGraph::chain_tail`] and [`MoGraph::chain_downstream`] are O(1).
+//!
 //! The order additionally enables **tombstone compaction** (§7.1 memory
 //! limiting): [`MoGraph::compact`] physically evicts pruned nodes from
 //! the arena, compacts survivors to the prefix while preserving their
@@ -191,6 +201,42 @@ pub struct MoGraph {
     reorder_tmp: Vec<NodeId>,
     /// Remap table built by the latest [`MoGraph::compact`].
     remap: Vec<Option<NodeId>>,
+    /// RMW-chain membership of each node (indexed by node index;
+    /// entries at or above `live` are stale). A *chain* is a maximal
+    /// run of nodes linked by `rmw` pointers; every node is on exactly
+    /// one, a store nobody RMW-read being a chain of one.
+    links: Vec<ChainLink>,
+    /// Last node of each chain, indexed by chain id. Only the entries
+    /// named by some live node's `links[..].chain` are meaningful.
+    chain_tails: Vec<NodeId>,
+    /// Set by [`MoGraph::prune_node`], cleared by
+    /// [`MoGraph::drop_edges_to_pruned`]: whether any edge may still
+    /// point at a tombstone.
+    prune_dirty: bool,
+}
+
+/// Where a node sits on its RMW chain. Chain ids are the arena index
+/// of the node that headed the chain when the id was handed out, so
+/// they need no allocator of their own.
+#[derive(Clone, Copy, Debug)]
+struct ChainLink {
+    chain: u32,
+    /// Distance from the chain's head.
+    pos: u32,
+    /// The store this node RMW-read (`pred.rmw == Some(self)`); `None`
+    /// for a chain head.
+    pred: Option<NodeId>,
+}
+
+impl ChainLink {
+    /// The link of a chain of one, headed by `id`.
+    fn head(id: NodeId) -> Self {
+        ChainLink {
+            chain: id.0,
+            pos: 0,
+            pred: None,
+        }
+    }
 }
 
 impl MoGraph {
@@ -206,6 +252,7 @@ impl MoGraph {
         self.stats = MoGraphStats::default();
         self.order.clear();
         self.pruned_count = 0;
+        self.prune_dirty = false;
         self.perf = MoGraphPerfStats::default();
         self.reach_fast.set(0);
         self.reach_cv.set(0);
@@ -232,6 +279,8 @@ impl MoGraph {
             n.obj = obj;
             n.pruned = false;
             self.ord[self.live] = pos;
+            self.links[self.live] = ChainLink::head(id);
+            self.chain_tails[self.live] = id;
         } else {
             self.nodes.push(Node {
                 cv: ClockVector::bottom_for(tid, seq),
@@ -244,6 +293,8 @@ impl MoGraph {
             });
             self.ord.push(pos);
             self.in_f.push(false);
+            self.links.push(ChainLink::head(id));
+            self.chain_tails.push(id);
         }
         self.order.push(id);
         self.live += 1;
@@ -337,7 +388,6 @@ impl MoGraph {
     /// run the §4.3 feasibility check first; the whole point of the
     /// design is that the graph never needs rollback.
     pub fn add_edge(&mut self, from: NodeId, to: NodeId) {
-        let mut from = from;
         if from == to {
             return;
         }
@@ -357,16 +407,9 @@ impl MoGraph {
             }
         }
         // RMWs are ordered immediately after the store they read from:
-        // follow the rmw chain so the edge lands after the chain's end.
-        while let Some(next) = self.nodes[from.index()].rmw {
-            if next == to {
-                break;
-            }
-            from = next;
-        }
-        if from == to {
-            return;
-        }
+        // the edge lands after the chain's end (never on `to` itself —
+        // a downstream `to` yields its predecessor).
+        let from = self.chain_end(from, to);
         #[cfg(debug_assertions)]
         if self.reaches_slow(to, from) {
             eprintln!("=== mo-graph dump at cycle ===");
@@ -516,8 +559,21 @@ impl MoGraph {
             self.nodes[from.index()].rmw.is_none(),
             "store {from:?} already feeds an RMW; at most one RMW may read from a store"
         );
+        debug_assert!(
+            self.links[rmw.index()].pred.is_none() && self.nodes[rmw.index()].rmw.is_none(),
+            "RMW node {rmw:?} must be a fresh chain of one"
+        );
         self.nodes[from.index()].rmw = Some(rmw);
         self.stats.rmw_edges += 1;
+        // `from` fed no RMW until now, so it is its chain's tail: the
+        // chain grows by one at the end.
+        let link = self.links[from.index()];
+        self.links[rmw.index()] = ChainLink {
+            chain: link.chain,
+            pos: link.pos + 1,
+            pred: Some(from),
+        };
+        self.chain_tails[link.chain as usize] = rmw;
         // The rmw pointer is itself an edge; repair its order first
         // (rare — callers create the RMW node right before this call,
         // so it normally sits at the end of the order already).
@@ -573,19 +629,83 @@ impl MoGraph {
         self.propagate(rmw);
     }
 
-    /// Follows `start`'s rmw chain to its end, exactly as `AddEdge`
-    /// does before inserting an edge (an edge from a store that feeds
-    /// an RMW is redirected past the RMW to preserve immediacy). Stops
-    /// early if the chain hits `stop`.
-    pub fn chain_end(&self, start: NodeId, stop: NodeId) -> NodeId {
-        let mut n = start;
-        while let Some(next) = self.nodes[n.index()].rmw {
-            if next == stop {
-                break;
-            }
-            n = next;
+    /// Last node of `start`'s RMW chain (`start` itself when nothing
+    /// RMW-read it — the common case, answered from the node alone).
+    pub fn chain_tail(&self, start: NodeId) -> NodeId {
+        if self.nodes[start.index()].rmw.is_none() {
+            return start;
         }
-        n
+        self.chain_tails[self.links[start.index()].chain as usize]
+    }
+
+    /// Is `node` strictly downstream of `start` on `start`'s own RMW
+    /// chain, i.e. does following rmw pointers from `start` arrive at
+    /// `node`?
+    pub fn chain_downstream(&self, start: NodeId, node: NodeId) -> bool {
+        if self.nodes[start.index()].rmw.is_none() {
+            return false;
+        }
+        let (s, n) = (self.links[start.index()], self.links[node.index()]);
+        s.chain == n.chain && n.pos > s.pos
+    }
+
+    /// The node an edge `start → stop` actually leaves from: `AddEdge`
+    /// redirects an edge whose source feeds an RMW past the RMW chain
+    /// (immediacy), so this is the chain's tail — or, when `stop` lies
+    /// downstream on that very chain, the node just before `stop`.
+    /// O(1) from the chain metadata.
+    pub fn chain_end(&self, start: NodeId, stop: NodeId) -> NodeId {
+        let end = if self.chain_downstream(start, stop) {
+            self.links[stop.index()]
+                .pred
+                .expect("a downstream chain node has a predecessor")
+        } else {
+            self.chain_tail(start)
+        };
+        #[cfg(debug_assertions)]
+        {
+            // Oracle: the pointer walk the metadata replaces.
+            let mut n = start;
+            while let Some(next) = self.nodes[n.index()].rmw {
+                if next == stop {
+                    break;
+                }
+                n = next;
+            }
+            assert_eq!(end, n, "chain metadata diverged from the rmw pointers");
+        }
+        end
+    }
+
+    /// Recomputes every live node's chain link and every chain's tail
+    /// from the `rmw` pointers of `nodes[..n]`. Pruning can cut a chain
+    /// anywhere (an anchor survives while its RMW reader dies) and
+    /// compaction renumbers nodes, so both rebuild rather than patch;
+    /// one linear pass, inside passes that are already linear.
+    fn rebuild_chains(&mut self, n: usize) {
+        for (i, link) in self.links[..n].iter_mut().enumerate() {
+            *link = ChainLink::head(NodeId(i as u32));
+        }
+        for i in 0..n {
+            if let Some(r) = self.nodes[i].rmw {
+                self.links[r.index()].pred = Some(NodeId(i as u32));
+            }
+        }
+        for head in 0..n {
+            if self.links[head].pred.is_some() {
+                continue;
+            }
+            let mut tail = NodeId(head as u32);
+            let mut pos = 0;
+            while let Some(next) = self.nodes[tail.index()].rmw {
+                pos += 1;
+                let link = &mut self.links[next.index()];
+                link.chain = head as u32;
+                link.pos = pos;
+                tail = next;
+            }
+            self.chain_tails[head] = tail;
+        }
     }
 
     /// Theorem 1 reachability: is `b` reachable from `a`?
@@ -723,6 +843,7 @@ impl MoGraph {
         let n = &mut self.nodes[id.index()];
         if !n.pruned {
             self.pruned_count += 1;
+            self.prune_dirty = true;
         }
         n.pruned = true;
         n.cv.release();
@@ -736,17 +857,26 @@ impl MoGraph {
     }
 
     /// Drops edges that point at pruned nodes (housekeeping after a
-    /// pruning pass so traversal oracles stay meaningful).
+    /// pruning pass so traversal oracles stay meaningful) and rebuilds
+    /// the chain metadata over the rmw pointers that remain. A no-op
+    /// when nothing was pruned since the last call.
     pub fn drop_edges_to_pruned(&mut self) {
-        let pruned: Vec<bool> = self.live_nodes().iter().map(|n| n.pruned).collect();
-        for n in &mut self.nodes[..self.live] {
-            n.edges.retain(|e| !pruned[e.index()]);
-            if let Some(r) = n.rmw {
-                if pruned[r.index()] {
-                    n.rmw = None;
-                }
+        if !self.prune_dirty {
+            return;
+        }
+        self.prune_dirty = false;
+        let live = self.live;
+        let nodes = &mut self.nodes[..live];
+        for i in 0..live {
+            // Taken out so the flags of the *targets* can be read.
+            let mut edges = std::mem::take(&mut nodes[i].edges);
+            edges.retain(|e| !nodes[e.index()].pruned);
+            nodes[i].edges = edges;
+            if nodes[i].rmw.is_some_and(|r| nodes[r.index()].pruned) {
+                nodes[i].rmw = None;
             }
         }
+        self.rebuild_chains(live);
     }
 
     /// §7.1 memory limiting: physically evicts pruned tombstones from
@@ -807,13 +937,17 @@ impl MoGraph {
         self.perf.compacted_nodes += (old_live - w) as u64;
         self.live = w;
         self.pruned_count = 0;
+        self.prune_dirty = false;
+        self.rebuild_chains(w);
         &self.remap
     }
 
     /// Approximate heap footprint of the graph in bytes (for the
     /// memory-limiting experiments of §7.1).
     pub fn approx_bytes(&self) -> usize {
-        let mut total = self.nodes.capacity() * std::mem::size_of::<Node>();
+        let mut total = self.nodes.capacity() * std::mem::size_of::<Node>()
+            + self.links.capacity() * std::mem::size_of::<ChainLink>()
+            + self.chain_tails.capacity() * std::mem::size_of::<NodeId>();
         for n in self.live_nodes() {
             total += n.cv.len() * 8 + n.edges.capacity() * std::mem::size_of::<NodeId>();
         }
@@ -944,6 +1078,28 @@ mod tests {
         assert!(g.reaches_slow(r, y));
         // a's direct outgoing edges still only name the RMW.
         assert_eq!(g.node(a).edges, vec![r]);
+    }
+
+    #[test]
+    fn chain_end_is_the_tail_or_the_node_before_stop() {
+        // a ⇒ r1 ⇒ r2, and an unrelated store y.
+        let mut g = graph();
+        let a = g.add_node(t(0), SeqNum(1), OBJ);
+        let r1 = g.add_node(t(1), SeqNum(2), OBJ);
+        g.add_rmw_edge(a, r1);
+        let r2 = g.add_node(t(2), SeqNum(3), OBJ);
+        g.add_rmw_edge(r1, r2);
+        let y = g.add_node(t(3), SeqNum(4), OBJ);
+        for n in [a, r1, r2] {
+            assert_eq!(g.chain_tail(n), r2);
+            assert_eq!(g.chain_end(n, y), r2, "stop off the chain: the tail");
+        }
+        assert_eq!(g.chain_tail(y), y);
+        assert_eq!(g.chain_end(a, r2), r1, "stop downstream: its predecessor");
+        assert_eq!(g.chain_end(a, r1), a);
+        assert_eq!(g.chain_end(r2, a), r2, "stop upstream: still the tail");
+        assert!(g.chain_downstream(a, r2) && !g.chain_downstream(r2, a));
+        assert!(!g.chain_downstream(a, a) && !g.chain_downstream(a, y));
     }
 
     #[test]
@@ -1108,7 +1264,7 @@ mod tests {
         let remap: Vec<Option<NodeId>> = g.compact().to_vec();
         let (a2, r2) = (remap[a.index()].unwrap(), remap[r.index()].unwrap());
         assert_eq!(g.node(a2).rmw, Some(r2), "rmw pointer remapped");
-        assert_eq!(g.chain_end(a2, NodeId(u32::MAX)), r2);
+        assert_eq!(g.chain_tail(a2), r2);
         assert!(g.reaches(a2, r2));
         assert!(g.order_is_valid_slow());
     }

@@ -13,9 +13,17 @@
 //! C++11 §29.3 (seq_cst fence constraints); line 9 implements
 //! write-read and read-read coherence.
 
-use crate::event::{AccessRef, FenceIdx, MemOrder, ObjId, SeqNum, StoreIdx, ThreadId};
-use crate::exec::Execution;
-use crate::location::PerThreadLoc;
+use crate::event::{AccessRef, FenceIdx, MemOrder, ObjId, SeqNum, StoreIdx, StoreRecord, ThreadId};
+use crate::exec::{node_of, Execution};
+use crate::location::{last_at_or_before, PerThreadLoc};
+use crate::mograph::MoGraph;
+
+/// Last entry of the seq-sorted `list` with sequence number strictly
+/// below `bound` (sequence numbers are integers ≥ 1, so `< b` is
+/// `≤ b − 1`).
+fn last_before<T: Copy>(list: &[(SeqNum, T)], bound: SeqNum) -> Option<(SeqNum, T)> {
+    last_at_or_before(list, bound.0.saturating_sub(1))
+}
 
 impl Execution {
     /// `last_sc_fence(t)`.
@@ -25,17 +33,6 @@ impl Execution {
 
     fn fence_seq(&self, f: FenceIdx) -> SeqNum {
         self.fences[f.index()].seq
-    }
-
-    fn store_seq(&self, s: StoreIdx) -> SeqNum {
-        self.stores[s.index()].seq
-    }
-
-    fn access_seq(&self, a: AccessRef) -> SeqNum {
-        match a {
-            AccessRef::Store(s) => self.stores[s.index()].seq,
-            AccessRef::Load(l) => self.loads[l.index()].seq,
-        }
     }
 
     /// `get_write(A)`: a store maps to itself, a load to the store it
@@ -59,38 +56,15 @@ impl Execution {
         }
     }
 
-    /// Last store in `list` with sequence number strictly below `bound`.
-    fn last_store_before(&self, list: &[StoreIdx], bound: SeqNum) -> Option<StoreIdx> {
-        let pos = list.partition_point(|&s| self.store_seq(s) < bound);
-        if pos > 0 {
-            Some(list[pos - 1])
-        } else {
-            None
-        }
-    }
-
-    /// Last access in `list` with sequence number ≤ `bound` (used for
-    /// the `X hb→ ·` term, where the bound is a clock-vector slot).
-    fn last_access_at_or_before(&self, list: &[AccessRef], bound: u64) -> Option<AccessRef> {
-        let pos = list.partition_point(|&a| self.access_seq(a).0 <= bound);
-        if pos > 0 {
-            Some(list[pos - 1])
-        } else {
-            None
-        }
-    }
-
     /// Computes `last({S1, S2, S3, S4})` for one thread `u` and maps it
     /// through `get_write`. Shared by both prior-set procedures.
     ///
-    /// * `u` — the thread whose history is inspected;
     /// * `h` — `u`'s history at the location;
-    /// * `sc_gate` — `F_t`-based store bound, active only when the
-    ///   operation itself is seq_cst (S1);
+    /// * `is_sc_op`/`f_t` — `u`'s last sc fence bounds S1, active only
+    ///   when the operation itself is seq_cst;
     /// * `f_op` — the operating thread's last sc fence (for S2);
     /// * `f_b` — last sc fence of `u` sc-before `f_op` (for S3);
     /// * `hb_bound` — the operating thread's clock slot for `u` (S4).
-    #[allow(clippy::too_many_arguments)]
     fn prior_for_thread(
         &self,
         h: &PerThreadLoc,
@@ -101,43 +75,34 @@ impl Execution {
         hb_bound: u64,
     ) -> Option<StoreIdx> {
         let mut best: Option<(SeqNum, AccessRef)> = None;
-        let consider_store =
-            |this: &Self, s: Option<StoreIdx>, best: &mut Option<(SeqNum, AccessRef)>| {
-                if let Some(s) = s {
-                    let seq = this.store_seq(s);
-                    if best.is_none_or(|(b, _)| seq > b) {
-                        *best = Some((seq, AccessRef::Store(s)));
-                    }
+        let mut consider = |e: Option<(SeqNum, AccessRef)>| {
+            if let Some(e) = e {
+                if best.is_none_or(|b| e.0 > b.0) {
+                    best = Some(e);
                 }
-            };
+            }
+        };
+        let store = |e: (SeqNum, StoreIdx)| (e.0, AccessRef::Store(e.1));
         // S1: last store sb-before u's own last sc fence (only when the
         // operation is seq_cst). C++11 §29.3p4.
         if is_sc_op {
             if let Some(ft) = f_t {
-                let s1 = self.last_store_before(&h.stores, self.fence_seq(ft));
-                consider_store(self, s1, &mut best);
+                consider(last_before(&h.stores, self.fence_seq(ft)).map(store));
             }
         }
         // S2: last seq_cst store sc-before the operating thread's last
         // sc fence. §29.3p5.
         if let Some(fl) = f_op {
-            let s2 = self.last_store_before(&h.sc_stores, self.fence_seq(fl));
-            consider_store(self, s2, &mut best);
+            consider(last_before(&h.sc_stores, self.fence_seq(fl)).map(store));
         }
         // S3: last store sb-before u's last sc fence that is itself
         // sc-before the operating thread's last sc fence. §29.3p6.
         if let Some(fb) = f_b {
-            let s3 = self.last_store_before(&h.stores, self.fence_seq(fb));
-            consider_store(self, s3, &mut best);
+            consider(last_before(&h.stores, self.fence_seq(fb)).map(store));
         }
         // S4: last access that happens-before the operation — the
         // write-read / read-read coherence term.
-        if let Some(a) = self.last_access_at_or_before(&h.accesses, hb_bound) {
-            let seq = self.access_seq(a);
-            if best.is_none_or(|(b, _)| seq > b) {
-                best = Some((seq, a));
-            }
-        }
+        consider(last_at_or_before(&h.accesses, hb_bound));
         best.map(|(_, a)| self.get_write(a))
     }
 
@@ -182,11 +147,10 @@ impl Execution {
     /// The candidate-independent half of `ReadPriorSet`: computes the
     /// per-thread `last({S1, S2, S3, S4})` bests (mapped through
     /// `get_write`) for a load by `t` at `obj`. The result depends only
-    /// on `(t, obj, order)` — never on the read-from candidate — so
-    /// [`Execution::feasible_read_candidates_into`] hoists it out of
-    /// the per-candidate loop. Bests are pushed in history order,
-    /// duplicates included; [`Execution::read_prior_set_from_bests`]
-    /// applies the per-candidate filtering.
+    /// on `(t, obj, order)` — never on the read-from candidate — so it
+    /// is computed once per operation ([`Execution::plan_read`]). Bests
+    /// are pushed in history order, duplicates included;
+    /// [`prior_set_of`] applies the per-candidate filtering.
     pub(crate) fn read_prior_bests_into(
         &self,
         t: ThreadId,
@@ -210,111 +174,27 @@ impl Execution {
         }
     }
 
-    /// The candidate-dependent half of `ReadPriorSet` plus the §4.3
-    /// feasibility verdict: assembles `cand`'s prior set from hoisted
-    /// `bests` and returns `false` — with `priorset` emptied — when any
-    /// member is already reachable from `cand` in the mo-graph (a cycle
-    /// would form, so the candidate must be discarded).
-    pub(crate) fn read_prior_set_from_bests(
-        &mut self,
-        bests: &[StoreIdx],
-        cand: StoreIdx,
-        priorset: &mut Vec<StoreIdx>,
-    ) -> bool {
-        priorset.clear();
-        for &a in bests {
-            if a != cand && !priorset.contains(&a) {
-                priorset.push(a);
-            }
-        }
-        // Feasibility: would any new edge `e → cand` close a cycle?
-        // `AddEdge` redirects an edge whose source feeds an RMW past the
-        // RMW chain (RMW atomicity), so the edge that will actually be
-        // inserted starts at the chain end — reachability must be
-        // checked from the candidate to *that* node. Theorem 1 lets us
-        // answer with clock-vector comparisons.
-        let n_cand = self.node_of(cand);
-        for i in 0..priorset.len() {
-            let e = priorset[i];
-            let n_e = self.node_of(e);
-            let n_end = self.graph.chain_end(n_e, n_cand);
-            if n_end == n_cand {
-                // The chain runs straight into the candidate: the only
-                // edge added is the existing rmw-immediacy edge.
-                continue;
-            }
-            if self.graph.reaches(n_cand, n_end) {
-                priorset.clear();
-                return false;
-            }
-        }
-        true
-    }
-
-    /// `ReadPriorSet(L, S)` (Fig. 13): the stores that would gain mo
-    /// edges into candidate `cand` if a load by `t` read from it, plus
-    /// the §4.3 feasibility verdict. Fills `priorset` (cleared first)
-    /// and returns `false` — with `priorset` emptied — when any member
-    /// is already reachable from `cand` in the mo-graph. Single-shot
-    /// composition of the two halves above.
-    pub(crate) fn read_prior_set_into(
-        &mut self,
-        t: ThreadId,
-        obj: ObjId,
-        order: MemOrder,
-        cand: StoreIdx,
-        priorset: &mut Vec<StoreIdx>,
-    ) -> bool {
-        let mut bests = std::mem::take(&mut self.bests_buf);
-        self.read_prior_bests_into(t, obj, order, &mut bests);
-        let ok = self.read_prior_set_from_bests(&bests, cand, priorset);
-        bests.clear();
-        self.bests_buf = bests;
-        ok
-    }
-
-    /// Additional feasibility for RMWs (§4.3 "Atomic RMWs"): the RMW's
-    /// *store half* adds edges `e → rmw` (seq_cst/MO consistency,
-    /// seq_cst fence constraints, coherence), while RMW atomicity
-    /// migrates every mo-successor of `cand` onto the new RMW node. A
-    /// candidate is therefore infeasible when any such `e` is already
-    /// reachable *from* `cand`: the edge `e → rmw` would close a cycle
-    /// through the migrated successors (e.g. an SC RMW reading a store
-    /// that is modification-ordered before the last SC store).
-    pub(crate) fn check_rmw_store_feasible(
-        &mut self,
-        t: ThreadId,
-        obj: ObjId,
-        order: MemOrder,
-        cand: StoreIdx,
-    ) -> bool {
-        let mut wpset = std::mem::take(&mut self.pset_buf);
-        self.rmw_write_prior_set_into(t, obj, order, &mut wpset);
-        let feasible = self.rmw_store_feasible_from_wpset(&wpset, cand);
-        wpset.clear();
-        self.pset_buf = wpset;
-        feasible
-    }
-
-    /// The candidate-independent half of the RMW store-half check: the
-    /// write prior set the RMW's own store will add edges from. The
-    /// set is computed with pre-acquire clocks — the post-acquire
-    /// additions flow through the candidate's release sequence and are
-    /// provably mo-≤ the candidate, so they cannot close a cycle.
-    /// Depends only on `(t, obj, order)`, so
-    /// [`Execution::feasible_read_candidates_into`] hoists it.
+    /// The write prior set an RMW's own store half will add edges from,
+    /// for the store-half feasibility check. Computed with pre-acquire
+    /// clocks — the post-acquire additions flow through the candidate's
+    /// release sequence and are provably mo-≤ the candidate, so they
+    /// cannot close a cycle. Depends only on `(t, obj, order)`.
+    ///
+    /// Returns the length of the `WritePriorSet` proper: restricted
+    /// policies additionally chain the new store after the
+    /// execution-order-latest store (an RMW reading anything older is
+    /// inconsistent with a total execution-order mo — real tsan
+    /// executes RMWs in place on the latest value), appended past that
+    /// length because the store half adds that edge by itself.
     pub(crate) fn rmw_write_prior_set_into(
         &self,
         t: ThreadId,
         obj: ObjId,
         order: MemOrder,
         wpset: &mut Vec<StoreIdx>,
-    ) {
+    ) -> usize {
         self.write_prior_set_into(t, obj, order, wpset);
-        // Restricted policies additionally chain the new store after the
-        // execution-order-latest store; an RMW reading anything older is
-        // inconsistent with a total execution-order mo (real tsan
-        // executes RMWs in place on the latest value).
+        let proper = wpset.len();
         if self.policy().restricts_mo() {
             if let Some(prev) = self.loc(obj).and_then(|l| l.last_store_exec) {
                 if !wpset.contains(&prev) {
@@ -322,28 +202,61 @@ impl Execution {
                 }
             }
         }
+        proper
     }
+}
 
-    /// The candidate-dependent half: is reading `cand` consistent with
-    /// the hoisted write prior set, i.e. is no member already
-    /// reachable *from* `cand`?
-    pub(crate) fn rmw_store_feasible_from_wpset(
-        &mut self,
-        wpset: &[StoreIdx],
-        cand: StoreIdx,
-    ) -> bool {
-        let n_cand = self.node_of(cand);
-        for &e in wpset {
-            if e == cand {
-                continue;
-            }
-            let n_e = self.node_of(e);
-            let n_end = self.graph.chain_end(n_e, n_cand);
-            if n_end != n_cand && self.graph.reaches(n_cand, n_end) {
-                return false;
-            }
+/// §4.3 feasibility of an edge set `members → cand`: would any
+/// member (other than `cand` itself) close a cycle? `AddEdge`
+/// redirects an edge whose source feeds an RMW past the RMW chain
+/// (RMW atomicity), so the edge that will actually be inserted
+/// leaves from the chain's tail — reachability is checked from the
+/// candidate to *that* node, and Theorem 1 answers with
+/// clock-vector comparisons. A candidate downstream on the
+/// member's own chain gains no edge at all (the redirect stops at
+/// the existing rmw-immediacy edge into it).
+///
+/// Used for both halves of the check: `members` is the candidate's
+/// read prior set, or — for RMWs (§4.3 "Atomic RMWs") — the write
+/// prior set of the RMW's own store half, whose edges `e → rmw`
+/// would cycle through the successors RMW atomicity migrates from
+/// `cand` onto the new node (e.g. an SC RMW reading a store that is
+/// modification-ordered before the last SC store).
+///
+/// Takes the store arena and the graph rather than the execution so the
+/// prior-set buffers can stay borrowed from it.
+pub(crate) fn edges_into_feasible(
+    stores: &mut [StoreRecord],
+    graph: &mut MoGraph,
+    members: &[StoreIdx],
+    cand: StoreIdx,
+) -> bool {
+    let n_cand = node_of(stores, graph, cand);
+    for &e in members {
+        if e == cand {
+            continue;
         }
-        true
+        let n_e = node_of(stores, graph, e);
+        if graph.chain_downstream(n_e, n_cand) {
+            continue;
+        }
+        if graph.reaches(n_cand, graph.chain_tail(n_e)) {
+            return false;
+        }
+    }
+    true
+}
+
+/// The candidate-dependent half of `ReadPriorSet(L, S)` (Fig. 13): the
+/// stores that gain mo edges into `cand` when a load whose hoisted
+/// per-thread `bests` these are reads from it. Fills `priorset`
+/// (cleared first).
+pub(crate) fn prior_set_of(bests: &[StoreIdx], cand: StoreIdx, priorset: &mut Vec<StoreIdx>) {
+    priorset.clear();
+    for &a in bests {
+        if a != cand && !priorset.contains(&a) {
+            priorset.push(a);
+        }
     }
 }
 

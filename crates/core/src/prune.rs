@@ -24,9 +24,18 @@
 //! deferred.
 
 use crate::clock::ClockVector;
-use crate::event::{AccessRef, StoreIdx, ThreadId};
+use crate::event::{AccessRef, LoadIdx, StoreIdx, ThreadId};
 use crate::exec::Execution;
-use std::collections::HashSet;
+use crate::location::last_at_or_before;
+
+/// Per-location work lists of a pruning pass, kept on the
+/// [`Execution`] so a pass allocates nothing in steady state.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct PruneScratch {
+    anchors: Vec<StoreIdx>,
+    doomed: Vec<StoreIdx>,
+    doomed_loads: Vec<LoadIdx>,
+}
 
 /// Which pruning mode is active (§7.1).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
@@ -206,11 +215,15 @@ impl Execution {
             return;
         };
         self.stats.prune_passes += 1;
+        // Histories and fence lists change here without an event: the
+        // read plan is void.
+        self.plan = None;
         let cutoff = if aggressive {
             self.seq.saturating_sub(self.prune_cfg.window)
         } else {
             0
         };
+        let mut buf = std::mem::take(&mut self.prune_buf);
 
         // The dense location table iterates in ObjId order —
         // deterministic, unlike the former hash-map key order.
@@ -218,81 +231,46 @@ impl Execution {
             // Phase 1: anchors — the newest store per thread known to
             // every live thread (conservative), plus the newest store
             // per thread older than the window (aggressive).
-            let mut anchors: Vec<StoreIdx> = Vec::new();
-            {
-                let loc = &self.locations[obj_ix];
-                for (uix, h) in loc.threads() {
-                    let bound = cv_min.get(ThreadId::from_index(uix));
-                    let pos = h
-                        .stores
-                        .partition_point(|&s| self.stores[s.index()].seq.0 <= bound);
-                    if pos > 0 {
-                        anchors.push(h.stores[pos - 1]);
-                    }
-                    if aggressive && cutoff > 0 {
-                        let pos2 = h
-                            .stores
-                            .partition_point(|&s| self.stores[s.index()].seq.0 <= cutoff);
-                        if pos2 > 0 {
-                            anchors.push(h.stores[pos2 - 1]);
-                        }
-                    }
+            buf.anchors.clear();
+            let loc = &self.locations[obj_ix];
+            for (uix, h) in loc.threads() {
+                let known = cv_min.get(ThreadId::from_index(uix));
+                buf.anchors
+                    .extend(last_at_or_before(&h.stores, known).map(|(_, s)| s));
+                if aggressive && cutoff > 0 {
+                    buf.anchors
+                        .extend(last_at_or_before(&h.stores, cutoff).map(|(_, s)| s));
                 }
             }
-            if anchors.is_empty() {
+            if buf.anchors.is_empty() {
                 continue;
             }
 
             // Phase 2: everything strictly mo-before an anchor dies,
             // except the anchors themselves and bookkeeping stores the
             // engine still references.
-            let mut doomed: Vec<StoreIdx> = Vec::new();
-            {
-                let loc = &self.locations[obj_ix];
-                for (_, h) in loc.threads() {
-                    for &s in &h.stores {
-                        if anchors.contains(&s)
-                            || loc.last_sc_store == Some(s)
-                            || loc.last_store_exec == Some(s)
-                        {
-                            continue;
-                        }
-                        if anchors.iter().any(|&k| self.mo_before(s, k)) {
-                            doomed.push(s);
-                        }
+            buf.doomed.clear();
+            for (_, h) in loc.threads() {
+                for &(_, s) in &h.stores {
+                    if buf.anchors.contains(&s)
+                        || loc.last_sc_store == Some(s)
+                        || loc.last_store_exec == Some(s)
+                    {
+                        continue;
+                    }
+                    if buf.anchors.iter().any(|&k| self.mo_before(s, k)) {
+                        buf.doomed.push(s);
                     }
                 }
             }
-            if doomed.is_empty() {
+            if buf.doomed.is_empty() {
                 continue;
             }
-            let doom_set: HashSet<StoreIdx> = doomed.iter().copied().collect();
 
-            // Phase 3: drop doomed stores and the loads that read them
-            // from every history list; tombstone the records and nodes.
-            let mut doomed_loads = Vec::new();
-            {
-                let Execution {
-                    locations, loads, ..
-                } = self;
-                let loc = &mut locations[obj_ix];
-                for h in &mut loc.per_thread {
-                    h.stores.retain(|s| !doom_set.contains(s));
-                    h.sc_stores.retain(|s| !doom_set.contains(s));
-                    h.accesses.retain(|a| match *a {
-                        AccessRef::Store(s) => !doom_set.contains(&s),
-                        AccessRef::Load(l) => {
-                            let keep = !doom_set.contains(&loads[l.index()].rf);
-                            if !keep {
-                                doomed_loads.push(l);
-                            }
-                            keep
-                        }
-                    });
-                }
-                loc.pruned_stores += doomed.len() as u64;
-            }
-            for &s in &doomed {
+            // Phase 3: tombstone the records and nodes, then drop the
+            // doomed stores and the loads that read them from every
+            // history list by their tombstone flag.
+            for &s in &buf.doomed {
                 let rec = &mut self.stores[s.index()];
                 rec.pruned = true;
                 // Release (not clear): tombstones must give spilled
@@ -304,15 +282,42 @@ impl Execution {
                 if let Some(n) = rec.node.take() {
                     self.graph.prune_node(n);
                 }
-                self.free_stores.push(s);
             }
-            for &l in &doomed_loads {
+            buf.doomed_loads.clear();
+            {
+                let Execution {
+                    locations,
+                    loads,
+                    stores,
+                    ..
+                } = self;
+                let loc = &mut locations[obj_ix];
+                for h in &mut loc.per_thread {
+                    h.stores.retain(|&(_, s)| !stores[s.index()].pruned);
+                    h.sc_stores.retain(|&(_, s)| !stores[s.index()].pruned);
+                    h.rmw_free.retain(|&(_, s)| !stores[s.index()].pruned);
+                    h.accesses.retain(|&(_, a)| match a {
+                        AccessRef::Store(s) => !stores[s.index()].pruned,
+                        AccessRef::Load(l) => {
+                            let keep = !stores[loads[l.index()].rf.index()].pruned;
+                            if !keep {
+                                buf.doomed_loads.push(l);
+                            }
+                            keep
+                        }
+                    });
+                }
+                loc.pruned_stores += buf.doomed.len() as u64;
+            }
+            self.free_stores.extend_from_slice(&buf.doomed);
+            for &l in &buf.doomed_loads {
                 self.loads[l.index()].pruned = true;
                 self.free_loads.push(l);
             }
-            self.stats.pruned_stores += doomed.len() as u64;
-            self.stats.pruned_loads += doomed_loads.len() as u64;
+            self.stats.pruned_stores += buf.doomed.len() as u64;
+            self.stats.pruned_loads += buf.doomed_loads.len() as u64;
         }
+        self.prune_buf = buf;
 
         // Fence rule (§7.1): seq_cst fences that happen-before CV_min are
         // subsumed by happens-before from now on.

@@ -17,6 +17,7 @@
 
 use crate::event::{MemOrder, ObjId, StoreIdx, ThreadId};
 use crate::exec::Execution;
+use crate::location::seq_prefix_len;
 
 impl Execution {
     /// Builds the may-read-from set for a prospective load by `t` at
@@ -54,23 +55,34 @@ impl Execution {
         };
         let ct = &self.threads[t.index()].cv;
         for (uix, h) in loc.threads() {
-            let bound = ct.get(ThreadId::from_index(uix));
             // Stores are in seq order: split into "already known to the
-            // loader" (hb-before) and "unseen".
-            let pos = h
-                .stores
-                .partition_point(|&s| self.stores[s.index()].seq.0 <= bound);
-            if pos > 0 {
-                // The newest hb-known store per thread stays readable.
-                ret.push(h.stores[pos - 1]);
-            }
-            ret.extend_from_slice(&h.stores[pos..]);
+            // loader" (hb-before) and "unseen". The newest hb-known
+            // store per thread stays readable, so the candidates start
+            // one entry before the split.
+            let bound = ct.get(ThreadId::from_index(uix));
+            let known = seq_prefix_len(&h.stores, bound);
+            let readable = if for_rmw {
+                // The same range restricted to stores no RMW consumed:
+                // the newest hb-known store counts only if it is the
+                // newest hb-known *unconsumed* one too.
+                let free_known = seq_prefix_len(&h.rmw_free, bound);
+                let newest_is_free =
+                    free_known > 0 && h.rmw_free[free_known - 1].0 == h.stores[known - 1].0;
+                &h.rmw_free[free_known - usize::from(newest_is_free)..]
+            } else {
+                &h.stores[known.saturating_sub(1)..]
+            };
+            ret.extend(readable.iter().map(|&(_, s)| s));
         }
+        debug_assert!(
+            !for_rmw
+                || ret
+                    .iter()
+                    .all(|&x| self.stores[x.index()].rmw_read_by.is_none()),
+            "rmw_free lists a consumed store"
+        );
         if order.is_seq_cst() {
             ret.retain(|&x| self.sc_read_allowed(obj, order, x));
-        }
-        if for_rmw {
-            ret.retain(|&x| self.stores[x.index()].rmw_read_by.is_none());
         }
     }
 

@@ -9,7 +9,9 @@
 //! operation sequences are biased at the machinery's boundaries:
 //! order-violating edge insertions, which force bounded local
 //! reorders, and §7.1 prune/compact passes, which tombstone and then
-//! physically evict nodes while remapping ids.
+//! physically evict nodes while remapping ids. After every step the
+//! O(1) RMW-chain metadata (`chain_end`, `chain_tail`) is also held to
+//! the oracle's pointer walk for every live same-location pair.
 //!
 //! The generator maintains the engine's structural invariants — edges
 //! connect same-location stores, per-(thread, location) stores form a
@@ -268,7 +270,15 @@ impl Case {
             .into_iter()
             .filter(|&u| u == v || closure[u][v])
             .collect();
-        for &u in &doomed {
+        self.prune(&doomed);
+        if rng.gen_range(0..2u32) == 0 {
+            self.compact();
+        }
+    }
+
+    /// Tombstones `doomed` on both sides and drops the edges into it.
+    fn prune(&mut self, doomed: &[usize]) {
+        for &u in doomed {
             self.g.prune_node(self.ids[u]);
             self.o.prune(u);
         }
@@ -281,40 +291,74 @@ impl Case {
                 }
             }
         }
-        if rng.gen_range(0..2u32) == 0 {
-            let remap = self.g.compact().to_vec();
-            // Rebuild the oracle over the survivors, renumbering both
-            // sides consistently.
-            let mut new_of_old = vec![None; self.o.len()];
-            let mut o2 = Oracle::default();
-            let mut ids2 = Vec::new();
-            for old in 0..self.o.len() {
-                if self.o.pruned[old] {
-                    assert_eq!(
-                        remap[self.ids[old].0 as usize], None,
-                        "pruned node survived compaction"
-                    );
+    }
+
+    /// Compacts the graph and rebuilds the oracle over the survivors,
+    /// renumbering both sides consistently.
+    fn compact(&mut self) {
+        let remap = self.g.compact().to_vec();
+        let mut new_of_old = vec![None; self.o.len()];
+        let mut o2 = Oracle::default();
+        let mut ids2 = Vec::new();
+        for old in 0..self.o.len() {
+            if self.o.pruned[old] {
+                assert_eq!(
+                    remap[self.ids[old].0 as usize], None,
+                    "pruned node survived compaction"
+                );
+                continue;
+            }
+            let new_id = remap[self.ids[old].0 as usize].expect("live node evicted by compaction");
+            new_of_old[old] = Some(o2.add_node(self.o.obj[old]));
+            ids2.push(new_id);
+        }
+        for old in 0..self.o.len() {
+            let Some(new) = new_of_old[old] else { continue };
+            for &d in &self.o.edges[old] {
+                o2.edges[new].push(new_of_old[d].expect("edge to pruned node"));
+            }
+            o2.rmw[new] = self.o.rmw[old].map(|r| new_of_old[r].expect("rmw to pruned node"));
+        }
+        for row in self.tails.iter_mut() {
+            for tail in row.iter_mut() {
+                *tail = tail.and_then(|ix| new_of_old[ix]);
+            }
+        }
+        self.o = o2;
+        self.ids = ids2;
+    }
+
+    /// The chain metadata against the oracle's pointer walk: for every
+    /// live same-location pair, where an edge `a → b` would leave from,
+    /// and for every live node, where its chain ends.
+    fn check_chains(&self, ctx: &str) {
+        let live = self.live();
+        for &a in &live {
+            assert_eq!(
+                self.g.chain_tail(self.ids[a]),
+                self.ids[self.o.chain_end(a, usize::MAX)],
+                "{ctx}: chain_tail({a})"
+            );
+            assert!(
+                !self.g.chain_downstream(self.ids[a], self.ids[a]),
+                "{ctx}: downstream is strict"
+            );
+            for &b in &live {
+                if a == b || self.o.obj[a] != self.o.obj[b] {
                     continue;
                 }
-                let new_id =
-                    remap[self.ids[old].0 as usize].expect("live node evicted by compaction");
-                new_of_old[old] = Some(o2.add_node(self.o.obj[old]));
-                ids2.push(new_id);
+                let walked = self.o.chain_end(a, b);
+                assert_eq!(
+                    self.g.chain_end(self.ids[a], self.ids[b]),
+                    self.ids[walked],
+                    "{ctx}: chain_end({a}, {b})"
+                );
+                assert_eq!(
+                    self.g.chain_downstream(self.ids[a], self.ids[b]),
+                    self.o.rmw[walked] == Some(b),
+                    "{ctx}: chain_downstream({a}, {b})"
+                );
             }
-            for old in 0..self.o.len() {
-                let Some(new) = new_of_old[old] else { continue };
-                for &d in &self.o.edges[old] {
-                    o2.edges[new].push(new_of_old[d].expect("edge to pruned node"));
-                }
-                o2.rmw[new] = self.o.rmw[old].map(|r| new_of_old[r].expect("rmw to pruned node"));
-            }
-            for row in self.tails.iter_mut() {
-                for tail in row.iter_mut() {
-                    *tail = tail.and_then(|ix| new_of_old[ix]);
-                }
-            }
-            self.o = o2;
-            self.ids = ids2;
         }
     }
 
@@ -342,6 +386,7 @@ impl Case {
             panic!("{ctx}: order invariant broken");
         }
         assert!(!self.g.has_cycle_slow(), "{ctx}: graph acquired a cycle");
+        self.check_chains(ctx);
         let live = self.live();
         for &a in &live {
             for &b in &live {
@@ -418,4 +463,40 @@ fn pruned_and_compacted_graphs_match_naive_oracle() {
     for seed in 0..CASES {
         run_case(0xC0_FFEE_0000 + seed, true, true);
     }
+}
+
+#[test]
+fn three_hundred_long_rmw_chain_keeps_o1_chain_ends_exact() {
+    // One location, every store but the first an RMW of the previous
+    // one — the shape of a `fetch_add` counter or a spun-on lock word,
+    // where the pointer walk `chain_end` replaced was quadratic.
+    const LEN: usize = 300;
+    let mut case = Case::new();
+    let mut tail = case.add_store(0, 0);
+    for i in 1..LEN {
+        let n = case.add_store(i % THREADS, 0);
+        case.g.add_rmw_edge(case.ids[tail], case.ids[n]);
+        case.o.add_rmw_edge(tail, n);
+        tail = n;
+    }
+    assert_eq!(case.g.chain_tail(case.ids[0]), case.ids[tail]);
+    case.check_chains("grown");
+    // A pruned prefix cuts the chain; tombstones stay in the arena.
+    case.prune(&(0..100).collect::<Vec<_>>());
+    case.check_chains("prefix pruned");
+    // Cut it again in the middle: an anchor-like survivor (150) loses
+    // its reader (151), so one chain becomes two.
+    case.prune(&[151]);
+    assert_eq!(case.g.chain_tail(case.ids[100]), case.ids[150]);
+    assert_eq!(case.g.chain_tail(case.ids[152]), case.ids[tail]);
+    case.check_chains("middle cut");
+    case.compact();
+    case.check_chains("compacted");
+    assert!(case.g.order_is_valid_slow());
+    // And the survivors keep growing.
+    let last = case.live().into_iter().max().expect("survivors");
+    let n = case.add_store(1, 0);
+    case.g.add_rmw_edge(case.ids[last], case.ids[n]);
+    case.o.add_rmw_edge(last, n);
+    case.check_chains("regrown");
 }
