@@ -80,11 +80,6 @@ OPTIONS:
                             and compaction trigger are deterministic —
                             canonical output is byte-identical at any worker
                             count, in-process or --isolate
-    --no-thread-pool        spawn a fresh OS thread per model thread per
-                            execution instead of reusing pooled workers —
-                            the pre-pool behavior, kept for A/B comparison.
-                            Canonical output is byte-identical either way
-                            (works with --isolate: children inherit it)
     --stop-on-first-bug     stop all workers at the first bug
     --deadline-secs <SECS>  wall-clock deadline for the campaign
     --json                  emit the full JSON report instead of text
@@ -150,7 +145,6 @@ struct Args {
     batch: Option<u64>,
     baseline: Option<String>,
     baseline_threshold: f64,
-    thread_pool: bool,
     memory_limit: bool,
     stop_on_first_bug: bool,
     deadline_secs: Option<f64>,
@@ -179,7 +173,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         batch: None,
         baseline: None,
         baseline_threshold: 0.05,
-        thread_pool: true,
         memory_limit: false,
         stop_on_first_bug: false,
         deadline_secs: None,
@@ -254,7 +247,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
                 }
                 args.baseline_threshold = t;
             }
-            "--no-thread-pool" => args.thread_pool = false,
             "--memory-limit" => args.memory_limit = true,
             "--stop-on-first-bug" => args.stop_on_first_bug = true,
             "--deadline-secs" => {
@@ -494,9 +486,7 @@ fn main() -> ExitCode {
         c11tester_telemetry::set_coverage(true);
     }
 
-    let mut config = Config::for_policy(args.policy)
-        .with_seed(args.seed)
-        .with_thread_pool(args.thread_pool);
+    let mut config = Config::for_policy(args.policy).with_seed(args.seed);
     if args.memory_limit {
         config = config.with_memory_limit();
     }

@@ -121,65 +121,33 @@ fn read_path_fixtures_reproduce_under_isolation() {
     }
 }
 
-#[test]
-fn thread_pool_opt_out_is_byte_identical_in_process_and_isolated() {
-    // The pooled model-thread runtime must be behaviorally invisible:
-    // `--no-thread-pool` (spawn-per-execution) produces the same
-    // canonical bytes in-process and through the fork server, where
-    // children inherit the switch over the worker flag surface.
+/// Runs `target` fork-isolated at each worker count: the campaign
+/// must exit 0 with SIGSEGV crash records, completed executions and
+/// crashes must tile the budget, and the canonical report must not
+/// depend on the worker count. Returns the number of crashes.
+fn assert_crashes_are_triaged_deterministically(
+    target: &str,
+    executions: u64,
+    worker_counts: &[&str],
+) -> u64 {
+    let budget = executions.to_string();
     let base = [
         "--target",
-        "rwlock-buggy",
+        target,
         "--executions",
-        "32",
-        "--seed",
-        "11",
-        "--canonical",
-    ];
-    let pooled = canonical(&base);
-    let mut no_pool = base.to_vec();
-    no_pool.push("--no-thread-pool");
-    assert_eq!(
-        canonical(&no_pool),
-        pooled,
-        "thread pool changed the in-process canonical report"
-    );
-    for workers in ["1", "4"] {
-        let mut isolated = base.to_vec();
-        isolated.extend(["--isolate", "--workers", workers]);
-        assert_eq!(
-            canonical(&isolated),
-            pooled,
-            "pooled fork-isolated canonical JSON diverged at {workers} workers"
-        );
-        let mut isolated_no_pool = isolated.clone();
-        isolated_no_pool.push("--no-thread-pool");
-        assert_eq!(
-            canonical(&isolated_no_pool),
-            pooled,
-            "--no-thread-pool fork-isolated canonical JSON diverged at {workers} workers"
-        );
-    }
-}
-
-#[test]
-fn crashing_target_completes_the_budget_and_records_deterministic_crashes() {
-    let base = [
-        "--target",
-        "null-deref-buggy",
-        "--executions",
-        "200",
+        &budget,
         "--seed",
         "7",
         "--isolate",
         "--canonical",
     ];
-    let mut reference = None;
-    for workers in ["1", "4", "8"] {
+    let mut reference: Option<String> = None;
+    let mut crashes = 0;
+    for workers in worker_counts {
         let mut args = base.to_vec();
         args.extend(["--workers", workers]);
         let json = canonical(&args);
-        let crashes = crash_count(&json);
+        crashes = crash_count(&json);
         assert!(crashes > 0, "crashing target must record crashes");
         assert!(
             json.contains("\"kind\":\"signal\",\"code\":11"),
@@ -187,7 +155,7 @@ fn crashing_target_completes_the_budget_and_records_deterministic_crashes() {
         );
         // Completed executions + crashes tile the whole budget.
         let summary = c11tester_campaign::baseline::BaselineSummary::parse(&json).expect("parses");
-        assert_eq!(summary.executions + crashes, 200);
+        assert_eq!(summary.executions + crashes, executions);
         match &reference {
             None => reference = Some(json),
             Some(expected) => assert_eq!(
@@ -196,6 +164,23 @@ fn crashing_target_completes_the_budget_and_records_deterministic_crashes() {
             ),
         }
     }
+    crashes
+}
+
+#[test]
+fn crashing_target_completes_the_budget_and_records_deterministic_crashes() {
+    assert_crashes_are_triaged_deterministically("null-deref-buggy", 200, &["1", "4", "8"]);
+}
+
+/// Overflowing a model thread's stack faults on the fiber stack's
+/// guard page: a SIGSEGV in every execution, not heap corruption.
+/// (Off x86_64 model threads are OS threads, whose overflow Rust's
+/// runtime turns into SIGABRT instead.)
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn fiber_stack_overflow_is_a_sigsegv_crash_record() {
+    let crashes = assert_crashes_are_triaged_deterministically("stack-overflow", 12, &["1", "4"]);
+    assert_eq!(crashes, 12, "every execution overflows");
 }
 
 #[test]
@@ -318,10 +303,21 @@ fn library_fork_server_reports_crashes_through_run_target() {
 
     let target = targets::find("null-deref-buggy").expect("target exists");
     let fork = ForkServer::new(Path::new(BIN)).with_batch_size(16);
-    let report = Campaign::new(Config::new().with_seed(7))
+    // Handover is not on the worker flag surface: the parent's choice
+    // does not reach the children, and the worker rows must say so.
+    let parent = Config::new()
+        .with_seed(7)
+        .with_handover(c11tester::HandoverKind::Park);
+    let report = Campaign::new(parent)
         .with_workers(4)
         .run_target(&fork, &target, &CampaignBudget::executions(96))
         .expect("fork server runs");
+    let children_run = Config::new().handover.effective().name();
+    assert!(report
+        .metrics
+        .workers
+        .iter()
+        .all(|w| w.handover == children_run));
     assert!(!report.crashes.is_empty());
     assert!(report
         .crashes

@@ -42,10 +42,6 @@ OPTIONS:
     --workers <N>           campaign worker threads [default: 1 — fixed so
                             numbers are comparable across hosts]
     --seed <N>              base seed (decimal or 0x-hex) [default: 0xC11]
-    --no-thread-pool        spawn a fresh OS thread per model thread per
-                            execution instead of reusing pooled workers —
-                            the pre-pool behavior, kept for A/B runs
-                            (canonical output is byte-identical either way)
     --out <FILE>            output path [default: BENCH_campaign.json]
     --baseline-file <FILE>  previous c11bench/v1 JSON; adds baseline and
                             speedup columns per target
@@ -98,7 +94,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--warmup" => args.cfg.warmup = parse_u64(&value()?)?.min(1000) as u32,
             "--workers" => args.cfg.workers = parse_u64(&value()?)?.max(1) as usize,
             "--seed" => args.cfg.seed = parse_u64(&value()?)?,
-            "--no-thread-pool" => args.cfg.thread_pool = false,
             "--out" => args.out = value()?,
             "--baseline-file" => args.baseline_file = Some(value()?),
             "--min-speedup" => {

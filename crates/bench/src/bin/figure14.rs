@@ -4,11 +4,11 @@
 //!
 //! The paper measures pthread condvars, futexes, spinning, spinning
 //! with yield, and ucontext/setjmp fibers (± TLS migration) on a
-//! 2-thread ping-pong. The measured spectrum here is the
-//! [`HandoverKind`] set the runtime offers, fibers included (the
-//! runtime's own stack-switching implementation; no TLS migration is
-//! needed because thread identity is slot-derived — see
-//! `c11tester-runtime`).
+//! 2-thread ping-pong, and picks fibers. The runtime ships only that
+//! choice and its fallback, so two rows here measure product code —
+//! futex park/unpark ([`Notifier`]) and fibers ([`Runtime`]; no TLS
+//! migration is needed because thread identity is slot-derived) — and
+//! the condvar and spinning rows are mailboxes local to this binary.
 //!
 //! Expected shape (paper Fig. 14): fibers are fastest everywhere;
 //! spinning is fast with a core per thread but collapses by orders of
@@ -19,29 +19,88 @@
 //! cargo run --release -p c11tester-bench --bin figure14
 //! ```
 
-use c11tester::{Config, Model};
 use c11tester_bench::{pin_to_single_core, rule, runs_from_env, unpin_all_cores};
 use c11tester_runtime::{HandoverKind, Notifier, Runtime};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// One ping-pong benchmark: `iters` round trips through a pair of
-/// notifiers; returns nanoseconds per one-way handover.
-fn ping_pong(kind: HandoverKind, iters: u32) -> f64 {
-    if kind == HandoverKind::Fiber {
-        return fiber_ping_pong(iters);
+/// A one-token wakeup mailbox: what each OS-thread row ping-pongs
+/// through. `notify` may precede `wait`; the token is never lost.
+trait Mailbox: Send + Sync + 'static {
+    /// Called once by the thread that will `wait`.
+    fn bind(&self) {}
+    fn wait(&self);
+    fn notify(&self);
+}
+
+impl Mailbox for Notifier {
+    fn bind(&self) {
+        self.bind_current();
     }
-    let a = Arc::new(Notifier::new(kind));
-    let b = Arc::new(Notifier::new(kind));
+    fn wait(&self) {
+        Notifier::wait(self);
+    }
+    fn notify(&self) {
+        Notifier::notify(self);
+    }
+}
+
+/// Mutex + condition variable (the paper's slowest practical row).
+#[derive(Default)]
+struct CondvarBox {
+    token: Mutex<bool>,
+    cond: Condvar,
+}
+
+impl Mailbox for CondvarBox {
+    fn wait(&self) {
+        let mut token = self.token.lock().expect("token mutex");
+        while !*token {
+            token = self.cond.wait(token).expect("token mutex");
+        }
+        *token = false;
+    }
+    fn notify(&self) {
+        *self.token.lock().expect("token mutex") = true;
+        self.cond.notify_one();
+    }
+}
+
+/// Busy spinning on a flag, optionally yielding between polls.
+struct SpinBox {
+    token: AtomicBool,
+    yield_between: bool,
+}
+
+impl Mailbox for SpinBox {
+    fn wait(&self) {
+        while !self.token.swap(false, Ordering::Acquire) {
+            if self.yield_between {
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
+        }
+    }
+    fn notify(&self) {
+        self.token.store(true, Ordering::Release);
+    }
+}
+
+/// `iters` round trips between two OS threads through a pair of
+/// mailboxes; returns nanoseconds per one-way handover.
+fn ping_pong<M: Mailbox>(make: impl Fn() -> M, iters: u32) -> f64 {
+    let (a, b) = (Arc::new(make()), Arc::new(make()));
     let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
     let child = std::thread::spawn(move || {
-        b2.bind_current();
+        b2.bind();
         for _ in 0..iters {
             b2.wait();
             a2.notify();
         }
     });
-    a.bind_current();
+    a.bind();
     let t0 = Instant::now();
     for _ in 0..iters {
         b.notify();
@@ -55,7 +114,7 @@ fn ping_pong(kind: HandoverKind, iters: u32) -> f64 {
 /// Fiber handover has no mailbox — a switch IS the wake+park pair — so
 /// its row ping-pongs through the [`Runtime`] between the driver and
 /// one fiber. (On targets without the fiber implementation the runtime
-/// silently degrades to futex park, making this row ≈ the futex row.)
+/// degrades to futex park, making this row ≈ the futex row.)
 fn fiber_ping_pong(iters: u32) -> f64 {
     let runtime = Runtime::new(HandoverKind::Fiber);
     let driver = runtime.add_slot();
@@ -86,29 +145,11 @@ fn fiber_ping_pong(iters: u32) -> f64 {
     elapsed.as_nanos() as f64 / f64::from(iters) / 2.0
 }
 
-/// Mean nanoseconds per model execution of a 2-thread litmus body,
-/// pooled vs spawn-per-execution. The gap between the two columns is
-/// the per-execution OS-thread provisioning cost the pool amortizes.
-fn model_exec_ns(thread_pool: bool, execs: u32) -> f64 {
-    let config = Config::new().with_seed(0xF14).with_thread_pool(thread_pool);
-    let mut model = Model::new(config);
-    let body = || {
-        let flag = Arc::new(c11tester::sync::atomic::AtomicU32::named("flag", 0));
-        let f2 = Arc::clone(&flag);
-        let t = c11tester::thread::spawn(move || {
-            f2.store(1, c11tester::sync::atomic::Ordering::Release);
-        });
-        let _ = flag.load(c11tester::sync::atomic::Ordering::Acquire);
-        t.join();
-    };
-    for _ in 0..(execs / 10).max(1) {
-        let _ = model.run(body); // warmup: grows the pool to steady state
+fn spin_box(yield_between: bool) -> SpinBox {
+    SpinBox {
+        token: AtomicBool::new(false),
+        yield_between,
     }
-    let t0 = Instant::now();
-    for _ in 0..execs {
-        let _ = model.run(body);
-    }
-    t0.elapsed().as_nanos() as f64 / f64::from(execs)
 }
 
 fn main() {
@@ -120,23 +161,41 @@ fn main() {
         "Scheduling approach", "all cores", "1 core"
     );
     rule(60);
-    for kind in HandoverKind::all() {
-        // Pure spinning on one core is pathological (the paper reports
-        // 15,976µs per switch); cap its iteration count so the row
-        // completes in reasonable time.
-        let (all_iters, one_iters) = if kind == HandoverKind::Spin {
-            (iters, (iters / 100).max(10))
-        } else {
-            (iters, iters)
-        };
+    // Pure spinning on one core is pathological (the paper reports
+    // 15,976µs per switch); cap its iteration count so the row
+    // completes in reasonable time.
+    let capped = (iters / 100).max(10);
+    // The paper's rows, in its presentation order: name, measurement,
+    // 1-core round trips.
+    type Row = (&'static str, fn(u32) -> f64, u32);
+    let rows: [Row; 5] = [
+        (
+            "condition variable",
+            |n| ping_pong(CondvarBox::default, n),
+            iters,
+        ),
+        (
+            HandoverKind::Park.name(),
+            |n| ping_pong(|| Notifier::new(HandoverKind::Park), n),
+            iters,
+        ),
+        ("spinning", |n| ping_pong(|| spin_box(false), n), capped),
+        (
+            "spinning w/ yield",
+            |n| ping_pong(|| spin_box(true), n),
+            iters,
+        ),
+        (HandoverKind::Fiber.name(), fiber_ping_pong, iters),
+    ];
+    for (name, measure, one_iters) in rows {
         unpin_all_cores();
-        let all = ping_pong(kind, all_iters);
+        let all = measure(iters);
         let pinned = pin_to_single_core();
-        let one = ping_pong(kind, one_iters);
+        let one = measure(one_iters);
         unpin_all_cores();
         println!(
             "{:<24} {:>12.0} ns {:>12.0} ns{}",
-            kind.name(),
+            name,
             all,
             one,
             if pinned { "" } else { "  (unpinned!)" }
@@ -145,32 +204,4 @@ fn main() {
     rule(60);
     println!("(paper: condvar 1.95/1.61µs; futex 1.85/1.32µs; spin 0.07µs/16ms;");
     println!(" spin+yield 0.21/0.54µs; swapcontext fibers 0.34µs)");
-
-    // Companion measurement: what one whole model execution costs when
-    // model threads are re-dispatched onto pooled workers vs spawned
-    // fresh each execution. The handover rows above are the per-switch
-    // cost; this is the per-execution provisioning cost around them.
-    let execs = (iters / 100).max(50);
-    println!();
-    println!("Thread provisioning: ns per 2-thread model execution ({execs} execs)");
-    rule(60);
-    println!(
-        "{:<24} {:>15} {:>15} {:>8}",
-        "Provisioning", "ns/exec", "vs pooled", ""
-    );
-    rule(60);
-    let pooled = model_exec_ns(true, execs);
-    let fresh = model_exec_ns(false, execs);
-    println!(
-        "{:<24} {:>12.0} ns {:>15} {:>8}",
-        "pooled dispatch", pooled, "1.00x", ""
-    );
-    println!(
-        "{:<24} {:>12.0} ns {:>14.2}x {:>8}",
-        "spawn per execution",
-        fresh,
-        fresh / pooled.max(1.0),
-        ""
-    );
-    rule(60);
 }

@@ -3,11 +3,10 @@
 //!
 //! Each table/figure has a binary (`cargo run --release -p
 //! c11tester-bench --bin table1`, …) that prints the same rows/series
-//! the paper reports, and a Criterion bench target for statistically
-//! robust timing. Absolute numbers differ from the paper's testbed (our
-//! substrate is this workspace's model, not instrumented native code);
-//! the *shape* — who wins, by roughly what factor — is the reproduction
-//! target (see EXPERIMENTS.md).
+//! the paper reports. Absolute numbers differ from the paper's testbed
+//! (our substrate is this workspace's model, not instrumented native
+//! code); the *shape* — who wins, by roughly what factor — is the
+//! reproduction target (see EXPERIMENTS.md).
 
 use c11tester::{Config, Model, Policy};
 use c11tester_campaign::{Campaign, CampaignBudget, CampaignReport};

@@ -56,10 +56,6 @@ pub struct BenchConfig {
     pub warmup: u32,
     /// Campaign worker threads.
     pub workers: usize,
-    /// Run model threads on the pooled runtime (the default). `false`
-    /// spawns a fresh OS thread per model thread per execution — the
-    /// pre-pool behavior, kept for A/B measurement.
-    pub thread_pool: bool,
 }
 
 impl Default for BenchConfig {
@@ -70,7 +66,6 @@ impl Default for BenchConfig {
             trials: 7,
             warmup: 2,
             workers: 1,
-            thread_pool: true,
         }
     }
 }
@@ -145,9 +140,7 @@ pub fn bench_target(
     baseline_median: Option<f64>,
 ) -> TargetResult {
     let campaign = || {
-        let config = Config::new()
-            .with_seed(cfg.seed)
-            .with_thread_pool(cfg.thread_pool);
+        let config = Config::new().with_seed(cfg.seed);
         Campaign::new(config).with_workers(cfg.workers.max(1))
     };
     let budget = CampaignBudget::executions(cfg.executions);
@@ -248,8 +241,8 @@ pub fn render_json(cfg: &BenchConfig, results: &[TargetResult]) -> String {
     let mut out = String::with_capacity(2048);
     out.push_str("{\"schema\":\"c11bench/v1\"");
     out.push_str(&format!(
-        ",\"config\":{{\"seed\":{},\"executions_per_trial\":{},\"trials\":{},\"warmup_trials\":{},\"workers\":{},\"thread_pool\":{}}}",
-        cfg.seed, cfg.executions, cfg.trials, cfg.warmup, cfg.workers, cfg.thread_pool,
+        ",\"config\":{{\"seed\":{},\"executions_per_trial\":{},\"trials\":{},\"warmup_trials\":{},\"workers\":{}}}",
+        cfg.seed, cfg.executions, cfg.trials, cfg.warmup, cfg.workers,
     ));
     out.push_str(&format!(
         ",\"host\":{{\"available_parallelism\":{}}}",

@@ -324,7 +324,7 @@ pub struct Config {
     pub policy: Policy,
     /// Base seed; execution `i` derives its own stream from it.
     pub seed: u64,
-    /// Run-token handover strategy (Figure 14 spectrum).
+    /// Run-token handover strategy: fibers, or pooled futex park.
     pub handover: HandoverKind,
     /// Testing strategy plugin (used for every execution unless a
     /// [`Config::mix`] overrides the assignment per index).
@@ -341,12 +341,6 @@ pub struct Config {
     pub volatile_store_order: MemOrder,
     /// Abort an execution after this many model events (runaway guard).
     pub max_events: u64,
-    /// Back model threads with a per-model reusable [`c11tester_runtime::ThreadPool`]
-    /// (the default) instead of spawning a fresh OS thread per model
-    /// thread per execution. Behaviorally invisible — canonical output
-    /// is byte-identical either way — so the opt-out exists only for
-    /// A/B measurement of the spawn-per-execution cost.
-    pub thread_pool: bool,
 }
 
 impl Config {
@@ -364,7 +358,6 @@ impl Config {
             volatile_load_order: MemOrder::Relaxed,
             volatile_store_order: MemOrder::Relaxed,
             max_events: 50_000_000,
-            thread_pool: true,
         }
     }
 
@@ -373,7 +366,7 @@ impl Config {
     /// * `C11Tester` — full fragment, controlled random scheduling,
     ///   fast (fiber) handover;
     /// * `Tsan11Rec` — restricted fragment, controlled random
-    ///   scheduling, slow (condvar) handover as in its kernel-thread
+    ///   scheduling, kernel-thread (futex park) handover as in its
     ///   scheduler;
     /// * `Tsan11` — restricted fragment, uncontrolled scheduling
     ///   emulated by long bursts.
@@ -383,7 +376,7 @@ impl Config {
             Policy::C11Tester => Config { policy, ..base },
             Policy::Tsan11Rec => Config {
                 policy,
-                handover: HandoverKind::Condvar,
+                handover: HandoverKind::Park,
                 ..base
             },
             Policy::Tsan11 => Config {
@@ -483,14 +476,6 @@ impl Config {
         self.max_events = max_events;
         self
     }
-
-    /// Enables or disables the reusable model-thread pool
-    /// (see [`Config::thread_pool`]). `false` restores the
-    /// spawn-per-execution behavior for A/B comparison.
-    pub fn with_thread_pool(mut self, thread_pool: bool) -> Self {
-        self.thread_pool = thread_pool;
-        self
-    }
 }
 
 impl Default for Config {
@@ -509,7 +494,7 @@ mod tests {
         assert_eq!(c.handover, HandoverKind::default_fast());
         assert_eq!(c.strategy, Strategy::Random);
         let r = Config::for_policy(Policy::Tsan11Rec);
-        assert_eq!(r.handover, HandoverKind::Condvar);
+        assert_eq!(r.handover, HandoverKind::Park);
         assert_eq!(r.strategy, Strategy::Random);
         let t = Config::for_policy(Policy::Tsan11);
         assert!(matches!(t.strategy, Strategy::Burst { .. }));

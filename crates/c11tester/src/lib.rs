@@ -61,7 +61,7 @@ pub use cell::{Shared, SharedArray};
 pub use config::{
     Config, Strategy, StrategyMix, DEFAULT_BURST_MEAN, DEFAULT_PCT_OPS, MAX_NORMAL_WEIGHT,
 };
-pub use model::{Model, ModelParts, ThreadSpawnStats};
+pub use model::{Model, ModelParts};
 pub use report::{
     AccessKind, AccessShape, BehaviorStats, CoverageMap, DedupEntry, DedupHistory, ExecutionReport,
     Failure, RaceKey, RaceKind, RaceReport, StrategyBucket, StrategyLedger, TestReport,

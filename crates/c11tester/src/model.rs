@@ -7,7 +7,7 @@ use crate::engine::Engine;
 use crate::report::{ExecutionReport, Failure, TestReport};
 use c11tester_core::{ThreadId, TraceKey, TraceSink};
 use c11tester_race::RaceDetector;
-use c11tester_runtime::{Runtime, Scheduler, ThreadPool};
+use c11tester_runtime::{HandoverKind, Runtime, Scheduler, ThreadPool};
 use c11tester_telemetry::StderrSink;
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -81,35 +81,14 @@ pub struct Model {
     /// sets it via [`Model::set_trace_epoch`]).
     trace_epoch: u64,
     /// Reusable OS worker threads backing the model threads of every
-    /// execution this instance runs (`None` when
-    /// [`Config::thread_pool`] is off — spawn-per-execution mode).
-    /// Like [`Model::exec_pool`], behaviorally invisible: pooled and
-    /// fresh runs produce byte-identical canonical output.
+    /// execution this instance runs under futex-park handover; `None`
+    /// under fibers, which never leave the driver thread.
     thread_pool: Option<Arc<ThreadPool>>,
-    /// Fresh OS threads spawned across this instance's executions
-    /// (spawn-per-execution mode only; pool growth is counted by the
-    /// pool itself).
-    fresh_spawns: u64,
     /// Report labels handed out so far: one shared allocation per
     /// distinct strategy (`None` = the custom plugin), so an
     /// [`ExecutionReport`] takes a reference count instead of
     /// re-formatting its spec every execution.
     labels: Vec<(Option<Strategy>, Arc<str>)>,
-}
-
-/// Model-thread provisioning counters over a [`Model`]'s lifetime
-/// ([`Model::thread_stats`]) — the threading analog of
-/// `AllocStats`' fresh/recycled split. Diagnostic only; never part of
-/// canonical output.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct ThreadSpawnStats {
-    /// Model threads provisioned by re-dispatching onto an already-live
-    /// pooled worker (always 0 with the pool disabled).
-    pub pooled_dispatches: u64,
-    /// Model threads provisioned by creating a new OS thread: every
-    /// spawn in spawn-per-execution mode, only pool *growth* in pooled
-    /// mode — so after warmup this stops increasing.
-    pub fresh_spawns: u64,
 }
 
 /// The reusable pieces of a disassembled [`Model`]
@@ -218,7 +197,8 @@ impl Model {
 
     /// Reassembles a model from [`ModelParts`].
     pub fn from_parts(parts: ModelParts) -> Self {
-        let thread_pool = parts.config.thread_pool.then(ThreadPool::new);
+        let thread_pool =
+            (parts.config.handover.effective() == HandoverKind::Park).then(ThreadPool::new);
         Model {
             config: parts.config,
             race: Some(parts.race),
@@ -230,7 +210,6 @@ impl Model {
             trace_sink: None,
             trace_epoch: 0,
             thread_pool,
-            fresh_spawns: 0,
             labels: Vec::new(),
         }
     }
@@ -280,23 +259,6 @@ impl Model {
     /// The index stride between consecutive runs.
     pub fn stride(&self) -> u64 {
         self.stride
-    }
-
-    /// Model-thread provisioning counters over this instance's
-    /// lifetime: pooled re-dispatches vs fresh OS-thread spawns. After
-    /// warmup a pooled model's `fresh_spawns` stays constant — the
-    /// property campaigns pin via `WorkerMetrics`.
-    pub fn thread_stats(&self) -> ThreadSpawnStats {
-        match &self.thread_pool {
-            Some(pool) => ThreadSpawnStats {
-                pooled_dispatches: pool.dispatches_reused(),
-                fresh_spawns: pool.workers_spawned() + self.fresh_spawns,
-            },
-            None => ThreadSpawnStats {
-                pooled_dispatches: 0,
-                fresh_spawns: self.fresh_spawns,
-            },
-        }
     }
 
     /// Runs the program once under controlled scheduling at the next
@@ -366,7 +328,6 @@ impl Model {
         // the binding (shared borrows) on their way out.
         let joined = runtime.join_all();
         ctx::clear_current();
-        self.fresh_spawns += runtime.fresh_spawn_count();
 
         // Disassemble the engine; tool state persists across executions.
         // (Model threads have exited; the lock is free. TLS teardown

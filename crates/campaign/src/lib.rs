@@ -385,13 +385,10 @@ impl Campaign {
                     break;
                 }
             }
-            let thread_stats = model.thread_stats();
             let metrics = WorkerMetrics {
                 worker: w as u64,
                 executions: partial.executions,
                 busy_nanos: busy_start.elapsed().as_nanos() as u64,
-                pooled_dispatches: thread_stats.pooled_dispatches,
-                fresh_spawns: thread_stats.fresh_spawns,
                 handover: self.config.handover.effective().name(),
             };
             (partial, metrics)

@@ -140,6 +140,13 @@ pub fn all() -> Vec<Target> {
         body: Body::Free(ds::crashy::run_null_deref),
     });
     targets.push(Target {
+        name: "stack-overflow",
+        group: "crash",
+        description: "unbounded recursion in a model thread: SIGSEGV on the fiber stack's \
+                      guard page in every execution (run under --isolate)",
+        body: Body::Free(ds::crashy::run_stack_overflow),
+    });
+    targets.push(Target {
         name: "spin-forever",
         group: "crash",
         description: "execution that wedges forever without model ops \
@@ -264,7 +271,7 @@ mod tests {
         let group_count = |g: &str| targets.iter().filter(|t| t.group == g).count();
         assert_eq!(group_count("table2"), 7);
         assert_eq!(group_count("section8.1"), 4);
-        assert_eq!(group_count("crash"), 2);
+        assert_eq!(group_count("crash"), 3);
         assert_eq!(group_count("table1"), 5);
         assert_eq!(group_count("graph"), 3);
         assert_eq!(group_count("gen"), 8);

@@ -11,7 +11,7 @@
 //! * the read-path fixtures — long RMW chains, a race per execution,
 //!   windowed pruning with compaction — reproduce byte for byte.
 
-use c11tester::{Config, Model};
+use c11tester::{Config, HandoverKind, Model};
 use c11tester_campaign::{Campaign, CampaignBudget, StopReason};
 use c11tester_workloads::ds::rwlock_buggy;
 
@@ -205,7 +205,8 @@ fn worker_rows_sum_to_the_aggregate_under_every_budget_kind() {
 // compaction beside inserts). A selection, chain-end or pruning change
 // that moves one verdict, candidate order or RNG draw shows up here.
 // The `--isolate` leg lives in crates/adaptive/tests/isolation.rs,
-// where the fork server's binary is.
+// where the fork server's binary is; the fiber-vs-park twin on smaller
+// programs is handover_twin.rs.
 
 fn assert_matches_fixture(target: &str, executions: u64, memory_limit: bool, fixture: &str) {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -217,7 +218,10 @@ fn assert_matches_fixture(target: &str, executions: u64, memory_limit: bool, fix
     if memory_limit {
         config = config.with_memory_limit();
     }
-    for workers in [1usize, 4, 8] {
+    // The default handover at every worker count, and once on its
+    // twin: pooled futex park must reproduce the same bytes.
+    let park = config.clone().with_handover(HandoverKind::Park);
+    for (workers, config) in [(1usize, &config), (4, &config), (8, &config), (4, &park)] {
         let report = Campaign::new(config.clone())
             .with_workers(workers)
             .run(&CampaignBudget::executions(executions), move || {
@@ -226,7 +230,8 @@ fn assert_matches_fixture(target: &str, executions: u64, memory_limit: bool, fix
         assert_eq!(
             format!("{}\n", report.canonical_json()),
             expected,
-            "{fixture} diverged at {workers} worker(s)"
+            "{fixture} diverged at {workers} worker(s), {}",
+            config.handover.name()
         );
     }
 }

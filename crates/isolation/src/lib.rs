@@ -73,7 +73,7 @@ pub(crate) fn coverage_gate_lock() -> std::sync::MutexGuard<'static, ()> {
 pub use worker::{parse_worker_args, worker_main, WorkerSpec};
 
 use crate::protocol::{read_frame, Frame};
-use c11tester::{Config, TestReport, ThreadSpawnStats};
+use c11tester::{Config, TestReport};
 use c11tester_campaign::targets::Target;
 use c11tester_campaign::{
     CampaignBudget, CrashKind, CrashRecord, Executor, RangeOutcome, StopReason,
@@ -167,7 +167,6 @@ impl ForkServer {
         deadline_at: Option<Instant>,
         report: &mut TestReport,
         health: &mut ForkHealth,
-        threads: &mut ThreadSpawnStats,
     ) -> Result<ChildOutcome, String> {
         let mut child = Command::new(&self.program)
             .args(spec.to_args())
@@ -249,7 +248,7 @@ impl ForkServer {
                             completed += 1;
                         }
                         Ok(Frame::Metrics(m)) => {
-                            // Diagnostic-only: alloc, phase, and thread
+                            // Diagnostic-only: alloc, phase, and graph
                             // counters are excluded from stats equality
                             // and from canonical JSON, so folding them
                             // in never perturbs the determinism
@@ -257,8 +256,6 @@ impl ForkServer {
                             report.total_stats.alloc.absorb(&m.alloc);
                             report.total_stats.phase.absorb(&m.phase);
                             report.total_stats.mograph_perf.absorb(&m.graph);
-                            threads.pooled_dispatches += m.threads.pooled_dispatches;
-                            threads.fresh_spawns += m.threads.fresh_spawns;
                         }
                         Ok(Frame::Coverage(map)) => {
                             // Diagnostic-only, and mergeable: the
@@ -303,10 +300,9 @@ impl ForkServer {
     fn run_batch(
         &self,
         config: &Config,
-        target: &Target,
+        template: &WorkerSpec,
         start: u64,
         len: u64,
-        budget: &CampaignBudget,
         deadline_at: Option<Instant>,
     ) -> Result<BatchResult, String> {
         let mut result = BatchResult {
@@ -314,7 +310,6 @@ impl ForkServer {
             crashes: Vec::new(),
             stop_reason: StopReason::BudgetExhausted,
             health: ForkHealth::default(),
-            threads: ThreadSpawnStats::default(),
         };
         let end = start + len;
         let mut cursor = start;
@@ -327,21 +322,9 @@ impl ForkServer {
         const MAX_BARREN_EXITS: u32 = 3;
         while cursor < end {
             let spec = WorkerSpec {
-                target: target.name.to_string(),
-                seed: config.seed,
-                policy: config.policy,
-                mix: config.mix.as_ref().map(|m| m.spec()),
                 first_index: cursor,
                 executions: end - cursor,
-                stop_on_first_bug: budget.stop_on_first_bug,
-                // Children always report batch alloc counters (one
-                // tiny frame per batch); phase profiling is forwarded
-                // only when the parent itself is profiling.
-                emit_metrics: true,
-                profile_phases: c11tester_telemetry::profiling_enabled(),
-                collect_coverage: c11tester_telemetry::coverage_enabled(),
-                thread_pool: config.thread_pool,
-                memory_limit: config.prune.limits_memory(),
+                ..template.clone()
             };
             if cursor != start {
                 // Every spawn past the first covers a post-crash
@@ -353,7 +336,6 @@ impl ForkServer {
                 deadline_at,
                 &mut result.aggregate,
                 &mut result.health,
-                &mut result.threads,
             )? {
                 ChildOutcome::Finished(reason) => {
                     result.stop_reason = reason;
@@ -415,7 +397,6 @@ struct BatchResult {
     crashes: Vec<CrashRecord>,
     stop_reason: StopReason,
     health: ForkHealth,
-    threads: ThreadSpawnStats,
 }
 
 #[cfg(unix)]
@@ -459,6 +440,26 @@ impl Executor for ForkServer {
         }
         let workers = workers.clamp(1, queue.len().max(1));
         let queue = Mutex::new(queue);
+        // What every child of this range runs, up to its index slice.
+        let template = WorkerSpec {
+            target: target.name.to_string(),
+            seed: config.seed,
+            policy: config.policy,
+            mix: config.mix.as_ref().map(|m| m.spec()),
+            first_index,
+            executions: 0,
+            stop_on_first_bug: budget.stop_on_first_bug,
+            // Children always report batch alloc counters (one
+            // tiny frame per batch); phase profiling is forwarded
+            // only when the parent itself is profiling.
+            emit_metrics: true,
+            profile_phases: c11tester_telemetry::profiling_enabled(),
+            collect_coverage: c11tester_telemetry::coverage_enabled(),
+            memory_limit: config.prune.limits_memory(),
+        };
+        // Handover is not on the worker flag surface: report the kind
+        // the children's own config selects, not the parent's.
+        let handover = template.config()?.handover.effective().name();
         let bug_stop = AtomicBool::new(false);
         let deadline_stop = AtomicBool::new(false);
         let failed = AtomicBool::new(false);
@@ -470,12 +471,11 @@ impl Executor for ForkServer {
             for w in 0..workers {
                 let tx = tx.clone();
                 let mtx = mtx.clone();
-                let queue = &queue;
+                let (queue, template) = (&queue, &template);
                 let (bug_stop, deadline_stop, failed) = (&bug_stop, &deadline_stop, &failed);
                 scope.spawn(move || {
                     let busy_start = Instant::now();
                     let mut completed = 0u64;
-                    let mut threads = ThreadSpawnStats::default();
                     loop {
                         if bug_stop.load(Ordering::Relaxed) || failed.load(Ordering::Relaxed) {
                             break;
@@ -492,7 +492,7 @@ impl Executor for ForkServer {
                             break;
                         };
                         let result =
-                            self.run_batch(config, target, batch_start, len, budget, deadline_at);
+                            self.run_batch(config, template, batch_start, len, deadline_at);
                         match &result {
                             Ok(batch) if batch.stop_reason == StopReason::FirstBug => {
                                 bug_stop.store(true, Ordering::Relaxed);
@@ -505,8 +505,6 @@ impl Executor for ForkServer {
                         }
                         if let Ok(batch) = &result {
                             completed += batch.aggregate.executions;
-                            threads.pooled_dispatches += batch.threads.pooled_dispatches;
-                            threads.fresh_spawns += batch.threads.fresh_spawns;
                         }
                         if tx.send(result).is_err() {
                             break;
@@ -516,10 +514,7 @@ impl Executor for ForkServer {
                         worker: w as u64,
                         executions: completed,
                         busy_nanos: busy_start.elapsed().as_nanos() as u64,
-                        pooled_dispatches: threads.pooled_dispatches,
-                        fresh_spawns: threads.fresh_spawns,
-                        // The children are this binary on this host.
-                        handover: config.handover.effective().name(),
+                        handover,
                     });
                 });
             }

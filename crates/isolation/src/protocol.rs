@@ -25,9 +25,7 @@
 //! parent surfaces that as a protocol-violation error (bounded by
 //! [`MAX_FRAME_LEN`]) rather than silently mis-aggregating.
 
-use c11tester::{
-    BehaviorStats, CoverageMap, ExecutionReport, Failure, RaceKey, RaceReport, ThreadSpawnStats,
-};
+use c11tester::{BehaviorStats, CoverageMap, ExecutionReport, Failure, RaceKey, RaceReport};
 use c11tester_campaign::baseline::JsonValue;
 use c11tester_campaign::wire::{
     access_kind_name, esc, parse_access_kind, parse_race_kind, race_kind_name,
@@ -123,11 +121,6 @@ pub struct BatchMetrics {
     /// Phase-timing profile accumulated over the batch. Empty unless
     /// the child ran with `--profile-phases`.
     pub phase: PhaseProfile,
-    /// Model-thread provisioning counters for the batch: pooled
-    /// re-dispatches vs fresh OS-thread spawns. The thread-pool analog
-    /// of `alloc`'s recycled-vs-fresh split; a warm child shows
-    /// `fresh_spawns` flat while `pooled_dispatches` grows.
-    pub threads: ThreadSpawnStats,
     /// Mo-graph maintenance diagnostics accumulated over the batch
     /// (order-reorder/fast-path/compaction counters; like `alloc` and
     /// `phase`, excluded from stats equality and canonical JSON).
@@ -222,7 +215,6 @@ pub fn metrics_payload(m: &BatchMetrics) -> String {
             "\"alloc\":{{\"fresh_executions\":{},\"recycled_executions\":{},",
             "\"clock_spills\":{}}},",
             "\"phase\":{{\"nanos\":{},\"calls\":{}}},",
-            "\"threads\":{{\"pooled_dispatches\":{},\"fresh_spawns\":{}}},",
             "\"graph\":{{\"order_reorders\":{},\"reorder_nodes\":{},",
             "\"reach_fast_negative\":{},\"reach_cv_checks\":{},\"compactions\":{},",
             "\"compacted_nodes\":{},\"peak_live_nodes\":{}}}}}"
@@ -232,8 +224,6 @@ pub fn metrics_payload(m: &BatchMetrics) -> String {
         m.alloc.clock_spills,
         u64_array(&nanos),
         u64_array(&calls),
-        m.threads.pooled_dispatches,
-        m.threads.fresh_spawns,
         m.graph.order_reorders,
         m.graph.reorder_nodes,
         m.graph.reach_fast_negative,
@@ -501,7 +491,6 @@ pub fn parse_frame(payload: &str) -> Result<Frame, String> {
         "metrics" => {
             let alloc = doc.get("alloc").ok_or("missing `alloc`")?;
             let phase = doc.get("phase").ok_or("missing `phase`")?;
-            let threads = doc.get("threads").ok_or("missing `threads`")?;
             let graph = doc.get("graph").ok_or("missing `graph`")?;
             Ok(Frame::Metrics(BatchMetrics {
                 alloc: AllocStats {
@@ -513,10 +502,6 @@ pub fn parse_frame(payload: &str) -> Result<Frame, String> {
                     phase_array_field(phase, "nanos")?,
                     phase_array_field(phase, "calls")?,
                 ),
-                threads: ThreadSpawnStats {
-                    pooled_dispatches: u64_field(threads, "pooled_dispatches")?,
-                    fresh_spawns: u64_field(threads, "fresh_spawns")?,
-                },
                 graph: MoGraphPerfStats {
                     order_reorders: u64_field(graph, "order_reorders")?,
                     reorder_nodes: u64_field(graph, "reorder_nodes")?,
@@ -695,10 +680,6 @@ mod tests {
                 clock_spills: 5,
             },
             phase: PhaseProfile::default(),
-            threads: ThreadSpawnStats {
-                pooled_dispatches: 188,
-                fresh_spawns: 4,
-            },
             graph: MoGraphPerfStats {
                 order_reorders: 3,
                 reorder_nodes: 11,

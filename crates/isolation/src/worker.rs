@@ -51,10 +51,6 @@ pub struct WorkerSpec {
     /// executions' signatures into one [`CoverageMap`] and ships it as
     /// a single `coverage` frame before `done`.
     pub collect_coverage: bool,
-    /// Run the child's model threads on the pooled runtime (the
-    /// default). `false` mirrors the parent's `--no-thread-pool` A/B
-    /// switch into the child — behaviorally invisible either way.
-    pub thread_pool: bool,
     /// Mirror the parent's `--memory-limit` mode into the child:
     /// windowed pruning plus mo-graph arena compaction
     /// ([`Config::with_memory_limit`]).
@@ -94,9 +90,6 @@ impl WorkerSpec {
         if self.collect_coverage {
             args.push("--coverage".to_string());
         }
-        if !self.thread_pool {
-            args.push("--no-thread-pool".to_string());
-        }
         if self.memory_limit {
             args.push("--memory-limit".to_string());
         }
@@ -106,9 +99,7 @@ impl WorkerSpec {
     /// The model configuration the batch runs under — identical to the
     /// parent campaign's, reconstructed from the flag surface.
     pub fn config(&self) -> Result<Config, String> {
-        let mut config = Config::for_policy(self.policy)
-            .with_seed(self.seed)
-            .with_thread_pool(self.thread_pool);
+        let mut config = Config::for_policy(self.policy).with_seed(self.seed);
         if let Some(mix) = &self.mix {
             config = config.with_mix(StrategyMix::parse(mix)?);
         }
@@ -156,9 +147,6 @@ impl WorkerSpec {
                 .map_err(|e| format!("pipe closed: {e}"))?;
         }
         if self.emit_metrics {
-            // Thread-provisioning counters are cumulative over the
-            // model's lifetime, which for a child *is* the batch.
-            batch.threads = model.thread_stats();
             write_frame(out, &metrics_payload(&batch)).map_err(|e| format!("pipe closed: {e}"))?;
         }
         write_frame(out, &done_payload(reason)).map_err(|e| format!("pipe closed: {e}"))?;
@@ -196,7 +184,6 @@ pub fn parse_worker_args(argv: impl Iterator<Item = String>) -> Result<WorkerSpe
     let mut emit_metrics = false;
     let mut profile_phases = false;
     let mut collect_coverage = false;
-    let mut thread_pool = true;
     let mut memory_limit = false;
     let mut argv = argv.peekable();
     while let Some(flag) = argv.next() {
@@ -216,7 +203,6 @@ pub fn parse_worker_args(argv: impl Iterator<Item = String>) -> Result<WorkerSpe
             "--emit-metrics" => emit_metrics = true,
             "--profile-phases" => profile_phases = true,
             "--coverage" => collect_coverage = true,
-            "--no-thread-pool" => thread_pool = false,
             "--memory-limit" => memory_limit = true,
             other => return Err(format!("unknown worker flag `{other}`")),
         }
@@ -232,7 +218,6 @@ pub fn parse_worker_args(argv: impl Iterator<Item = String>) -> Result<WorkerSpe
         emit_metrics,
         profile_phases,
         collect_coverage,
-        thread_pool,
         memory_limit,
     })
 }
@@ -280,7 +265,6 @@ mod tests {
             emit_metrics: false,
             profile_phases: false,
             collect_coverage: false,
-            thread_pool: true,
             memory_limit: false,
         }
     }
@@ -299,7 +283,6 @@ mod tests {
         diagnostic.emit_metrics = true;
         diagnostic.profile_phases = true;
         diagnostic.collect_coverage = true;
-        diagnostic.thread_pool = false;
         diagnostic.memory_limit = true;
         let parsed = parse_worker_args(diagnostic.to_args().into_iter().skip(1)).expect("parses");
         assert_eq!(parsed, diagnostic);

@@ -1,17 +1,22 @@
 //! The controlled-execution substrate (paper §7.3–§7.5, adapted).
 //!
 //! C11Tester implements application threads as fibers and borrows a
-//! kernel thread's context for TLS (§7.4). In Rust, each model thread
-//! *is* an OS thread, so TLS works natively; what this module provides
-//! is the same observable discipline the fibers gave the paper's tool:
+//! kernel thread's context for TLS (§7.4). The default here is the
+//! same design: every model thread of an execution is a fiber on the
+//! driver's OS thread (`fiber.rs`). The fallback — the only path on
+//! targets without the context switch, and the reference twin the
+//! tests compare fibers against — backs each model thread with a
+//! pooled OS thread that waits in a futex [`Notifier`] mailbox. Either
+//! way this module enforces the same observable discipline:
 //!
 //! * at most one model thread runs at any instant — the *run token*;
 //! * the token moves only at visible operations, to the exact thread
 //!   the testing strategy chose;
-//! * blocked or descheduled threads wait in their [`Notifier`] mailbox;
+//! * blocked or descheduled threads stay suspended (fiber) or parked
+//!   in their mailbox (OS thread) until handed the token;
 //! * aborting an execution (deadlock, assertion failure, race-as-fatal)
-//!   poisons the runtime and wakes every parked thread so it can unwind
-//!   and exit cleanly.
+//!   poisons the runtime so every suspended thread unwinds and exits
+//!   cleanly.
 //!
 //! The memory-model engine, the enabled-set bookkeeping, and the
 //! scheduling policy live a layer above (in the `c11tester` facade);
@@ -19,12 +24,11 @@
 
 use crate::fiber::Fibers;
 use crate::handover::{HandoverKind, Notifier};
-use crate::pool::{panic_message, ThreadPool};
+use crate::pool::ThreadPool;
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Panic payload used to unwind model threads when an execution aborts.
 /// The runtime swallows it at each thread's root; user `Drop` code runs
@@ -32,116 +36,123 @@ use std::thread::JoinHandle;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Aborted;
 
-/// The run-token runtime: one slot (mailbox) per model thread — or,
-/// in [`HandoverKind::Fiber`] mode, one fiber per model thread, all
-/// multiplexed onto the driver's OS thread (paper §7.3).
+/// What backs the model threads of one execution.
+#[derive(Debug)]
+enum Backing {
+    /// One fiber per model thread, all multiplexed onto the driver's
+    /// OS thread (paper §7.3).
+    Fibers(Fibers),
+    /// One pooled OS thread per model thread, each waiting in its
+    /// slot's mailbox. The pool outlives the runtime when shared
+    /// ([`Runtime::with_pool`]).
+    Pooled {
+        slots: Mutex<Vec<Arc<Notifier>>>,
+        pool: Arc<ThreadPool>,
+    },
+}
+
+/// Slot `ix`'s mailbox, cloned out so no caller blocks or wakes a
+/// thread while holding the slot-table lock.
+fn mailbox(slots: &Mutex<Vec<Arc<Notifier>>>, ix: usize) -> Arc<Notifier> {
+    Arc::clone(&slots.lock()[ix])
+}
+
+/// The run-token runtime of one execution.
 #[derive(Debug)]
 pub struct Runtime {
-    kind: HandoverKind,
-    slots: Mutex<Vec<Arc<Notifier>>>,
+    backing: Backing,
     poisoned: AtomicBool,
-    handles: Mutex<Vec<JoinHandle<()>>>,
-    /// Backing pool for model threads: `Some` dispatches workloads to
-    /// reusable pooled workers, `None` spawns a fresh OS thread per
-    /// model thread (the pre-pool behavior, kept for A/B comparison).
-    /// Unused (and not retained) in fiber mode.
-    pool: Option<Arc<ThreadPool>>,
-    /// Fresh OS threads spawned by this runtime (fresh mode only; the
-    /// pool counts its own growth).
-    fresh_spawns: AtomicU64,
-    /// The fiber group backing this execution when the handover
-    /// strategy is [`HandoverKind::Fiber`]; `None` otherwise.
-    fibers: Option<Fibers>,
 }
 
 impl Runtime {
-    /// Creates a runtime that spawns a fresh OS thread per model
-    /// thread (spawn-per-execution mode).
+    /// Creates a runtime for one execution. A [`HandoverKind::Park`]
+    /// runtime built this way owns a private [`ThreadPool`] that dies
+    /// with it; use [`Runtime::with_pool`] to reuse OS threads across
+    /// executions.
     pub fn new(kind: HandoverKind) -> Arc<Self> {
-        Runtime::build(kind, None)
+        Runtime::build(kind, ThreadPool::new)
     }
 
-    /// Creates a runtime that dispatches model threads onto `pool`'s
-    /// reusable workers instead of spawning. The pool outlives the
-    /// runtime; `join_all` quiesces it rather than joining threads.
+    /// Creates a runtime whose [`HandoverKind::Park`] model threads are
+    /// dispatched onto `pool`'s reusable workers; `join_all` quiesces
+    /// the pool rather than joining threads. Fibers never leave the
+    /// driver thread, so a fiber runtime does not retain `pool`.
     pub fn with_pool(kind: HandoverKind, pool: Arc<ThreadPool>) -> Arc<Self> {
-        Runtime::build(kind, Some(pool))
+        Runtime::build(kind, || pool)
     }
 
-    fn build(kind: HandoverKind, pool: Option<Arc<ThreadPool>>) -> Arc<Self> {
-        let kind = kind.effective();
-        let fibers = (kind == HandoverKind::Fiber).then(Fibers::new);
-        // Fibers never leave the driver thread: a backing pool would be
-        // dead weight, so it is not retained.
-        let pool = if fibers.is_some() { None } else { pool };
+    fn build(kind: HandoverKind, pool: impl FnOnce() -> Arc<ThreadPool>) -> Arc<Self> {
+        let backing = match kind.effective() {
+            HandoverKind::Fiber => Backing::Fibers(Fibers::new()),
+            HandoverKind::Park => Backing::Pooled {
+                slots: Mutex::new(Vec::new()),
+                pool: pool(),
+            },
+        };
         Arc::new(Runtime {
-            kind,
-            slots: Mutex::new(Vec::new()),
+            backing,
             poisoned: AtomicBool::new(false),
-            handles: Mutex::new(Vec::new()),
-            pool,
-            fresh_spawns: AtomicU64::new(0),
-            fibers,
         })
     }
 
     /// The handover strategy in use.
     pub fn handover_kind(&self) -> HandoverKind {
-        self.kind
+        match self.backing {
+            Backing::Fibers(_) => HandoverKind::Fiber,
+            Backing::Pooled { .. } => HandoverKind::Park,
+        }
     }
 
     /// Whether model threads run as fibers on the driver's OS thread.
     /// When true, the current model thread's identity is slot-derived
     /// ([`Runtime::current_fiber_slot`]) rather than OS-thread-local.
     pub fn is_fiber(&self) -> bool {
-        self.fibers.is_some()
+        matches!(self.backing, Backing::Fibers(_))
     }
 
     /// The slot index currently executing on the driver thread, when
     /// in fiber mode.
     pub fn current_fiber_slot(&self) -> Option<usize> {
-        self.fibers.as_ref().map(Fibers::current)
-    }
-
-    /// Allocates a mailbox slot for a new model thread and returns its
-    /// index. Slot indices match the engine's `ThreadId::index()`.
-    pub fn add_slot(&self) -> usize {
-        if let Some(fibers) = &self.fibers {
-            return fibers.add_slot();
+        match &self.backing {
+            Backing::Fibers(fibers) => Some(fibers.current()),
+            Backing::Pooled { .. } => None,
         }
-        let mut slots = self.slots.lock();
-        slots.push(Arc::new(Notifier::new(self.kind)));
-        slots.len() - 1
     }
 
-    fn slot(&self, ix: usize) -> Arc<Notifier> {
-        Arc::clone(&self.slots.lock()[ix])
+    /// Allocates a slot for a new model thread and returns its index.
+    /// Slot indices match the engine's `ThreadId::index()`.
+    pub fn add_slot(&self) -> usize {
+        match &self.backing {
+            Backing::Fibers(fibers) => fibers.add_slot(),
+            Backing::Pooled { slots, .. } => {
+                let mut slots = slots.lock();
+                slots.push(Arc::new(Notifier::new(HandoverKind::Park)));
+                slots.len() - 1
+            }
+        }
     }
 
     /// Binds the calling OS thread as the owner of slot `ix` (required
-    /// before the first `park` on strategies that need a thread handle;
-    /// binds the driver's native context in fiber mode).
+    /// before its first `park`; binds the driver's native context in
+    /// fiber mode).
     pub fn bind_current(&self, ix: usize) {
-        if let Some(fibers) = &self.fibers {
-            fibers.bind_driver(ix);
-            return;
+        match &self.backing {
+            Backing::Fibers(fibers) => fibers.bind_driver(ix),
+            Backing::Pooled { slots, .. } => mailbox(slots, ix).bind_current(),
         }
-        self.slot(ix).bind_current();
     }
 
     /// Hands the run token to model thread `ix`. In fiber mode the
     /// switch itself happens at the caller's next suspension point
     /// (park or body end), making `wake + park` one atomic handover.
     pub fn wake(&self, ix: usize) {
-        if let Some(fibers) = &self.fibers {
-            fibers.wake(ix);
-            return;
+        match &self.backing {
+            Backing::Fibers(fibers) => fibers.wake(ix),
+            Backing::Pooled { slots, .. } => mailbox(slots, ix).notify(),
         }
-        self.slot(ix).notify();
     }
 
-    /// Parks the calling model thread until its mailbox receives a
-    /// token.
+    /// Parks the calling model thread until it is handed the token.
     ///
     /// # Errors
     ///
@@ -151,9 +162,9 @@ impl Runtime {
         if self.poisoned.load(Ordering::Acquire) {
             return Err(Aborted);
         }
-        match &self.fibers {
-            Some(fibers) => fibers.park(ix),
-            None => self.slot(ix).wait(),
+        match &self.backing {
+            Backing::Fibers(fibers) => fibers.park(ix),
+            Backing::Pooled { slots, .. } => mailbox(slots, ix).wait(),
         }
         if self.poisoned.load(Ordering::Acquire) {
             return Err(Aborted);
@@ -161,59 +172,46 @@ impl Runtime {
         Ok(())
     }
 
-    /// Provisions the OS thread backing model thread `ix` — a pooled
-    /// worker when the runtime has a [`ThreadPool`], a fresh named
-    /// thread otherwise. Either way the thread binds its mailbox,
-    /// waits to be scheduled for the first time, and then runs `body`.
+    /// Provisions model thread `ix`: a lazily started fiber, or a
+    /// pooled worker that binds its mailbox and waits to be scheduled
+    /// for the first time. Either way `body` runs only once the thread
+    /// is handed the token, and never after the execution is poisoned.
     ///
-    /// The expected [`Aborted`] unwind is swallowed here (the facade
-    /// records failures before poisoning); any *other* panic escaping
-    /// `body` is re-raised so [`Runtime::join_all`] can surface it
-    /// instead of losing it.
+    /// The expected [`Aborted`] unwind is swallowed at the thread's
+    /// root (the facade records failures before poisoning); any *other*
+    /// panic escaping `body` surfaces from [`Runtime::join_all`].
     ///
     /// # Errors
     ///
-    /// Returns the OS error message if thread creation fails (e.g.
+    /// Returns the OS error message if growing the pool fails (e.g.
     /// transient `EAGAIN`). Recoverable: the runtime is unchanged, so
-    /// the caller can poison just the current execution.
+    /// the caller can poison just the current execution. Fibers acquire
+    /// no OS resources here and never fail.
     pub fn spawn(
         self: &Arc<Self>,
         ix: usize,
         body: Box<dyn FnOnce() + Send>,
     ) -> Result<(), String> {
-        if let Some(fibers) = &self.fibers {
-            // Fibers start lazily at their first wake; a fiber first
-            // scheduled after poisoning never runs its body, which is
-            // exactly what the park-before-body below achieves for OS
-            // threads. Infallible: no OS resources are acquired here.
-            fibers.spawn(ix, body, &self.poisoned);
-            return Ok(());
-        }
-        let rt = Arc::clone(self);
-        let wrapper = move || {
-            rt.bind_current(ix);
-            if rt.park(ix).is_err() {
-                return;
-            }
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(body)) {
-                if payload.downcast_ref::<Aborted>().is_none() {
-                    // Not the cooperative abort unwind: rethrow so the
-                    // join/quiesce path reports it (satellite bugfix —
-                    // previously `let _ = h.join()` dropped these).
-                    resume_unwind(payload);
-                }
-            }
-        };
-        match &self.pool {
-            Some(pool) => pool.dispatch(Box::new(wrapper)),
-            None => {
-                let handle = std::thread::Builder::new()
-                    .name(format!("c11tester-model-{ix}"))
-                    .spawn(wrapper)
-                    .map_err(|e| format!("failed to spawn model thread: {e}"))?;
-                self.fresh_spawns.fetch_add(1, Ordering::Relaxed);
-                self.handles.lock().push(handle);
+        match &self.backing {
+            Backing::Fibers(fibers) => {
+                fibers.spawn(ix, body, &self.poisoned);
                 Ok(())
+            }
+            Backing::Pooled { pool, .. } => {
+                let rt = Arc::clone(self);
+                pool.dispatch(Box::new(move || {
+                    rt.bind_current(ix);
+                    if rt.park(ix).is_err() {
+                        return;
+                    }
+                    if let Err(payload) = catch_unwind(AssertUnwindSafe(body)) {
+                        if payload.downcast_ref::<Aborted>().is_none() {
+                            // Not the cooperative abort unwind: rethrow
+                            // so the pool's quiesce reports it.
+                            resume_unwind(payload);
+                        }
+                    }
+                }))
             }
         }
     }
@@ -222,14 +220,16 @@ impl Runtime {
     /// observe the poison and unwind.
     pub fn poison(&self) {
         self.poisoned.store(true, Ordering::Release);
-        if self.fibers.is_some() {
+        match &self.backing {
             // Suspended fibers cannot observe anything until switched
             // to; `join_all` resumes each so it unwinds. No notify.
-            return;
-        }
-        let slots: Vec<Arc<Notifier>> = self.slots.lock().iter().cloned().collect();
-        for s in slots {
-            s.notify();
+            Backing::Fibers(_) => {}
+            Backing::Pooled { slots, .. } => {
+                let slots: Vec<Arc<Notifier>> = slots.lock().clone();
+                for s in slots {
+                    s.notify();
+                }
+            }
         }
     }
 
@@ -238,42 +238,21 @@ impl Runtime {
         self.poisoned.load(Ordering::Acquire)
     }
 
-    /// Waits for every model thread of this execution to finish: joins
-    /// the fresh-spawned OS threads, or quiesces the backing pool
-    /// (workers return to the idle list; no thread teardown). Call
-    /// only after the execution completed or was poisoned.
+    /// Waits for every model thread of this execution to finish: tears
+    /// the fiber group down, or quiesces the backing pool (workers
+    /// return to the idle list; no thread teardown). Call only after
+    /// the execution completed or was poisoned.
     ///
     /// # Errors
     ///
     /// Returns the collected panic messages if any model thread died
     /// of a panic that escaped its root `catch_unwind` (anything but
-    /// the cooperative [`Aborted`] unwind) — previously these were
-    /// silently discarded.
+    /// the cooperative [`Aborted`] unwind).
     pub fn join_all(&self) -> Result<(), String> {
-        if let Some(fibers) = &self.fibers {
-            return fibers.finish(self.poisoned.load(Ordering::Acquire));
+        match &self.backing {
+            Backing::Fibers(fibers) => fibers.finish(self.poisoned.load(Ordering::Acquire)),
+            Backing::Pooled { pool, .. } => pool.quiesce(),
         }
-        if let Some(pool) = &self.pool {
-            return pool.quiesce();
-        }
-        let handles: Vec<JoinHandle<()>> = self.handles.lock().drain(..).collect();
-        let mut escaped: Vec<String> = Vec::new();
-        for h in handles {
-            if let Err(payload) = h.join() {
-                escaped.push(panic_message(payload.as_ref()));
-            }
-        }
-        if escaped.is_empty() {
-            Ok(())
-        } else {
-            Err(escaped.join("; "))
-        }
-    }
-
-    /// Fresh OS threads this runtime spawned (always 0 in pooled mode;
-    /// pool growth is counted by the pool itself).
-    pub fn fresh_spawn_count(&self) -> u64 {
-        self.fresh_spawns.load(Ordering::Relaxed)
     }
 }
 
@@ -285,7 +264,7 @@ mod tests {
     /// Drives three model threads around a token ring on `rt` and
     /// asserts the visit order is exactly the handover order — proof
     /// that only one thread runs at a time and control moves where
-    /// directed. Shared between the fresh-spawn and pooled tests.
+    /// directed. Shared between the fiber and pooled tests.
     fn run_token_ring(rt: &Arc<Runtime>) {
         let log = Arc::new(Mutex::new(Vec::new()));
         let counter = Arc::new(AtomicUsize::new(0));
@@ -351,7 +330,6 @@ mod tests {
         run_token_ring(&rt);
         let warm = pool.workers_spawned();
         assert!(warm > 0 && warm <= 3);
-        assert_eq!(rt.fresh_spawn_count(), 0);
 
         let rt2 = Runtime::with_pool(HandoverKind::Park, Arc::clone(&pool));
         run_token_ring(&rt2);
@@ -445,7 +423,6 @@ mod tests {
         let rt = Runtime::new(HandoverKind::Fiber);
         assert!(rt.is_fiber());
         run_token_ring(&rt);
-        assert_eq!(rt.fresh_spawn_count(), 0);
         // The runtime is per-execution; a fresh one on the same driver
         // thread reuses the recycled fiber stacks.
         let rt2 = Runtime::new(HandoverKind::Fiber);
@@ -492,7 +469,7 @@ mod tests {
     }
 
     /// A non-`Aborted` panic in a fiber body surfaces from `join_all`,
-    /// exactly like the OS-thread runtime.
+    /// exactly like the pooled runtime.
     #[test]
     fn fiber_join_all_surfaces_escaped_panics() {
         let rt = Runtime::new(HandoverKind::Fiber);
@@ -506,8 +483,8 @@ mod tests {
         assert!(err.contains("fiber model thread exploded"), "got: {err}");
     }
 
-    /// The pooled path has the same obligation: quiesce reports
-    /// escaped panics and leaves the pool reusable.
+    /// A shared pool has the same obligation — and stays reusable
+    /// after quiesce reported the escaped panic.
     #[test]
     fn pooled_join_all_surfaces_escaped_panics() {
         let pool = ThreadPool::new();

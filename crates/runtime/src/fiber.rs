@@ -31,10 +31,11 @@
 //! execution; the interior mutex only serializes bookkeeping. A panic
 //! never unwinds across a switch frame: fiber bodies are caught at the
 //! fiber's root, and the cooperative `Aborted` unwind is contained to
-//! the fiber's own stack. Stacks are fixed-size (1 MiB) without guard
-//! pages — the same trade the paper's tool makes — and are recycled
-//! through a per-driver-thread cache so steady-state executions
-//! allocate nothing.
+//! the fiber's own stack. Stacks are fixed-size (1 MiB) `mmap` regions
+//! with a `PROT_NONE` guard page below them, so overflowing one is a
+//! deterministic SIGSEGV (a `CrashRecord` under `--isolate`) instead of
+//! a silent scribble over the heap. They are recycled through a
+//! per-driver-thread cache so steady-state executions map nothing.
 
 #![allow(unsafe_code)]
 
@@ -51,11 +52,16 @@ pub(crate) const fn supported() -> bool {
     cfg!(all(target_arch = "x86_64", unix))
 }
 
-/// Fixed fiber stack size. Model-thread bodies are ordinary Rust
-/// closures (no guard page — overflow is undefined, as in the paper's
-/// fiber runtime); 1 MiB is an order of magnitude above what the
-/// deepest workload uses, debug builds included.
+/// Usable fiber stack size. Model-thread bodies are ordinary Rust
+/// closures; 1 MiB is an order of magnitude above what the deepest
+/// workload uses, debug builds included. Only touched pages are
+/// committed.
 const STACK_SIZE: usize = 1 << 20;
+
+/// Size of the inaccessible region below each stack: one x86_64 page
+/// (the only architecture with a context switch). One page is enough
+/// because rustc probes every page of a frame larger than that.
+const GUARD_SIZE: usize = 4096;
 
 /// Per-driver-thread cache of retired fiber stacks. Executions are
 /// driven to completion on one OS thread, so a thread-local free list
@@ -66,24 +72,82 @@ thread_local! {
     static STACK_CACHE: RefCell<Vec<RawStack>> = const { RefCell::new(Vec::new()) };
 }
 
+/// Memory-mapping calls, declared directly against the libc the binary
+/// links anyway (the `libc` crate is unavailable offline).
+#[cfg(unix)]
+mod sys {
+    use std::ffi::c_void;
+
+    extern "C" {
+        pub fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: i32,
+            flags: i32,
+            fd: i32,
+            offset: i64,
+        ) -> *mut c_void;
+        pub fn mprotect(addr: *mut c_void, len: usize, prot: i32) -> i32;
+        pub fn munmap(addr: *mut c_void, len: usize) -> i32;
+    }
+
+    pub const PROT_NONE: i32 = 0;
+    pub const PROT_READ_WRITE: i32 = 1 | 2;
+    pub const MAP_PRIVATE: i32 = 2;
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    pub const MAP_ANONYMOUS: i32 = 0x20;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    pub const MAP_ANONYMOUS: i32 = 0x1000;
+    pub const MAP_FAILED: *mut c_void = !0usize as *mut c_void;
+}
+
+/// One mapped region: `GUARD_SIZE` inaccessible bytes at `base`, then
+/// `STACK_SIZE` usable bytes (the stack grows down toward the guard).
 struct RawStack {
-    ptr: std::ptr::NonNull<u8>,
+    base: std::ptr::NonNull<u8>,
 }
 
 impl RawStack {
-    fn layout() -> std::alloc::Layout {
-        std::alloc::Layout::from_size_align(STACK_SIZE, 16).expect("fiber stack layout")
-    }
-
     fn obtain() -> RawStack {
         STACK_CACHE
             .with(|c| c.borrow_mut().pop())
-            .unwrap_or_else(|| {
-                let ptr = unsafe { std::alloc::alloc(RawStack::layout()) };
-                RawStack {
-                    ptr: std::ptr::NonNull::new(ptr).expect("fiber stack allocation failed"),
-                }
-            })
+            .unwrap_or_else(RawStack::map)
+    }
+
+    #[cfg(unix)]
+    fn map() -> RawStack {
+        // SAFETY: a fresh private anonymous mapping aliases nothing;
+        // `mprotect` covers the first page of that same mapping.
+        let base = unsafe {
+            let base = sys::mmap(
+                std::ptr::null_mut(),
+                GUARD_SIZE + STACK_SIZE,
+                sys::PROT_READ_WRITE,
+                sys::MAP_PRIVATE | sys::MAP_ANONYMOUS,
+                -1,
+                0,
+            );
+            assert!(base != sys::MAP_FAILED, "fiber stack mmap failed");
+            assert_eq!(
+                sys::mprotect(base, GUARD_SIZE, sys::PROT_NONE),
+                0,
+                "fiber stack guard mprotect failed"
+            );
+            base
+        };
+        RawStack {
+            base: std::ptr::NonNull::new(base.cast()).expect("mmap returned null"),
+        }
+    }
+
+    #[cfg(not(unix))]
+    fn map() -> RawStack {
+        unreachable!("fiber handover unsupported on this target")
+    }
+
+    /// One past the highest usable byte.
+    fn top(&self) -> usize {
+        self.base.as_ptr() as usize + GUARD_SIZE + STACK_SIZE
     }
 
     fn recycle(self) {
@@ -92,14 +156,20 @@ impl RawStack {
             if cache.len() < STACK_CACHE_MAX {
                 cache.push(self);
             }
-            // Else: drop, deallocating.
+            // Else: drop, unmapping.
         });
     }
 }
 
 impl Drop for RawStack {
     fn drop(&mut self) {
-        unsafe { std::alloc::dealloc(self.ptr.as_ptr(), RawStack::layout()) };
+        #[cfg(unix)]
+        // SAFETY: `base` is the start of a live mapping of exactly this
+        // length that nothing else references: a stack is dropped only
+        // after its fiber finished. Failure would leak, never corrupt.
+        unsafe {
+            sys::munmap(self.base.as_ptr().cast(), GUARD_SIZE + STACK_SIZE);
+        }
     }
 }
 
@@ -432,7 +502,7 @@ extern "C" fn fiber_entry(slot: *mut FiberSlot) -> ! {
 /// `[mxcsr|fcw] r15 r14 r13=entry r12=slot rbx rbp ret=trampoline`.
 #[cfg(all(target_arch = "x86_64", unix))]
 unsafe fn build_initial_sp(stack: &RawStack, slot: *mut FiberSlot) -> *mut u8 {
-    let top = (stack.ptr.as_ptr() as usize + STACK_SIZE) & !15;
+    let top = stack.top() & !15;
     let sp = (top - 64) as *mut u64;
     // x87/SSE control words: the Rust/SysV defaults (round-to-nearest,
     // all exceptions masked).

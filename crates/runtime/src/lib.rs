@@ -10,9 +10,10 @@
 //! borrowing* for TLS (§7.3–7.4). The default here is the same design:
 //! model threads run as fibers multiplexed on the driver's OS thread
 //! (`fiber.rs`), and the run token moves by user-space stack switch.
-//! The alternative [`HandoverKind`]s back each model thread with an OS
-//! thread and move the token through per-thread mailboxes, spanning
-//! the strategy spectrum the paper benchmarks in Figure 14.
+//! The one alternative, [`HandoverKind::Park`], backs each model
+//! thread with a pooled OS thread ([`ThreadPool`]) and moves the token
+//! through futex mailboxes: the only path on targets without the
+//! context switch, and the twin the tests compare fibers against.
 //!
 //! This crate knows nothing about the memory model: the `c11tester`
 //! facade combines it with `c11tester-core` and `c11tester-race`.

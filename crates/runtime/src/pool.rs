@@ -1,25 +1,22 @@
 //! A pool of reusable OS worker threads for model executions.
 //!
-//! The paper amortizes thread setup across explored executions with
-//! fibers plus fork-based snapshots (§7.3–§7.4); our stand-in is a
-//! [`ThreadPool`] owned by the `Model` that keeps the OS threads
-//! backing model threads alive across a shard's executions. Per
-//! execution, [`Runtime::spawn`](crate::Runtime::spawn) becomes
-//! "dispatch the workload closure to an idle pooled worker" and
-//! `join_all` becomes [`ThreadPool::quiesce`] — wait until every
-//! dispatched closure has returned its worker to the idle list. The
-//! pool grows only when an execution needs more concurrent model
-//! threads than any execution before it, so after warmup a campaign
-//! performs **zero** thread spawns, thread-name allocations, or join
-//! round trips per execution.
+//! [`HandoverKind::Park`](crate::HandoverKind::Park) — the fallback
+//! where fibers are unavailable, and the twin the tests compare fibers
+//! against — backs every model thread with an OS thread. The paper
+//! amortizes thread setup across explored executions (§7.3–§7.4); here
+//! a [`ThreadPool`] owned by the `Model` keeps those OS threads alive
+//! across a shard's executions. Per execution,
+//! [`Runtime::spawn`](crate::Runtime::spawn) becomes "dispatch the
+//! workload closure to an idle pooled worker" and `join_all` becomes
+//! [`ThreadPool::quiesce`] — wait until every dispatched closure has
+//! returned its worker to the idle list. The pool grows only when an
+//! execution needs more concurrent model threads than any execution
+//! before it, so after warmup a campaign performs **zero** thread
+//! spawns, thread-name allocations, or join round trips per execution.
 //!
-//! Run-token handover is unchanged: pooled workers still park in the
-//! per-slot [`Notifier`](crate::Notifier) mailboxes of the current
-//! execution's `Runtime`, under whatever
-//! [`HandoverKind`](crate::HandoverKind) the config selects. The pool
-//! replaces only thread *creation and teardown*, which is what makes
-//! it behaviorally invisible (canonical campaign output is
-//! byte-identical pooled vs fresh).
+//! Pooled workers park in the per-slot [`Notifier`](crate::Notifier)
+//! mailboxes of the current execution's `Runtime`; the pool owns only
+//! thread *creation and teardown*.
 
 use parking_lot::{Condvar, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -177,8 +174,7 @@ impl ThreadPool {
     }
 
     /// Dispatches served by reusing an already-live idle worker (the
-    /// "recycled" counter to [`ThreadPool::workers_spawned`]'s
-    /// "fresh").
+    /// complement of [`ThreadPool::workers_spawned`]).
     pub fn dispatches_reused(&self) -> u64 {
         self.reused.load(Ordering::Relaxed)
     }

@@ -49,15 +49,6 @@ pub struct WorkerMetrics {
     /// Wall time the worker spent running executions (vs. idle at the
     /// stop barrier).
     pub busy_nanos: u64,
-    /// Model threads provisioned by re-dispatching onto an already-live
-    /// pooled worker thread (0 with the thread pool disabled). The
-    /// "recycled" side of the provisioning split, mirroring
-    /// `AllocStats`' fresh/recycled executions.
-    pub pooled_dispatches: u64,
-    /// Model threads provisioned by creating a new OS thread: every
-    /// spawn with the pool disabled, only pool growth with it enabled —
-    /// so a warmed-up pooled worker's count stays flat.
-    pub fresh_spawns: u64,
     /// Display name of the run-token handover this worker's model
     /// *effectively* ran (`HandoverKind::effective().name()` — fibers
     /// degrade to futex park off x86_64, a ~14× handover-cost
@@ -210,8 +201,6 @@ impl CampaignMetrics {
                 Some(mine) => {
                     mine.executions += w.executions;
                     mine.busy_nanos = mine.busy_nanos.saturating_add(w.busy_nanos);
-                    mine.pooled_dispatches += w.pooled_dispatches;
-                    mine.fresh_spawns += w.fresh_spawns;
                 }
                 None => self.workers.push(*w),
             }
@@ -308,13 +297,11 @@ impl CampaignMetrics {
             };
             out.push_str(&format!(
                 "{{\"worker\":{},\"executions\":{},\"busy_nanos\":{},\"utilization\":{},\
-                 \"pooled_dispatches\":{},\"fresh_spawns\":{},\"handover\":\"{}\"}}",
+                 \"handover\":\"{}\"}}",
                 w.worker,
                 w.executions,
                 w.busy_nanos,
                 json_f64(utilization),
-                w.pooled_dispatches,
-                w.fresh_spawns,
                 esc(w.handover),
             ));
         }
@@ -407,39 +394,26 @@ mod tests {
     }
 
     #[test]
-    fn worker_fold_sums_thread_provisioning_counters() {
+    fn worker_fold_keeps_the_handover_name() {
+        let row = |executions, busy_nanos| WorkerMetrics {
+            worker: 0,
+            executions,
+            busy_nanos,
+            handover: "futex park/unpark",
+        };
         let mut a = CampaignMetrics {
-            workers: vec![WorkerMetrics {
-                worker: 0,
-                executions: 10,
-                busy_nanos: 100,
-                pooled_dispatches: 30,
-                fresh_spawns: 3,
-                handover: "futex park/unpark",
-            }],
+            workers: vec![row(10, 100)],
             executions: 10,
             ..CampaignMetrics::default()
         };
-        let b = CampaignMetrics {
-            workers: vec![WorkerMetrics {
-                worker: 0,
-                executions: 5,
-                busy_nanos: 50,
-                pooled_dispatches: 15,
-                fresh_spawns: 0,
-                handover: "futex park/unpark",
-            }],
+        a.absorb(&CampaignMetrics {
+            workers: vec![row(5, 50)],
             executions: 5,
             ..CampaignMetrics::default()
-        };
-        a.absorb(&b);
-        let w0 = &a.workers[0];
-        assert_eq!(w0.pooled_dispatches, 45);
-        assert_eq!(w0.fresh_spawns, 3);
+        });
+        assert_eq!(a.workers, vec![row(15, 150)]);
         let json = a.to_json(&MetricsMeta::default());
-        assert!(json.contains(
-            "\"pooled_dispatches\":45,\"fresh_spawns\":3,\"handover\":\"futex park/unpark\"}"
-        ));
+        assert!(json.contains("\"handover\":\"futex park/unpark\"}"));
     }
 
     #[test]

@@ -14,6 +14,10 @@
 //!   Whether a given execution crashes is a pure function of
 //!   `(seed, execution index)`, so crash records are as deterministic
 //!   as race reports.
+//! * [`run_stack_overflow`] — unbounded recursion inside a model
+//!   thread. Model threads are fibers on guard-paged stacks, so the
+//!   overflow is a SIGSEGV in every execution rather than silent heap
+//!   corruption.
 //! * [`run_spin_forever`] — a model thread that spins without ever
 //!   performing a model operation, so the cooperative scheduler can
 //!   never preempt it and the execution wedges forever. Only
@@ -56,6 +60,26 @@ pub fn run_null_deref() {
         let _ = crash_like_the_c_program_would();
     }
     producer.join();
+}
+
+/// Recurses until the stack runs out. `black_box` keeps every frame's
+/// pad live and the call out of tail position, so the optimizer cannot
+/// turn the recursion into a loop.
+#[allow(unconditional_recursion)]
+fn recurse_forever(depth: u64) -> u64 {
+    let pad = std::hint::black_box([depth; 32]);
+    recurse_forever(depth + 1) + pad[depth as usize % 32]
+}
+
+/// Overflows the stack of a spawned model thread: the program-level
+/// stand-in for runaway recursion in the code under test. Under fiber
+/// handover the fault lands in the stack's guard page and kills the
+/// process with SIGSEGV in every execution.
+pub fn run_stack_overflow() {
+    c11tester::thread::spawn(|| {
+        std::hint::black_box(recurse_forever(0));
+    })
+    .join();
 }
 
 /// Spins forever without a single model operation: the cooperative
