@@ -53,7 +53,7 @@ OPTIONS:
                             collection automatically), or exp3[@<eta>].
                             Without --mix the default arm set
                             random:1,pct2:1,pct3:1,burst:1 is used; the
-                            report becomes a c11campaign/v3 epoch trace.
+                            report becomes a c11campaign/v4 epoch trace.
     --epoch <N>             epoch length in executions [default: 64;
                             requires --adaptive]
     --isolate               run executions in child worker processes (fork
@@ -199,15 +199,7 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
                 args.workers = Some(n);
             }
             "--seed" => args.seed = parse_u64(&value()?)?,
-            "--policy" => {
-                let v = value()?;
-                args.policy = match v.to_ascii_lowercase().as_str() {
-                    "c11tester" => Policy::C11Tester,
-                    "tsan11" => Policy::Tsan11,
-                    "tsan11rec" => Policy::Tsan11Rec,
-                    _ => return Err(format!("unknown policy `{v}`")),
-                };
-            }
+            "--policy" => args.policy = Policy::parse(&value()?)?,
             "--mix" => args.mix = Some(StrategyMix::parse(&value()?)?),
             "--adaptive" => {
                 let v = value()?;

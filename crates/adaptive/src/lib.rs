@@ -24,7 +24,7 @@
 //! Because fixed-budget epoch aggregates are byte-identical across
 //! worker counts (the campaign determinism contract) and reweighting
 //! is pure, the full adaptive run — including its
-//! [`EpochTrace`] canonical JSON (`c11campaign/v3`) — is
+//! [`EpochTrace`] canonical JSON (`c11campaign/v4`) — is
 //! **byte-identical for any worker count**, and every execution
 //! remains replayable by `(seed, epoch, index)`:
 //! [`AdaptiveCampaign::replay`] reconstructs the epoch's mix from the
@@ -415,7 +415,7 @@ impl AdaptiveReport {
         self.trace.aggregate.bug_detection_rate()
     }
 
-    /// The canonical (worker-count independent) `c11campaign/v3` JSON.
+    /// The canonical (worker-count independent) `c11campaign/v4` JSON.
     pub fn canonical_json(&self) -> String {
         self.trace.canonical_json()
     }

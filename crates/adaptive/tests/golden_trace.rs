@@ -1,9 +1,8 @@
-//! Golden-schema test for the canonical epoch trace (`c11campaign/v4`,
-//! historically introduced as v3 — hence this file's name).
+//! Golden-schema test for the canonical epoch trace (`c11campaign/v4`).
 //!
 //! A fixed `(seed, target, mix, policy, epoch, budget)` adaptive
 //! campaign must reproduce the checked-in trace **byte for byte** —
-//! the same contract the v2 golden report pins for plain campaigns,
+//! the same contract the plain-campaign golden reports pin,
 //! extended over the closed loop: epoch aggregates are pure functions
 //! of `(seed, index range, mix)`, reweighting is a pure function of
 //! those aggregates, and the emitter is deterministic.
@@ -17,7 +16,7 @@
 //! Regenerate with:
 //!
 //! ```text
-//! cargo test -p c11tester-adaptive --test golden_v3 -- --ignored regenerate
+//! cargo test -p c11tester-adaptive --test golden_trace -- --ignored regenerate
 //! ```
 
 use c11tester::{Config, StrategyMix};
@@ -56,7 +55,7 @@ fn canonical_trace_matches_the_checked_in_golden_report() {
     assert_eq!(
         actual,
         expected.trim_end(),
-        "canonical v3 trace diverged from the golden report; if the \
+        "canonical epoch trace diverged from the golden report; if the \
          schema change is intentional, regenerate the golden file and \
          review the diff"
     );

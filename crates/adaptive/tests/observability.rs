@@ -286,8 +286,9 @@ fn fixed_policy_trace_is_unchanged_by_coverage_collection() {
 
 #[test]
 fn flag_errors_share_one_style_across_binaries() {
-    // Satellite of the observability PR: c11campaign and c11bench
-    // report flag errors through one shared helper. Pin the shape.
+    // Every workspace binary reports flag errors through the one
+    // helper in `c11tester_campaign::cli`. Pin the shape here (and in
+    // `genfuzz_e2e.rs` / `bench/tests/paper_tables.rs` for the others).
     let out = run(&["--metrics-format", "chrome"]);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);

@@ -8,7 +8,7 @@
 //! choice and its fallback, so two rows here measure product code —
 //! futex park/unpark ([`Notifier`]) and fibers ([`Runtime`]; no TLS
 //! migration is needed because thread identity is slot-derived) — and
-//! the condvar and spinning rows are mailboxes local to this binary.
+//! the condvar and spinning rows are mailboxes local to this module.
 //!
 //! Expected shape (paper Fig. 14): fibers are fastest everywhere;
 //! spinning is fast with a core per thread but collapses by orders of
@@ -16,7 +16,7 @@
 //! strategy; futex-style wakeups sit in between.
 //!
 //! ```text
-//! cargo run --release -p c11tester-bench --bin figure14
+//! paper-tables figure14
 //! ```
 
 use c11tester_bench::{pin_to_single_core, rule, runs_from_env, unpin_all_cores};
@@ -152,7 +152,7 @@ fn spin_box(yield_between: bool) -> SpinBox {
     }
 }
 
-fn main() {
+pub fn run() {
     let iters = runs_from_env(20_000);
     println!("Figure 14: context-switch costs (ns per handover, {iters} round trips)");
     rule(60);

@@ -15,21 +15,19 @@
 //! serial stream by the campaign determinism contract.
 //!
 //! ```text
-//! cargo run --release -p c11tester-bench --bin table1 [-- --figure15]
+//! paper-tables table1 [--figure15]
 //! ```
 //! Set `C11_BENCH_RUNS` to change the run count (default 10, as in the
 //! paper).
 
 use c11tester::Policy;
 use c11tester_bench::{
-    campaign_policy_runs, campaign_timing, geomean, pin_to_single_core, rule, runs_from_env,
-    time_policy_runs, unpin_all_cores,
+    campaign_mean_ms, campaign_runs, columns, geomean, paper_config, pin_to_single_core, rule,
+    runs_from_env, time_policy_runs, unpin_all_cores,
 };
 use c11tester_workloads::AppBench;
 
-const POLICIES: [Policy; 3] = [Policy::C11Tester, Policy::Tsan11Rec, Policy::Tsan11];
-
-fn measure_config(single_core: bool, runs: u32) -> Vec<(AppBench, Vec<f64>)> {
+fn measure_config(single_core: bool, runs: u32) -> Vec<(AppBench, [f64; 3])> {
     const SEED: u64 = 0x7AB1E1;
     if single_core {
         if !pin_to_single_core() {
@@ -44,24 +42,21 @@ fn measure_config(single_core: bool, runs: u32) -> Vec<(AppBench, Vec<f64>)> {
             time_policy_runs(p, SEED, runs, move || app.run_default()).mean_ms()
         } else {
             // Campaign over all cores: the repeated-execution stream fans out.
-            let report =
-                campaign_policy_runs(p, SEED, u64::from(runs), None, move || app.run_default());
-            campaign_timing(&report).mean.as_secs_f64() * 1e3
+            let report = campaign_runs(paper_config(p, SEED), u64::from(runs), move || {
+                app.run_default()
+            });
+            campaign_mean_ms(&report)
         }
     };
     let out = AppBench::all()
         .into_iter()
-        .map(|app| {
-            let times: Vec<f64> = POLICIES.iter().map(|&p| time_cell(p, app)).collect();
-            (app, times)
-        })
+        .map(|app| (app, Policy::all().map(|p| time_cell(p, app))))
         .collect();
     unpin_all_cores();
     out
 }
 
-fn main() {
-    let figure15 = std::env::args().any(|a| a == "--figure15");
+pub fn run(figure15: bool) {
     let runs = runs_from_env(10);
 
     println!("Table 1: application benchmarks, mean wall time per execution (ms, {runs} runs)");
@@ -71,18 +66,17 @@ fn main() {
         println!("{label} configuration");
         rule(62);
         println!(
-            "{:<10} {:>14} {:>14} {:>14}",
-            "Test", "C11Tester", "tsan11rec", "tsan11"
+            "{:<10} {}",
+            "Test",
+            columns(&Policy::all(), |p| format!("{:>14}", p.name()))
         );
         rule(62);
         let rows = measure_config(single, runs);
         for (app, times) in &rows {
             println!(
-                "{:<10} {:>14.3} {:>14.3} {:>14.3}",
+                "{:<10} {}",
                 app.name(),
-                times[0],
-                times[1],
-                times[2]
+                columns(times, |t| format!("{t:>14.3}"))
             );
         }
         per_config.push(rows);
@@ -97,7 +91,7 @@ fn main() {
         // Baseline: tsan11 in the single-core configuration.
         let baseline: Vec<f64> = per_config[0].iter().map(|(_, t)| t[2]).collect();
         for (cfg_ix, label) in [(0, "(S)"), (1, "(A)")] {
-            for (p_ix, policy) in POLICIES.iter().enumerate() {
+            for (p_ix, policy) in Policy::all().iter().enumerate() {
                 let mut speedups = Vec::new();
                 for (row_ix, (app, times)) in per_config[cfg_ix].iter().enumerate() {
                     let s = baseline[row_ix] / times[p_ix].max(1e-9);

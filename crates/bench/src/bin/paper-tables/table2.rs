@@ -10,7 +10,7 @@
 //! into them.
 //!
 //! ```text
-//! cargo run --release -p c11tester-bench --bin table2 [-- --figure16] [--strategies]
+//! paper-tables table2 [--figure16] [--strategies] [--adaptive]
 //! ```
 //! Set `C11_BENCH_RUNS` to change the run count (paper: 500).
 //!
@@ -27,14 +27,15 @@
 //! campaigns over the same arms at the same seed — the closed loop
 //! must reach first-bug no later than the **worst** fixed arm.
 
-use c11tester::{Config, Policy, Strategy, StrategyMix};
+use c11tester::{Policy, Strategy, StrategyMix};
+use c11tester_adaptive::AdaptiveCampaign;
 use c11tester_bench::{
-    campaign_adaptive_runs, campaign_mixed_runs, campaign_policy_runs, paper_model, rule,
-    runs_from_env, summarize,
+    campaign_runs, columns, paper_config, rule, runs_from_env, time_policy_runs,
 };
-use c11tester_campaign::{Campaign, CampaignBudget};
+use c11tester_campaign::CampaignBudget;
 use c11tester_workloads::{ds, DsBench};
-use std::time::Instant;
+
+const SEED: u64 = 0x7AB1E2;
 
 struct Cell {
     time_ms: f64,
@@ -43,26 +44,32 @@ struct Cell {
 
 fn measure(bench: DsBench, policy: Policy, runs: u64) -> Cell {
     // Detection rate: campaign over all cores, full run budget.
-    let report = campaign_policy_runs(policy, 0x7AB1E2, runs, None, move || bench.run());
+    let report = campaign_runs(paper_config(policy, SEED), runs, move || bench.run());
     // Timing: serial sample (up to 100 executions of the same stream).
-    let mut model = paper_model(policy, 0x7AB1E2);
-    let timing_runs = runs.min(100);
-    let mut samples = Vec::with_capacity(timing_runs as usize);
-    for _ in 0..timing_runs {
-        let t0 = Instant::now();
-        let _ = model.run(|| bench.run());
-        samples.push(t0.elapsed());
-    }
+    let timing_runs = u32::try_from(runs.min(100)).expect("at most 100");
+    let timing = time_policy_runs(policy, SEED, timing_runs, move || bench.run());
     Cell {
-        time_ms: summarize(&samples).mean_ms(),
+        time_ms: timing.mean_ms(),
         rate: report.race_detection_rate(),
     }
+}
+
+/// The scheduling strategies compared by `--strategies` and
+/// `--adaptive`, as a uniform mix.
+fn arms() -> StrategyMix {
+    StrategyMix::parse("random:1,pct2:1,pct3:1,burst:1").expect("valid mix")
+}
+
+/// The paper-faithful C11Tester configuration drawing strategies from
+/// `mix`.
+fn mixed_config(mix: &StrategyMix) -> c11tester::Config {
+    paper_config(Policy::C11Tester, SEED).with_mix(mix.clone())
 }
 
 /// Strategy-comparison mode: per-strategy detection rates from one
 /// mixed campaign per benchmark.
 fn strategy_table(runs: u64) {
-    let mix = StrategyMix::parse("random:1,pct2:1,pct3:1,burst:1").expect("valid mix");
+    let mix = arms();
     let specs: Vec<String> = mix.entries().iter().map(|(s, _)| s.spec()).collect();
     println!();
     println!(
@@ -78,10 +85,7 @@ fn strategy_table(runs: u64) {
     println!();
     rule(78);
     for bench in DsBench::all() {
-        let report =
-            campaign_mixed_runs(Policy::C11Tester, 0x7AB1E2, runs, None, &mix, move || {
-                bench.run()
-            });
+        let report = campaign_runs(mixed_config(&mix), runs, move || bench.run());
         print!("{:<18}", bench.name());
         for s in &specs {
             match report.per_strategy().get(s) {
@@ -116,8 +120,7 @@ fn fmt_first_bug(first: Option<u64>) -> String {
 /// uniform mix vs UCB1/EXP3 adaptive campaigns on the §8.1 seeded-bug
 /// workloads.
 fn adaptive_table(runs: u64) {
-    const SEED: u64 = 0x7AB1E2;
-    let mix = StrategyMix::parse("random:1,pct2:1,pct3:1,burst:1").expect("valid mix");
+    let mix = arms();
     let epoch_len = (runs / 8).max(1);
     let workloads: &[(&str, fn())] = &[
         ("rwlock-buggy", ds::rwlock_buggy::run_buggy),
@@ -134,10 +137,8 @@ fn adaptive_table(runs: u64) {
         println!("{name}:");
         let mut worst_fixed = 0u64;
         for (strategy, _) in mix.entries() {
-            let config = Config::for_policy(Policy::C11Tester)
-                .with_seed(SEED)
-                .with_strategy(*strategy);
-            let report = Campaign::new(config).run(&CampaignBudget::executions(runs), body);
+            let config = paper_config(Policy::C11Tester, SEED).with_strategy(*strategy);
+            let report = campaign_runs(config, runs, body);
             let first = report.aggregate.first_bug_execution();
             worst_fixed = worst_fixed.max(first.unwrap_or(u64::MAX));
             println!(
@@ -147,7 +148,7 @@ fn adaptive_table(runs: u64) {
                 fmt_first_bug(first),
             );
         }
-        let mixed = campaign_mixed_runs(Policy::C11Tester, SEED, runs, None, &mix, body);
+        let mixed = campaign_runs(mixed_config(&mix), runs, body);
         println!(
             "  {:<22} {:>6.1}%  first bug {}",
             "fixed mix",
@@ -155,16 +156,14 @@ fn adaptive_table(runs: u64) {
             fmt_first_bug(mixed.aggregate.first_bug_execution()),
         );
         for policy in ["ucb1", "exp3"] {
-            let report = campaign_adaptive_runs(
-                Policy::C11Tester,
-                SEED,
-                runs,
-                epoch_len,
-                None,
-                &mix,
-                policy,
-                body,
-            );
+            // Epoch-driven: the budget runs in `epoch_len`-execution
+            // epochs and `policy` reweights the mix between them from
+            // the per-strategy detection columns.
+            let report = AdaptiveCampaign::new(mixed_config(&mix))
+                .with_epoch_len(epoch_len)
+                .with_policy(policy)
+                .expect("valid reweighting policy")
+                .run(&CampaignBudget::executions(runs), body);
             let first = report.first_bug_execution();
             let verdict = if first.unwrap_or(u64::MAX) <= worst_fixed {
                 "<= worst fixed"
@@ -190,40 +189,45 @@ fn adaptive_table(runs: u64) {
     rule(100);
 }
 
-fn main() {
-    let figure16 = std::env::args().any(|a| a == "--figure16");
-    let strategies = std::env::args().any(|a| a == "--strategies");
-    let adaptive = std::env::args().any(|a| a == "--adaptive");
+pub fn run(figure16: bool, strategies: bool, adaptive: bool) {
     let runs = u64::from(runs_from_env(500));
-    let policies = [Policy::C11Tester, Policy::Tsan11Rec, Policy::Tsan11];
 
     println!("Table 2: data-structure benchmarks ({runs} runs per cell)");
-    rule(88);
+    rule(82);
     println!(
-        "{:<18} {:>10} {:>7} {:>10} {:>7} {:>10} {:>7}",
-        "Test", "C11T ms", "rate", "t11rec ms", "rate", "t11 ms", "rate"
+        "{:<18} {}",
+        "Test",
+        columns(&Policy::all(), |p| format!(
+            "{:>12} {:>7}",
+            format!("{} ms", p.name()),
+            "rate"
+        ))
     );
-    rule(88);
+    rule(82);
 
-    let mut rates = [Vec::new(), Vec::new(), Vec::new()];
     let mut rows = Vec::new();
     for bench in DsBench::all() {
-        let cells: Vec<Cell> = policies.iter().map(|&p| measure(bench, p, runs)).collect();
-        print!("{:<18}", bench.name());
-        for (i, c) in cells.iter().enumerate() {
-            print!(" {:>10.2} {:>6.1}%", c.time_ms, 100.0 * c.rate);
-            rates[i].push(c.rate);
-        }
-        println!();
+        let cells = Policy::all().map(|p| measure(bench, p, runs));
+        println!(
+            "{:<18} {}",
+            bench.name(),
+            columns(&cells, |c| format!(
+                "{:>12.2} {:>6.1}%",
+                c.time_ms,
+                100.0 * c.rate
+            ))
+        );
         rows.push((bench, cells));
     }
-    rule(88);
-    print!("{:<18}", "Average rate");
-    for r in &rates {
-        let avg = r.iter().sum::<f64>() / r.len().max(1) as f64;
-        print!(" {:>10} {:>6.1}%", "", 100.0 * avg);
-    }
-    println!();
+    rule(82);
+    let averages = [0, 1, 2].map(|i| {
+        rows.iter().map(|(_, cells)| cells[i].rate).sum::<f64>() / rows.len().max(1) as f64
+    });
+    println!(
+        "{:<18} {}",
+        "Average rate",
+        columns(&averages, |avg| format!("{:>12} {:>6.1}%", "", 100.0 * avg))
+    );
     println!("(paper averages: C11Tester 75.4%, tsan11rec 51.5%, tsan11 22.3%)");
 
     if strategies {
@@ -240,13 +244,13 @@ fn main() {
         rule(72);
         for (bench, cells) in &rows {
             let base = cells[0].time_ms.max(1e-9);
-            for (i, c) in cells.iter().enumerate() {
+            for (policy, c) in Policy::all().iter().zip(cells) {
                 let rel = c.time_ms / base;
                 let bar = "#".repeat((rel * 8.0).round().min(60.0) as usize);
                 println!(
                     "{:<18} {:<10} {:>8.2}ms |{}",
                     bench.name(),
-                    policies[i].name(),
+                    policy.name(),
                     c.time_ms,
                     bar
                 );

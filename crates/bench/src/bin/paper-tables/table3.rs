@@ -3,7 +3,7 @@
 //! for each application benchmark.
 //!
 //! ```text
-//! cargo run --release -p c11tester-bench --bin table3
+//! paper-tables table3
 //! ```
 
 use c11tester::Policy;
@@ -20,7 +20,7 @@ fn fmt_count(n: u64) -> String {
     }
 }
 
-fn main() {
+pub fn run() {
     println!("Table 3: operations executed per benchmark under C11Tester");
     rule(70);
     println!(

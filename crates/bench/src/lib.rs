@@ -1,18 +1,17 @@
-//! Shared harness utilities for regenerating the paper's tables and
-//! figures.
+//! The one harness under `paper-tables`, the binary that regenerates
+//! the paper's tables and figures (`cargo run --release -p
+//! c11tester-bench --bin paper-tables -- table1`, …; one module per
+//! table beside the binary's `main.rs`).
 //!
-//! Each table/figure has a binary (`cargo run --release -p
-//! c11tester-bench --bin table1`, …) that prints the same rows/series
-//! the paper reports. Absolute numbers differ from the paper's testbed
-//! (our substrate is this workspace's model, not instrumented native
-//! code); the *shape* — who wins, by roughly what factor — is the
-//! reproduction target (see EXPERIMENTS.md).
+//! Absolute numbers differ from the paper's testbed (our substrate is
+//! this workspace's model, not instrumented native code); the *shape* —
+//! who wins, by roughly what factor — is the reproduction target (see
+//! docs/BENCH.md). Performance of the tool itself is measured by
+//! `c11perf` (`benchmark/`), not here.
 
 use c11tester::{Config, Model, Policy};
 use c11tester_campaign::{Campaign, CampaignBudget, CampaignReport};
 use std::time::{Duration, Instant};
-
-pub mod statbench;
 
 /// Measurement of repeated model executions.
 #[derive(Clone, Copy, Debug)]
@@ -32,13 +31,23 @@ impl Timing {
     }
 }
 
-/// Times `runs` executions of `body` under the paper-faithful
-/// configuration for `policy`.
+/// The paper-faithful configuration for `policy` at `seed`.
+pub fn paper_config(policy: Policy, seed: u64) -> Config {
+    Config::for_policy(policy).with_seed(seed)
+}
+
+/// The paper-faithful model for `policy` at `seed`.
+pub fn paper_model(policy: Policy, seed: u64) -> Model {
+    Model::new(paper_config(policy, seed))
+}
+
+/// Times `runs` serial executions of `body` on the paper-faithful model
+/// for `policy`.
 pub fn time_policy_runs<F>(policy: Policy, seed: u64, runs: u32, body: F) -> Timing
 where
     F: Fn() + Send + Sync,
 {
-    let mut model = Model::new(Config::for_policy(policy).with_seed(seed));
+    let mut model = paper_model(policy, seed);
     let mut samples = Vec::with_capacity(runs as usize);
     for _ in 0..runs {
         let t0 = Instant::now();
@@ -49,99 +58,31 @@ where
 }
 
 /// Runs a fixed-budget campaign of `executions` executions of `body`
-/// under the paper-faithful configuration for `policy`, using all
-/// cores (or `workers`, when given). Detection rates and dedup
-/// histories in the returned report are identical to the serial
-/// [`Model::run_many`] aggregate over the same seed — campaigns only
-/// change wall-clock time.
-pub fn campaign_policy_runs<F>(
-    policy: Policy,
-    seed: u64,
-    executions: u64,
-    workers: Option<usize>,
-    body: F,
-) -> CampaignReport
+/// under `config` on all cores. Detection rates and dedup histories in
+/// the returned report are identical to the serial [`Model::run_many`]
+/// aggregate over the same config — campaigns only change wall-clock
+/// time. A config carrying a [`c11tester::StrategyMix`] yields
+/// per-strategy detection columns alongside the aggregate.
+pub fn campaign_runs<F>(config: Config, executions: u64, body: F) -> CampaignReport
 where
     F: Fn() + Send + Sync,
 {
-    let mut campaign = Campaign::new(Config::for_policy(policy).with_seed(seed));
-    if let Some(w) = workers {
-        campaign = campaign.with_workers(w);
-    }
-    campaign.run(&CampaignBudget::executions(executions), body)
+    Campaign::new(config).run(&CampaignBudget::executions(executions), body)
 }
 
-/// Runs a fixed-budget **strategy-mixed** campaign: execution `i` is
-/// deterministically assigned a strategy from `(seed, i)` by `mix`
-/// (see [`c11tester::StrategyMix`]), and the report carries
-/// per-strategy detection columns alongside the aggregate. The same
-/// determinism contract as [`campaign_policy_runs`] applies: the
-/// aggregate is identical to the serial [`Model::run_many`] over the
-/// same mixed config, for any worker count.
-pub fn campaign_mixed_runs<F>(
-    policy: Policy,
-    seed: u64,
-    executions: u64,
-    workers: Option<usize>,
-    mix: &c11tester::StrategyMix,
-    body: F,
-) -> CampaignReport
-where
-    F: Fn() + Send + Sync,
-{
-    let config = Config::for_policy(policy)
-        .with_seed(seed)
-        .with_mix(mix.clone());
-    let mut campaign = Campaign::new(config);
-    if let Some(w) = workers {
-        campaign = campaign.with_workers(w);
-    }
-    campaign.run(&CampaignBudget::executions(executions), body)
-}
-
-/// Runs a fixed-budget **adaptive** campaign: the budget is split into
-/// `epoch_len`-execution epochs, each epoch runs sharded under the
-/// current mix, and `policy` (`fixed`, `ucb1[@c]`, `exp3[@eta]`)
-/// reweights the mix between epochs from the per-strategy detection
-/// columns. Deterministic and worker-count independent like every
-/// fixed-budget campaign (see `c11tester-adaptive`).
-#[allow(clippy::too_many_arguments)]
-pub fn campaign_adaptive_runs<F>(
-    policy: Policy,
-    seed: u64,
-    executions: u64,
-    epoch_len: u64,
-    workers: Option<usize>,
-    mix: &c11tester::StrategyMix,
-    reweighter: &str,
-    body: F,
-) -> c11tester_adaptive::AdaptiveReport
-where
-    F: Fn() + Send + Sync,
-{
-    let config = Config::for_policy(policy)
-        .with_seed(seed)
-        .with_mix(mix.clone());
-    let mut campaign = c11tester_adaptive::AdaptiveCampaign::new(config)
-        .with_epoch_len(epoch_len)
-        .with_policy(reweighter)
-        .expect("valid reweighting policy");
-    if let Some(w) = workers {
-        campaign = campaign.with_workers(w);
-    }
-    campaign.run(&CampaignBudget::executions(executions), body)
-}
-
-/// Mean wall time per execution of a campaign, as a [`Timing`] (the
-/// campaign amortizes over all cores; `rsd` is not observable per
-/// execution and reported as 0).
-pub fn campaign_timing(report: &CampaignReport) -> Timing {
+/// Mean wall time per execution of a campaign, in milliseconds (the
+/// campaign amortizes over all cores).
+pub fn campaign_mean_ms(report: &CampaignReport) -> f64 {
     let execs = report.aggregate.executions.max(1);
-    Timing {
-        mean: report.wall_time.div_f64(execs as f64),
-        rsd: 0.0,
-        runs: u32::try_from(execs).unwrap_or(u32::MAX),
-    }
+    report.wall_time.as_secs_f64() * 1e3 / execs as f64
+}
+
+/// One table row's tool columns: `cell` rendered for each value and
+/// joined by a space. Every table passes [`Policy::all`] (header) or
+/// `Policy::all().map(measure)` (rows), so the tools always appear in
+/// the paper's column order.
+pub fn columns<T>(values: &[T], cell: impl Fn(&T) -> String) -> String {
+    values.iter().map(cell).collect::<Vec<_>>().join(" ")
 }
 
 /// Summarizes a set of duration samples.
@@ -246,11 +187,6 @@ pub fn runs_from_env(default: u32) -> u32 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-/// Builds the paper-faithful model for a policy with a given seed.
-pub fn paper_model(policy: Policy, seed: u64) -> Model {
-    Model::new(Config::for_policy(policy).with_seed(seed))
 }
 
 /// Prints a horizontal rule sized for our tables.

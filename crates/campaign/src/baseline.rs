@@ -13,10 +13,10 @@
 //! recursive-descent JSON reader — enough to load the reports this
 //! workspace's own emitter produces (any conforming RFC 8259 document
 //! parses). [`BaselineSummary`] extracts the comparable surface from
-//! `c11campaign/v2`, `/v3`, **and** `/v4` canonical documents (and the
-//! `--json` full form, which wraps the canonical object under a
-//! `"campaign"` key): aggregate detection rates, the per-strategy
-//! columns, and — for v4 — the crash count. The schema family is
+//! `c11campaign/v4` canonical documents (and the `--json` full form,
+//! which wraps the canonical object under a `"campaign"` key):
+//! aggregate detection rates, the per-strategy columns, and the crash
+//! count. Older schema versions are rejected by name. The schema is
 //! documented field-by-field in `docs/SCHEMA.md`.
 
 use std::collections::BTreeMap;
@@ -291,8 +291,7 @@ pub struct StrategyRates {
 /// diffs between two runs.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BaselineSummary {
-    /// Schema of the source document (`c11campaign/v2`, `/v3`, or
-    /// `/v4`).
+    /// Schema of the source document (`c11campaign/v4`).
     pub schema: String,
     /// Base seed of the campaign.
     pub base_seed: u64,
@@ -304,17 +303,19 @@ pub struct BaselineSummary {
     pub race_detection_rate: f64,
     /// Aggregate bug detection rate.
     pub bug_detection_rate: f64,
-    /// Executions that crashed their worker process (v4; `0` for v2/v3
-    /// documents, which predate crash accounting).
+    /// Executions that crashed their worker process.
     pub crashes: u64,
     /// Per-strategy columns keyed by strategy spec.
     pub per_strategy: BTreeMap<String, StrategyRates>,
 }
 
+/// The one schema [`BaselineSummary::parse`] reads.
+const SCHEMA: &str = "c11campaign/v4";
+
 impl BaselineSummary {
-    /// Extracts the summary from a canonical `c11campaign/v2`, `/v3`,
-    /// or `/v4` JSON document, or from the `--json` full form (which
-    /// wraps the canonical object under a `"campaign"` key).
+    /// Extracts the summary from a canonical `c11campaign/v4` JSON
+    /// document, or from the `--json` full form (which wraps the
+    /// canonical object under a `"campaign"` key).
     pub fn parse(text: &str) -> Result<BaselineSummary, String> {
         let doc = JsonValue::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
         // Unwrap the full form's {"campaign": {...}, "timing": {...}}.
@@ -323,13 +324,8 @@ impl BaselineSummary {
             .get("schema")
             .and_then(JsonValue::as_str)
             .ok_or("missing `schema` field")?;
-        if !matches!(
-            schema,
-            "c11campaign/v2" | "c11campaign/v3" | "c11campaign/v4"
-        ) {
-            return Err(format!(
-                "unsupported schema `{schema}` (expected c11campaign/v2, v3, or v4)"
-            ));
+        if schema != SCHEMA {
+            return Err(format!("unsupported schema `{schema}` (expected {SCHEMA})"));
         }
         let u64_field = |key: &str| {
             doc.get(key)
@@ -378,8 +374,7 @@ impl BaselineSummary {
             executions: u64_field("executions")?,
             race_detection_rate: f64_field("race_detection_rate")?,
             bug_detection_rate: f64_field("bug_detection_rate")?,
-            // v2/v3 documents predate crash accounting: default 0.
-            crashes: doc.get("crashes").and_then(JsonValue::as_u64).unwrap_or(0),
+            crashes: u64_field("crashes")?,
             per_strategy,
         })
     }
@@ -593,7 +588,7 @@ mod tests {
     #[test]
     fn diff_flags_regressions_beyond_the_threshold_only() {
         let base = BaselineSummary {
-            schema: "c11campaign/v2".to_string(),
+            schema: SCHEMA.to_string(),
             base_seed: 1,
             strategy: "random:1,pct2:1".to_string(),
             executions: 100,
@@ -647,6 +642,13 @@ mod tests {
         // Improvements never count as regressions.
         assert!(!BaselineDiff::compare(&base, &worse, 0.05).regressed());
         assert!(diff.to_string().contains("REGRESSED"));
+        // A crash-count mismatch is surfaced as a note, not a
+        // regression.
+        let mut crashed = base.clone();
+        crashed.crashes = 3;
+        let diff = BaselineDiff::compare(&crashed, &base, 0.05);
+        assert!(!diff.regressed());
+        assert!(diff.notes.iter().any(|n| n.contains("crash counts differ")));
     }
 
     #[test]
@@ -659,30 +661,18 @@ mod tests {
     }
 
     #[test]
-    fn pre_crash_schemas_still_parse_with_zero_crashes() {
-        // A literal v2 document (the pre-v4 canonical shape, no
-        // `crashes` scalar): saved baselines from older runs must keep
-        // loading after the v4 bump.
-        let v2 = r#"{"schema":"c11campaign/v2","base_seed":7,"policy":"C11Tester",
-            "strategy":"random:1","budget":{"max_executions":4,"deadline_secs":null,
-            "stop_on_first_bug":false},"stop_reason":"budget-exhausted",
-            "executions":4,"executions_with_race":2,"executions_with_bug":2,
-            "race_detection_rate":0.5,"bug_detection_rate":0.5,
-            "per_strategy":[{"strategy":"random","executions":4,
-            "executions_with_race":2,"executions_with_bug":2,
-            "race_detection_rate":0.5,"bug_detection_rate":0.5,
-            "distinct_races":1}],"distinct_races":[],"failures":[]}"#;
-        let summary = BaselineSummary::parse(v2).expect("v2 documents stay readable");
-        assert_eq!(summary.schema, "c11campaign/v2");
-        assert_eq!(summary.crashes, 0);
-        assert_eq!(summary.executions, 4);
-        // And a crash-count mismatch is surfaced as a note, not a
-        // regression.
-        let mut v4 = summary.clone();
-        v4.schema = "c11campaign/v4".to_string();
-        v4.crashes = 3;
-        let diff = BaselineDiff::compare(&v4, &summary, 0.05);
-        assert!(!diff.regressed());
-        assert!(diff.notes.iter().any(|n| n.contains("crash counts differ")));
+    fn old_schemas_are_rejected_naming_found_and_expected() {
+        // No emitter has written a pre-crash-accounting schema since
+        // v4 landed: a saved baseline that old must be regenerated,
+        // and the error says which schema it found and which it reads.
+        let old = "c11campaign/v2";
+        let doc = format!(
+            r#"{{"schema":"{old}","base_seed":7,"strategy":"random:1","executions":4,
+            "race_detection_rate":0.5,"bug_detection_rate":0.5,"per_strategy":[]}}"#
+        );
+        assert_eq!(
+            BaselineSummary::parse(&doc).unwrap_err(),
+            format!("unsupported schema `{old}` (expected c11campaign/v4)")
+        );
     }
 }

@@ -1,12 +1,10 @@
 //! Shared CLI plumbing for the workspace binaries.
 //!
-//! `c11campaign` and `c11bench` grew their own copies of the same two
-//! fragments — a decimal/hex number parser and the flag-error epilogue
-//! — and the copies drifted (one printed `error: <msg>` followed by a
-//! blank line and the usage text, the other squeezed the usage onto
-//! the message's trailing newline). Scripted callers that match on
-//! stderr care about the exact shape, so both binaries now route
-//! through these helpers and cannot diverge again.
+//! `c11campaign`, `c11fuzz` and `paper-tables` share two fragments — a
+//! decimal/hex number parser and the flag-error epilogue. Scripted
+//! callers that match on stderr care about the exact shape (`error:
+//! <msg>`, a blank line, the usage text, exit 2), so every binary
+//! routes through these helpers and none can drift.
 
 use std::process::ExitCode;
 

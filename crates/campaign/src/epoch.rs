@@ -8,7 +8,7 @@
 //! between epochs from the per-strategy detection columns. The
 //! [`EpochTrace`] is the closed-loop run's canonical record: one
 //! [`EpochRecord`] per epoch (mix, per-strategy columns, aggregate)
-//! plus the overall aggregate, serialized as `c11campaign/v3`
+//! plus the overall aggregate, serialized as `c11campaign/v4`
 //! canonical JSON.
 //!
 //! Determinism: every epoch keeps the campaign's **base seed** and
@@ -90,11 +90,11 @@ pub struct EpochTrace {
 }
 
 impl EpochTrace {
-    /// The canonical (worker-count independent) `c11campaign/v3` JSON
-    /// form: the v2 aggregate fields plus an `adaptive` header and an
-    /// `epochs` array carrying each epoch's mix, per-strategy columns,
-    /// and running cumulative totals. Byte-identical for any worker
-    /// count over a fixed budget.
+    /// The canonical (worker-count independent) `c11campaign/v4` JSON
+    /// form: the plain report's aggregate fields plus an `adaptive`
+    /// header and an `epochs` array carrying each epoch's mix,
+    /// per-strategy columns, and running cumulative totals.
+    /// Byte-identical for any worker count over a fixed budget.
     pub fn canonical_json(&self) -> String {
         json::canonical_trace(self)
     }

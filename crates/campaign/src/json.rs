@@ -218,7 +218,7 @@ fn json_opt_u64(v: Option<u64>) -> String {
 
 /// The canonical (worker-count independent) object.
 ///
-/// Schema history: `c11campaign/v2` added the `per_strategy` column
+/// Schema history: version 2 added the `per_strategy` column
 /// array (one row per strategy spec that drove at least one execution,
 /// sorted by spec) on top of v1's aggregate, and made `strategy` the
 /// canonical spec / mix label instead of a Debug rendering.
@@ -252,8 +252,9 @@ pub(crate) fn canonical_with(r: &CampaignReport, alloc: bool) -> String {
 
 /// The canonical epoch-trace object for adaptive campaigns.
 ///
-/// Schema `c11campaign/v3` kept every v2 aggregate field (same names,
-/// same order — a v2 reader sees a superset) and added:
+/// Introduced as schema version 3, which kept every plain-report
+/// aggregate field (same names, same order — a plain-report reader
+/// sees a superset) and added:
 ///
 /// * an `adaptive` header (`policy`, `epoch_len`, `initial_mix`,
 ///   `epochs`);

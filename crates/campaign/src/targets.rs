@@ -154,8 +154,9 @@ pub fn all() -> Vec<Target> {
         body: Body::Free(ds::crashy::run_spin_forever),
     });
     // Scaled-up variants whose per-location histories (and mo-graph)
-    // grow well past the litmus scale: the coherence-graph benchmark
-    // group (`c11bench --targets group:graph`).
+    // grow well past the litmus scale: the coherence-graph group
+    // (`group:graph`; the determinism fixtures and c11perf's `app`
+    // workload run on it).
     targets.push(Target {
         name: "mpmc-queue-large",
         group: "graph",

@@ -79,6 +79,18 @@ impl Policy {
     pub fn all() -> [Policy; 3] {
         [Policy::C11Tester, Policy::Tsan11Rec, Policy::Tsan11]
     }
+
+    /// The inverse of [`Policy::name`], ASCII-case-insensitive (CLI
+    /// flags spell it `c11tester`).
+    pub fn parse(name: &str) -> Result<Policy, String> {
+        Policy::all()
+            .into_iter()
+            .find(|p| p.name().eq_ignore_ascii_case(name))
+            .ok_or_else(|| {
+                let valid = Policy::all().map(Policy::name).join(", ");
+                format!("unknown policy `{name}` (expected one of: {valid})")
+            })
+    }
 }
 
 impl fmt::Display for Policy {
@@ -107,5 +119,19 @@ mod tests {
         assert_eq!(Policy::Tsan11.to_string(), "tsan11");
         assert_eq!(Policy::Tsan11Rec.to_string(), "tsan11rec");
         assert_eq!(Policy::default(), Policy::C11Tester);
+    }
+
+    #[test]
+    fn parse_round_trips_every_name_and_lists_them_on_rejection() {
+        for policy in Policy::all() {
+            assert_eq!(Policy::parse(policy.name()), Ok(policy));
+            assert_eq!(Policy::parse(&policy.name().to_lowercase()), Ok(policy));
+            assert_eq!(Policy::parse(&policy.name().to_uppercase()), Ok(policy));
+        }
+        assert_eq!(
+            Policy::parse("tsan12"),
+            Err("unknown policy `tsan12` (expected one of: C11Tester, tsan11rec, tsan11)".into())
+        );
+        assert!(Policy::parse("").is_err());
     }
 }

@@ -11,7 +11,9 @@
 //! * per-thread read-read coherence over the lifted execution;
 //! * the restricted tsan11 fragment only produces a *subset* of the
 //!   full fragment's feasible reads;
-//! * conservative pruning never changes feasible read sets.
+//! * conservative pruning never changes feasible read sets;
+//! * an [`Execution`] recycled by `reset` is indistinguishable from a
+//!   fresh one, whatever ran on it before.
 //!
 //! The harness generates its cases with the workspace's deterministic
 //! `rand` shim (the offline environment has no proptest): each property
@@ -112,17 +114,42 @@ fn for_random_programs(name: &str, max_len: usize, mut property: impl FnMut(&[Op
     }
 }
 
-/// Replays `ops` on an execution, recording `(thread, obj, store)` for
-/// every committed read. Returns the execution and the read log.
+/// Replays `ops` on a fresh execution, recording `(thread, obj, store)`
+/// for every committed read. Returns the execution and the read log.
 fn replay(
     policy: Policy,
     prune: PruneConfig,
     ops: &[Op],
 ) -> (Execution, Vec<(ThreadId, ObjId, StoreIdx)>) {
     let mut e = Execution::with_pruning(policy, prune);
+    let reads = replay_on(&mut e, ops).reads;
+    (e, reads)
+}
+
+/// One feasible read candidate, identified beyond its arena index: the
+/// store's thread, sequence number and value.
+type Candidate = (StoreIdx, ThreadId, u64, u64);
+
+/// What a replay observed.
+struct Replay {
+    /// The feasible read set offered at every load/RMW.
+    feasible: Vec<Vec<Candidate>>,
+    /// `(thread, obj, store)` of every committed read.
+    reads: Vec<(ThreadId, ObjId, StoreIdx)>,
+}
+
+/// Replays `ops` on `e` (fresh or just `reset`).
+fn replay_on(e: &mut Execution, ops: &[Op]) -> Replay {
     let mut threads = vec![ThreadId::MAIN];
     let objs: Vec<ObjId> = (0..3).map(|_| e.new_object()).collect();
+    let mut feasible = Vec::new();
     let mut reads = Vec::new();
+    let describe = |e: &Execution, cands: &[StoreIdx]| -> Vec<Candidate> {
+        cands
+            .iter()
+            .map(|&s| (s, e.store(s).tid, e.store(s).seq.0, e.store_value(s)))
+            .collect()
+    };
     for op in ops {
         match *op {
             Op::Store { t, obj, order, val } => {
@@ -139,6 +166,7 @@ fn replay(
                 let t = threads[t as usize % threads.len()];
                 let obj = objs[obj as usize % objs.len()];
                 let cands = e.feasible_read_candidates(t, obj, order_of(order), false);
+                feasible.push(describe(e, &cands));
                 if !cands.is_empty() {
                     let c = cands[choice as usize % cands.len()];
                     e.commit_load(t, obj, order_of(order), c);
@@ -154,6 +182,7 @@ fn replay(
                 let t = threads[t as usize % threads.len()];
                 let obj = objs[obj as usize % objs.len()];
                 let cands = e.feasible_read_candidates(t, obj, order_of(order), true);
+                feasible.push(describe(e, &cands));
                 if !cands.is_empty() {
                     let c = cands[choice as usize % cands.len()];
                     let old = e.store_value(c);
@@ -173,7 +202,7 @@ fn replay(
             }
         }
     }
-    (e, reads)
+    Replay { feasible, reads }
 }
 
 /// The mo-graph stays acyclic and Theorem 1 holds after any program.
@@ -439,4 +468,45 @@ fn conservative_pruning_is_invisible() {
             }
         }
     });
+}
+
+/// `reset` leaves nothing behind: every program runs on one long-lived
+/// execution, reset between programs, and on a fresh one, and the two
+/// must agree on every feasible read set, every committed read and the
+/// final statistics. The pruning mode and policy rotate per program, so
+/// a reset follows unpruned, pruned, compacted and RMW-heavy runs of
+/// either fragment.
+#[test]
+fn recycled_execution_equals_fresh() {
+    let prunes = [
+        PruneConfig::disabled(),
+        PruneConfig::conservative(8),
+        PruneConfig::memory_limited(2),
+    ];
+    let policies = [Policy::C11Tester, Policy::Tsan11];
+    let mut recycled = Execution::new(Policy::C11Tester);
+    let mut case = 0;
+    // The sweep must actually exercise the state `reset` has to clear.
+    let (mut rmws, mut pruned, mut compactions) = (0, 0, 0);
+    for_random_programs("recycled_execution_equals_fresh", 400, |ops| {
+        let (policy, prune) = (policies[case % 2], prunes[case % 3]);
+        case += 1;
+        recycled.reset(policy, prune);
+        let on_recycled = replay_on(&mut recycled, ops);
+        let mut fresh = Execution::with_pruning(policy, prune);
+        let on_fresh = replay_on(&mut fresh, ops);
+        assert_eq!(on_recycled.feasible, on_fresh.feasible, "read sets differ");
+        assert_eq!(on_recycled.reads, on_fresh.reads, "committed reads differ");
+        // `ExecStats` equality skips the diagnostics; of those only
+        // `alloc` may tell recycled from fresh.
+        recycled.finalize_alloc_stats();
+        fresh.finalize_alloc_stats();
+        let (got, want) = (recycled.stats(), fresh.stats());
+        assert_eq!(got, want, "behavioral statistics differ");
+        assert_eq!(got.mograph_perf, want.mograph_perf, "graph work differs");
+        rmws += want.rmws;
+        pruned += want.pruned_stores;
+        compactions += want.mograph_perf.compactions;
+    });
+    assert!(rmws > 0 && pruned > 0 && compactions > 0, "vacuous sweep");
 }

@@ -68,7 +68,7 @@ impl WorkerSpec {
             "--seed".to_string(),
             self.seed.to_string(),
             "--policy".to_string(),
-            policy_flag(self.policy).to_string(),
+            self.policy.name().to_string(),
             "--first-index".to_string(),
             self.first_index.to_string(),
             "--executions".to_string(),
@@ -154,23 +154,6 @@ impl WorkerSpec {
     }
 }
 
-fn policy_flag(policy: Policy) -> &'static str {
-    match policy {
-        Policy::C11Tester => "c11tester",
-        Policy::Tsan11 => "tsan11",
-        Policy::Tsan11Rec => "tsan11rec",
-    }
-}
-
-fn parse_policy_flag(name: &str) -> Result<Policy, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "c11tester" => Ok(Policy::C11Tester),
-        "tsan11" => Ok(Policy::Tsan11),
-        "tsan11rec" => Ok(Policy::Tsan11Rec),
-        other => Err(format!("unknown policy `{other}`")),
-    }
-}
-
 /// Parses the argument list *after* the leading `--worker` flag (the
 /// inverse of [`WorkerSpec::to_args`]).
 pub fn parse_worker_args(argv: impl Iterator<Item = String>) -> Result<WorkerSpec, String> {
@@ -191,7 +174,7 @@ pub fn parse_worker_args(argv: impl Iterator<Item = String>) -> Result<WorkerSpe
         match flag.as_str() {
             "--target" => target = Some(value()?),
             "--seed" => seed = Some(parse_u64(&value()?)?),
-            "--policy" => policy = parse_policy_flag(&value()?)?,
+            "--policy" => policy = Policy::parse(&value()?)?,
             "--mix" => {
                 let spec = value()?;
                 StrategyMix::parse(&spec)?; // validate eagerly
