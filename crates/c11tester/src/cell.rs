@@ -20,11 +20,13 @@ pub struct Shared<T> {
     cell: UnsafeCell<T>,
 }
 
-// Safety: the controlled runtime sequentializes model threads; at most
-// one thread executes (and thus touches `cell`) at any instant. Racy
-// programs are *detected* via the shadow memory rather than performing
-// overlapping accesses.
+// SAFETY: owning the cell owns its value, and `T: Send`.
 unsafe impl<T: Send> Send for Shared<T> {}
+// SAFETY: the controlled runtime sequentializes model threads; at most
+// one thread executes (and thus touches `cell`) at any instant, and
+// `get`/`set` copy the value in or out without handing out a
+// reference. Racy programs are *detected* via the shadow memory rather
+// than performing overlapping accesses.
 unsafe impl<T: Send> Sync for Shared<T> {}
 
 impl<T: Copy> Shared<T> {
@@ -55,12 +57,14 @@ impl<T: Copy> Shared<T> {
     /// Non-atomic read.
     pub fn get(&self) -> T {
         ctx::nonatomic_read(self.obj, 0);
+        // SAFETY: only the run-token holder executes (see `Sync`).
         unsafe { *self.cell.get() }
     }
 
     /// Non-atomic write.
     pub fn set(&self, value: T) {
         ctx::nonatomic_write(self.obj, 0);
+        // SAFETY: only the run-token holder executes (see `Sync`).
         unsafe {
             *self.cell.get() = value;
         }
@@ -83,8 +87,9 @@ pub struct SharedArray<T> {
     cells: Vec<UnsafeCell<T>>,
 }
 
-// Safety: same argument as `Shared<T>`.
+// SAFETY: same argument as `Shared<T>`.
 unsafe impl<T: Send> Send for SharedArray<T> {}
+// SAFETY: same argument as `Shared<T>`, per element.
 unsafe impl<T: Send> Sync for SharedArray<T> {}
 
 impl<T: Copy> SharedArray<T> {
@@ -125,6 +130,7 @@ impl<T: Copy> SharedArray<T> {
     /// Panics if `ix` is out of bounds.
     pub fn get(&self, ix: usize) -> T {
         ctx::nonatomic_read(self.obj, ix as u32);
+        // SAFETY: only the run-token holder executes (see `Shared`).
         unsafe { *self.cells[ix].get() }
     }
 
@@ -135,6 +141,7 @@ impl<T: Copy> SharedArray<T> {
     /// Panics if `ix` is out of bounds.
     pub fn set(&self, ix: usize, value: T) {
         ctx::nonatomic_write(self.obj, ix as u32);
+        // SAFETY: only the run-token holder executes (see `Shared`).
         unsafe {
             *self.cells[ix].get() = value;
         }

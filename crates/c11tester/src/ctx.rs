@@ -9,21 +9,33 @@
 //! parks. When it is next picked, it performs its pending operation and
 //! continues. The *write-run* rule skips the decision while a thread
 //! performs consecutive relaxed/release plain stores (Fig. 4).
+//!
+//! Each operation takes the engine once ([`EngineCell::borrow`]): the
+//! decision, the operation and the budget check share one borrow, which
+//! ends before any `wake`/`park`/`poison` — the token holder owns the
+//! engine, so it must let go before the token moves.
 
-use crate::engine::{Engine, WaitReason};
+use crate::engine::{Engine, EngineCell, EngineRef, WaitReason};
 use crate::report::Failure;
 use c11tester_core::{MemOrder, ObjId, StoreKind, ThreadId};
 use c11tester_race::AccessKind;
 use c11tester_runtime::{Aborted, Runtime};
 use c11tester_telemetry::{phase_start, Phase};
-use parking_lot::Mutex;
-use std::cell::RefCell;
-use std::sync::Arc;
+use std::cell::Cell;
+use std::marker::PhantomData;
+use std::sync::{Arc, Weak};
 
-/// Shared state of one running execution.
+/// The execution context of one `Model`: built at its first execution,
+/// reset in place for each later one.
 pub(crate) struct ModelCtx {
-    pub engine: Mutex<Engine>,
+    /// Borrowed by whoever holds the run token, and let go before the
+    /// token moves (see [`EngineCell`]).
+    pub engine: EngineCell,
     pub runtime: Arc<Runtime>,
+    /// Volatile access orders of the model's configuration.
+    volatile_orders: (MemOrder, MemOrder),
+    /// The `Arc` this context lives in, for spawned threads' bodies.
+    me: Weak<ModelCtx>,
 }
 
 impl std::fmt::Debug for ModelCtx {
@@ -32,31 +44,61 @@ impl std::fmt::Debug for ModelCtx {
     }
 }
 
+impl ModelCtx {
+    pub(crate) fn new(
+        engine: Engine,
+        runtime: Arc<Runtime>,
+        volatile_orders: (MemOrder, MemOrder),
+    ) -> Arc<Self> {
+        Arc::new_cyclic(|me| ModelCtx {
+            engine: EngineCell::new(engine),
+            runtime,
+            volatile_orders,
+            me: Weak::clone(me),
+        })
+    }
+
+    /// An owned handle to this context.
+    pub(crate) fn handle(&self) -> Arc<ModelCtx> {
+        self.me.upgrade().expect("a bound context is alive")
+    }
+}
+
 thread_local! {
-    static CURRENT: RefCell<Option<(Arc<ModelCtx>, ThreadId)>> = const { RefCell::new(None) };
+    /// The binding: the context of the execution this OS thread is
+    /// running model code for, null outside one. A plain pointer — no
+    /// borrow flag, lazy initialization or destructor — because it is
+    /// read on every model operation. Which *model thread* is running
+    /// is not stored here: it is the slot holding the run token
+    /// ([`Runtime::current_slot`]), under fibers and pooled OS threads
+    /// alike.
+    static CURRENT: Cell<*const ModelCtx> = const { Cell::new(std::ptr::null()) };
 }
 
-/// Binds the calling OS thread to a model thread for the duration of
-/// the execution.
-pub(crate) fn set_current(ctx: Arc<ModelCtx>, tid: ThreadId) {
+/// Keeps the calling OS thread bound to a context; dropping it restores
+/// the previous binding (null, except that fibers re-bind the context
+/// their driver thread already has).
+pub(crate) struct Bound<'a> {
+    previous: *const ModelCtx,
+    _ctx: PhantomData<&'a ModelCtx>,
+}
+
+/// Binds the calling OS thread to `ctx` for as long as the returned
+/// guard lives: the driver for the whole execution, a model thread for
+/// its body. Pooled workers outlive executions, so the guard — dropped
+/// on the `Aborted` unwind too — is what keeps a stale binding from
+/// surviving into the next one.
+pub(crate) fn bind(ctx: &Arc<ModelCtx>) -> Bound<'_> {
     install_quiet_panic_hook();
-    CURRENT.with(|c| *c.borrow_mut() = Some((ctx, tid)));
+    Bound {
+        previous: CURRENT.with(|c| c.replace(Arc::as_ptr(ctx))),
+        _ctx: PhantomData,
+    }
 }
 
-/// Clears the binding (driver teardown).
-pub(crate) fn clear_current() {
-    CURRENT.with(|c| *c.borrow_mut() = None);
-}
-
-/// Guard that clears the model-thread binding when dropped — used by
-/// pooled model-thread bodies, which must not leave a stale
-/// `Arc<ModelCtx>` in the worker's TLS between executions. Dropping
-/// during an `Aborted` unwind is fine: `clear_current` never panics.
-pub(crate) struct ClearCurrentOnDrop;
-
-impl Drop for ClearCurrentOnDrop {
+impl Drop for Bound<'_> {
     fn drop(&mut self) {
-        clear_current();
+        CURRENT.with(|c| c.set(self.previous));
     }
 }
 
@@ -69,7 +111,8 @@ fn install_quiet_panic_hook() {
     HOOK.call_once(|| {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let in_model = CURRENT.try_with(|c| c.borrow().is_some()).unwrap_or(false);
+            // Reading the pointer cannot itself panic.
+            let in_model = CURRENT.try_with(|c| !c.get().is_null()).unwrap_or(false);
             if !in_model {
                 previous(info);
             }
@@ -77,30 +120,28 @@ fn install_quiet_panic_hook() {
     });
 }
 
-/// Runs `f` with the current model context.
+/// Runs `f` with the current model context and the id of the model
+/// thread holding the run token.
 ///
 /// # Panics
 ///
 /// Panics when called outside a model execution — model types
 /// (`c11tester::sync::atomic::*`, `c11tester::thread`, …) only work
 /// inside [`crate::Model::run`].
-pub(crate) fn with_ctx<R>(f: impl FnOnce(&Arc<ModelCtx>, ThreadId) -> R) -> R {
-    CURRENT.with(|c| {
-        let borrow = c.borrow();
-        let (ctx, tid) = borrow
-            .as_ref()
-            .expect("c11tester model operation used outside Model::run");
-        // Fiber handover multiplexes every model thread onto the
-        // driver's OS thread, so the identity of the current model
-        // thread is the currently-running fiber slot, not the
-        // OS-thread-local binding (the inverse of the paper's §7.4
-        // thread-context borrowing: one context, many model threads).
-        let tid = match ctx.runtime.current_fiber_slot() {
-            Some(slot) => ThreadId::from_index(slot),
-            None => *tid,
-        };
-        f(ctx, tid)
-    })
+#[inline]
+pub(crate) fn with_ctx<R>(f: impl FnOnce(&ModelCtx, ThreadId) -> R) -> R {
+    let ctx = CURRENT.with(Cell::get);
+    assert!(
+        !ctx.is_null(),
+        "c11tester model operation used outside Model::run"
+    );
+    // SAFETY: a non-null binding was written by `bind` from an
+    // `Arc<ModelCtx>` that the still-live `Bound` guard borrows (guards
+    // restore the previous value on drop, and every guard stacked on
+    // this OS thread — a driver and its fibers — holds the same
+    // pointer), so the pointee is alive for the duration of `f`.
+    let ctx = unsafe { &*ctx };
+    f(ctx, ThreadId::from_index(ctx.runtime.current_slot()))
 }
 
 /// Raises the abort payload, unwinding the model thread.
@@ -108,8 +149,12 @@ fn abort() -> ! {
     std::panic::panic_any(Aborted)
 }
 
-/// Checks for a poisoned execution; unwinds unless already panicking
-/// (so `Drop` code running during an abort stays quiet).
+/// Checks for a poisoned execution and unwinds the caller out of it —
+/// unless it is already unwinding: then this returns `false` and the
+/// operation runs in place (no scheduling decision, no blocking), so
+/// `Drop` code during an abort neither re-raises nor waits. Such an
+/// operation still reaches the engine; [`EngineCell`] says why that is
+/// exclusive.
 pub(crate) fn poison_check(ctx: &ModelCtx) -> bool {
     if ctx.runtime.is_poisoned() {
         if std::thread::panicking() {
@@ -129,35 +174,47 @@ pub(crate) enum OpClass {
     Other,
 }
 
-/// A scheduling decision point before a visible operation.
-pub(crate) fn schedule_point(ctx: &Arc<ModelCtx>, tid: ThreadId, class: OpClass) {
+/// A scheduling decision point before a visible operation. Returns the
+/// engine, borrowed once the calling thread is the one to run, for the
+/// operation itself.
+pub(crate) fn schedule_point(ctx: &ModelCtx, tid: ThreadId, class: OpClass) -> EngineRef<'_> {
+    schedule_point_with(ctx, ctx.engine.borrow(), tid, class)
+}
+
+/// [`schedule_point`] for a caller that already took the engine.
+fn schedule_point_with<'a>(
+    ctx: &'a ModelCtx,
+    mut eng: EngineRef<'a>,
+    tid: ThreadId,
+    class: OpClass,
+) -> EngineRef<'a> {
     if !poison_check(ctx) {
-        return;
+        return eng;
     }
-    let next = {
-        let mut eng = ctx.engine.lock();
-        // Write-run rule: consecutive relaxed/release plain stores by
-        // the same thread run without interruption.
-        if let OpClass::Store(order) = class {
-            if matches!(order, MemOrder::Relaxed | MemOrder::Release) && eng.exec.in_store_run(tid)
-            {
-                return;
-            }
+    // Write-run rule: consecutive relaxed/release plain stores by the
+    // same thread run without interruption.
+    if let OpClass::Store(MemOrder::Relaxed | MemOrder::Release) = class {
+        if eng.exec.in_store_run(tid) {
+            return eng;
         }
-        // The announcing thread is running, so it must be Runnable —
-        // a Blocked/Finished thread reaching a schedule point is an
-        // engine state-machine bug.
-        debug_assert!(
-            eng.is_runnable(tid),
-            "scheduling thread {tid:?} must be runnable"
-        );
-        eng.next_runnable(tid)
-            .expect("schedule point with no runnable thread")
-    };
+    }
+    // The announcing thread is running, so it must be Runnable — a
+    // Blocked/Finished thread reaching a schedule point is an engine
+    // state-machine bug.
+    debug_assert!(
+        eng.is_runnable(tid),
+        "scheduling thread {tid:?} must be runnable"
+    );
+    let next = eng
+        .next_runnable(tid)
+        .expect("schedule point with no runnable thread");
     if next != tid {
+        drop(eng);
         ctx.runtime.wake(next.index());
         park(ctx, tid);
+        eng = ctx.engine.borrow();
     }
+    eng
 }
 
 /// Parks the current model thread until it is scheduled again.
@@ -171,22 +228,24 @@ pub(crate) fn park(ctx: &ModelCtx, tid: ThreadId) {
 }
 
 /// Blocks the current thread for `reason`, hands the token onward, and
-/// returns once rescheduled. Detects deadlock.
-pub(crate) fn block_and_yield(ctx: &Arc<ModelCtx>, tid: ThreadId, reason: WaitReason) {
+/// returns — with the engine borrowed again — once rescheduled. Detects
+/// deadlock. Takes the caller's borrow so that finding the resource
+/// busy and blocking on it are one engine access.
+pub(crate) fn block_and_yield<'a>(
+    ctx: &'a ModelCtx,
+    mut eng: EngineRef<'a>,
+    tid: ThreadId,
+    reason: WaitReason,
+) -> EngineRef<'a> {
     if !poison_check(ctx) {
-        return;
+        return eng;
     }
-    let next = {
-        let mut eng = ctx.engine.lock();
-        eng.block(tid, reason);
-        match eng.next_runnable(tid) {
-            Some(next) => Some(next),
-            None => {
-                eng.fail(Failure::Deadlock);
-                None
-            }
-        }
-    };
+    eng.block(tid, reason);
+    let next = eng.next_runnable(tid);
+    if next.is_none() {
+        eng.fail(Failure::Deadlock);
+    }
+    drop(eng);
     match next {
         None => {
             ctx.runtime.poison();
@@ -199,49 +258,71 @@ pub(crate) fn block_and_yield(ctx: &Arc<ModelCtx>, tid: ThreadId, reason: WaitRe
             // Rescheduled: our status was set Runnable by the unblocker.
         }
     }
+    ctx.engine.borrow()
+}
+
+/// What the token does once a thread has finished.
+enum AfterFinish {
+    /// Every thread has finished: the execution is complete.
+    Complete,
+    /// The strategy's pick runs next.
+    Switch(ThreadId),
+    /// Nothing is runnable: a deadlock, already recorded.
+    Deadlock,
+}
+
+/// Marks thread `tid` finished and asks the strategy who runs next.
+fn finish_thread(ctx: &ModelCtx, tid: ThreadId) -> AfterFinish {
+    let mut eng = ctx.engine.borrow();
+    eng.exec.sync_event(tid);
+    if eng.finish_thread(tid) {
+        return AfterFinish::Complete;
+    }
+    match eng.next_runnable(tid) {
+        Some(next) => AfterFinish::Switch(next),
+        None => {
+            eng.fail(Failure::Deadlock);
+            AfterFinish::Deadlock
+        }
+    }
 }
 
 /// Marks the current (non-main) thread finished and passes control on.
-pub(crate) fn thread_finished(ctx: &Arc<ModelCtx>, tid: ThreadId) {
+pub(crate) fn thread_finished(ctx: &ModelCtx, tid: ThreadId) {
     if ctx.runtime.is_poisoned() {
         return;
     }
-    enum Next {
-        WakeDriver,
-        Switch(ThreadId),
-        Poison,
-        Nothing,
+    match finish_thread(ctx, tid) {
+        // The driver is parked in `main_finished`.
+        AfterFinish::Complete => ctx.runtime.wake(ThreadId::MAIN.index()),
+        AfterFinish::Switch(next) => ctx.runtime.wake(next.index()),
+        AfterFinish::Deadlock => ctx.runtime.poison(),
     }
-    let action = {
-        let mut eng = ctx.engine.lock();
-        eng.exec.sync_event(tid);
-        if eng.finish_thread(tid) {
-            Next::WakeDriver
-        } else {
-            match eng.next_runnable(tid) {
-                None => {
-                    eng.fail(Failure::Deadlock);
-                    Next::Poison
-                }
-                Some(next) if next == tid => Next::Nothing, // unreachable: tid is Finished
-                Some(next) => Next::Switch(next),
-            }
+}
+
+/// The main thread finished its program: if other threads remain, hand
+/// the token onward and wait for the execution to complete.
+pub(crate) fn main_finished(ctx: &ModelCtx) {
+    let tid = ThreadId::MAIN;
+    if ctx.runtime.is_poisoned() {
+        return;
+    }
+    match finish_thread(ctx, tid) {
+        AfterFinish::Complete => {}
+        AfterFinish::Deadlock => ctx.runtime.poison(),
+        AfterFinish::Switch(next) => {
+            ctx.runtime.wake(next.index());
+            // Wait for completion (or abort): the last finishing
+            // thread wakes the driver, and so does a poisoner's exit.
+            // Any other wake is spurious: park again.
+            while ctx.runtime.park(tid.index()).is_ok() && !ctx.engine.borrow().completed {}
         }
-    };
-    match action {
-        Next::WakeDriver => ctx.runtime.wake(ThreadId::MAIN.index()),
-        Next::Switch(n) => ctx.runtime.wake(n.index()),
-        Next::Poison => ctx.runtime.poison(),
-        Next::Nothing => {}
     }
 }
 
 /// Records a fatal failure and aborts the whole execution.
-pub(crate) fn fail_execution(ctx: &Arc<ModelCtx>, failure: Failure) {
-    {
-        let mut eng = ctx.engine.lock();
-        eng.fail(failure);
-    }
+pub(crate) fn fail_execution(ctx: &ModelCtx, failure: Failure) {
+    ctx.engine.borrow().fail(failure);
     ctx.runtime.poison();
 }
 
@@ -253,7 +334,7 @@ pub(crate) fn fail_execution(ctx: &Arc<ModelCtx>, failure: Failure) {
 pub(crate) fn new_object(label: Option<String>, volatile: bool) -> ObjId {
     with_ctx(|ctx, _tid| {
         poison_check(ctx);
-        let mut eng = ctx.engine.lock();
+        let mut eng = ctx.engine.borrow();
         let obj = eng.exec.new_object();
         let label = label.unwrap_or_else(|| {
             eng.anon_objects += 1;
@@ -264,22 +345,37 @@ pub(crate) fn new_object(label: Option<String>, volatile: bool) -> ObjId {
     })
 }
 
+/// Reports an access to the race detector, timed as its phase.
+fn race_check(
+    eng: &mut Engine,
+    obj: ObjId,
+    offset: u32,
+    tid: ThreadId,
+    kind: AccessKind,
+    write: bool,
+) {
+    let timer = phase_start(Phase::RaceDetect);
+    let cv = eng.exec.thread_cv(tid);
+    if write {
+        eng.race.on_write(obj, offset, tid, cv, kind);
+    } else {
+        eng.race.on_read(obj, offset, tid, cv, kind);
+    }
+    if let Some(timer) = timer {
+        timer.stop(eng.exec.phase_mut());
+    }
+}
+
 /// `atomic_init`: a non-atomic initializing store (paper §7.2 — it is
 /// implemented as a non-atomic store and may race with concurrent
 /// atomic accesses). Not a scheduling point.
 pub(crate) fn atomic_init(obj: ObjId, value: u64) {
     with_ctx(|ctx, tid| {
         poison_check(ctx);
-        let mut eng = ctx.engine.lock();
-        let eng = &mut *eng;
+        let mut eng = ctx.engine.borrow();
         eng.exec
             .atomic_store(tid, obj, MemOrder::Relaxed, value, StoreKind::NonAtomic);
-        let timer = phase_start(Phase::RaceDetect);
-        eng.race
-            .on_write(obj, 0, tid, eng.exec.thread_cv(tid), AccessKind::NonAtomic);
-        if let Some(timer) = timer {
-            timer.stop(eng.exec.phase_mut());
-        }
+        race_check(&mut eng, obj, 0, tid, AccessKind::NonAtomic, true);
     });
 }
 
@@ -291,10 +387,13 @@ fn race_kind(kind: StoreKind) -> AccessKind {
     }
 }
 
-fn check_budget(ctx: &Arc<ModelCtx>, eng: &mut Engine) {
-    if !eng.within_budget() {
-        // The failure is recorded; poisoning makes every thread abort at
-        // its next operation.
+/// Ends an atomic operation: checks the event budget, lets go of the
+/// engine, and only then poisons if the budget is spent (the failure is
+/// recorded; every thread aborts at its next operation).
+fn finish_op(ctx: &ModelCtx, mut eng: EngineRef<'_>) {
+    let spent = !eng.within_budget();
+    drop(eng);
+    if spent {
         ctx.runtime.poison();
     }
 }
@@ -302,50 +401,32 @@ fn check_budget(ctx: &Arc<ModelCtx>, eng: &mut Engine) {
 /// An atomic (or volatile, or mixed-mode non-atomic) store.
 pub(crate) fn atomic_store(obj: ObjId, order: MemOrder, value: u64, kind: StoreKind) {
     with_ctx(|ctx, tid| {
-        schedule_point(ctx, tid, OpClass::Store(order));
-        let mut eng = ctx.engine.lock();
-        {
-            let eng = &mut *eng;
-            eng.exec.atomic_store(tid, obj, order, value, kind);
-            let timer = phase_start(Phase::RaceDetect);
-            eng.race
-                .on_write(obj, 0, tid, eng.exec.thread_cv(tid), race_kind(kind));
-            if let Some(timer) = timer {
-                timer.stop(eng.exec.phase_mut());
-            }
-        }
-        check_budget(ctx, &mut eng);
+        let mut eng = schedule_point(ctx, tid, OpClass::Store(order));
+        eng.exec.atomic_store(tid, obj, order, value, kind);
+        race_check(&mut eng, obj, 0, tid, race_kind(kind), true);
+        finish_op(ctx, eng);
     });
 }
 
 /// An atomic (or volatile) load; returns the value read.
 pub(crate) fn atomic_load(obj: ObjId, order: MemOrder, kind: StoreKind) -> u64 {
     with_ctx(|ctx, tid| {
-        schedule_point(ctx, tid, OpClass::Other);
-        let mut eng = ctx.engine.lock();
-        let value = {
-            let eng = &mut *eng;
-            // Candidate set computed into the engine's reusable buffer.
-            let mut cands = std::mem::take(&mut eng.cands_buf);
-            eng.exec
-                .feasible_read_candidates_into(tid, obj, order, false, &mut cands);
-            assert!(
-                !cands.is_empty(),
-                "atomic load from an object with no feasible store — was the atomic initialized?"
-            );
-            let choice = eng.scheduler.choose_read(cands.len());
-            let value = eng.exec.commit_load(tid, obj, order, cands[choice]);
-            cands.clear();
-            eng.cands_buf = cands;
-            let timer = phase_start(Phase::RaceDetect);
-            eng.race
-                .on_read(obj, 0, tid, eng.exec.thread_cv(tid), race_kind(kind));
-            if let Some(timer) = timer {
-                timer.stop(eng.exec.phase_mut());
-            }
-            value
-        };
-        check_budget(ctx, &mut eng);
+        let mut guard = schedule_point(ctx, tid, OpClass::Other);
+        let eng = &mut *guard;
+        // Candidate set computed into the engine's reusable buffer.
+        let mut cands = std::mem::take(&mut eng.cands_buf);
+        eng.exec
+            .feasible_read_candidates_into(tid, obj, order, false, &mut cands);
+        assert!(
+            !cands.is_empty(),
+            "atomic load from an object with no feasible store — was the atomic initialized?"
+        );
+        let choice = eng.scheduler.choose_read(cands.len());
+        let value = eng.exec.commit_load(tid, obj, order, cands[choice]);
+        cands.clear();
+        eng.cands_buf = cands;
+        race_check(eng, obj, 0, tid, race_kind(kind), false);
+        finish_op(ctx, guard);
         value
     })
 }
@@ -361,64 +442,53 @@ pub(crate) enum RmwDecision {
 
 /// A read-modify-write: reads from an RMW-eligible store, lets `f`
 /// decide the written value (or decline, for failed CAS), and returns
-/// the value read.
+/// the value read. `f` runs between the read and the write, with the
+/// engine borrowed: a model operation inside it is a re-entry, which
+/// the engine cell turns into a panic (an RMW is one indivisible
+/// event — there is no state in which a nested operation could run).
 pub(crate) fn atomic_rmw(obj: ObjId, order: MemOrder, f: impl FnOnce(u64) -> RmwDecision) -> u64 {
     with_ctx(|ctx, tid| {
-        schedule_point(ctx, tid, OpClass::Other);
-        let mut eng = ctx.engine.lock();
-        let value = {
-            let eng = &mut *eng;
-            // tsan11-family baselines strengthen RMWs to acq_rel (see
-            // `Policy::strengthens_rmw`).
-            let order = eng.exec.policy().effective_rmw_order(order);
-            let mut cands = std::mem::take(&mut eng.cands_buf);
-            eng.exec
-                .feasible_read_candidates_into(tid, obj, order, true, &mut cands);
-            assert!(
-                !cands.is_empty(),
-                "RMW on an object with no feasible store — was the atomic initialized?"
-            );
-            let choice = eng.scheduler.choose_read(cands.len());
-            let cand = cands[choice];
-            let old = eng.exec.store_value(cand);
-            let value = match f(old) {
-                RmwDecision::Write(new) => {
-                    let (read, _) = eng.exec.commit_rmw(tid, obj, order, cand, new);
-                    let timer = phase_start(Phase::RaceDetect);
-                    eng.race
-                        .on_write(obj, 0, tid, eng.exec.thread_cv(tid), AccessKind::Atomic);
-                    if let Some(timer) = timer {
-                        timer.stop(eng.exec.phase_mut());
-                    }
-                    read
-                }
-                RmwDecision::NoWrite(fail_order) => {
-                    // A failed CAS is just a load with the failure ordering.
-                    let cand = if eng.exec.check_read_feasible(tid, obj, fail_order, cand) {
-                        cand
-                    } else {
-                        // Rare: the failure ordering adds constraints that
-                        // exclude the candidate; fall back to a legal one.
-                        eng.exec
-                            .feasible_read_candidates_into(tid, obj, fail_order, false, &mut cands);
-                        let ix = eng.scheduler.choose_read(cands.len());
-                        cands[ix]
-                    };
-                    let v = eng.exec.commit_load(tid, obj, fail_order, cand);
-                    let timer = phase_start(Phase::RaceDetect);
-                    eng.race
-                        .on_read(obj, 0, tid, eng.exec.thread_cv(tid), AccessKind::Atomic);
-                    if let Some(timer) = timer {
-                        timer.stop(eng.exec.phase_mut());
-                    }
-                    v
-                }
-            };
-            cands.clear();
-            eng.cands_buf = cands;
-            value
+        let mut guard = schedule_point(ctx, tid, OpClass::Other);
+        let eng = &mut *guard;
+        // tsan11-family baselines strengthen RMWs to acq_rel (see
+        // `Policy::strengthens_rmw`).
+        let order = eng.exec.policy().effective_rmw_order(order);
+        let mut cands = std::mem::take(&mut eng.cands_buf);
+        eng.exec
+            .feasible_read_candidates_into(tid, obj, order, true, &mut cands);
+        assert!(
+            !cands.is_empty(),
+            "RMW on an object with no feasible store — was the atomic initialized?"
+        );
+        let choice = eng.scheduler.choose_read(cands.len());
+        let cand = cands[choice];
+        let old = eng.exec.store_value(cand);
+        let value = match f(old) {
+            RmwDecision::Write(new) => {
+                let (read, _) = eng.exec.commit_rmw(tid, obj, order, cand, new);
+                race_check(eng, obj, 0, tid, AccessKind::Atomic, true);
+                read
+            }
+            RmwDecision::NoWrite(fail_order) => {
+                // A failed CAS is just a load with the failure ordering.
+                let cand = if eng.exec.check_read_feasible(tid, obj, fail_order, cand) {
+                    cand
+                } else {
+                    // Rare: the failure ordering adds constraints that
+                    // exclude the candidate; fall back to a legal one.
+                    eng.exec
+                        .feasible_read_candidates_into(tid, obj, fail_order, false, &mut cands);
+                    let ix = eng.scheduler.choose_read(cands.len());
+                    cands[ix]
+                };
+                let v = eng.exec.commit_load(tid, obj, fail_order, cand);
+                race_check(eng, obj, 0, tid, AccessKind::Atomic, false);
+                v
+            }
         };
-        check_budget(ctx, &mut eng);
+        cands.clear();
+        eng.cands_buf = cands;
+        finish_op(ctx, guard);
         value
     })
 }
@@ -426,53 +496,31 @@ pub(crate) fn atomic_rmw(obj: ObjId, order: MemOrder, f: impl FnOnce(u64) -> Rmw
 /// An atomic thread fence.
 pub(crate) fn fence(order: MemOrder) {
     with_ctx(|ctx, tid| {
-        schedule_point(ctx, tid, OpClass::Other);
-        let mut eng = ctx.engine.lock();
+        let mut eng = schedule_point(ctx, tid, OpClass::Other);
         eng.exec.fence(tid, order);
-        check_budget(ctx, &mut eng);
+        finish_op(ctx, eng);
+    });
+}
+
+/// A non-atomic read (`write == false`) or write of cell `(obj,
+/// offset)` for the race detector. Invisible: no scheduling decision.
+fn nonatomic_access(obj: ObjId, offset: u32, write: bool) {
+    with_ctx(|ctx, tid| {
+        poison_check(ctx);
+        let mut eng = ctx.engine.borrow();
+        eng.exec.count_normal_access();
+        race_check(&mut eng, obj, offset, tid, AccessKind::NonAtomic, write);
     });
 }
 
 /// A non-atomic read of cell `(obj, offset)` for the race detector.
 pub(crate) fn nonatomic_read(obj: ObjId, offset: u32) {
-    with_ctx(|ctx, tid| {
-        poison_check(ctx);
-        let mut eng = ctx.engine.lock();
-        let eng = &mut *eng;
-        eng.exec.count_normal_access();
-        let timer = phase_start(Phase::RaceDetect);
-        eng.race.on_read(
-            obj,
-            offset,
-            tid,
-            eng.exec.thread_cv(tid),
-            AccessKind::NonAtomic,
-        );
-        if let Some(timer) = timer {
-            timer.stop(eng.exec.phase_mut());
-        }
-    });
+    nonatomic_access(obj, offset, false);
 }
 
 /// A non-atomic write of cell `(obj, offset)` for the race detector.
 pub(crate) fn nonatomic_write(obj: ObjId, offset: u32) {
-    with_ctx(|ctx, tid| {
-        poison_check(ctx);
-        let mut eng = ctx.engine.lock();
-        let eng = &mut *eng;
-        eng.exec.count_normal_access();
-        let timer = phase_start(Phase::RaceDetect);
-        eng.race.on_write(
-            obj,
-            offset,
-            tid,
-            eng.exec.thread_cv(tid),
-            AccessKind::NonAtomic,
-        );
-        if let Some(timer) = timer {
-            timer.stop(eng.exec.phase_mut());
-        }
-    });
+    nonatomic_access(obj, offset, true);
 }
 
 /// Explicit scheduling yield. The strategy is told first
@@ -489,18 +537,13 @@ pub(crate) fn yield_now() {
 /// §8.3): ends the current burst and yields.
 pub(crate) fn perturb() {
     with_ctx(|ctx, tid| {
-        {
-            let mut eng = ctx.engine.lock();
-            eng.scheduler.perturb();
-        }
-        schedule_point(ctx, tid, OpClass::Other);
+        let mut eng = ctx.engine.borrow();
+        eng.scheduler.perturb();
+        drop(schedule_point_with(ctx, eng, tid, OpClass::Other));
     });
 }
 
-/// Volatile access orders from the active configuration.
+/// Volatile access orders `(load, store)` from the active configuration.
 pub(crate) fn volatile_orders() -> (MemOrder, MemOrder) {
-    with_ctx(|ctx, _| {
-        let eng = ctx.engine.lock();
-        (eng.volatile_load_order, eng.volatile_store_order)
-    })
+    with_ctx(|ctx, _| ctx.volatile_orders)
 }

@@ -1,12 +1,21 @@
-//! The per-execution engine: memory model + race detector + strategy +
-//! thread-status bookkeeping, protected by one mutex (only one model
-//! thread runs at a time, so the lock is uncontended by construction).
+//! The per-execution engine — memory model + race detector + strategy +
+//! thread-status bookkeeping — and the cell that holds it.
+//!
+//! # Engine ownership
+//!
+//! Only one model thread runs at a time (the run token of
+//! `c11tester_runtime::executor`), so the engine is plain owned state:
+//! whoever holds the token owns it, through [`EngineCell::borrow`], and
+//! nothing locks. A `Model` builds one engine at its first execution and
+//! [`Engine::begin`]s each later execution on it in place.
 
 use crate::config::{Config, Strategy};
 use crate::report::Failure;
-use c11tester_core::{Execution, MemOrder, ObjId, StoreIdx, ThreadId};
+use c11tester_core::{Execution, ObjId, StoreIdx, ThreadId};
 use c11tester_race::RaceDetector;
 use c11tester_runtime::{BurstScheduler, PctScheduler, RandomScheduler, Scheduler};
+use std::cell::UnsafeCell;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Why a thread is not currently runnable.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -31,12 +40,13 @@ pub(crate) struct Engine {
     pub exec: Execution,
     pub race: RaceDetector,
     pub scheduler: Box<dyn Scheduler>,
+    /// The built-in strategy `scheduler` implements; `None` for a
+    /// custom plugin, which then drives every execution.
+    builtin: Option<Strategy>,
     pub status: Vec<Status>,
     pub live: usize,
     pub completed: bool,
     pub failure: Option<Failure>,
-    pub volatile_load_order: MemOrder,
-    pub volatile_store_order: MemOrder,
     pub max_events: u64,
     /// Labels count for auto-generated atomic names.
     pub anon_objects: u64,
@@ -59,57 +69,94 @@ impl std::fmt::Debug for Engine {
     }
 }
 
+fn builtin_scheduler(seed: u64, strategy: Strategy) -> Box<dyn Scheduler> {
+    match strategy {
+        Strategy::Random => Box::new(RandomScheduler::new(seed)),
+        Strategy::Burst { mean } => Box::new(BurstScheduler::new(seed, mean)),
+        Strategy::Pct {
+            depth,
+            expected_ops,
+        } => Box::new(PctScheduler::new(seed, depth, expected_ops)),
+    }
+}
+
 impl Engine {
-    /// Builds the engine for one execution. When `recycled` carries the
-    /// previous execution's state it is [`Execution::reset`] in place —
-    /// retaining arenas, the dense location table, the mo-graph, and
-    /// every scratch buffer — instead of being reallocated; behavior is
-    /// identical either way (the recycling determinism contract).
+    /// Builds the engine of a `Model` and begins its first execution
+    /// (on a fresh [`Execution`]). `custom` is the strategy plugin, if
+    /// one was installed; built-in strategies are resolved per
+    /// execution index in [`Engine::begin`].
     pub(crate) fn new(
         config: &Config,
         execution_index: u64,
         race: RaceDetector,
-        scheduler: Option<Box<dyn Scheduler>>,
-        recycled: Option<Execution>,
+        custom: Option<Box<dyn Scheduler>>,
     ) -> Self {
-        // Built-in strategies are resolved *per execution index*
-        // (Config::strategy_for), so a strategy mix assigns each index
-        // its own scheduler kind while staying a pure function of
-        // (seed, index).
-        let mut scheduler: Box<dyn Scheduler> =
-            scheduler.unwrap_or_else(|| match config.strategy_for(execution_index) {
-                Strategy::Random => Box::new(RandomScheduler::new(config.seed)),
-                Strategy::Burst { mean } => Box::new(BurstScheduler::new(config.seed, mean)),
-                Strategy::Pct {
-                    depth,
-                    expected_ops,
-                } => Box::new(PctScheduler::new(config.seed, depth, expected_ops)),
-            });
-        scheduler.begin_execution(execution_index);
-        let mut race = race;
-        race.begin_execution();
-        let exec = match recycled {
-            Some(mut exec) => {
-                exec.reset(config.policy, config.prune);
-                exec
-            }
-            None => Execution::with_pruning(config.policy, config.prune),
-        };
-        Engine {
-            exec,
+        let builtin = custom
+            .is_none()
+            .then(|| config.strategy_for(execution_index));
+        let scheduler = custom
+            .or_else(|| builtin.map(|s| builtin_scheduler(config.seed, s)))
+            .expect("a custom or a built-in strategy");
+        let mut engine = Engine {
+            exec: Execution::with_pruning(config.policy, config.prune),
             race,
             scheduler,
-            status: vec![Status::Runnable],
-            live: 1,
+            builtin,
+            status: Vec::new(),
+            live: 0,
             completed: false,
             failure: None,
-            volatile_load_order: config.volatile_load_order,
-            volatile_store_order: config.volatile_store_order,
             max_events: config.max_events,
             anon_objects: 0,
             enabled_buf: Vec::new(),
             cands_buf: Vec::new(),
+        };
+        engine.begin_parts(execution_index);
+        engine
+    }
+
+    /// Begins the next execution in place: the execution state is
+    /// [`Execution::reset`] — retaining arenas, the dense location
+    /// table, the mo-graph, and every scratch buffer — the detector's
+    /// shadow tables are wiped, and the thread table, buffers and
+    /// strategy box are reused. Behavior is identical to a freshly
+    /// built engine (the recycling determinism contract).
+    pub(crate) fn begin(&mut self, config: &Config, execution_index: u64) {
+        self.exec.reset(config.policy, config.prune);
+        // Built-in strategies are resolved *per execution index*
+        // (Config::strategy_for), so a strategy mix assigns each index
+        // its own scheduler kind while staying a pure function of
+        // (seed, index): `begin_execution` rewinds a box completely, so
+        // the box is kept while the strategy stays and rebuilt only
+        // when a mix switches kind.
+        if let Some(current) = self.builtin {
+            let wanted = config.strategy_for(execution_index);
+            if wanted != current {
+                self.scheduler = builtin_scheduler(config.seed, wanted);
+                self.builtin = Some(wanted);
+            }
         }
+        self.begin_parts(execution_index);
+    }
+
+    /// What `new` and `begin` share: everything but the `Execution`.
+    fn begin_parts(&mut self, execution_index: u64) {
+        self.scheduler.begin_execution(execution_index);
+        self.race.begin_execution();
+        self.status.clear();
+        self.status.push(Status::Runnable);
+        self.live = 1;
+        self.completed = false;
+        self.failure = None;
+        self.anon_objects = 0;
+    }
+
+    /// Removes the custom strategy plugin, if this engine runs one
+    /// (the engine must not begin another execution afterwards).
+    pub(crate) fn take_custom_scheduler(&mut self) -> Option<Box<dyn Scheduler>> {
+        self.builtin
+            .is_none()
+            .then(|| std::mem::replace(&mut self.scheduler, Box::new(RandomScheduler::new(0))))
     }
 
     /// Is the thread currently runnable? (Debug-assert helper for the
@@ -234,19 +281,132 @@ impl Engine {
     }
 }
 
+/// The cell a `Model`'s engine lives in: plain owned state whose owner
+/// is whoever holds the run token.
+///
+/// [`EngineCell::borrow`] is the only way in. Besides handing out the
+/// `&mut Engine` it trips an always-on, one-word wire: a second borrow
+/// while one is live — a model operation invoked from inside another
+/// (say from a `RawAtomic::rmw` closure), or two threads that both
+/// believe they hold the token — panics instead of aliasing.
+pub(crate) struct EngineCell {
+    engine: UnsafeCell<Engine>,
+    busy: AtomicBool,
+}
+
+// SAFETY: the cell is shared by the OS threads backing one execution's
+// model threads, and `borrow` hands out `&mut Engine` from `&self`, so
+// what must hold is that borrows never overlap. They do not, by the
+// run-token protocol of `c11tester_runtime::executor`:
+//
+// * A model thread touches the engine only between receiving the token
+//   (its body starting, or `Runtime::park` returning) and giving it
+//   away (`Runtime::wake` + `park`, or its body ending). Every borrow
+//   in this crate is dropped before the `wake`/`park`/`poison` call
+//   that follows it, and at most one thread holds the token. The driver
+//   reads the report out only after `Runtime::join_all` returned.
+// * Each handover carries a happens-before edge (a futex mailbox's
+//   release/acquire pair; under fibers every model thread is the same
+//   OS thread), so the next owner sees the previous owner's writes.
+// * The post-poison rule: a poisoned execution takes no more scheduling
+//   decisions, but its threads still unwind through user `Drop` code,
+//   and model operations there do reach the engine (they run in place,
+//   see `ctx::poison_check`). What keeps them exclusive is that
+//   `Runtime::poison` wakes nobody: the poisoner keeps the token until
+//   it exits, its exit — and no other thread's: one that finished after
+//   handing the token on wakes nobody — passes it to the driver, and
+//   `join_all` resumes the remaining threads one at a time, lowest slot
+//   first, each to completion. So during an unwind the engine is
+//   touched by the one thread currently being unwound, through `borrow`
+//   like everyone else, and by nobody concurrently.
+//
+// `busy` is a tripwire for bugs in the above, not part of the argument:
+// same-thread re-entry always trips it; a cross-thread overlap trips it
+// unless both threads pass the check within the same few instructions.
+// Its accesses are atomic, so a protocol bug cannot race on the flag.
+unsafe impl Sync for EngineCell {}
+
+impl EngineCell {
+    pub(crate) fn new(engine: Engine) -> Self {
+        EngineCell {
+            engine: UnsafeCell::new(engine),
+            busy: AtomicBool::new(false),
+        }
+    }
+
+    /// Takes the engine for the duration of the returned guard.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine is already borrowed.
+    #[inline]
+    pub(crate) fn borrow(&self) -> EngineRef<'_> {
+        // A load and a store, not a swap: no `lock`-prefixed
+        // instruction on the per-operation path.
+        if self.busy.load(Ordering::Relaxed) {
+            engine_busy();
+        }
+        self.busy.store(true, Ordering::Relaxed);
+        EngineRef { cell: self }
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn engine_busy() -> ! {
+    panic!(
+        "re-entrant c11tester model operation: the engine is already in use \
+         (a model operation was invoked from inside another, e.g. from an \
+         `rmw`/`fetch_update` closure, or outside the run-token protocol)"
+    )
+}
+
+/// Exclusive access to the engine; releases it on drop (also when an
+/// engine assertion unwinds through the borrow).
+pub(crate) struct EngineRef<'a> {
+    cell: &'a EngineCell,
+}
+
+impl std::ops::Deref for EngineRef<'_> {
+    type Target = Engine;
+
+    #[inline]
+    fn deref(&self) -> &Engine {
+        // SAFETY: `busy` was clear when this guard was made and stays
+        // set until it drops, so no other guard — hence no other
+        // reference into the cell — exists (see `EngineCell`).
+        unsafe { &*self.cell.engine.get() }
+    }
+}
+
+impl std::ops::DerefMut for EngineRef<'_> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut Engine {
+        // SAFETY: as in `deref`; `&mut self` makes this the only
+        // reference derived from this guard.
+        unsafe { &mut *self.cell.engine.get() }
+    }
+}
+
+impl Drop for EngineRef<'_> {
+    #[inline]
+    fn drop(&mut self) {
+        self.cell.busy.store(false, Ordering::Relaxed);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use c11tester_core::StoreKind;
+    use c11tester_core::{MemOrder, StoreKind};
 
     /// An engine whose budget allows exactly `events` more events on
     /// top of the thread-begin events `Execution::new` already emitted.
     fn engine_with_headroom(events: u64) -> Engine {
-        let race = RaceDetector::new();
-        let probe = Engine::new(&Config::new(), 0, RaceDetector::new(), None, None);
+        let probe = Engine::new(&Config::new(), 0, RaceDetector::new(), None);
         let base = probe.exec.now().0;
         let config = Config::new().with_max_events(base + events);
-        Engine::new(&config, 0, race, None, None)
+        Engine::new(&config, 0, RaceDetector::new(), None)
     }
 
     #[test]
@@ -291,5 +451,35 @@ mod tests {
         assert!(!eng.within_budget());
         // The recorded failure names the first exceeding count.
         assert_eq!(eng.failure, Some(Failure::TooManyEvents(budget)));
+    }
+
+    #[test]
+    fn overlapping_borrows_trip_the_wire_and_release_on_unwind() {
+        let cell = EngineCell::new(Engine::new(&Config::new(), 0, RaceDetector::new(), None));
+        let nested = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _outer = cell.borrow();
+            let _inner = cell.borrow();
+        }));
+        let payload = nested.expect_err("second borrow must panic");
+        let msg = crate::model::panic_message_pub(payload);
+        assert!(
+            msg.contains("re-entrant c11tester model operation"),
+            "{msg}"
+        );
+        // The unwind dropped the outer guard: the cell is usable again.
+        assert_eq!(cell.borrow().live, 1);
+    }
+
+    #[test]
+    fn begin_switches_builtin_strategy_by_index() {
+        let config =
+            Config::new().with_mix(crate::StrategyMix::parse("random:1,pct2:1").expect("mix"));
+        let mut eng = Engine::new(&config, 0, RaceDetector::new(), None);
+        for index in 1..32 {
+            eng.begin(&config, index);
+            assert_eq!(eng.builtin, Some(config.strategy_for(index)));
+            assert_eq!((eng.status.len(), eng.live), (1, 1));
+        }
+        assert!(eng.take_custom_scheduler().is_none());
     }
 }

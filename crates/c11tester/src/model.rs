@@ -7,9 +7,8 @@ use crate::engine::Engine;
 use crate::report::{ExecutionReport, Failure, TestReport};
 use c11tester_core::{ThreadId, TraceKey, TraceSink};
 use c11tester_race::RaceDetector;
-use c11tester_runtime::{HandoverKind, Runtime, Scheduler, ThreadPool};
+use c11tester_runtime::{Runtime, Scheduler};
 use c11tester_telemetry::StderrSink;
-use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -54,12 +53,24 @@ use std::sync::Arc;
 /// ```
 pub struct Model {
     config: Config,
+    /// The race detector and the custom strategy plugin
+    /// ([`Model::with_scheduler`]) until the first execution moves
+    /// them into the context's engine, where they stay.
     race: Option<RaceDetector>,
-    /// A custom strategy plugin installed via [`Model::with_scheduler`]
-    /// (persisted across executions). Built-in strategies are instead
-    /// constructed per execution from `config.strategy_for(index)`, so
-    /// a [`crate::StrategyMix`] can vary the scheduler kind per index.
     scheduler: Option<Box<dyn Scheduler>>,
+    /// Whether a custom plugin drives every execution. Built-in
+    /// strategies are instead resolved per execution from
+    /// `config.strategy_for(index)`, so a [`crate::StrategyMix`] can
+    /// vary the scheduler kind per index.
+    custom: bool,
+    /// The one execution context this model runs every execution on:
+    /// engine (execution state, detector, strategy boxes, thread table)
+    /// and runtime (fiber slot records or pooled OS threads). Built by
+    /// the first `run_at`, reset in place by each later one — retaining
+    /// arena, location table, mo-graph, and scratch capacity instead of
+    /// reallocating. Behaviorally invisible; see the recycling
+    /// determinism contract.
+    ctx: Option<Arc<ModelCtx>>,
     /// Global index the next `run` call executes.
     execution_index: u64,
     /// Index step between consecutive `run` calls (1 for serial models,
@@ -67,11 +78,6 @@ pub struct Model {
     stride: u64,
     /// Executions performed by this instance.
     runs: u64,
-    /// The previous execution's state, recycled into the next run
-    /// ([`c11tester_core::Execution::reset`] retains arena, location
-    /// table, mo-graph, and scratch capacity instead of reallocating).
-    /// Behaviorally invisible; see the recycling determinism contract.
-    exec_pool: Option<c11tester_core::Execution>,
     /// Destination for structured schedule traces
     /// ([`Model::set_trace_sink`]). When `None` but tracing is enabled
     /// (the legacy `C11TESTER_TRACE` environment variable), events go
@@ -80,10 +86,6 @@ pub struct Model {
     /// Epoch component of the trace key (0 unless an adaptive campaign
     /// sets it via [`Model::set_trace_epoch`]).
     trace_epoch: u64,
-    /// Reusable OS worker threads backing the model threads of every
-    /// execution this instance runs under futex-park handover; `None`
-    /// under fibers, which never leave the driver thread.
-    thread_pool: Option<Arc<ThreadPool>>,
     /// Report labels handed out so far: one shared allocation per
     /// distinct strategy (`None` = the custom plugin), so an
     /// [`ExecutionReport`] takes a reference count instead of
@@ -186,10 +188,20 @@ impl Model {
 
     /// Disassembles the model into its reusable parts.
     pub fn into_parts(mut self) -> ModelParts {
+        let (race, scheduler) = match self.ctx.take() {
+            Some(ctx) => {
+                let mut eng = ctx.engine.borrow();
+                (std::mem::take(&mut eng.race), eng.take_custom_scheduler())
+            }
+            None => (
+                self.race.take().expect("race detector present"),
+                self.scheduler.take(),
+            ),
+        };
         ModelParts {
             config: self.config.clone(),
-            scheduler: self.scheduler.take(),
-            race: self.race.take().expect("race detector present"),
+            scheduler,
+            race,
             next_execution_index: self.execution_index,
             stride: self.stride,
         }
@@ -197,19 +209,17 @@ impl Model {
 
     /// Reassembles a model from [`ModelParts`].
     pub fn from_parts(parts: ModelParts) -> Self {
-        let thread_pool =
-            (parts.config.handover.effective() == HandoverKind::Park).then(ThreadPool::new);
         Model {
             config: parts.config,
             race: Some(parts.race),
+            custom: parts.scheduler.is_some(),
             scheduler: parts.scheduler,
+            ctx: None,
             execution_index: parts.next_execution_index,
             stride: parts.stride,
             runs: 0,
-            exec_pool: None,
             trace_sink: None,
             trace_epoch: 0,
-            thread_pool,
             labels: Vec::new(),
         }
     }
@@ -282,35 +292,20 @@ impl Model {
     where
         F: Fn() + Send + Sync,
     {
-        let runtime = match &self.thread_pool {
-            Some(pool) => Runtime::with_pool(self.config.handover, Arc::clone(pool)),
-            None => Runtime::new(self.config.handover),
-        };
-        let race = self.race.take().expect("race detector present");
-        let custom = self.scheduler.is_some();
-        let scheduler = self.scheduler.take();
-        let strategy = self.label((!custom).then(|| self.config.strategy_for(execution_index)));
-        let engine = Engine::new(
-            &self.config,
-            execution_index,
-            race,
-            scheduler,
-            self.exec_pool.take(),
-        );
-        let ctx = Arc::new(ModelCtx {
-            engine: Mutex::new(engine),
-            runtime: Arc::clone(&runtime),
-        });
+        let ctx = self.begin(execution_index);
+        let runtime = &ctx.runtime;
+        let strategy =
+            self.label((!self.custom).then(|| self.config.strategy_for(execution_index)));
 
         // The caller's OS thread doubles as model thread 0.
         let main_slot = runtime.add_slot();
         debug_assert_eq!(main_slot, ThreadId::MAIN.index());
         runtime.bind_current(main_slot);
-        ctx::set_current(Arc::clone(&ctx), ThreadId::MAIN);
+        let bound = ctx::bind(&ctx);
 
         let body = catch_unwind(AssertUnwindSafe(&f));
         match body {
-            Ok(()) => self.main_finished(&ctx),
+            Ok(()) => ctx::main_finished(&ctx),
             Err(payload) => {
                 if payload
                     .downcast_ref::<c11tester_runtime::Aborted>()
@@ -323,17 +318,14 @@ impl Model {
             }
         }
 
-        // Reap model threads before clearing the TLS binding: in fiber
-        // mode `join_all` unwinds still-suspended fibers, which read
-        // the binding (shared borrows) on their way out.
+        // Reap model threads before unbinding: in fiber mode `join_all`
+        // unwinds still-suspended fibers on this OS thread, and their
+        // `Drop` code reads the binding on the way out.
         let joined = runtime.join_all();
-        ctx::clear_current();
+        drop(bound);
 
-        // Disassemble the engine; tool state persists across executions.
-        // (Model threads have exited; the lock is free. TLS teardown
-        // may still hold `Arc<ModelCtx>` clones briefly, so the engine
-        // pieces are moved out rather than unwrapping the Arc.)
-        let mut eng = ctx.engine.lock();
+        // Every model thread has exited: the engine is the driver's.
+        let mut eng = ctx.engine.borrow();
         if let Err(msg) = joined {
             // A panic escaped a model thread's root catch_unwind (TLS
             // destructors, teardown code): surface it instead of
@@ -342,23 +334,7 @@ impl Model {
             eng.fail(Failure::Infra(msg));
         }
         let races = eng.race.take_reports();
-        let elided = eng.race.elided_volatile;
-        eng.race.elided_volatile = 0;
-        // No begin_execution here: the next Engine::new wipes the
-        // detector's (capacity-retaining) shadow tables before use, so
-        // an eager wipe would just zero-fill every word twice per
-        // execution — nothing reads shadow state in between.
-        self.race = Some(std::mem::take(&mut eng.race));
-        if custom {
-            // Only custom plugins persist across executions; built-in
-            // schedulers are rebuilt per index (they are pure functions
-            // of (seed, index) via begin_execution, so rebuilding is
-            // behavior-identical and lets a mix change the kind).
-            self.scheduler = Some(std::mem::replace(
-                &mut eng.scheduler,
-                Box::new(c11tester_runtime::RandomScheduler::new(0)),
-            ));
-        }
+        let elided = std::mem::take(&mut eng.race.elided_volatile);
         eng.exec.finalize_alloc_stats();
         // Structured schedule trace: drain the committed-event buffer
         // (non-empty only while tracing is enabled) to the sink, keyed
@@ -386,15 +362,41 @@ impl Model {
             elided_volatile_races: elided,
             coverage: eng.exec.take_coverage(),
         };
-        // Reclaim the execution state for recycling into the next run
-        // (the placeholder left behind is never driven).
-        self.exec_pool = Some(std::mem::replace(
-            &mut eng.exec,
-            c11tester_core::Execution::new(self.config.policy),
-        ));
         drop(eng);
         self.runs += 1;
         report
+    }
+
+    /// Readies the execution context for `execution_index`: builds it
+    /// (fresh engine, fresh runtime) the first time, afterwards resets
+    /// both in place. Tool state — the detector's dedup history, a
+    /// custom plugin's state — lives in the engine across executions.
+    fn begin(&mut self, execution_index: u64) -> Arc<ModelCtx> {
+        match &self.ctx {
+            Some(ctx) => {
+                ctx.runtime.reset();
+                ctx.engine.borrow().begin(&self.config, execution_index);
+                Arc::clone(ctx)
+            }
+            None => {
+                let engine = Engine::new(
+                    &self.config,
+                    execution_index,
+                    self.race.take().expect("race detector present"),
+                    self.scheduler.take(),
+                );
+                let ctx = ModelCtx::new(
+                    engine,
+                    Runtime::new(self.config.handover),
+                    (
+                        self.config.volatile_load_order,
+                        self.config.volatile_store_order,
+                    ),
+                );
+                self.ctx = Some(Arc::clone(&ctx));
+                ctx
+            }
+        }
     }
 
     /// Runs the next `executions` indices of this model's shard
@@ -436,55 +438,6 @@ impl Model {
         let label: Arc<str> = strategy.map_or_else(|| "custom".into(), |s| s.spec().into());
         self.labels.push((strategy, Arc::clone(&label)));
         label
-    }
-
-    /// Main thread finished its program: if other threads remain, hand
-    /// the token onward and wait for the execution to complete.
-    fn main_finished(&self, ctx: &Arc<ModelCtx>) {
-        let tid = ThreadId::MAIN;
-        if ctx.runtime.is_poisoned() {
-            return;
-        }
-        enum Next {
-            Done,
-            Switch(ThreadId),
-            Poison,
-        }
-        let action = {
-            let mut eng = ctx.engine.lock();
-            eng.exec.sync_event(tid);
-            if eng.finish_thread(tid) {
-                Next::Done
-            } else {
-                match eng.next_runnable(tid) {
-                    None => {
-                        eng.fail(Failure::Deadlock);
-                        Next::Poison
-                    }
-                    Some(next) => Next::Switch(next),
-                }
-            }
-        };
-        match action {
-            Next::Done => {}
-            Next::Poison => ctx.runtime.poison(),
-            Next::Switch(next) => {
-                ctx.runtime.wake(next.index());
-                // Wait for completion (or abort): the last finishing
-                // thread (or the poisoner) wakes the driver.
-                loop {
-                    if ctx.runtime.park(tid.index()).is_err() {
-                        return;
-                    }
-                    let eng = ctx.engine.lock();
-                    if eng.completed {
-                        return;
-                    }
-                    // Spurious wake: pass the token to someone runnable.
-                    drop(eng);
-                }
-            }
-        }
     }
 }
 

@@ -8,7 +8,7 @@
 //! engine's thread-status bookkeeping.
 
 use crate::ctx::{self, OpClass};
-use crate::engine::WaitReason;
+use crate::engine::{Engine, WaitReason};
 use c11tester_core::{MemOrder, ObjId, StoreKind, ThreadId};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, Ordering as RealOrdering};
@@ -43,9 +43,11 @@ pub struct Mutex<T> {
     data: UnsafeCell<T>,
 }
 
-// Safety: the controlled runtime sequentializes model threads, and the
-// guard discipline gives exclusive access to `data`.
+// SAFETY: owning the mutex owns `data`, and `T: Send`.
 unsafe impl<T: Send> Send for Mutex<T> {}
+// SAFETY: the controlled runtime sequentializes model threads, and the
+// guard discipline gives exclusive access to `data`: `held` admits one
+// live guard at a time, and `&mut T` only comes from a guard.
 unsafe impl<T: Send> Sync for Mutex<T> {}
 
 /// RAII guard; unlocking is a release store at drop.
@@ -80,85 +82,89 @@ impl<T> Mutex<T> {
         }
     }
 
-    fn try_acquire_inner(&self, tid: ThreadId) -> bool {
-        ctx::with_ctx(|ctx, _| {
-            let mut eng = ctx.engine.lock();
-            if self.held.load(RealOrdering::Relaxed) {
-                return false;
-            }
-            self.held.store(true, RealOrdering::Relaxed);
-            self.owner.store(tid.as_u32(), RealOrdering::Relaxed);
-            // A lock is a successful CAS(0 → 1, acquire): it must read a
-            // store of the *unlocked* value. The may-read-from set can
-            // also offer stale locked (1) stores — a real weak-memory
-            // behavior that would merely make a CAS loop spin again, so
-            // the model commits the successful iteration directly.
-            let mut cands =
-                eng.exec
-                    .feasible_read_candidates(tid, self.obj, MemOrder::Acquire, true);
-            cands.retain(|&s| eng.exec.store_value(s) == 0);
-            assert!(
-                !cands.is_empty(),
-                "mutex protocol violated: no unlocked store to acquire"
-            );
-            let choice = eng.scheduler.choose_read(cands.len());
-            eng.exec
-                .commit_rmw(tid, self.obj, MemOrder::Acquire, cands[choice], 1);
-            true
-        })
+    /// Takes the mutex if it is free.
+    fn try_acquire(&self, eng: &mut Engine, tid: ThreadId) -> bool {
+        if self.held.load(RealOrdering::Relaxed) {
+            return false;
+        }
+        self.held.store(true, RealOrdering::Relaxed);
+        self.owner.store(tid.as_u32(), RealOrdering::Relaxed);
+        // A lock is a successful CAS(0 → 1, acquire): it must read a
+        // store of the *unlocked* value. The may-read-from set can
+        // also offer stale locked (1) stores — a real weak-memory
+        // behavior that would merely make a CAS loop spin again, so
+        // the model commits the successful iteration directly.
+        let mut cands = eng
+            .exec
+            .feasible_read_candidates(tid, self.obj, MemOrder::Acquire, true);
+        cands.retain(|&s| eng.exec.store_value(s) == 0);
+        assert!(
+            !cands.is_empty(),
+            "mutex protocol violated: no unlocked store to acquire"
+        );
+        let choice = eng.scheduler.choose_read(cands.len());
+        eng.exec
+            .commit_rmw(tid, self.obj, MemOrder::Acquire, cands[choice], 1);
+        true
     }
 
     /// Acquires the mutex, blocking the model thread while it is held.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        ctx::with_ctx(|ctx, tid| {
+        let live = ctx::with_ctx(|ctx, tid| {
             if ctx.runtime.is_poisoned() && std::thread::panicking() {
                 // Abort unwind: hand out a dead guard so Drop code can
                 // proceed without touching the model.
-                return MutexGuard {
-                    mutex: self,
-                    live: false,
-                };
+                return false;
             }
-            ctx::schedule_point(ctx, tid, OpClass::Other);
-            loop {
-                if self.try_acquire_inner(tid) {
-                    return MutexGuard {
-                        mutex: self,
-                        live: true,
-                    };
-                }
-                ctx::block_and_yield(ctx, tid, WaitReason::Mutex(self.obj));
+            let mut eng = ctx::schedule_point(ctx, tid, OpClass::Other);
+            while !self.try_acquire(&mut eng, tid) {
+                eng = ctx::block_and_yield(ctx, eng, tid, WaitReason::Mutex(self.obj));
             }
-        })
+            true
+        });
+        MutexGuard { mutex: self, live }
     }
 
     /// Attempts to acquire without blocking. A failed attempt is a
     /// relaxed load of the lock word (no synchronization).
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         ctx::with_ctx(|ctx, tid| {
-            ctx::schedule_point(ctx, tid, OpClass::Other);
-            if self.try_acquire_inner(tid) {
-                Some(MutexGuard {
+            let mut eng = ctx::schedule_point(ctx, tid, OpClass::Other);
+            if self.try_acquire(&mut eng, tid) {
+                return Some(MutexGuard {
                     mutex: self,
                     live: true,
-                })
-            } else {
-                let mut eng = ctx.engine.lock();
-                let cands =
-                    eng.exec
-                        .feasible_read_candidates(tid, self.obj, MemOrder::Relaxed, false);
-                if !cands.is_empty() {
-                    let choice = eng.scheduler.choose_read(cands.len());
-                    eng.exec
-                        .commit_load(tid, self.obj, MemOrder::Relaxed, cands[choice]);
-                }
-                None
+                });
             }
+            let cands = eng
+                .exec
+                .feasible_read_candidates(tid, self.obj, MemOrder::Relaxed, false);
+            if !cands.is_empty() {
+                let choice = eng.scheduler.choose_read(cands.len());
+                eng.exec
+                    .commit_load(tid, self.obj, MemOrder::Relaxed, cands[choice]);
+            }
+            None
         })
     }
 
-    /// Release path shared by guard drop and condvar wait.
-    fn unlock_inner(&self, from_wait: bool) {
+    /// The release store, and the wakeup of threads blocked on the lock.
+    fn release(&self, eng: &mut Engine, tid: ThreadId) {
+        debug_assert_eq!(
+            self.owner.load(RealOrdering::Relaxed),
+            tid.as_u32(),
+            "mutex unlocked by a non-owner"
+        );
+        self.held.store(false, RealOrdering::Relaxed);
+        self.owner.store(u32::MAX, RealOrdering::Relaxed);
+        eng.exec
+            .atomic_store(tid, self.obj, MemOrder::Release, 0, StoreKind::Atomic);
+        let obj = self.obj;
+        eng.unblock_where(|r| matches!(r, WaitReason::Mutex(o) if *o == obj));
+    }
+
+    /// Guard drop: a visible release.
+    fn unlock(&self) {
         ctx::with_ctx(|ctx, tid| {
             if ctx.runtime.is_poisoned() {
                 self.held.store(false, RealOrdering::Relaxed);
@@ -167,21 +173,8 @@ impl<T> Mutex<T> {
                 }
                 return;
             }
-            if !from_wait {
-                ctx::schedule_point(ctx, tid, OpClass::Other);
-            }
-            let mut eng = ctx.engine.lock();
-            debug_assert_eq!(
-                self.owner.load(RealOrdering::Relaxed),
-                tid.as_u32(),
-                "mutex unlocked by a non-owner"
-            );
-            self.held.store(false, RealOrdering::Relaxed);
-            self.owner.store(u32::MAX, RealOrdering::Relaxed);
-            eng.exec
-                .atomic_store(tid, self.obj, MemOrder::Release, 0, StoreKind::Atomic);
-            let obj = self.obj;
-            eng.unblock_where(|r| matches!(r, WaitReason::Mutex(o) if *o == obj));
+            let mut eng = ctx::schedule_point(ctx, tid, OpClass::Other);
+            self.release(&mut eng, tid);
         });
     }
 
@@ -195,12 +188,15 @@ impl<T> std::ops::Deref for MutexGuard<'_, T> {
     type Target = T;
 
     fn deref(&self) -> &T {
+        // SAFETY: this guard is the only access path to `data` while
+        // it lives (see the `Sync` impl).
         unsafe { &*self.mutex.data.get() }
     }
 }
 
 impl<T> std::ops::DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
+        // SAFETY: as in `deref`, and `&mut self` is exclusive.
         unsafe { &mut *self.mutex.data.get() }
     }
 }
@@ -208,7 +204,7 @@ impl<T> std::ops::DerefMut for MutexGuard<'_, T> {
 impl<T> Drop for MutexGuard<'_, T> {
     fn drop(&mut self) {
         if self.live {
-            self.mutex.unlock_inner(false);
+            self.mutex.unlock();
         }
     }
 }
@@ -244,15 +240,17 @@ impl Condvar {
             return MutexGuard { mutex, live: false };
         }
         ctx::with_ctx(|ctx, tid| {
-            ctx::schedule_point(ctx, tid, OpClass::Other);
-            // Release the mutex without a second scheduling point: the
-            // wait itself is the visible operation.
-            mutex.unlock_inner(true);
-            {
-                let mut eng = ctx.engine.lock();
-                eng.exec.sync_event(tid);
-            }
-            ctx::block_and_yield(ctx, tid, WaitReason::Condvar(self.obj));
+            // The wait is the one visible operation: the mutex is
+            // released without a scheduling point of its own.
+            let mut eng = ctx::schedule_point(ctx, tid, OpClass::Other);
+            mutex.release(&mut eng, tid);
+            eng.exec.sync_event(tid);
+            drop(ctx::block_and_yield(
+                ctx,
+                eng,
+                tid,
+                WaitReason::Condvar(self.obj),
+            ));
         });
         mutex.lock()
     }
@@ -272,8 +270,7 @@ impl Condvar {
     /// Wakes one waiter (chosen by the testing strategy).
     pub fn notify_one(&self) {
         ctx::with_ctx(|ctx, tid| {
-            ctx::schedule_point(ctx, tid, OpClass::Other);
-            let mut eng = ctx.engine.lock();
+            let mut eng = ctx::schedule_point(ctx, tid, OpClass::Other);
             eng.exec.sync_event(tid);
             let waiters = eng.condvar_waiters(self.obj);
             if !waiters.is_empty() {
@@ -286,8 +283,7 @@ impl Condvar {
     /// Wakes every waiter.
     pub fn notify_all(&self) {
         ctx::with_ctx(|ctx, tid| {
-            ctx::schedule_point(ctx, tid, OpClass::Other);
-            let mut eng = ctx.engine.lock();
+            let mut eng = ctx::schedule_point(ctx, tid, OpClass::Other);
             eng.exec.sync_event(tid);
             let obj = self.obj;
             eng.unblock_where(|r| matches!(r, WaitReason::Condvar(o) if *o == obj));

@@ -7,8 +7,8 @@
 //! machinery, like [`crate::sync::Mutex`].
 
 use crate::ctx::{self, OpClass};
-use crate::engine::WaitReason;
-use c11tester_core::{MemOrder, ObjId};
+use crate::engine::{Engine, WaitReason};
+use c11tester_core::{MemOrder, ObjId, ThreadId};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, Ordering as RealOrdering};
 
@@ -40,14 +40,16 @@ const WRITER: u64 = 1 << 16;
 pub struct RwLock<T> {
     obj: ObjId,
     /// Real-word mirror of the lock state (reader count + writer bit),
-    /// mutated only under the engine lock.
+    /// mutated only by the run-token holder, with the engine borrowed.
     state: AtomicU32,
     data: UnsafeCell<T>,
 }
 
-// Safety: model threads are sequentialized; guards enforce the usual
-// shared-xor-mutable discipline on `data`.
+// SAFETY: owning the lock owns `data`, and `T: Send`.
 unsafe impl<T: Send> Send for RwLock<T> {}
+// SAFETY: model threads are sequentialized; guards enforce the usual
+// shared-xor-mutable discipline on `data` (`state` admits readers or
+// one writer), and `T: Sync` covers the shared `&T` of read guards.
 unsafe impl<T: Send + Sync> Sync for RwLock<T> {}
 
 /// Shared guard.
@@ -87,89 +89,52 @@ impl<T> RwLock<T> {
 
     /// Commits one acq_rel RMW on the lock word mapping the chain-head
     /// value through `f`.
-    fn lock_rmw(&self, f: impl Fn(u64) -> u64) {
+    fn lock_rmw(&self, eng: &mut Engine, tid: ThreadId, f: impl Fn(u64) -> u64) {
+        let cands = eng
+            .exec
+            .feasible_read_candidates(tid, self.obj, MemOrder::AcqRel, true);
+        // All ops are RMWs: the chain has exactly one head.
+        assert!(!cands.is_empty(), "rwlock protocol violated");
+        let choice = eng.scheduler.choose_read(cands.len());
+        let old = eng.exec.store_value(cands[choice]);
+        eng.exec
+            .commit_rmw(tid, self.obj, MemOrder::AcqRel, cands[choice], f(old));
+        let obj = self.obj;
+        eng.unblock_where(|r| matches!(r, WaitReason::Mutex(o) if *o == obj));
+    }
+
+    /// Acquires the lock in the mode whose `admit` maps the current
+    /// state mirror to the next one, blocking while it returns `None`.
+    /// `false` means the execution is being unwound: the caller hands
+    /// out a dead guard.
+    fn acquire(&self, admit: impl Fn(u32) -> Option<u32>, delta: u64) -> bool {
         ctx::with_ctx(|ctx, tid| {
-            let mut eng = ctx.engine.lock();
-            let cands = eng
-                .exec
-                .feasible_read_candidates(tid, self.obj, MemOrder::AcqRel, true);
-            // All ops are RMWs: the chain has exactly one head.
-            assert!(!cands.is_empty(), "rwlock protocol violated");
-            let choice = eng.scheduler.choose_read(cands.len());
-            let old = eng.exec.store_value(cands[choice]);
-            eng.exec
-                .commit_rmw(tid, self.obj, MemOrder::AcqRel, cands[choice], f(old));
-            let obj = self.obj;
-            eng.unblock_where(|r| matches!(r, WaitReason::Mutex(o) if *o == obj));
-        });
+            if ctx.runtime.is_poisoned() && std::thread::panicking() {
+                return false;
+            }
+            let mut eng = ctx::schedule_point(ctx, tid, OpClass::Other);
+            loop {
+                if let Some(next) = admit(self.state.load(RealOrdering::Relaxed)) {
+                    self.state.store(next, RealOrdering::Relaxed);
+                    self.lock_rmw(&mut eng, tid, |v| v + delta);
+                    return true;
+                }
+                eng = ctx::block_and_yield(ctx, eng, tid, WaitReason::Mutex(self.obj));
+            }
+        })
     }
 
     /// Acquires shared access, blocking while a writer holds the lock.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        ctx::with_ctx(|ctx, tid| {
-            if ctx.runtime.is_poisoned() && std::thread::panicking() {
-                return RwLockReadGuard {
-                    lock: self,
-                    live: false,
-                };
-            }
-            ctx::schedule_point(ctx, tid, OpClass::Other);
-            loop {
-                let acquired = {
-                    let eng = ctx.engine.lock();
-                    let s = self.state.load(RealOrdering::Relaxed);
-                    if u64::from(s) & WRITER == 0 {
-                        self.state.store(s + 1, RealOrdering::Relaxed);
-                        true
-                    } else {
-                        drop(eng);
-                        false
-                    }
-                };
-                if acquired {
-                    self.lock_rmw(|v| v + 1);
-                    return RwLockReadGuard {
-                        lock: self,
-                        live: true,
-                    };
-                }
-                ctx::block_and_yield(ctx, tid, WaitReason::Mutex(self.obj));
-            }
-        })
+        let live = self.acquire(|s| (u64::from(s) & WRITER == 0).then_some(s + 1), 1);
+        RwLockReadGuard { lock: self, live }
     }
 
     /// Acquires exclusive access, blocking while readers or a writer
     /// hold the lock.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        ctx::with_ctx(|ctx, tid| {
-            if ctx.runtime.is_poisoned() && std::thread::panicking() {
-                return RwLockWriteGuard {
-                    lock: self,
-                    live: false,
-                };
-            }
-            ctx::schedule_point(ctx, tid, OpClass::Other);
-            loop {
-                let acquired = {
-                    let eng = ctx.engine.lock();
-                    if self.state.load(RealOrdering::Relaxed) == 0 {
-                        self.state.store(WRITER as u32, RealOrdering::Relaxed);
-                        true
-                    } else {
-                        drop(eng);
-                        false
-                    }
-                };
-                if acquired {
-                    self.lock_rmw(|v| v + WRITER);
-                    return RwLockWriteGuard {
-                        lock: self,
-                        live: true,
-                    };
-                }
-                ctx::block_and_yield(ctx, tid, WaitReason::Mutex(self.obj));
-            }
-        })
+        let live = self.acquire(|s| (s == 0).then_some(WRITER as u32), WRITER);
+        RwLockWriteGuard { lock: self, live }
     }
 
     fn release(&self, delta_is_writer: bool) {
@@ -180,17 +145,20 @@ impl<T> RwLock<T> {
                 }
                 return;
             }
-            ctx::schedule_point(ctx, tid, OpClass::Other);
-            {
-                let _eng = ctx.engine.lock();
-                if delta_is_writer {
-                    self.state.store(0, RealOrdering::Relaxed);
-                } else {
-                    let s = self.state.load(RealOrdering::Relaxed);
-                    self.state.store(s - 1, RealOrdering::Relaxed);
-                }
+            let mut eng = ctx::schedule_point(ctx, tid, OpClass::Other);
+            if delta_is_writer {
+                self.state.store(0, RealOrdering::Relaxed);
+            } else {
+                let s = self.state.load(RealOrdering::Relaxed);
+                self.state.store(s - 1, RealOrdering::Relaxed);
             }
-            self.lock_rmw(move |v| if delta_is_writer { v - WRITER } else { v - 1 });
+            self.lock_rmw(&mut eng, tid, move |v| {
+                if delta_is_writer {
+                    v - WRITER
+                } else {
+                    v - 1
+                }
+            });
         });
     }
 
@@ -204,6 +172,8 @@ impl<T> std::ops::Deref for RwLockReadGuard<'_, T> {
     type Target = T;
 
     fn deref(&self) -> &T {
+        // SAFETY: a read guard excludes writers while it lives, so
+        // nothing holds `&mut T` (see the `Sync` impl).
         unsafe { &*self.lock.data.get() }
     }
 }
@@ -220,12 +190,15 @@ impl<T> std::ops::Deref for RwLockWriteGuard<'_, T> {
     type Target = T;
 
     fn deref(&self) -> &T {
+        // SAFETY: the write guard is the only access path to `data`
+        // while it lives (see the `Sync` impl).
         unsafe { &*self.lock.data.get() }
     }
 }
 
 impl<T> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
+        // SAFETY: as in `deref`, and `&mut self` is exclusive.
         unsafe { &mut *self.lock.data.get() }
     }
 }

@@ -34,19 +34,11 @@ impl<T> JoinHandle<T> {
     /// reported as an assertion violation — `join` never observes it.
     pub fn join(self) -> T {
         ctx::with_ctx(|ctx, parent| {
-            ctx::schedule_point(ctx, parent, OpClass::Other);
-            loop {
-                let finished = {
-                    let eng = ctx.engine.lock();
-                    eng.is_finished(self.child)
-                };
-                if finished {
-                    let mut eng = ctx.engine.lock();
-                    eng.exec.join(parent, self.child);
-                    break;
-                }
-                ctx::block_and_yield(ctx, parent, WaitReason::Join(self.child));
+            let mut eng = ctx::schedule_point(ctx, parent, OpClass::Other);
+            while !eng.is_finished(self.child) {
+                eng = ctx::block_and_yield(ctx, eng, parent, WaitReason::Join(self.child));
             }
+            eng.exec.join(parent, self.child);
         });
         self.result
             .lock()
@@ -67,36 +59,25 @@ where
     T: Send + 'static,
 {
     ctx::with_ctx(|ctx, parent| {
-        ctx::schedule_point(ctx, parent, OpClass::Other);
         let child = {
-            let mut eng = ctx.engine.lock();
+            let mut eng = ctx::schedule_point(ctx, parent, OpClass::Other);
             let child = eng.exec.fork(parent);
             eng.register_thread(child);
-            let slot = ctx.runtime.add_slot();
-            debug_assert_eq!(slot, child.index());
             child
         };
+        let slot = ctx.runtime.add_slot();
+        debug_assert_eq!(slot, child.index());
         let result: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
         let result2 = Arc::clone(&result);
-        let ctx2 = Arc::clone(ctx);
-        let fiber_mode = ctx.runtime.is_fiber();
+        let ctx2 = ctx.handle();
         let dispatched = ctx.runtime.spawn(
             child.index(),
             Box::new(move || {
-                // Fibers share the driver's OS thread (and its TLS), so
-                // the driver's binding is already in place and thread
-                // identity comes from the running fiber slot instead —
-                // touching the binding here would clear the driver's
-                // context mid-execution. OS-thread workers bind their
-                // own TLS, and pooled workers outlive the execution, so
-                // the binding must be dropped when the body ends — on
-                // the normal paths *and* on the `Aborted` unwind out of
-                // `thread_finished` (fresh threads got this for free at
-                // OS-thread exit).
-                let _unbind = (!fiber_mode).then(|| {
-                    ctx::set_current(Arc::clone(&ctx2), child);
-                    ctx::ClearCurrentOnDrop
-                });
+                // A pooled worker binds itself for the body and — it
+                // outlives the execution — unbinds when the body ends,
+                // on the `Aborted` unwind out of `thread_finished` too.
+                // A fiber re-binds what its driver thread already has.
+                let _bound = ctx::bind(&ctx2);
                 let outcome = catch_unwind(AssertUnwindSafe(f));
                 match outcome {
                     Ok(v) => {

@@ -383,3 +383,119 @@ fn pct_strategy_finds_the_publication_race() {
         "PCT should also find the race: {report}"
     );
 }
+
+/// A model operation inside a `RawAtomic::rmw` closure runs while the
+/// engine is held by the RMW itself. That used to self-deadlock on the
+/// engine mutex; it must end the execution as a recorded failure that
+/// names the re-entry — whether the RMW runs on the main thread or a
+/// spawned one, under either handover — and leave the model usable.
+#[test]
+fn model_operation_inside_an_rmw_closure_is_a_recorded_failure() {
+    use c11tester::sync::atomic::RawAtomic;
+    use c11tester::HandoverKind;
+    for kind in [HandoverKind::Fiber, HandoverKind::Park] {
+        for on_child in [false, true] {
+            let mut model = Model::new(Config::new().with_seed(58).with_handover(kind));
+            let report = model.run(move || {
+                let a = Arc::new(RawAtomic::new(Some("reentry.a".into()), 1));
+                let b = Arc::new(RawAtomic::new(Some("reentry.b".into()), 2));
+                let nested = move || {
+                    a.rmw(Ordering::AcqRel, |old| old + b.load(Ordering::Acquire));
+                };
+                if on_child {
+                    c11tester::thread::spawn(nested).join();
+                } else {
+                    nested();
+                }
+            });
+            match &report.failure {
+                Some(Failure::Panic(msg)) => assert!(
+                    msg.contains("re-entrant c11tester model operation"),
+                    "{kind:?}, child {on_child}: {msg}"
+                ),
+                other => panic!("{kind:?}, child {on_child}: expected a panic, got {other:?}"),
+            }
+            // The campaign continues on the same model.
+            let next = model.run(|| {
+                let x = AtomicU32::new(0);
+                x.fetch_add(1, Ordering::AcqRel);
+                assert_eq!(x.load(Ordering::Acquire), 1);
+            });
+            assert!(!next.found_bug(), "{kind:?}, child {on_child}: {next}");
+        }
+    }
+}
+
+/// Once `Model::run` has returned, the caller's thread is unbound: a
+/// model operation panics with the "outside Model::run" message — also
+/// after an execution that ended by a panic of the main thread.
+#[test]
+fn binding_is_cleared_when_run_returns() {
+    let mut model = Model::new(Config::new().with_seed(59));
+    for fail in [false, true] {
+        let report = model.run(move || {
+            let x = AtomicU32::new(0);
+            let t = c11tester::thread::spawn(c11tester::thread::current_id);
+            x.store(1, Ordering::Release);
+            assert!(!fail, "main thread fails");
+            t.join();
+        });
+        assert_eq!(report.found_bug(), fail);
+        let outside = std::panic::catch_unwind(c11tester::thread::current_id);
+        let outside = outside.expect_err("no execution is running");
+        let msg = c11tester_runtime::pool::panic_message(outside.as_ref());
+        assert!(msg.contains("used outside Model::run"), "{msg}");
+    }
+}
+
+/// A pooled Park worker outlives the executions it serves. Its binding
+/// must be gone once a body has finished — normally or by the abort
+/// unwind — so that whatever runs on it later (here: a thread-local's
+/// destructor, at pool teardown) gets the "outside Model::run" panic
+/// instead of a stale context.
+#[test]
+fn pooled_worker_is_unbound_after_its_body() {
+    use c11tester::HandoverKind;
+    use std::sync::Mutex as StdMutex;
+    static SEEN: StdMutex<Vec<String>> = StdMutex::new(Vec::new());
+    struct Probe;
+    impl Drop for Probe {
+        fn drop(&mut self) {
+            let outcome = std::panic::catch_unwind(c11tester::thread::current_id);
+            let msg = match outcome {
+                Ok(tid) => format!("still bound as {tid:?}"),
+                Err(payload) => c11tester_runtime::pool::panic_message(payload.as_ref()),
+            };
+            SEEN.lock().expect("probe log").push(msg);
+        }
+    }
+    thread_local!(static PROBE: Probe = const { Probe });
+
+    let mut model = Model::new(
+        Config::new()
+            .with_seed(60)
+            .with_handover(HandoverKind::Park),
+    );
+    for fail in [false, true] {
+        let report = model.run(move || {
+            let gate = Arc::new(AtomicU32::new(0));
+            let g2 = Arc::clone(&gate);
+            let t = c11tester::thread::spawn(move || {
+                PROBE.with(|_| ()); // registers the destructor on the worker
+                g2.store(1, Ordering::Release);
+                // In the failing execution this thread is parked here
+                // (or never got this far) when the main thread aborts.
+                let _ = g2.load(Ordering::Acquire);
+            });
+            assert!(!fail, "main thread fails");
+            t.join();
+        });
+        assert_eq!(report.found_bug(), fail);
+    }
+    drop(model); // joins the pooled workers, running their TLS destructors
+    let seen = SEEN.lock().expect("probe log");
+    assert!(!seen.is_empty(), "a pooled worker ran the body");
+    for msg in seen.iter() {
+        assert!(msg.contains("used outside Model::run"), "{msg}");
+    }
+}

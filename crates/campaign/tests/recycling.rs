@@ -14,7 +14,11 @@
 //!   recycled-vs-fresh provisioning;
 //! * clock vectors spill transparently past
 //!   [`c11tester_core::INLINE_SLOTS`] threads — the inline→spill
-//!   transition must be equally invisible.
+//!   transition must be equally invisible;
+//! * the whole execution *context* is recycled, not just the
+//!   `Execution`: thread table, strategy box, fiber slot records or
+//!   pooled OS threads — through executions of any width and any
+//!   ending.
 
 use c11tester::{Config, Model, TestReport};
 use c11tester_campaign::{Campaign, CampaignBudget};
@@ -162,4 +166,122 @@ fn alloc_stats_only_surface_behind_the_flag() {
     let end = with_alloc[start..].find('}').expect("block closes") + start + 1;
     let stripped = format!("{}{}", &with_alloc[..start], &with_alloc[end..]);
     assert_eq!(stripped, canonical);
+}
+
+/// One model, one context, 64 executions of every shape the context
+/// has state for: 1, 3 and 11 threads (the thread table and the fiber
+/// slot records shrink and grow), a strategy mix (the strategy box is
+/// replaced when the index switches kind), and the three ways an execution is cut short —
+/// assertion failure, deadlock, event budget — each leaving threads to
+/// be torn down mid-flight. Every report must equal the one a fresh
+/// model produces for that index alone.
+#[test]
+fn recycled_context_equals_fresh_across_shapes_and_failures() {
+    use c11tester::sync::atomic::{AtomicU64, Ordering};
+    use c11tester::sync::{Condvar, Mutex};
+    use c11tester::{Failure, HandoverKind, Shared, StrategyMix};
+    use std::sync::Arc;
+
+    fn solo() {
+        let x = AtomicU64::new(1);
+        x.fetch_add(x.load(Ordering::Relaxed), Ordering::AcqRel);
+    }
+    /// `children` threads racing on a cell and a counter; `then` runs
+    /// on the main thread while they are all still live. The cell is
+    /// anonymous: its report label is numbered per execution.
+    fn fan_out(children: u64, then: impl FnOnce(&AtomicU64)) {
+        let x = Arc::new(AtomicU64::new(0));
+        let cell = Arc::new(Shared::new(0u64));
+        let handles: Vec<_> = (0..children)
+            .map(|i| {
+                let (x, cell) = (Arc::clone(&x), Arc::clone(&cell));
+                c11tester::thread::spawn(move || {
+                    x.fetch_add(i + 1, Ordering::Relaxed);
+                    cell.set(cell.get() + 1);
+                    x.store(i, Ordering::Release);
+                })
+            })
+            .collect();
+        then(&x);
+        for h in handles {
+            h.join();
+        }
+    }
+    fn three_threads() {
+        fan_out(2, |_| {});
+    }
+    fn assertion_failure() {
+        fan_out(3, |x| {
+            assert!(x.load(Ordering::Acquire) > 1 << 40, "never true")
+        });
+    }
+    fn deadlock() {
+        fan_out(2, |_| {
+            let (m, cv) = (Mutex::new(()), Condvar::new());
+            drop(cv.wait(m.lock())); // nobody notifies
+        });
+    }
+    fn runaway() {
+        fan_out(2, |x| {
+            for i in 0..10_000 {
+                x.store(i, Ordering::SeqCst);
+            }
+        });
+    }
+    const PROGRAMS: [(&str, fn()); 7] = [
+        ("solo", solo),
+        ("assertion", assertion_failure),
+        ("three", three_threads),
+        ("deadlock", deadlock),
+        ("eleven", wide_program),
+        ("runaway", runaway),
+        ("racy", racy_program),
+    ];
+
+    for kind in [HandoverKind::Fiber, HandoverKind::Park] {
+        let config = || {
+            Config::new()
+                .with_seed(0xC0_47E7)
+                .with_mix(StrategyMix::parse("random:2,pct2:1,burst:1").expect("mix"))
+                .with_max_events(600)
+                .with_handover(kind)
+        };
+        let mut recycling = Model::new(config());
+        let mut endings = [0u32; 4];
+        for index in 0..64 {
+            let (name, program) = PROGRAMS[index as usize % PROGRAMS.len()];
+            let recycled = recycling.run(program);
+            let fresh = Model::new(config()).run_at(index, program);
+            assert_eq!(recycled.execution_index, index);
+            assert_eq!(
+                (
+                    &recycled.strategy,
+                    &recycled.races,
+                    &recycled.failure,
+                    &recycled.stats,
+                    recycled.elided_volatile_races
+                ),
+                (
+                    &fresh.strategy,
+                    &fresh.races,
+                    &fresh.failure,
+                    &fresh.stats,
+                    fresh.elided_volatile_races
+                ),
+                "{kind:?}: execution {index} ({name}) diverged recycled-vs-fresh"
+            );
+            assert_eq!(recycled.stats.alloc.fresh_executions, u64::from(index == 0));
+            endings[match recycled.failure {
+                None => 0,
+                Some(Failure::Panic(_)) => 1,
+                Some(Failure::Deadlock) => 2,
+                Some(Failure::TooManyEvents(_)) => 3,
+                Some(ref other) => panic!("{kind:?}: execution {index} ({name}): {other}"),
+            }] += 1;
+        }
+        assert!(
+            endings.iter().all(|&n| n >= 9),
+            "{kind:?}: every ending must occur: {endings:?}"
+        );
+    }
 }

@@ -15,8 +15,16 @@
 //! * blocked or descheduled threads stay suspended (fiber) or parked
 //!   in their mailbox (OS thread) until handed the token;
 //! * aborting an execution (deadlock, assertion failure, race-as-fatal)
-//!   poisons the runtime so every suspended thread unwinds and exits
-//!   cleanly.
+//!   poisons the runtime, after which the token still moves one thread
+//!   at a time: the poisoner runs until it exits, its exit hands the
+//!   token to the driver, and [`Runtime::join_all`] hands it to each
+//!   remaining thread in slot order so it unwinds and exits cleanly.
+//!
+//! Holding the token is therefore *ownership* of everything the
+//! threads of an execution share: the facade keeps its engine in a
+//! plain cell and relies on this module for exclusion and for the
+//! happens-before edge on every handover (a mailbox's release/acquire
+//! pair, or program order on the one fiber thread).
 //!
 //! The memory-model engine, the enabled-set bookkeeping, and the
 //! scheduling policy live a layer above (in the `c11tester` facade);
@@ -27,7 +35,7 @@ use crate::handover::{HandoverKind, Notifier};
 use crate::pool::ThreadPool;
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Panic payload used to unwind model threads when an execution aborts.
@@ -36,6 +44,18 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Aborted;
 
+/// One pooled model thread's slot.
+#[derive(Debug)]
+struct ParkSlot {
+    mailbox: Notifier,
+    /// A pooled worker is running this slot's task (set at dispatch,
+    /// cleared when the task ends). Never set for the driver's slot.
+    live: AtomicBool,
+}
+
+/// "No slot": the driver has not bound itself yet.
+const NO_SLOT: usize = usize::MAX;
+
 /// What backs the model threads of one execution.
 #[derive(Debug)]
 enum Backing {
@@ -43,56 +63,112 @@ enum Backing {
     /// OS thread (paper §7.3).
     Fibers(Fibers),
     /// One pooled OS thread per model thread, each waiting in its
-    /// slot's mailbox. The pool outlives the runtime when shared
-    /// ([`Runtime::with_pool`]).
+    /// slot's mailbox.
     Pooled {
-        slots: Mutex<Vec<Arc<Notifier>>>,
+        slots: Mutex<Vec<Arc<ParkSlot>>>,
+        /// The slot bound by [`Runtime::bind_current`]: where a
+        /// poisoned execution's token goes when its holder exits.
+        driver: AtomicUsize,
+        /// The slot holding the token: written by `wake` before the
+        /// token leaves, and by the receiver when `park` returns.
+        current: AtomicUsize,
         pool: Arc<ThreadPool>,
     },
 }
 
-/// Slot `ix`'s mailbox, cloned out so no caller blocks or wakes a
-/// thread while holding the slot-table lock.
-fn mailbox(slots: &Mutex<Vec<Arc<Notifier>>>, ix: usize) -> Arc<Notifier> {
+/// Slot `ix`, cloned out so no caller blocks or wakes a thread while
+/// holding the slot-table lock.
+fn slot(slots: &Mutex<Vec<Arc<ParkSlot>>>, ix: usize) -> Arc<ParkSlot> {
     Arc::clone(&slots.lock()[ix])
 }
 
-/// The run-token runtime of one execution.
+/// The run-token runtime of one execution at a time: built once,
+/// [`Runtime::reset`] between executions.
 #[derive(Debug)]
 pub struct Runtime {
     backing: Backing,
     poisoned: AtomicBool,
 }
 
+/// Ends a pooled model thread's task: marks the slot dead and, if it
+/// exits a poisoned execution *holding the token*, passes the token on
+/// to the driver (the futex analog of a finished fiber switching back
+/// to the driver context). A thread that handed the token on before
+/// returning has nothing to pass: whoever holds it now may be the
+/// poisoner, still running.
+struct ExitSlot<'a> {
+    rt: &'a Runtime,
+    ix: usize,
+    slot: Arc<ParkSlot>,
+}
+
+impl Drop for ExitSlot<'_> {
+    fn drop(&mut self) {
+        let Backing::Pooled {
+            slots,
+            driver,
+            current,
+            ..
+        } = &self.rt.backing
+        else {
+            return;
+        };
+        // Read before `live` clears: `join_all` moves the token on as
+        // soon as it sees this slot dead.
+        let holds_token = current.load(Ordering::Acquire) == self.ix;
+        self.slot.live.store(false, Ordering::Release);
+        let driver = driver.load(Ordering::Relaxed);
+        if holds_token && driver != NO_SLOT && self.rt.is_poisoned() {
+            slot(slots, driver).mailbox.notify();
+        }
+    }
+}
+
 impl Runtime {
-    /// Creates a runtime for one execution. A [`HandoverKind::Park`]
-    /// runtime built this way owns a private [`ThreadPool`] that dies
-    /// with it; use [`Runtime::with_pool`] to reuse OS threads across
-    /// executions.
+    /// Creates a runtime. A [`HandoverKind::Park`] runtime owns the
+    /// [`ThreadPool`] its model threads are dispatched onto; the
+    /// workers stay alive across [`Runtime::reset`], so after warmup an
+    /// execution spawns no OS threads.
     pub fn new(kind: HandoverKind) -> Arc<Self> {
-        Runtime::build(kind, ThreadPool::new)
-    }
-
-    /// Creates a runtime whose [`HandoverKind::Park`] model threads are
-    /// dispatched onto `pool`'s reusable workers; `join_all` quiesces
-    /// the pool rather than joining threads. Fibers never leave the
-    /// driver thread, so a fiber runtime does not retain `pool`.
-    pub fn with_pool(kind: HandoverKind, pool: Arc<ThreadPool>) -> Arc<Self> {
-        Runtime::build(kind, || pool)
-    }
-
-    fn build(kind: HandoverKind, pool: impl FnOnce() -> Arc<ThreadPool>) -> Arc<Self> {
         let backing = match kind.effective() {
             HandoverKind::Fiber => Backing::Fibers(Fibers::new()),
             HandoverKind::Park => Backing::Pooled {
                 slots: Mutex::new(Vec::new()),
-                pool: pool(),
+                driver: AtomicUsize::new(NO_SLOT),
+                current: AtomicUsize::new(0),
+                pool: ThreadPool::new(),
             },
         };
         Arc::new(Runtime {
             backing,
             poisoned: AtomicBool::new(false),
         })
+    }
+
+    /// Returns the runtime to its just-built state for the next
+    /// execution, keeping what is expensive to rebuild: the allocation
+    /// itself, fiber slot records, and the pooled OS threads. Call
+    /// only after [`Runtime::join_all`] (or before any slot exists).
+    pub fn reset(&self) {
+        match &self.backing {
+            Backing::Fibers(fibers) => fibers.reset(),
+            Backing::Pooled {
+                slots,
+                driver,
+                current,
+                ..
+            } => {
+                let mut slots = slots.lock();
+                debug_assert!(
+                    slots.iter().all(|s| !s.live.load(Ordering::Acquire)),
+                    "runtime reset with a live pooled model thread"
+                );
+                slots.clear();
+                driver.store(NO_SLOT, Ordering::Relaxed);
+                current.store(0, Ordering::Relaxed);
+            }
+        }
+        self.poisoned.store(false, Ordering::Release);
     }
 
     /// The handover strategy in use.
@@ -103,19 +179,16 @@ impl Runtime {
         }
     }
 
-    /// Whether model threads run as fibers on the driver's OS thread.
-    /// When true, the current model thread's identity is slot-derived
-    /// ([`Runtime::current_fiber_slot`]) rather than OS-thread-local.
-    pub fn is_fiber(&self) -> bool {
-        matches!(self.backing, Backing::Fibers(_))
-    }
-
-    /// The slot index currently executing on the driver thread, when
-    /// in fiber mode.
-    pub fn current_fiber_slot(&self) -> Option<usize> {
+    /// The slot holding the run token: the fiber executing on the
+    /// driver thread, or the pooled thread the token was last handed
+    /// to. Read by the token holder, this is its own slot — the
+    /// facade's notion of "the current model thread" under either
+    /// backing.
+    #[inline]
+    pub fn current_slot(&self) -> usize {
         match &self.backing {
-            Backing::Fibers(fibers) => Some(fibers.current()),
-            Backing::Pooled { .. } => None,
+            Backing::Fibers(fibers) => fibers.current(),
+            Backing::Pooled { current, .. } => current.load(Ordering::Relaxed),
         }
     }
 
@@ -126,19 +199,31 @@ impl Runtime {
             Backing::Fibers(fibers) => fibers.add_slot(),
             Backing::Pooled { slots, .. } => {
                 let mut slots = slots.lock();
-                slots.push(Arc::new(Notifier::new(HandoverKind::Park)));
+                slots.push(Arc::new(ParkSlot {
+                    mailbox: Notifier::new(HandoverKind::Park),
+                    live: AtomicBool::new(false),
+                }));
                 slots.len() - 1
             }
         }
     }
 
-    /// Binds the calling OS thread as the owner of slot `ix` (required
-    /// before its first `park`; binds the driver's native context in
-    /// fiber mode).
+    /// Binds the calling OS thread as the driver, owner of slot `ix`
+    /// and holder of the token (required before its first `park`;
+    /// binds the driver's native context in fiber mode).
     pub fn bind_current(&self, ix: usize) {
         match &self.backing {
             Backing::Fibers(fibers) => fibers.bind_driver(ix),
-            Backing::Pooled { slots, .. } => mailbox(slots, ix).bind_current(),
+            Backing::Pooled {
+                slots,
+                driver,
+                current,
+                ..
+            } => {
+                slot(slots, ix).mailbox.bind_current();
+                driver.store(ix, Ordering::Relaxed);
+                current.store(ix, Ordering::Relaxed);
+            }
         }
     }
 
@@ -148,7 +233,10 @@ impl Runtime {
     pub fn wake(&self, ix: usize) {
         match &self.backing {
             Backing::Fibers(fibers) => fibers.wake(ix),
-            Backing::Pooled { slots, .. } => mailbox(slots, ix).notify(),
+            Backing::Pooled { slots, current, .. } => {
+                current.store(ix, Ordering::Release);
+                slot(slots, ix).mailbox.notify();
+            }
         }
     }
 
@@ -159,12 +247,25 @@ impl Runtime {
     /// Returns [`Aborted`] if the execution was poisoned — the caller
     /// must unwind (e.g. via `std::panic::panic_any(Aborted)`).
     pub fn park(&self, ix: usize) -> Result<(), Aborted> {
-        if self.poisoned.load(Ordering::Acquire) {
-            return Err(Aborted);
-        }
         match &self.backing {
-            Backing::Fibers(fibers) => fibers.park(ix),
-            Backing::Pooled { slots, .. } => mailbox(slots, ix).wait(),
+            Backing::Fibers(fibers) => {
+                if self.poisoned.load(Ordering::Acquire) {
+                    return Err(Aborted);
+                }
+                fibers.park(ix);
+            }
+            Backing::Pooled { slots, current, .. } => {
+                // A caller that just handed the token on must wait for
+                // it to come back even if the execution is poisoned by
+                // then — the thread it woke is running, and may be the
+                // poisoner. Only a caller that still holds the token
+                // has nobody to wait for.
+                let holds_token = current.load(Ordering::Acquire) == ix;
+                if !(holds_token && self.poisoned.load(Ordering::Acquire)) {
+                    slot(slots, ix).mailbox.wait();
+                    current.store(ix, Ordering::Relaxed);
+                }
+            }
         }
         if self.poisoned.load(Ordering::Acquire) {
             return Err(Aborted);
@@ -197,10 +298,14 @@ impl Runtime {
                 fibers.spawn(ix, body, &self.poisoned);
                 Ok(())
             }
-            Backing::Pooled { pool, .. } => {
+            Backing::Pooled { slots, pool, .. } => {
                 let rt = Arc::clone(self);
+                let slot = slot(slots, ix);
+                slot.live.store(true, Ordering::Release);
+                let undo = Arc::clone(&slot);
                 pool.dispatch(Box::new(move || {
-                    rt.bind_current(ix);
+                    let exit = ExitSlot { rt: &rt, ix, slot };
+                    exit.slot.mailbox.bind_current();
                     if rt.park(ix).is_err() {
                         return;
                     }
@@ -212,25 +317,19 @@ impl Runtime {
                         }
                     }
                 }))
+                // No worker backs the slot: nothing for teardown to wake.
+                .inspect_err(|_| undo.live.store(false, Ordering::Release))
             }
         }
     }
 
-    /// Poisons the execution and wakes every parked thread so it can
-    /// observe the poison and unwind.
+    /// Poisons the execution. The caller holds the token and keeps it
+    /// until it exits; nobody is woken here, so the threads of a
+    /// poisoned execution still run one at a time (see the module
+    /// docs) and whatever they share stays singly owned while they
+    /// unwind.
     pub fn poison(&self) {
         self.poisoned.store(true, Ordering::Release);
-        match &self.backing {
-            // Suspended fibers cannot observe anything until switched
-            // to; `join_all` resumes each so it unwinds. No notify.
-            Backing::Fibers(_) => {}
-            Backing::Pooled { slots, .. } => {
-                let slots: Vec<Arc<Notifier>> = slots.lock().clone();
-                for s in slots {
-                    s.notify();
-                }
-            }
-        }
     }
 
     /// Whether the execution was aborted.
@@ -238,10 +337,14 @@ impl Runtime {
         self.poisoned.load(Ordering::Acquire)
     }
 
-    /// Waits for every model thread of this execution to finish: tears
-    /// the fiber group down, or quiesces the backing pool (workers
-    /// return to the idle list; no thread teardown). Call only after
-    /// the execution completed or was poisoned.
+    /// Waits for every model thread of this execution to finish. In a
+    /// poisoned execution it first hands the token to each thread that
+    /// is still suspended or parked, lowest slot first and one at a
+    /// time, so it observes the poison, unwinds (running `Drop` code)
+    /// and exits before the next is resumed. Then tears the fiber group
+    /// down, or quiesces the pool (workers return to the idle list; no
+    /// thread teardown). Call from the driver, only after the execution
+    /// completed or was poisoned.
     ///
     /// # Errors
     ///
@@ -249,9 +352,21 @@ impl Runtime {
     /// of a panic that escaped its root `catch_unwind` (anything but
     /// the cooperative [`Aborted`] unwind).
     pub fn join_all(&self) -> Result<(), String> {
+        let poisoned = self.poisoned.load(Ordering::Acquire);
         match &self.backing {
-            Backing::Fibers(fibers) => fibers.finish(self.poisoned.load(Ordering::Acquire)),
-            Backing::Pooled { pool, .. } => pool.quiesce(),
+            Backing::Fibers(fibers) => fibers.finish(poisoned),
+            Backing::Pooled { slots, pool, .. } => {
+                if poisoned {
+                    let slots: Vec<Arc<ParkSlot>> = slots.lock().clone();
+                    for (ix, slot) in slots.iter().enumerate() {
+                        if slot.live.load(Ordering::Acquire) {
+                            self.wake(ix);
+                            pool.wait_until(|| !slot.live.load(Ordering::Acquire));
+                        }
+                    }
+                }
+                pool.quiesce()
+            }
         }
     }
 }
@@ -320,28 +435,35 @@ mod tests {
         run_token_ring(&rt);
     }
 
-    /// The same ring discipline must hold on pooled workers — and a
-    /// second execution on the same pool must reuse them instead of
+    fn pool_of(rt: &Runtime) -> &ThreadPool {
+        match &rt.backing {
+            Backing::Pooled { pool, .. } => pool,
+            Backing::Fibers(_) => panic!("fiber runtime has no pool"),
+        }
+    }
+
+    /// The same ring discipline must hold on a reset runtime — and the
+    /// second execution must reuse the pooled workers instead of
     /// spawning more.
     #[test]
     fn token_ring_runs_in_order_on_pooled_workers() {
-        let pool = ThreadPool::new();
-        let rt = Runtime::with_pool(HandoverKind::Park, Arc::clone(&pool));
+        let rt = Runtime::new(HandoverKind::Park);
         run_token_ring(&rt);
-        let warm = pool.workers_spawned();
+        let warm = pool_of(&rt).workers_spawned();
         assert!(warm > 0 && warm <= 3);
 
-        let rt2 = Runtime::with_pool(HandoverKind::Park, Arc::clone(&pool));
-        run_token_ring(&rt2);
+        rt.reset();
+        run_token_ring(&rt);
         assert_eq!(
-            pool.workers_spawned(),
+            pool_of(&rt).workers_spawned(),
             warm,
             "second execution must not grow the pool"
         );
-        assert_eq!(pool.dispatches_reused(), 3);
+        assert_eq!(pool_of(&rt).dispatches_reused(), 3);
     }
 
-    /// Poisoning wakes parked threads and park reports the abort.
+    /// Teardown of a poisoned execution wakes parked threads and park
+    /// reports the abort.
     #[test]
     fn poison_unblocks_parked_threads() {
         let rt = Runtime::new(HandoverKind::Park);
@@ -421,10 +543,12 @@ mod tests {
     #[test]
     fn token_ring_runs_in_order_on_fibers() {
         let rt = Runtime::new(HandoverKind::Fiber);
-        assert!(rt.is_fiber());
+        assert_eq!(rt.handover_kind(), HandoverKind::Fiber);
         run_token_ring(&rt);
-        // The runtime is per-execution; a fresh one on the same driver
-        // thread reuses the recycled fiber stacks.
+        // A reset runtime reuses its slot records, and a fresh one on
+        // the same driver thread the recycled fiber stacks.
+        rt.reset();
+        run_token_ring(&rt);
         let rt2 = Runtime::new(HandoverKind::Fiber);
         run_token_ring(&rt2);
     }
@@ -483,12 +607,11 @@ mod tests {
         assert!(err.contains("fiber model thread exploded"), "got: {err}");
     }
 
-    /// A shared pool has the same obligation — and stays reusable
-    /// after quiesce reported the escaped panic.
+    /// The pool stays reusable after quiesce reported an escaped
+    /// panic.
     #[test]
     fn pooled_join_all_surfaces_escaped_panics() {
-        let pool = ThreadPool::new();
-        let rt = Runtime::with_pool(HandoverKind::Park, Arc::clone(&pool));
+        let rt = Runtime::new(HandoverKind::Park);
         let ix = rt.add_slot();
         rt.spawn(ix, Box::new(|| panic!("pooled thread exploded")))
             .expect("dispatch model thread");
@@ -496,7 +619,147 @@ mod tests {
         let err = rt.join_all().expect_err("escaped panic must surface");
         assert!(err.contains("pooled thread exploded"), "got: {err}");
         // The pool recovered: the next execution is clean.
-        let rt2 = Runtime::with_pool(HandoverKind::Park, pool);
-        run_token_ring(&rt2);
+        rt.reset();
+        run_token_ring(&rt);
+    }
+
+    /// A poisoned execution's threads unwind one at a time: the
+    /// poisoner's exit wakes the driver, and `join_all` resumes the
+    /// rest in slot order, each running its `Drop` code to completion
+    /// before the next starts — under either backing.
+    #[test]
+    fn poisoned_teardown_is_sequential_in_slot_order() {
+        struct LogOnDrop(usize, Arc<Mutex<Vec<usize>>>, Arc<AtomicUsize>);
+        impl Drop for LogOnDrop {
+            fn drop(&mut self) {
+                // Overlapping unwinds would interleave enter/leave.
+                assert_eq!(self.2.fetch_add(1, Ordering::SeqCst), 0, "overlap");
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                self.1.lock().push(self.0);
+                self.2.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        for kind in [HandoverKind::Fiber, HandoverKind::Park] {
+            let rt = Runtime::new(kind);
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let inside = Arc::new(AtomicUsize::new(0));
+            let main = rt.add_slot();
+            rt.bind_current(main);
+            let slots: Vec<usize> = (0..4).map(|_| rt.add_slot()).collect();
+            let poisoner = slots[3];
+            for &ix in &slots {
+                let rt2 = Arc::clone(&rt);
+                let witness = LogOnDrop(ix, Arc::clone(&log), Arc::clone(&inside));
+                rt.spawn(
+                    ix,
+                    Box::new(move || {
+                        let _witness = witness;
+                        assert_eq!(rt2.current_slot(), ix);
+                        if ix == poisoner {
+                            rt2.poison();
+                        } else {
+                            // Pass the token down the line and park.
+                            rt2.wake(ix + 1);
+                        }
+                        if rt2.park(ix).is_err() {
+                            std::panic::panic_any(Aborted);
+                        }
+                    }),
+                )
+                .expect("spawn model thread");
+            }
+            rt.wake(slots[0]);
+            assert_eq!(
+                rt.park(main),
+                Err(Aborted),
+                "poisoner's exit wakes the driver"
+            );
+            assert_eq!(rt.current_slot(), main);
+            rt.join_all().expect("Aborted unwinds are swallowed");
+            assert_eq!(
+                *log.lock(),
+                vec![poisoner, slots[0], slots[1], slots[2]],
+                "{kind:?}"
+            );
+        }
+    }
+
+    /// A thread that handed the token on and is about to park must wait
+    /// for it even if the thread it woke has poisoned the execution in
+    /// the meantime: that thread is still running.
+    #[test]
+    fn park_waits_out_a_running_poisoner() {
+        let rt = Runtime::new(HandoverKind::Park);
+        let main = rt.add_slot();
+        rt.bind_current(main);
+        let ix = rt.add_slot();
+        let (poisoned_tx, poisoned_rx) = std::sync::mpsc::channel();
+        let exited = Arc::new(AtomicBool::new(false));
+        let (rt2, exited2) = (Arc::clone(&rt), Arc::clone(&exited));
+        rt.spawn(
+            ix,
+            Box::new(move || {
+                rt2.poison();
+                poisoned_tx.send(()).expect("driver listens");
+                // Still holding the token: the driver must not run.
+                std::thread::sleep(std::time::Duration::from_millis(30));
+                exited2.store(true, Ordering::Release);
+            }),
+        )
+        .expect("spawn model thread");
+        rt.wake(ix);
+        // Force the interleaving: the poison lands before the park.
+        poisoned_rx.recv().expect("poisoner ran");
+        assert_eq!(rt.park(main), Err(Aborted));
+        assert!(
+            exited.load(Ordering::Acquire),
+            "park returned while the poisoner was still running"
+        );
+        rt.join_all().expect("clean teardown");
+    }
+
+    /// Only the token holder's exit hands the token to the driver: a
+    /// thread that woke its successor and is still on its way out when
+    /// the successor poisons must not wake the driver beside it.
+    #[test]
+    fn exit_without_the_token_does_not_wake_the_driver() {
+        let rt = Runtime::new(HandoverKind::Park);
+        let main = rt.add_slot();
+        rt.bind_current(main);
+        let early = rt.add_slot();
+        let poisoner = rt.add_slot();
+        let (poisoned_tx, poisoned_rx) = std::sync::mpsc::channel();
+        let exited = Arc::new(AtomicBool::new(false));
+        let rt2 = Arc::clone(&rt);
+        rt.spawn(
+            early,
+            Box::new(move || {
+                // Finish "normally": pass the token on, then return —
+                // but only once the successor has poisoned.
+                rt2.wake(poisoner);
+                poisoned_rx.recv().expect("poisoner ran");
+            }),
+        )
+        .expect("spawn model thread");
+        let (rt2, exited2) = (Arc::clone(&rt), Arc::clone(&exited));
+        rt.spawn(
+            poisoner,
+            Box::new(move || {
+                rt2.poison();
+                poisoned_tx.send(()).expect("early thread listens");
+                // Still holding the token while `early` exits.
+                std::thread::sleep(std::time::Duration::from_millis(30));
+                exited2.store(true, Ordering::Release);
+            }),
+        )
+        .expect("spawn model thread");
+        rt.wake(early);
+        assert_eq!(rt.park(main), Err(Aborted));
+        assert!(
+            exited.load(Ordering::Acquire),
+            "driver woke while the poisoner was still running"
+        );
+        assert_eq!(rt.current_slot(), main);
+        rt.join_all().expect("clean teardown");
     }
 }

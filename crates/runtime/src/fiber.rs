@@ -225,6 +225,10 @@ struct FiberState {
     /// survive `slots` reallocating as the execution forks threads.
     #[allow(clippy::vec_box)]
     slots: Vec<Box<FiberSlot>>,
+    /// Slot records of earlier executions ([`Fibers::reset`]), reused
+    /// by `add_slot` so steady-state executions allocate none.
+    #[allow(clippy::vec_box)]
+    spare: Vec<Box<FiberSlot>>,
     /// The successor chosen by the last `wake`, consumed by the next
     /// suspension point. Strict token passing keeps this at most one.
     pending: Option<usize>,
@@ -250,6 +254,8 @@ pub(crate) struct Fibers {
 // thread driving the execution; the mutex serializes bookkeeping for
 // any cross-thread observers.
 unsafe impl Send for Fibers {}
+// SAFETY: as for `Send` — shared references only reach the slot
+// records through the mutex, and only the driver thread switches.
 unsafe impl Sync for Fibers {}
 
 impl std::fmt::Debug for Fibers {
@@ -266,6 +272,7 @@ impl Fibers {
         Fibers {
             state: Mutex::new(FiberState {
                 slots: Vec::new(),
+                spare: Vec::new(),
                 pending: None,
                 escaped: Vec::new(),
             }),
@@ -277,8 +284,31 @@ impl Fibers {
     /// Allocates a fiber slot; indices match the engine's thread ids.
     pub(crate) fn add_slot(&self) -> usize {
         let mut st = self.state.lock();
-        st.slots.push(FiberSlot::new());
+        let slot = st.spare.pop().unwrap_or_else(FiberSlot::new);
+        st.slots.push(slot);
         st.slots.len() - 1
+    }
+
+    /// Rewinds the group to its just-built state for the next
+    /// execution, keeping the slot records. Every fiber must be gone:
+    /// call after [`Fibers::finish`], which unwound or dropped them and
+    /// reclaimed their stacks.
+    pub(crate) fn reset(&self) {
+        let mut st = self.state.lock();
+        let st = &mut *st;
+        for slot in &mut st.slots {
+            assert!(
+                slot.stack.is_none() && slot.body.is_none(),
+                "fiber handover: reset before teardown of slot {}",
+                slot.ix
+            );
+            slot.status = Status::New;
+        }
+        st.spare.append(&mut st.slots);
+        st.pending = None;
+        st.escaped.clear();
+        self.current.store(0, Ordering::Relaxed);
+        self.driver.store(0, Ordering::Relaxed);
     }
 
     /// Binds slot `ix` to the calling (driver) thread's native context.
@@ -335,6 +365,10 @@ impl Fibers {
             let restore = self.prepare(&mut st, target);
             (save, restore)
         };
+        // SAFETY: `save` and `restore` point at the `sp` fields of two
+        // distinct boxed slot records, which outlive every fiber;
+        // `prepare` made `*restore` a context this module suspended or
+        // built, on a stack nothing else is running on.
         unsafe { fiber_switch(save, restore) };
         // Resumed: whoever switched to us already marked us Running and
         // set `current`.
@@ -358,6 +392,8 @@ impl Fibers {
             let restore = self.prepare(&mut st, target);
             (save, restore)
         };
+        // SAFETY: as in `park`; the context saved through `save` is
+        // never resumed, so this stack is dead from here on.
         unsafe { fiber_switch(save, restore) };
         unreachable!("finished fiber {ix} was resumed");
     }
@@ -375,6 +411,10 @@ impl Fibers {
                     "fiber handover: woke slot {target} before it was spawned"
                 );
                 let stack = RawStack::obtain();
+                // SAFETY: `stack` is a live mapping with `STACK_SIZE`
+                // writable bytes below `top()`, owned by this slot from
+                // the next line on; `slot` is boxed, so the pointer
+                // stays valid for the fiber's lifetime.
                 slot.sp = unsafe { build_initial_sp(&stack, &mut **slot) };
                 slot.stack = Some(stack);
             }
@@ -402,6 +442,7 @@ impl Fibers {
             let restore = self.prepare(&mut st, target);
             (save, restore)
         };
+        // SAFETY: as in `park`, saving the driver's native context.
         unsafe { fiber_switch(save, restore) };
     }
 
@@ -500,12 +541,19 @@ extern "C" fn fiber_entry(slot: *mut FiberSlot) -> ! {
 ///
 /// Image (ascending addresses from the returned `sp`):
 /// `[mxcsr|fcw] r15 r14 r13=entry r12=slot rbx rbp ret=trampoline`.
+///
+/// # Safety
+///
+/// `stack` must be a live mapping nothing is running on, and `slot`
+/// must stay valid until the fiber started from this image has exited.
 #[cfg(all(target_arch = "x86_64", unix))]
 unsafe fn build_initial_sp(stack: &RawStack, slot: *mut FiberSlot) -> *mut u8 {
     let top = stack.top() & !15;
     let sp = (top - 64) as *mut u64;
     // x87/SSE control words: the Rust/SysV defaults (round-to-nearest,
     // all exceptions masked).
+    // SAFETY: the caller passes a live stack; the eight words written
+    // sit in its top 64 bytes, 8-aligned because `top` is 16-aligned.
     unsafe {
         sp.write(0x1F80 | (0x037F_u64 << 32));
         sp.add(1).write(0); // r15

@@ -4,8 +4,8 @@
 //! where fibers are unavailable, and the twin the tests compare fibers
 //! against — backs every model thread with an OS thread. The paper
 //! amortizes thread setup across explored executions (§7.3–§7.4); here
-//! a [`ThreadPool`] owned by the `Model` keeps those OS threads alive
-//! across a shard's executions. Per execution,
+//! a [`ThreadPool`] owned by the `Model`'s `Runtime` keeps those OS
+//! threads alive across a shard's executions. Per execution,
 //! [`Runtime::spawn`](crate::Runtime::spawn) becomes "dispatch the
 //! workload closure to an idle pooled worker" and `join_all` becomes
 //! [`ThreadPool::quiesce`] — wait until every dispatched closure has
@@ -57,11 +57,11 @@ struct Shared {
 
 /// A pool of OS worker threads reused across executions.
 ///
-/// Create one per `Model` (or shard worker) with [`ThreadPool::new`],
-/// hand it to [`Runtime::with_pool`](crate::Runtime::with_pool) for
-/// each execution, and call `Runtime::join_all` (which quiesces the
-/// pool) at the end of each. Dropping the pool shuts the workers down
-/// and joins them.
+/// A [`HandoverKind::Park`](crate::HandoverKind::Park)
+/// [`Runtime`](crate::Runtime) creates one with [`ThreadPool::new`] and
+/// keeps it for its lifetime; `Runtime::join_all` quiesces it at the
+/// end of each execution. Dropping the pool shuts the workers down and
+/// joins them.
 pub struct ThreadPool {
     shared: Arc<Shared>,
     workers: Mutex<Vec<WorkerHandle>>,
@@ -163,6 +163,17 @@ impl ThreadPool {
         } else {
             let msgs: Vec<String> = st.escaped.drain(..).collect();
             Err(msgs.join("; "))
+        }
+    }
+
+    /// Blocks until `done()` holds, re-checking it each time a task
+    /// ends. `done` must only become true by something a task does
+    /// before it returns — the completion bookkeeping that follows
+    /// takes the pool lock, so the check cannot miss it.
+    pub fn wait_until(&self, mut done: impl FnMut() -> bool) {
+        let mut st = self.shared.state.lock();
+        while !done() {
+            self.shared.cv.wait(&mut st);
         }
     }
 
