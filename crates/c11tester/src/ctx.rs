@@ -10,20 +10,21 @@
 //! continues. The *write-run* rule skips the decision while a thread
 //! performs consecutive relaxed/release plain stores (Fig. 4).
 //!
-//! Each operation takes the engine once ([`EngineCell::borrow`]): the
+//! Each operation takes the engine once ([`EngineCell`]'s `borrow`): the
 //! decision, the operation and the budget check share one borrow, which
 //! ends before any `wake`/`park`/`poison` — the token holder owns the
 //! engine, so it must let go before the token moves.
 
-use crate::engine::{Engine, EngineCell, EngineRef, WaitReason};
+use crate::engine::{self, Engine, EngineCell, EngineRef, WaitReason};
 use crate::report::Failure;
 use c11tester_core::{MemOrder, ObjId, StoreKind, ThreadId};
 use c11tester_race::AccessKind;
 use c11tester_runtime::{Aborted, Runtime};
 use c11tester_telemetry::{phase_start, Phase};
+use std::any::Any;
 use std::cell::Cell;
 use std::marker::PhantomData;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 /// The execution context of one `Model`: built at its first execution,
 /// reset in place for each later one.
@@ -34,8 +35,6 @@ pub(crate) struct ModelCtx {
     pub runtime: Arc<Runtime>,
     /// Volatile access orders of the model's configuration.
     volatile_orders: (MemOrder, MemOrder),
-    /// The `Arc` this context lives in, for spawned threads' bodies.
-    me: Weak<ModelCtx>,
 }
 
 impl std::fmt::Debug for ModelCtx {
@@ -50,17 +49,11 @@ impl ModelCtx {
         runtime: Arc<Runtime>,
         volatile_orders: (MemOrder, MemOrder),
     ) -> Arc<Self> {
-        Arc::new_cyclic(|me| ModelCtx {
-            engine: EngineCell::new(engine),
+        Arc::new(ModelCtx {
+            engine: engine::engine_cell(engine),
             runtime,
             volatile_orders,
-            me: Weak::clone(me),
         })
-    }
-
-    /// An owned handle to this context.
-    pub(crate) fn handle(&self) -> Arc<ModelCtx> {
-        self.me.upgrade().expect("a bound context is alive")
     }
 }
 
@@ -88,10 +81,10 @@ pub(crate) struct Bound<'a> {
 /// its body. Pooled workers outlive executions, so the guard — dropped
 /// on the `Aborted` unwind too — is what keeps a stale binding from
 /// surviving into the next one.
-pub(crate) fn bind(ctx: &Arc<ModelCtx>) -> Bound<'_> {
+pub(crate) fn bind(ctx: &ModelCtx) -> Bound<'_> {
     install_quiet_panic_hook();
     Bound {
-        previous: CURRENT.with(|c| c.replace(Arc::as_ptr(ctx))),
+        previous: CURRENT.with(|c| c.replace(ctx)),
         _ctx: PhantomData,
     }
 }
@@ -135,8 +128,8 @@ pub(crate) fn with_ctx<R>(f: impl FnOnce(&ModelCtx, ThreadId) -> R) -> R {
         !ctx.is_null(),
         "c11tester model operation used outside Model::run"
     );
-    // SAFETY: a non-null binding was written by `bind` from an
-    // `Arc<ModelCtx>` that the still-live `Bound` guard borrows (guards
+    // SAFETY: a non-null binding was written by `bind` from a
+    // `&ModelCtx` that the still-live `Bound` guard borrows (guards
     // restore the previous value on drop, and every guard stacked on
     // this OS thread — a driver and its fibers — holds the same
     // pointer), so the pointee is alive for the duration of `f`.
@@ -153,8 +146,8 @@ fn abort() -> ! {
 /// unless it is already unwinding: then this returns `false` and the
 /// operation runs in place (no scheduling decision, no blocking), so
 /// `Drop` code during an abort neither re-raises nor waits. Such an
-/// operation still reaches the engine; [`EngineCell`] says why that is
-/// exclusive.
+/// operation still reaches the engine; [`engine::engine_cell`] says why
+/// that is exclusive.
 pub(crate) fn poison_check(ctx: &ModelCtx) -> bool {
     if ctx.runtime.is_poisoned() {
         if std::thread::panicking() {
@@ -271,9 +264,16 @@ enum AfterFinish {
     Deadlock,
 }
 
-/// Marks thread `tid` finished and asks the strategy who runs next.
-fn finish_thread(ctx: &ModelCtx, tid: ThreadId) -> AfterFinish {
+/// A finished thread's return value, kept for `join`.
+pub(crate) type ThreadResult = Box<dyn Any + Send>;
+
+/// Marks thread `tid` finished with its `result` and asks the strategy
+/// who runs next.
+fn finish_thread(ctx: &ModelCtx, tid: ThreadId, result: Option<ThreadResult>) -> AfterFinish {
     let mut eng = ctx.engine.borrow();
+    let slot = &mut eng.results[tid.index()];
+    debug_assert!(slot.is_none(), "thread {tid:?} finished twice");
+    *slot = result;
     eng.exec.sync_event(tid);
     if eng.finish_thread(tid) {
         return AfterFinish::Complete;
@@ -287,12 +287,14 @@ fn finish_thread(ctx: &ModelCtx, tid: ThreadId) -> AfterFinish {
     }
 }
 
-/// Marks the current (non-main) thread finished and passes control on.
-pub(crate) fn thread_finished(ctx: &ModelCtx, tid: ThreadId) {
+/// Marks the current (non-main) thread finished, keeping its `result`
+/// for `join`, and passes control on. A poisoned execution is joined by
+/// nobody: the result is dropped here, on its own thread.
+pub(crate) fn thread_finished(ctx: &ModelCtx, tid: ThreadId, result: ThreadResult) {
     if ctx.runtime.is_poisoned() {
         return;
     }
-    match finish_thread(ctx, tid) {
+    match finish_thread(ctx, tid, Some(result)) {
         // The driver is parked in `main_finished`.
         AfterFinish::Complete => ctx.runtime.wake(ThreadId::MAIN.index()),
         AfterFinish::Switch(next) => ctx.runtime.wake(next.index()),
@@ -307,7 +309,7 @@ pub(crate) fn main_finished(ctx: &ModelCtx) {
     if ctx.runtime.is_poisoned() {
         return;
     }
-    match finish_thread(ctx, tid) {
+    match finish_thread(ctx, tid, None) {
         AfterFinish::Complete => {}
         AfterFinish::Deadlock => ctx.runtime.poison(),
         AfterFinish::Switch(next) => {
@@ -336,11 +338,14 @@ pub(crate) fn new_object(label: Option<String>, volatile: bool) -> ObjId {
         poison_check(ctx);
         let mut eng = ctx.engine.borrow();
         let obj = eng.exec.new_object();
-        let label = label.unwrap_or_else(|| {
-            eng.anon_objects += 1;
-            format!("object#{}", eng.anon_objects)
-        });
-        eng.race.register(obj, label, volatile);
+        match label {
+            Some(label) => eng.race.register(obj, label, volatile),
+            None => {
+                eng.anon_objects += 1;
+                let ordinal = eng.anon_objects;
+                eng.race.register_anonymous(obj, ordinal, volatile);
+            }
+        }
         obj
     })
 }

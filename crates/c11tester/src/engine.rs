@@ -1,21 +1,25 @@
 //! The per-execution engine — memory model + race detector + strategy +
 //! thread-status bookkeeping — and the cell that holds it.
 //!
-//! # Engine ownership
+//! # Token ownership
 //!
 //! Only one model thread runs at a time (the run token of
 //! `c11tester_runtime::executor`), so the engine is plain owned state:
-//! whoever holds the token owns it, through [`EngineCell::borrow`], and
+//! whoever holds the token owns it, through [`TokenCell::borrow`], and
 //! nothing locks. A `Model` builds one engine at its first execution and
-//! [`Engine::begin`]s each later execution on it in place.
+//! [`Engine::begin`]s each later execution on it in place. The engine
+//! also holds what the model threads hand each other through `join`:
+//! one result slot per thread, next to the thread table.
 
 use crate::config::{Config, Strategy};
 use crate::report::Failure;
 use c11tester_core::{Execution, ObjId, StoreIdx, ThreadId};
 use c11tester_race::RaceDetector;
-use c11tester_runtime::{BurstScheduler, PctScheduler, RandomScheduler, Scheduler};
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, Ordering};
+use c11tester_runtime::{
+    BurstScheduler, PctScheduler, RandomScheduler, Scheduler, TokenCell, TokenRef,
+};
+use std::any::Any;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Why a thread is not currently runnable.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -44,6 +48,14 @@ pub(crate) struct Engine {
     /// custom plugin, which then drives every execution.
     builtin: Option<Strategy>,
     pub status: Vec<Status>,
+    /// Finished threads' return values, by thread index, until `join`
+    /// takes them; what is left the `Model` drops after the execution,
+    /// outside any borrow. A `()` result is a zero-sized box: no
+    /// allocation.
+    pub results: Vec<Option<Box<dyn Any + Send>>>,
+    /// Distinguishes this execution from every other one in the process,
+    /// so a `JoinHandle` can refuse to be joined in another.
+    pub serial: u64,
     pub live: usize,
     pub completed: bool,
     pub failure: Option<Failure>,
@@ -103,6 +115,8 @@ impl Engine {
             scheduler,
             builtin,
             status: Vec::new(),
+            results: Vec::new(),
+            serial: 0,
             live: 0,
             completed: false,
             failure: None,
@@ -145,6 +159,12 @@ impl Engine {
         self.race.begin_execution();
         self.status.clear();
         self.status.push(Status::Runnable);
+        // Empty under `Model::begin`, which takes what an unwound
+        // `run_at` left here and drops it with the engine let go.
+        self.results.clear();
+        self.results.push(None);
+        static SERIALS: AtomicU64 = AtomicU64::new(0);
+        self.serial = SERIALS.fetch_add(1, Ordering::Relaxed);
         self.live = 1;
         self.completed = false;
         self.failure = None;
@@ -191,6 +211,7 @@ impl Engine {
     pub(crate) fn register_thread(&mut self, t: ThreadId) {
         debug_assert_eq!(t.index(), self.status.len());
         self.status.push(Status::Runnable);
+        self.results.push(None);
         self.live += 1;
     }
 
@@ -282,117 +303,51 @@ impl Engine {
 }
 
 /// The cell a `Model`'s engine lives in: plain owned state whose owner
-/// is whoever holds the run token.
-///
-/// [`EngineCell::borrow`] is the only way in. Besides handing out the
-/// `&mut Engine` it trips an always-on, one-word wire: a second borrow
-/// while one is live — a model operation invoked from inside another
-/// (say from a `RawAtomic::rmw` closure), or two threads that both
-/// believe they hold the token — panics instead of aliasing.
-pub(crate) struct EngineCell {
-    engine: UnsafeCell<Engine>,
-    busy: AtomicBool,
-}
-
-// SAFETY: the cell is shared by the OS threads backing one execution's
-// model threads, and `borrow` hands out `&mut Engine` from `&self`, so
-// what must hold is that borrows never overlap. They do not, by the
-// run-token protocol of `c11tester_runtime::executor`:
-//
-// * A model thread touches the engine only between receiving the token
-//   (its body starting, or `Runtime::park` returning) and giving it
-//   away (`Runtime::wake` + `park`, or its body ending). Every borrow
-//   in this crate is dropped before the `wake`/`park`/`poison` call
-//   that follows it, and at most one thread holds the token. The driver
-//   reads the report out only after `Runtime::join_all` returned.
-// * Each handover carries a happens-before edge (a futex mailbox's
-//   release/acquire pair; under fibers every model thread is the same
-//   OS thread), so the next owner sees the previous owner's writes.
-// * The post-poison rule: a poisoned execution takes no more scheduling
-//   decisions, but its threads still unwind through user `Drop` code,
-//   and model operations there do reach the engine (they run in place,
-//   see `ctx::poison_check`). What keeps them exclusive is that
-//   `Runtime::poison` wakes nobody: the poisoner keeps the token until
-//   it exits, its exit — and no other thread's: one that finished after
-//   handing the token on wakes nobody — passes it to the driver, and
-//   `join_all` resumes the remaining threads one at a time, lowest slot
-//   first, each to completion. So during an unwind the engine is
-//   touched by the one thread currently being unwound, through `borrow`
-//   like everyone else, and by nobody concurrently.
-//
-// `busy` is a tripwire for bugs in the above, not part of the argument:
-// same-thread re-entry always trips it; a cross-thread overlap trips it
-// unless both threads pass the check within the same few instructions.
-// Its accesses are atomic, so a protocol bug cannot race on the flag.
-unsafe impl Sync for EngineCell {}
-
-impl EngineCell {
-    pub(crate) fn new(engine: Engine) -> Self {
-        EngineCell {
-            engine: UnsafeCell::new(engine),
-            busy: AtomicBool::new(false),
-        }
-    }
-
-    /// Takes the engine for the duration of the returned guard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine is already borrowed.
-    #[inline]
-    pub(crate) fn borrow(&self) -> EngineRef<'_> {
-        // A load and a store, not a swap: no `lock`-prefixed
-        // instruction on the per-operation path.
-        if self.busy.load(Ordering::Relaxed) {
-            engine_busy();
-        }
-        self.busy.store(true, Ordering::Relaxed);
-        EngineRef { cell: self }
-    }
-}
-
-#[cold]
-#[inline(never)]
-fn engine_busy() -> ! {
-    panic!(
-        "re-entrant c11tester model operation: the engine is already in use \
-         (a model operation was invoked from inside another, e.g. from an \
-         `rmw`/`fetch_update` closure, or outside the run-token protocol)"
-    )
-}
+/// is whoever holds the run token (see [`TokenCell`]).
+pub(crate) type EngineCell = TokenCell<Engine>;
 
 /// Exclusive access to the engine; releases it on drop (also when an
 /// engine assertion unwinds through the borrow).
-pub(crate) struct EngineRef<'a> {
-    cell: &'a EngineCell,
-}
+pub(crate) type EngineRef<'a> = TokenRef<'a, Engine>;
 
-impl std::ops::Deref for EngineRef<'_> {
-    type Target = Engine;
+/// Panic message of an overlapping engine borrow.
+const REENTRANT: &str = "re-entrant c11tester model operation: the engine is already in use \
+     (a model operation was invoked from inside another, e.g. from an \
+     `rmw`/`fetch_update` closure, or outside the run-token protocol)";
 
-    #[inline]
-    fn deref(&self) -> &Engine {
-        // SAFETY: `busy` was clear when this guard was made and stays
-        // set until it drops, so no other guard — hence no other
-        // reference into the cell — exists (see `EngineCell`).
-        unsafe { &*self.cell.engine.get() }
-    }
-}
-
-impl std::ops::DerefMut for EngineRef<'_> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut Engine {
-        // SAFETY: as in `deref`; `&mut self` makes this the only
-        // reference derived from this guard.
-        unsafe { &mut *self.cell.engine.get() }
-    }
-}
-
-impl Drop for EngineRef<'_> {
-    #[inline]
-    fn drop(&mut self) {
-        self.cell.busy.store(false, Ordering::Relaxed);
-    }
+/// Puts `engine` in its cell, whose tripwire panics on an overlapping
+/// borrow: a model operation invoked from inside another (say from a
+/// `RawAtomic::rmw` closure), or two threads that both believe they
+/// hold the token.
+pub(crate) fn engine_cell(engine: Engine) -> EngineCell {
+    // SAFETY: the cell is shared by the OS threads backing one
+    // execution's model threads, and borrows must never overlap. They do
+    // not, by the run-token protocol of `c11tester_runtime::executor`:
+    //
+    // * A model thread touches the engine only between receiving the
+    //   token (its body starting, or `Runtime::park` returning) and
+    //   giving it away (`Runtime::wake` + `park`, or its body ending).
+    //   Every borrow in this crate is dropped before the
+    //   `wake`/`park`/`poison` call that follows it, and at most one
+    //   thread holds the token. The driver reads the report out only
+    //   after `Runtime::join_all` returned.
+    // * Each handover carries a happens-before edge (a futex mailbox's
+    //   release/acquire pair; under fibers every model thread is the
+    //   same OS thread), so the next owner sees the previous owner's
+    //   writes.
+    // * The post-poison rule: a poisoned execution takes no more
+    //   scheduling decisions, but its threads still unwind through user
+    //   `Drop` code, and model operations there do reach the engine
+    //   (they run in place, see `ctx::poison_check`). What keeps them
+    //   exclusive is that `Runtime::poison` wakes nobody: the poisoner
+    //   keeps the token until it exits, its exit — and no other
+    //   thread's: one that finished after handing the token on wakes
+    //   nobody — passes it to the driver, and `join_all` resumes the
+    //   remaining threads one at a time, lowest slot first, each to
+    //   completion. So during an unwind the engine is touched by the
+    //   one thread currently being unwound, through `borrow` like
+    //   everyone else, and by nobody concurrently.
+    unsafe { TokenCell::new(engine, REENTRANT) }
 }
 
 #[cfg(test)]
@@ -455,7 +410,7 @@ mod tests {
 
     #[test]
     fn overlapping_borrows_trip_the_wire_and_release_on_unwind() {
-        let cell = EngineCell::new(Engine::new(&Config::new(), 0, RaceDetector::new(), None));
+        let cell = engine_cell(Engine::new(&Config::new(), 0, RaceDetector::new(), None));
         let nested = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _outer = cell.borrow();
             let _inner = cell.borrow();

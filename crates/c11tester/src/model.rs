@@ -2,7 +2,7 @@
 //! program (paper §3 `Explore` and §7.6 repeated execution).
 
 use crate::config::{Config, Strategy};
-use crate::ctx::{self, ModelCtx};
+use crate::ctx::{self, ModelCtx, ThreadResult};
 use crate::engine::Engine;
 use crate::report::{ExecutionReport, Failure, TestReport};
 use c11tester_core::{ThreadId, TraceKey, TraceSink};
@@ -91,6 +91,10 @@ pub struct Model {
     /// [`ExecutionReport`] takes a reference count instead of
     /// re-formatting its spec every execution.
     labels: Vec<(Option<Strategy>, Arc<str>)>,
+    /// Results no `join` took, swapped out of the engine after each
+    /// execution so they drop outside its borrow. Empty between runs;
+    /// kept for its capacity.
+    unjoined: Vec<Option<ThreadResult>>,
 }
 
 /// The reusable pieces of a disassembled [`Model`]
@@ -221,6 +225,7 @@ impl Model {
             trace_sink: None,
             trace_epoch: 0,
             labels: Vec::new(),
+            unjoined: Vec::new(),
         }
     }
 
@@ -362,7 +367,10 @@ impl Model {
             elided_volatile_races: elided,
             coverage: eng.exec.take_coverage(),
         };
+        std::mem::swap(&mut eng.results, &mut self.unjoined);
         drop(eng);
+        // User `Drop` code, run with the engine let go.
+        self.unjoined.clear();
         self.runs += 1;
         report
     }
@@ -375,7 +383,13 @@ impl Model {
         match &self.ctx {
             Some(ctx) => {
                 ctx.runtime.reset();
-                ctx.engine.borrow().begin(&self.config, execution_index);
+                let mut eng = ctx.engine.borrow();
+                // Results a previous `run_at` left behind when it unwound
+                // drop below, with the engine let go, like `run_at`'s.
+                std::mem::swap(&mut eng.results, &mut self.unjoined);
+                eng.begin(&self.config, execution_index);
+                drop(eng);
+                self.unjoined.clear();
                 Arc::clone(ctx)
             }
             None => {
@@ -532,6 +546,62 @@ mod tests {
         assert_eq!(r.stats, serial_reports[3].stats);
         // run_at does not advance the shard progression.
         assert_eq!(replay.next_execution_index(), 0);
+    }
+
+    /// A model whose executions ran on one OS thread runs its next
+    /// ones on another, under either handover. The test thread stays
+    /// alive meanwhile, so the two threads are told apart.
+    #[test]
+    fn a_model_moves_between_threads_between_executions() {
+        use c11tester_runtime::HandoverKind;
+        fn runs(model: &mut Model) {
+            for _ in 0..4 {
+                let report = model.run(|| {
+                    let t = crate::thread::spawn(|| 5u32);
+                    crate::thread::yield_now();
+                    assert_eq!(t.join(), 5);
+                });
+                assert!(!report.found_bug(), "{report}");
+            }
+        }
+        for kind in [HandoverKind::Fiber, HandoverKind::Park] {
+            let mut model = Model::new(Config::new().with_seed(2).with_handover(kind));
+            for _ in 0..2 {
+                runs(&mut model);
+                model = std::thread::spawn(move || {
+                    runs(&mut model);
+                    model
+                })
+                .join()
+                .expect("executions on a second thread");
+            }
+            runs(&mut model);
+            assert_eq!(model.executions(), 20);
+        }
+    }
+
+    /// Results an unwound `run_at` left in the engine drop when the next
+    /// execution begins, with the engine let go.
+    #[test]
+    fn leftover_results_drop_outside_the_engine_borrow() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        struct ReachesEngine(Arc<ModelCtx>, Arc<AtomicBool>);
+        impl Drop for ReachesEngine {
+            fn drop(&mut self) {
+                drop(self.0.engine.borrow()); // Trips if still borrowed.
+                self.1.store(true, Ordering::Relaxed);
+            }
+        }
+        let mut model = Model::new(Config::new());
+        let _ = model.run(|| {});
+        let ctx = Arc::clone(model.ctx.as_ref().expect("built by the run"));
+        let dropped = Arc::new(AtomicBool::new(false));
+        let leftover = ReachesEngine(Arc::clone(&ctx), Arc::clone(&dropped));
+        ctx.engine.borrow().results.push(Some(Box::new(leftover)));
+        drop(ctx);
+        let report = model.run(|| {});
+        assert!(!report.found_bug(), "{report}");
+        assert!(dropped.load(Ordering::Relaxed));
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! server child cannot be handed a closure, so `c11campaign --worker`
 //! re-resolves the target by name in the child via [`find`].
 
+use c11tester_genprog::Program;
 use c11tester_workloads::{ds, AppBench, DsBench};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
@@ -25,8 +26,26 @@ enum Body {
     Ds(DsBench),
     App(AppBench),
     Free(fn()),
-    /// A generated program, regenerated from its pseed per execution.
-    Gen(u64),
+    /// A generated program, interned per pseed.
+    Gen(&'static GenProgram),
+}
+
+/// A `gen:<pseed>` target's interned state, leaked once per distinct
+/// pseed: its canonical name, and its program, generated the first time
+/// the target runs and shared by every later execution. A fork-server
+/// child re-resolves the target by name and generates its own copy, so
+/// the body captures nothing a child could not rebuild.
+#[derive(Debug)]
+struct GenProgram {
+    name: &'static str,
+    pseed: u64,
+    program: OnceLock<Program>,
+}
+
+impl GenProgram {
+    fn program(&self) -> &Program {
+        self.program.get_or_init(|| Program::generate(self.pseed))
+    }
 }
 
 /// A named workload a campaign can run.
@@ -49,7 +68,7 @@ impl Target {
             Body::Ds(b) => b.run(),
             Body::App(a) => a.run_default(),
             Body::Free(f) => f(),
-            Body::Gen(pseed) => c11tester_genprog::run_generated(pseed),
+            Body::Gen(g) => c11tester_genprog::run_shared(g.program()),
         }
     }
 }
@@ -71,29 +90,35 @@ const GEN_SHOWCASE: &[(&str, u64)] = &[
     ("gen:8", 8),
 ];
 
-/// Interns the canonical name of a dynamic `gen` target. `Target`
-/// stays `Copy` with a `&'static str` name (every existing use site —
-/// fork-server children, move closures, bench tables — depends on
-/// that), so non-showcase names are leaked once per distinct pseed
-/// and cached.
-fn gen_name(pseed: u64) -> &'static str {
-    if let Some((name, _)) = GEN_SHOWCASE.iter().find(|(_, p)| *p == pseed) {
-        return name;
-    }
-    static CACHE: OnceLock<Mutex<BTreeMap<u64, &'static str>>> = OnceLock::new();
+/// Interns the state of a `gen` target. `Target` stays `Copy` with a
+/// `&'static str` name (every existing use site — fork-server children,
+/// move closures, bench tables — depends on that), so each distinct
+/// pseed's name and program are leaked once and cached.
+fn gen_program(pseed: u64) -> &'static GenProgram {
+    static CACHE: OnceLock<Mutex<BTreeMap<u64, &'static GenProgram>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(BTreeMap::new()));
-    let mut map = cache.lock().expect("gen-name cache poisoned");
-    map.entry(pseed)
-        .or_insert_with(|| Box::leak(format!("gen:{pseed}").into_boxed_str()))
+    let mut map = cache.lock().expect("gen-target cache poisoned");
+    map.entry(pseed).or_insert_with(|| {
+        let name = match GEN_SHOWCASE.iter().find(|(_, p)| *p == pseed) {
+            Some(&(name, _)) => name,
+            None => Box::leak(format!("gen:{pseed}").into_boxed_str()),
+        };
+        Box::leak(Box::new(GenProgram {
+            name,
+            pseed,
+            program: OnceLock::new(),
+        }))
+    })
 }
 
 /// Builds the target for a program seed.
 fn gen_target(pseed: u64) -> Target {
+    let g = gen_program(pseed);
     Target {
-        name: gen_name(pseed),
+        name: g.name,
         group: "gen",
         description: GEN_DESCRIPTION,
-        body: Body::Gen(pseed),
+        body: Body::Gen(g),
     }
 }
 

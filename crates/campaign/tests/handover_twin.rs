@@ -46,7 +46,7 @@ fn racy_program() {
 }
 
 fn generated_program() {
-    c11tester_genprog::run_generated(3);
+    c11tester_genprog::run_program(&c11tester_genprog::Program::generate(3));
 }
 
 const PROGRAMS: [(&str, fn()); 3] = [

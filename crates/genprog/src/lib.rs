@@ -37,5 +37,5 @@ pub use fuzz::{fuzz_pseed, FuzzParams};
 pub use oracle::{check_trace, outcome, Violation};
 pub use program::{order_name, Op, Program, SplitMix64};
 pub use report::MismatchReport;
-pub use run::{run_generated, run_program, sweep, SweepCapture};
+pub use run::{run_program, run_shared, sweep, SweepCapture};
 pub use shrink::shrink;

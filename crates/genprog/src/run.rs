@@ -20,8 +20,26 @@ use c11tester::{CaptureSink, Config, Model, TraceEvent, TraceKey};
 use std::sync::Arc;
 
 /// Runs one execution of the program body. Call inside a model
-/// execution (a [`Model::run`] or campaign closure).
+/// execution (a [`Model::run`] or campaign closure). Each thread gets
+/// its own copy of its ops, because `p` is only borrowed; a program that
+/// lives for the whole process runs without copies via [`run_shared`].
 pub fn run_program(p: &Program) {
+    run_with(p, |ops| ops.to_vec());
+}
+
+/// Runs one execution of a program that lives for the whole process —
+/// the body behind a `gen:<pseed>` campaign target, which generates its
+/// program once when first run. Every thread reads its ops from `p`:
+/// nothing is generated or copied per execution.
+pub fn run_shared(p: &'static Program) {
+    run_with(p, |ops| ops);
+}
+
+/// The interpreter: `thread_ops` hands each spawned thread its op list.
+fn run_with<'p, O>(p: &'p Program, thread_ops: impl Fn(&'p [Op]) -> O)
+where
+    O: AsRef<[Op]> + Send + 'static,
+{
     let locs: Arc<Vec<RawAtomic>> = Arc::new(
         (0..p.locs)
             .map(|i| RawAtomic::new(Some(format!("g{i}")), 0))
@@ -34,24 +52,16 @@ pub fn run_program(p: &Program) {
     );
     let mut handles = Vec::with_capacity(p.threads.len());
     for ops in &p.threads {
-        let ops = ops.clone();
+        let ops = thread_ops(ops);
         let locs = Arc::clone(&locs);
         let mutexes = Arc::clone(&mutexes);
         handles.push(c11tester::thread::spawn(move || {
-            run_ops(&ops, &locs, &mutexes)
+            run_ops(ops.as_ref(), &locs, &mutexes)
         }));
     }
     for h in handles {
         h.join();
     }
-}
-
-/// Runs one execution of the program generated from `pseed` — the
-/// body behind `gen:<pseed>` campaign targets. Generation is a pure
-/// function of `pseed`, so re-generating per execution keeps the
-/// target stateless and fork-server-safe.
-pub fn run_generated(pseed: u64) {
-    run_program(&Program::generate(pseed));
 }
 
 fn run_ops(ops: &[Op], locs: &[RawAtomic], mutexes: &[Mutex<()>]) {

@@ -16,6 +16,14 @@ use crate::report::{AccessKind, RaceKind, RaceReport};
 use crate::shadow::{Epoch, PackedShadow, ShadowWord};
 use c11tester_core::{ClockVector, ObjId, ThreadId};
 use std::collections::HashSet;
+use std::sync::OnceLock;
+
+/// Whether `C11TESTER_RACE_DEBUG` is set: read once per process, not
+/// once per race (an environment scan under the env lock).
+fn race_debug() -> bool {
+    static DEBUG: OnceLock<bool> = OnceLock::new();
+    *DEBUG.get_or_init(|| std::env::var_os("C11TESTER_RACE_DEBUG").is_some())
+}
 
 /// Expanded access record: full read vectors split by atomicity.
 #[derive(Clone, Debug, Default)]
@@ -31,8 +39,18 @@ struct Expanded {
 /// Location metadata registered by the facade.
 #[derive(Clone, Debug)]
 struct LocMeta {
-    label: String,
+    label: Label,
     volatile: bool,
+}
+
+/// A location's report label.
+#[derive(Clone, Debug)]
+enum Label {
+    /// Given by the program.
+    Named(String),
+    /// The `n`th unnamed location of its execution, rendered
+    /// `object#n` only when a report needs it.
+    Anonymous(u64),
 }
 
 /// Per-object dense shadow-word table, indexed by cell offset.
@@ -80,14 +98,21 @@ impl RaceDetector {
 
     /// Registers a location's label (for reports) and volatility.
     pub fn register(&mut self, obj: ObjId, label: impl Into<String>, volatile: bool) {
+        self.register_meta(obj, Label::Named(label.into()), volatile);
+    }
+
+    /// Registers the `ordinal`th unnamed location of the execution: its
+    /// reports say `object#<ordinal>`. Costs no allocation.
+    pub fn register_anonymous(&mut self, obj: ObjId, ordinal: u64, volatile: bool) {
+        self.register_meta(obj, Label::Anonymous(ordinal), volatile);
+    }
+
+    fn register_meta(&mut self, obj: ObjId, label: Label, volatile: bool) {
         let ix = obj.0 as usize;
         if self.meta.len() <= ix {
             self.meta.resize_with(ix + 1, || None);
         }
-        self.meta[ix] = Some(LocMeta {
-            label: label.into(),
-            volatile,
-        });
+        self.meta[ix] = Some(LocMeta { label, volatile });
     }
 
     /// Clears shadow state and per-execution deduplication for a new
@@ -150,7 +175,10 @@ impl RaceDetector {
         self.meta
             .get(obj.0 as usize)
             .and_then(|m| m.as_ref())
-            .map(|m| m.label.clone())
+            .map(|m| match &m.label {
+                Label::Named(name) => name.clone(),
+                Label::Anonymous(n) => format!("object#{n}"),
+            })
             .unwrap_or_else(|| format!("{obj:?}"))
     }
 
@@ -187,7 +215,7 @@ impl RaceDetector {
         }) {
             return;
         }
-        if std::env::var_os("C11TESTER_RACE_DEBUG").is_some() {
+        if race_debug() {
             eprintln!(
                 "RACE DEBUG: {label} kind={kind:?} current={current:?} ({current_kind:?}) prior_tid={prior_tid:?} prior_atomic={prior_atomic}"
             );
@@ -254,7 +282,7 @@ impl RaceDetector {
                 if p.write_clock > 0 {
                     let wt = ThreadId::from_index(p.write_tid as usize);
                     if wt != tid && p.write_clock > cv.get(wt) && (!atomic || !p.write_atomic) {
-                        if std::env::var_os("C11TESTER_RACE_DEBUG").is_some() {
+                        if race_debug() {
                             eprintln!(
                                 "  read-check: wclock={} cv[wt]={} reader cv={cv:?}",
                                 p.write_clock,
@@ -594,6 +622,15 @@ mod tests {
         // ...and the metadata (labels) survives the wipe.
         d.on_write(X, 7, t(3), &cv(&[(3, 1)]), AccessKind::NonAtomic);
         assert_eq!(d.reports()[0].label, "x");
+    }
+
+    #[test]
+    fn anonymous_locations_render_their_ordinal() {
+        let mut d = RaceDetector::new();
+        d.register_anonymous(X, 3, false);
+        d.on_write(X, 0, t(0), &cv(&[(0, 1)]), AccessKind::NonAtomic);
+        d.on_write(X, 0, t(1), &cv(&[(1, 1)]), AccessKind::NonAtomic);
+        assert_eq!(d.reports()[0].label, "object#3");
     }
 
     #[test]

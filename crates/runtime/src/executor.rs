@@ -32,11 +32,10 @@
 
 use crate::fiber::Fibers;
 use crate::handover::{HandoverKind, Notifier};
-use crate::pool::ThreadPool;
-use parking_lot::Mutex;
+use crate::pool::{lock, ThreadPool};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Panic payload used to unwind model threads when an execution aborts.
 /// The runtime swallows it at each thread's root; user `Drop` code runs
@@ -79,7 +78,7 @@ enum Backing {
 /// Slot `ix`, cloned out so no caller blocks or wakes a thread while
 /// holding the slot-table lock.
 fn slot(slots: &Mutex<Vec<Arc<ParkSlot>>>, ix: usize) -> Arc<ParkSlot> {
-    Arc::clone(&slots.lock()[ix])
+    Arc::clone(&lock(slots)[ix])
 }
 
 /// The run-token runtime of one execution at a time: built once,
@@ -158,7 +157,7 @@ impl Runtime {
                 current,
                 ..
             } => {
-                let mut slots = slots.lock();
+                let mut slots = lock(slots);
                 debug_assert!(
                     slots.iter().all(|s| !s.live.load(Ordering::Acquire)),
                     "runtime reset with a live pooled model thread"
@@ -198,7 +197,7 @@ impl Runtime {
         match &self.backing {
             Backing::Fibers(fibers) => fibers.add_slot(),
             Backing::Pooled { slots, .. } => {
-                let mut slots = slots.lock();
+                let mut slots = lock(slots);
                 slots.push(Arc::new(ParkSlot {
                     mailbox: Notifier::new(HandoverKind::Park),
                     live: AtomicBool::new(false),
@@ -357,7 +356,7 @@ impl Runtime {
             Backing::Fibers(fibers) => fibers.finish(poisoned),
             Backing::Pooled { slots, pool, .. } => {
                 if poisoned {
-                    let slots: Vec<Arc<ParkSlot>> = slots.lock().clone();
+                    let slots: Vec<Arc<ParkSlot>> = lock(slots).clone();
                     for (ix, slot) in slots.iter().enumerate() {
                         if slot.live.load(Ordering::Acquire) {
                             self.wake(ix);
@@ -399,7 +398,7 @@ mod tests {
                 ix,
                 Box::new(move || {
                     for round in 0..5 {
-                        log2.lock().push((ix, round));
+                        log2.lock().unwrap().push((ix, round));
                         counter2.fetch_add(1, Ordering::Relaxed);
                         rt2.wake(next);
                         if round < 4 && rt2.park(ix).is_err() {
@@ -417,7 +416,7 @@ mod tests {
         }
         rt.join_all().expect("no escaped panics");
         assert_eq!(counter.load(Ordering::Relaxed), 15);
-        let log = log.lock();
+        let log = log.lock().unwrap();
         // Per round, threads appear in ring order.
         for round in 0..5 {
             let entries: Vec<usize> = log
@@ -635,7 +634,7 @@ mod tests {
                 // Overlapping unwinds would interleave enter/leave.
                 assert_eq!(self.2.fetch_add(1, Ordering::SeqCst), 0, "overlap");
                 std::thread::sleep(std::time::Duration::from_millis(2));
-                self.1.lock().push(self.0);
+                self.1.lock().unwrap().push(self.0);
                 self.2.fetch_sub(1, Ordering::SeqCst);
             }
         }
@@ -677,7 +676,7 @@ mod tests {
             assert_eq!(rt.current_slot(), main);
             rt.join_all().expect("Aborted unwinds are swallowed");
             assert_eq!(
-                *log.lock(),
+                *log.lock().unwrap(),
                 vec![poisoner, slots[0], slots[1], slots[2]],
                 "{kind:?}"
             );
@@ -761,5 +760,43 @@ mod tests {
         );
         assert_eq!(rt.current_slot(), main);
         rt.join_all().expect("clean teardown");
+    }
+
+    /// A fiber runtime belongs to one OS thread per execution: the first
+    /// to touch it claims it (before any driver is bound, too), any other
+    /// thread's access panics instead of aliasing the bookkeeping and
+    /// leaves the owner's execution intact, and `join_all` frees it for
+    /// the next execution on any thread.
+    #[test]
+    fn fiber_runtime_belongs_to_one_thread_per_execution() {
+        let rt = Runtime::new(HandoverKind::Fiber);
+        let main = rt.add_slot();
+        let foreign = |rt: &Arc<Runtime>| {
+            let rt2 = Arc::clone(rt);
+            let payload = std::thread::spawn(move || rt2.add_slot())
+                .join()
+                .expect_err("a foreign add_slot must panic");
+            let msg = crate::pool::panic_message(payload.as_ref());
+            assert!(msg.contains("OS thread other than its owner"), "{msg}");
+        };
+        foreign(&rt);
+        rt.bind_current(main);
+        foreign(&rt);
+        let ix = rt.add_slot();
+        assert_eq!(ix, 1, "the foreign calls allocated nothing");
+        rt.spawn(ix, Box::new(|| {})).expect("spawn fiber");
+        rt.wake(ix);
+        rt.join_all().expect("clean teardown");
+        // Freed by join_all: the next execution runs on another thread.
+        let rt2 = Arc::clone(&rt);
+        std::thread::spawn(move || {
+            rt2.reset();
+            let main = rt2.add_slot();
+            rt2.bind_current(main);
+            rt2.join_all().expect("clean teardown");
+        })
+        .join()
+        .expect("a finished runtime runs on a new driver thread");
+        rt.reset();
     }
 }

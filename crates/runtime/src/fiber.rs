@@ -28,7 +28,14 @@
 //! # Safety model
 //!
 //! All switching happens on the driver OS thread that owns the
-//! execution; the interior mutex only serializes bookkeeping. A panic
+//! execution, so the group's bookkeeping is plain driver-owned state in
+//! a [`TokenCell`]: no lock, two checks per access. The *owner check*
+//! confines the group to one OS thread per execution: the first access
+//! claims it, any other thread's access panics, and the end of the
+//! execution ([`Fibers::finish`]) releases it, so a fiber `Runtime` may
+//! move to another thread between executions. The cell's tripwire makes
+//! a re-entrant access panic. Every borrow ends before
+//! `fiber_switch`, so the fiber switched to finds the cell free. A panic
 //! never unwinds across a switch frame: fiber bodies are caught at the
 //! fiber's root, and the cooperative `Aborted` unwind is contained to
 //! the fiber's own stack. Stacks are fixed-size (1 MiB) `mmap` regions
@@ -40,7 +47,7 @@
 #![allow(unsafe_code)]
 
 use crate::pool::panic_message;
-use parking_lot::Mutex;
+use crate::token::{TokenCell, TokenRef};
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -70,6 +77,16 @@ const STACK_CACHE_MAX: usize = 32;
 
 thread_local! {
     static STACK_CACHE: RefCell<Vec<RawStack>> = const { RefCell::new(Vec::new()) };
+    /// Its address identifies the calling OS thread (the owner check).
+    static THREAD_MARK: u8 = const { 0 };
+}
+
+/// A non-zero token unique to the calling OS thread while it lives. A
+/// later thread may reuse an exited one's, which is harmless: the
+/// exited thread makes no further access.
+#[inline]
+fn thread_mark() -> usize {
+    THREAD_MARK.with(|m| m as *const u8 as usize)
 }
 
 /// Memory-mapping calls, declared directly against the libc the binary
@@ -206,8 +223,8 @@ struct FiberSlot {
 }
 
 impl FiberSlot {
-    fn new() -> Box<FiberSlot> {
-        Box::new(FiberSlot {
+    fn blank() -> FiberSlot {
+        FiberSlot {
             sp: std::ptr::null_mut(),
             stack: None,
             status: Status::New,
@@ -215,7 +232,7 @@ impl FiberSlot {
             fibers: std::ptr::null(),
             poisoned: std::ptr::null(),
             ix: 0,
-        })
+        }
     }
 }
 
@@ -235,27 +252,37 @@ struct FiberState {
     /// Panic messages that escaped a fiber body's root `catch_unwind`
     /// (anything but the cooperative `Aborted` unwind).
     escaped: Vec<String>,
+    /// The slot bound to the driver's native context.
+    driver: usize,
 }
 
 /// The fiber group backing one execution's `Runtime` in
 /// [`HandoverKind::Fiber`](crate::HandoverKind::Fiber) mode.
 pub(crate) struct Fibers {
-    state: Mutex<FiberState>,
+    /// Driver-owned bookkeeping; reached only through [`Fibers::state`].
+    state: TokenCell<FiberState>,
+    /// [`thread_mark`] of the OS thread that claimed the group, 0
+    /// while it is free (before the first access, after `finish`).
+    owner: AtomicUsize,
     /// Slot currently executing — read on every model operation to
-    /// derive the current thread id, so it lives outside the mutex.
+    /// derive the current thread id, so it needs no borrow.
     current: AtomicUsize,
-    /// The slot bound to the driver's native context.
-    driver: AtomicUsize,
 }
 
 // SAFETY: the raw pointers inside `FiberState` reference the owning
 // `Runtime`'s `Arc` allocation and heap boxes that live until the
-// `Fibers` is dropped. All context switching is confined to the one OS
-// thread driving the execution; the mutex serializes bookkeeping for
-// any cross-thread observers.
+// `Fibers` is dropped, and `Fibers::state` — the only way to them —
+// admits only the OS thread that claimed the group. Moving the group to
+// another thread between executions is fine: `finish` releases the
+// claim once no fiber is live.
 unsafe impl Send for Fibers {}
-// SAFETY: as for `Send` — shared references only reach the slot
-// records through the mutex, and only the driver thread switches.
+// SAFETY: shared references reach the bookkeeping only through
+// `Fibers::state`, which claims a free group for the calling thread with
+// a compare-exchange and panics on every thread but the claimant; its
+// cell panics on overlapping borrows. So all access between a claim and
+// its release is from one thread, one borrow at a time, and the
+// release/acquire pair on `owner` orders one claimant's accesses before
+// the next's. `current` and `owner` are atomics.
 unsafe impl Sync for Fibers {}
 
 impl std::fmt::Debug for Fibers {
@@ -269,53 +296,108 @@ impl std::fmt::Debug for Fibers {
 impl Fibers {
     pub(crate) fn new() -> Fibers {
         assert!(supported(), "fiber handover unsupported on this target");
+        let state = FiberState {
+            slots: Vec::new(),
+            spare: Vec::new(),
+            pending: None,
+            escaped: Vec::new(),
+            driver: 0,
+        };
         Fibers {
-            state: Mutex::new(FiberState {
-                slots: Vec::new(),
-                spare: Vec::new(),
-                pending: None,
-                escaped: Vec::new(),
-            }),
+            // SAFETY: every borrow goes through `Fibers::state`, whose
+            // owner check confines the cell to the claiming OS thread, on
+            // which program order is the happens-before edge (a new
+            // claim acquires what the last release published); no method
+            // holds its borrow across `fiber_switch` (so the fiber
+            // switched to, which may borrow, never overlaps it).
+            state: unsafe {
+                TokenCell::new(
+                    state,
+                    "fiber handover: re-entrant access to the fiber group's bookkeeping",
+                )
+            },
+            owner: AtomicUsize::new(0),
             current: AtomicUsize::new(0),
-            driver: AtomicUsize::new(0),
         }
+    }
+
+    /// The bookkeeping, borrowed by the owning thread; a free group is
+    /// claimed for the calling thread first.
+    ///
+    /// # Panics
+    ///
+    /// Panics when another OS thread owns the group, or while a borrow
+    /// is live.
+    #[inline]
+    fn state(&self) -> TokenRef<'_, FiberState> {
+        if self.owner.load(Ordering::Relaxed) != thread_mark() {
+            self.claim();
+        }
+        self.state.borrow()
+    }
+
+    /// Claims a free group for the calling thread, acquiring what the
+    /// previous owner's [`Fibers::release`] published.
+    #[cold]
+    #[inline(never)]
+    fn claim(&self) {
+        if self
+            .owner
+            .compare_exchange(0, thread_mark(), Ordering::Acquire, Ordering::Relaxed)
+            .is_err()
+        {
+            foreign_thread();
+        }
+    }
+
+    /// Frees the group for any thread's next claim. Call with no borrow
+    /// live and no fiber suspended.
+    fn release(&self) {
+        self.owner.store(0, Ordering::Release);
     }
 
     /// Allocates a fiber slot; indices match the engine's thread ids.
     pub(crate) fn add_slot(&self) -> usize {
-        let mut st = self.state.lock();
-        let slot = st.spare.pop().unwrap_or_else(FiberSlot::new);
+        let mut st = self.state();
+        let slot = st
+            .spare
+            .pop()
+            .unwrap_or_else(|| Box::new(FiberSlot::blank()));
         st.slots.push(slot);
         st.slots.len() - 1
     }
 
     /// Rewinds the group to its just-built state for the next
-    /// execution, keeping the slot records. Every fiber must be gone:
-    /// call after [`Fibers::finish`], which unwound or dropped them and
-    /// reclaimed their stacks.
+    /// execution, keeping the slot records, and leaves it free for any
+    /// thread. Every fiber must be gone: call after [`Fibers::finish`],
+    /// which unwound or dropped them and reclaimed their stacks.
     pub(crate) fn reset(&self) {
-        let mut st = self.state.lock();
-        let st = &mut *st;
-        for slot in &mut st.slots {
-            assert!(
-                slot.stack.is_none() && slot.body.is_none(),
-                "fiber handover: reset before teardown of slot {}",
-                slot.ix
-            );
-            slot.status = Status::New;
+        {
+            let mut st = self.state();
+            let st = &mut *st;
+            for slot in &mut st.slots {
+                assert!(
+                    slot.stack.is_none() && slot.body.is_none(),
+                    "fiber handover: reset before teardown of slot {}",
+                    slot.ix
+                );
+                **slot = FiberSlot::blank();
+            }
+            st.spare.append(&mut st.slots);
+            st.pending = None;
+            st.escaped.clear();
+            st.driver = 0;
         }
-        st.spare.append(&mut st.slots);
-        st.pending = None;
-        st.escaped.clear();
         self.current.store(0, Ordering::Relaxed);
-        self.driver.store(0, Ordering::Relaxed);
+        self.release();
     }
 
     /// Binds slot `ix` to the calling (driver) thread's native context.
+    /// The group is the calling OS thread's from here to `finish`.
     pub(crate) fn bind_driver(&self, ix: usize) {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         st.slots[ix].status = Status::Running;
-        self.driver.store(ix, Ordering::Relaxed);
+        st.driver = ix;
         self.current.store(ix, Ordering::Relaxed);
     }
 
@@ -328,7 +410,7 @@ impl Fibers {
     /// is built when the run token first reaches it, so threads the
     /// schedule never reaches cost nothing and never run.
     pub(crate) fn spawn(&self, ix: usize, body: Box<dyn FnOnce() + Send>, poisoned: &AtomicBool) {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         let slot = &mut st.slots[ix];
         assert_eq!(slot.status, Status::New, "fiber slot {ix} spawned twice");
         slot.body = Some(body);
@@ -340,7 +422,7 @@ impl Fibers {
     /// Records the successor chosen by the scheduler. The switch
     /// happens at the caller's next suspension point.
     pub(crate) fn wake(&self, ix: usize) {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         assert!(
             st.pending.replace(ix).is_none(),
             "fiber handover: second wake({ix}) before the token holder suspended"
@@ -351,7 +433,7 @@ impl Fibers {
     /// pending successor; returns when the run token comes back.
     pub(crate) fn park(&self, ix: usize) {
         let (save, restore) = {
-            let mut st = self.state.lock();
+            let mut st = self.state();
             let target = st
                 .pending
                 .take()
@@ -368,7 +450,8 @@ impl Fibers {
         // SAFETY: `save` and `restore` point at the `sp` fields of two
         // distinct boxed slot records, which outlive every fiber;
         // `prepare` made `*restore` a context this module suspended or
-        // built, on a stack nothing else is running on.
+        // built, on a stack nothing else is running on. The borrow of
+        // the bookkeeping ended with the block above.
         unsafe { fiber_switch(save, restore) };
         // Resumed: whoever switched to us already marked us Running and
         // set `current`.
@@ -379,12 +462,9 @@ impl Fibers {
     /// path). Never returns.
     fn exit(&self, ix: usize) -> ! {
         let (save, restore) = {
-            let mut st = self.state.lock();
+            let mut st = self.state();
             st.slots[ix].status = Status::Finished;
-            let target = st
-                .pending
-                .take()
-                .unwrap_or_else(|| self.driver.load(Ordering::Relaxed));
+            let target = st.pending.take().unwrap_or(st.driver);
             debug_assert_ne!(target, ix, "finished fiber woke itself");
             // The save location is dead — nothing resumes a finished
             // fiber — but the switch needs somewhere to write.
@@ -400,7 +480,7 @@ impl Fibers {
 
     /// Marks `target` Running (building its initial context if it was
     /// never started) and returns the location of its saved stack
-    /// pointer. Caller still holds the state lock.
+    /// pointer. Caller still borrows the bookkeeping.
     fn prepare(&self, st: &mut FiberState, target: usize) -> *const *mut u8 {
         let slot = &mut st.slots[target];
         match slot.status {
@@ -433,9 +513,9 @@ impl Fibers {
     /// Driver-side switch into `target`, returning when control comes
     /// back to the driver's native context (used by teardown).
     fn switch_from_driver(&self, target: usize) {
-        let driver = self.driver.load(Ordering::Relaxed);
         let (save, restore) = {
-            let mut st = self.state.lock();
+            let mut st = self.state();
+            let driver = st.driver;
             debug_assert_eq!(st.slots[driver].status, Status::Running);
             st.slots[driver].status = Status::Suspended;
             let save: *mut *mut u8 = &mut st.slots[driver].sp;
@@ -459,7 +539,7 @@ impl Fibers {
         // A wake whose grantor returned to the driver without parking
         // (e.g. the driver was the last to run) must still be honored.
         loop {
-            let target = { self.state.lock().pending.take() };
+            let target = self.state().pending.take();
             match target {
                 Some(t) => self.switch_from_driver(t),
                 None => break,
@@ -469,17 +549,18 @@ impl Fibers {
             // Resume each suspended fiber so it observes the poison,
             // unwinds (running Drop code), and exits back here.
             loop {
-                let target = {
-                    let st = self.state.lock();
-                    st.slots.iter().position(|s| s.status == Status::Suspended)
-                };
+                let target = self
+                    .state()
+                    .slots
+                    .iter()
+                    .position(|s| s.status == Status::Suspended);
                 match target {
                     Some(t) => self.switch_from_driver(t),
                     None => break,
                 }
             }
         }
-        let mut st = self.state.lock();
+        let mut st = self.state();
         let stuck = st.slots.iter().position(|s| s.status == Status::Suspended);
         assert!(
             stuck.is_none(),
@@ -492,13 +573,25 @@ impl Fibers {
                 stack.recycle();
             }
         }
-        if st.escaped.is_empty() {
+        let escaped = std::mem::take(&mut st.escaped);
+        drop(st);
+        // No fiber is left: the next execution may run on any thread.
+        self.release();
+        if escaped.is_empty() {
             Ok(())
         } else {
-            let msgs: Vec<String> = st.escaped.drain(..).collect();
-            Err(msgs.join("; "))
+            Err(escaped.join("; "))
         }
     }
+}
+
+#[cold]
+#[inline(never)]
+fn foreign_thread() -> ! {
+    panic!(
+        "fiber handover: runtime used from an OS thread other than its owner \
+         (every fiber of an execution runs on the thread that first touched it)"
+    )
 }
 
 /// Root of every fiber: runs the body under `catch_unwind` so no panic
@@ -523,11 +616,7 @@ extern "C" fn fiber_entry(slot: *mut FiberSlot) -> ! {
             if payload.downcast_ref::<crate::Aborted>().is_none() {
                 // Not the cooperative abort: surface it from join_all
                 // (same contract as the OS-thread runtime).
-                fibers
-                    .state
-                    .lock()
-                    .escaped
-                    .push(panic_message(payload.as_ref()));
+                fibers.state().escaped.push(panic_message(payload.as_ref()));
             }
         }
     }
@@ -622,7 +711,7 @@ unsafe fn fiber_switch(_save: *mut *mut u8, _restore: *const *mut u8) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     /// Mirrors the executor's usage closely enough for mechanism tests:
     /// driver on slot 0, cooperative wake/park between fibers.
@@ -656,7 +745,7 @@ mod tests {
         let log2 = Arc::clone(&log);
         let fibers = Arc::clone(&h.fibers);
         let ix = h.spawn(move || {
-            log2.lock().push("fiber");
+            log2.lock().unwrap().push("fiber");
             fibers.wake(0);
             // Body ends: exit consumes the pending wake... no — the
             // wake targets the driver; exit finds it pending and
@@ -664,9 +753,9 @@ mod tests {
         });
         h.fibers.wake(ix);
         h.fibers.park(0);
-        log.lock().push("driver");
+        log.lock().unwrap().push("driver");
         h.fibers.finish(false).expect("no escaped panics");
-        assert_eq!(*log.lock(), vec!["fiber", "driver"]);
+        assert_eq!(*log.lock().unwrap(), vec!["fiber", "driver"]);
     }
 
     #[test]
@@ -680,7 +769,7 @@ mod tests {
             // Ring: 1 -> 2 -> 3 -> driver(0), five rounds.
             let ix = h.spawn(move || {
                 for round in 0..5 {
-                    log2.lock().push((k + 1, round));
+                    log2.lock().unwrap().push((k + 1, round));
                     let next = if k == 2 { 0 } else { k + 2 };
                     fibers.wake(next);
                     if round < 4 {
@@ -695,7 +784,7 @@ mod tests {
             h.fibers.park(0);
         }
         h.fibers.finish(false).expect("no escaped panics");
-        let log = log.lock();
+        let log = log.lock().unwrap();
         for round in 0..5 {
             let entries: Vec<usize> = log
                 .iter()
@@ -755,6 +844,107 @@ mod tests {
         h.fibers.wake(ix);
         let err = h.fibers.finish(false).expect_err("panic must surface");
         assert!(err.contains("fiber body exploded"), "got: {err}");
+    }
+
+    impl Fibers {
+        /// Asserts the group equals a freshly built one field for field
+        /// — the recycled slot records in `spare` included, capacities
+        /// aside. Destructures exhaustively, so a new field does not
+        /// compile until it is checked here.
+        fn assert_pristine(&self) {
+            let Fibers {
+                state: _,
+                owner,
+                current,
+            } = self;
+            assert_eq!(owner.load(Ordering::Relaxed), 0, "owner");
+            assert_eq!(current.load(Ordering::Relaxed), 0, "current");
+            let st = self.state();
+            let FiberState {
+                slots,
+                spare,
+                pending,
+                escaped,
+                driver,
+            } = &*st;
+            assert!(slots.is_empty(), "slots");
+            assert_eq!(*pending, None, "pending");
+            assert!(escaped.is_empty(), "escaped");
+            assert_eq!(*driver, 0, "driver");
+            for slot in spare {
+                let FiberSlot {
+                    sp,
+                    stack,
+                    status,
+                    body,
+                    fibers,
+                    poisoned,
+                    ix,
+                } = &**slot;
+                assert!(sp.is_null(), "slot sp");
+                assert!(stack.is_none(), "slot stack");
+                assert_eq!(*status, Status::New, "slot status");
+                assert!(body.is_none(), "slot body");
+                assert!(fibers.is_null(), "slot back-pointer");
+                assert!(poisoned.is_null(), "slot poison pointer");
+                assert_eq!(*ix, 0, "slot index");
+            }
+        }
+    }
+
+    /// After `reset`, a group that ran a completed, a poisoned, and a
+    /// panicking execution — with the driver on a slot other than 0 —
+    /// is indistinguishable from a fresh one, and runs again.
+    #[test]
+    fn reset_restores_a_pristine_group_after_every_shape() {
+        let fibers = Arc::new(Fibers::new());
+        fibers.assert_pristine();
+        let poisoned = Arc::new(AtomicBool::new(false));
+        for shape in 0..3 {
+            poisoned.store(false, Ordering::Release);
+            let _spare = fibers.add_slot();
+            let driver = fibers.add_slot();
+            fibers.bind_driver(driver);
+            let ix = fibers.add_slot();
+            let (f2, p2) = (Arc::clone(&fibers), Arc::clone(&poisoned));
+            let body: Box<dyn FnOnce() + Send> = match shape {
+                0 => Box::new(move || f2.wake(driver)),
+                1 => Box::new(move || {
+                    f2.wake(driver);
+                    f2.park(ix);
+                    if p2.load(Ordering::Acquire) {
+                        std::panic::panic_any(crate::Aborted);
+                    }
+                }),
+                _ => Box::new(|| panic!("shape 2 exploded")),
+            };
+            fibers.spawn(ix, body, &poisoned);
+            fibers.wake(ix);
+            if shape < 2 {
+                fibers.park(driver);
+            }
+            poisoned.store(shape == 1, Ordering::Release);
+            let outcome = fibers.finish(shape == 1);
+            assert_eq!(outcome.is_err(), shape == 2, "shape {shape}");
+            fibers.reset();
+            fibers.assert_pristine();
+        }
+    }
+
+    #[test]
+    fn reentrant_bookkeeping_borrow_trips_the_wire() {
+        let h = Harness::new();
+        let nested = catch_unwind(AssertUnwindSafe(|| {
+            let _held = h.fibers.state();
+            h.fibers.wake(0);
+        }));
+        let payload = nested.expect_err("a second borrow must panic");
+        let msg = panic_message(payload.as_ref());
+        assert!(msg.contains("re-entrant access"), "{msg}");
+        // The unwind released the borrow: the group still works.
+        h.fibers.wake(0);
+        h.fibers.park(0);
+        h.fibers.finish(false).expect("clean");
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! The controlled-scheduling substrate of **c11tester-rs** (a Rust
 //! reproduction of *C11Tester*, ASPLOS 2021): run-token handover
-//! between model threads ([`Runtime`], [`Notifier`]) and pluggable
+//! between model threads ([`Runtime`], [`Notifier`]), the cell for
+//! state the run-token holder owns ([`TokenCell`]), and pluggable
 //! testing strategies ([`Scheduler`], [`RandomScheduler`],
 //! [`BurstScheduler`], [`ScriptedScheduler`]).
 //!
@@ -28,8 +29,10 @@ mod fiber;
 pub mod handover;
 pub mod pool;
 pub mod scheduler;
+pub mod token;
 
 pub use executor::{Aborted, Runtime};
 pub use handover::{HandoverKind, Notifier};
 pub use pool::ThreadPool;
 pub use scheduler::{BurstScheduler, PctScheduler, RandomScheduler, Scheduler, ScriptedScheduler};
+pub use token::{TokenCell, TokenRef};

@@ -18,12 +18,18 @@
 //! mailboxes of the current execution's `Runtime`; the pool owns only
 //! thread *creation and teardown*.
 
-use parking_lot::{Condvar, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+
+/// Locks `m`, recovering the data if a panic poisoned it: every
+/// critical section here leaves its state consistent at each step, and
+/// a model thread's panic must not wedge the pool or the slot table.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A closure dispatched onto a pooled worker.
 pub type Task = Box<dyn FnOnce() + Send>;
@@ -108,9 +114,9 @@ impl ThreadPool {
     /// transient `EAGAIN` under thread pressure). The pool is left
     /// consistent; the caller should fail only the current execution.
     pub fn dispatch(&self, task: Task) -> Result<(), String> {
-        let mut workers = self.workers.lock();
+        let mut workers = lock(&self.workers);
         let reused = {
-            let mut st = self.shared.state.lock();
+            let mut st = lock(&self.shared.state);
             st.idle.pop().inspect(|_| st.active += 1)
         };
         if let Some(id) = reused {
@@ -135,7 +141,7 @@ impl ThreadPool {
             .spawn(move || worker_loop(id, rx, shared))
             .map_err(|e| format!("failed to spawn pooled model thread: {e}"))?;
         self.spawned.fetch_add(1, Ordering::Relaxed);
-        self.shared.state.lock().active += 1;
+        lock(&self.shared.state).active += 1;
         tx.send(Job::Run(task)).expect("pooled worker hung up");
         workers.push(WorkerHandle {
             tx,
@@ -154,9 +160,9 @@ impl ThreadPool {
     /// its root `catch_unwind` since the previous quiesce (the pooled
     /// analog of `JoinHandle::join` returning `Err`).
     pub fn quiesce(&self) -> Result<(), String> {
-        let mut st = self.shared.state.lock();
+        let mut st = lock(&self.shared.state);
         while st.active > 0 {
-            self.shared.cv.wait(&mut st);
+            st = self.wait(st);
         }
         if st.escaped.is_empty() {
             Ok(())
@@ -171,10 +177,18 @@ impl ThreadPool {
     /// before it returns — the completion bookkeeping that follows
     /// takes the pool lock, so the check cannot miss it.
     pub fn wait_until(&self, mut done: impl FnMut() -> bool) {
-        let mut st = self.shared.state.lock();
+        let mut st = lock(&self.shared.state);
         while !done() {
-            self.shared.cv.wait(&mut st);
+            st = self.wait(st);
         }
+    }
+
+    /// Waits for the next task completion (or a spurious wakeup).
+    fn wait<'a>(&self, st: MutexGuard<'a, PoolState>) -> MutexGuard<'a, PoolState> {
+        self.shared
+            .cv
+            .wait(st)
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// OS threads created over the pool's lifetime. Stable after
@@ -193,7 +207,7 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        let mut workers = self.workers.lock();
+        let mut workers = lock(&self.workers);
         for w in workers.iter() {
             let _ = w.tx.send(Job::Exit);
         }
@@ -210,7 +224,7 @@ fn worker_loop(id: usize, rx: Receiver<Job>, shared: Arc<Shared>) {
         match job {
             Job::Run(task) => {
                 let outcome = catch_unwind(AssertUnwindSafe(task));
-                let mut st = shared.state.lock();
+                let mut st = lock(&shared.state);
                 if let Err(payload) = outcome {
                     st.escaped.push(panic_message(payload.as_ref()));
                 }
@@ -292,5 +306,19 @@ mod tests {
         // reusable and the next quiesce is clean.
         pool.dispatch(Box::new(|| {})).expect("dispatch");
         pool.quiesce().expect("drained");
+    }
+
+    #[test]
+    fn lock_survives_a_panicked_holder() {
+        let m = Arc::new(Mutex::new(0));
+        let m2 = Arc::clone(&m);
+        let _ = std::thread::spawn(move || {
+            let _g = lock(&m2);
+            panic!("poison attempt");
+        })
+        .join();
+        assert!(m.is_poisoned());
+        *lock(&m) += 1;
+        assert_eq!(*lock(&m), 1);
     }
 }
