@@ -435,19 +435,7 @@ impl AdaptiveReport {
 
     /// The full JSON form: the canonical trace plus campaign timing.
     pub fn to_json(&self) -> String {
-        let secs = self.wall_time.as_secs_f64();
-        let throughput = if secs > 0.0 {
-            self.trace.aggregate.executions as f64 / secs
-        } else {
-            0.0
-        };
-        format!(
-            "{{\"campaign\":{},\"timing\":{{\"workers\":{},\"wall_secs\":{},\"executions_per_second\":{}}}}}",
-            self.trace.canonical_json(),
-            self.workers,
-            secs,
-            throughput,
-        )
+        self.trace.full_json(self.workers, self.wall_time)
     }
 }
 

@@ -9,12 +9,13 @@
 //!   stdout — plain and adaptive, any policy;
 //! * `--forensics-dir` writes one `race-NNN.{json,dot}` bundle per
 //!   deduplicated race, every bundle's replay key reproduces its race
-//!   (`verified: true`), and the DOT export is structurally sound;
+//!   (`verified: true`), the DOT export is structurally sound, and
+//!   replaying the witnesses leaves stdout unchanged under `--isolate`;
 //! * the `coverage-ucb` adaptive policy runs a worker-count
 //!   independent closed loop with a per-epoch new-behavior growth
 //!   curve in its coverage report.
 
-use c11tester_campaign::baseline::JsonValue;
+use c11tester_telemetry::json::JsonValue;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -124,17 +125,25 @@ fn forensics_bundles_verify_by_replay_and_export_sound_dot() {
     let dir = scratch("forensics");
     let fdir = dir.join("bundles");
     let fdir_str = fdir.to_str().expect("utf-8 path");
-    let (_, stderr) = run_ok(&[
+    let base = [
         "--target",
         "rwlock-buggy",
         "--executions",
         "96",
         "--seed",
         "7",
-        "--forensics-dir",
-        fdir_str,
+        "--mix",
+        "random:2,pct2:1",
+        "--workers",
+        "4",
+        "--isolate",
         "--canonical",
-    ]);
+    ];
+    let mut args = base.to_vec();
+    args.extend(["--forensics-dir", fdir_str]);
+    let (stdout, stderr) = run_ok(&args);
+    // Replaying witnesses must not perturb the canonical report.
+    assert_eq!(stdout, run_ok(&base).0, "forensics leaked into stdout");
     let mut bundles: Vec<String> = std::fs::read_dir(&fdir)
         .expect("forensics dir exists")
         .map(|e| e.expect("entry").file_name().into_string().expect("utf-8"))
@@ -183,19 +192,21 @@ fn forensics_bundles_verify_by_replay_and_export_sound_dot() {
         assert!(!window.is_empty(), "bundle {i} has an empty event window");
     }
 
-    // DOT structural check (no graphviz in the offline tree: verify
-    // shape, balance, and the edge kinds the doc promises).
-    let dot = std::fs::read_to_string(fdir.join("race-000.dot")).expect("dot");
-    assert!(dot.starts_with("digraph"));
-    assert_eq!(
-        dot.matches('{').count(),
-        dot.matches('}').count(),
-        "unbalanced braces"
-    );
-    assert!(dot.contains("subgraph \"cluster_t"), "no thread clusters");
-    assert!(dot.contains("->"), "no edges");
-    assert!(dot.contains("label=\"rf\""), "no rf edges");
-    assert!(dot.trim_end().ends_with('}'));
+    // DOT structural check of every bundle (no graphviz in the offline
+    // tree: verify shape, balance, and the edge kinds the doc promises).
+    for i in 0..dot_count {
+        let dot = std::fs::read_to_string(fdir.join(format!("race-{i:03}.dot"))).expect("dot");
+        assert!(dot.starts_with("digraph"));
+        assert_eq!(
+            dot.matches('{').count(),
+            dot.matches('}').count(),
+            "unbalanced braces"
+        );
+        assert!(dot.contains("subgraph \"cluster_t"), "no thread clusters");
+        assert!(dot.contains("->"), "no edges");
+        assert!(dot.contains("label=\"rf\""), "bundle {i} has no rf edges");
+        assert!(dot.trim_end().ends_with('}'));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -12,7 +12,7 @@
 //!   paths in the document is deterministic; it is pinned by a
 //!   checked-in golden.
 
-use c11tester_campaign::baseline::JsonValue;
+use c11tester_telemetry::json::JsonValue;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -154,6 +154,58 @@ fn metrics_schema_shape_matches_golden() {
         "c11metrics/v1 key paths diverged from the golden; if the schema \
          change is intentional, update {golden_path} and docs/METRICS.md"
     );
+}
+
+#[test]
+fn isolated_adaptive_metrics_carry_phase_totals_fork_health_and_epochs() {
+    let path = scratch("metrics_isolated_adaptive.json");
+    let path_str = path.to_str().expect("utf-8 tmp path");
+    let base = [
+        "--target",
+        "rwlock-buggy",
+        "--adaptive",
+        "ucb1",
+        "--epoch",
+        "24",
+        "--executions",
+        "48",
+        "--seed",
+        "7",
+        "--workers",
+        "4",
+        "--isolate",
+        "--batch",
+        "12",
+        "--canonical",
+    ];
+    let mut metered = base.to_vec();
+    metered.extend(["--metrics-out", path_str]);
+    assert_eq!(
+        canonical(&metered),
+        canonical(&base),
+        "--metrics-out changed the canonical epoch trace"
+    );
+    let doc = JsonValue::parse(&std::fs::read_to_string(&path).expect("metrics file written"))
+        .expect("metrics file is valid JSON");
+    assert_eq!(doc.str_field("schema"), Ok("c11metrics/v1"));
+    assert_eq!(doc.bool_field("isolated"), Ok(true));
+    let phase = doc.field("phase").expect("phase block");
+    assert!(
+        phase.u64_field("total_nanos").expect("total") > 0,
+        "children must ship their phase profile"
+    );
+    let fork = doc.field("fork_server").expect("fork_server block");
+    assert!(fork.u64_field("spawns").expect("spawns") > 0);
+    for row in doc.array_field("worker_utilization").expect("workers") {
+        let handover = row.str_field("handover").expect("handover");
+        assert!(
+            handover.starts_with(|c: char| c.is_ascii_lowercase()),
+            "handover `{handover}`"
+        );
+    }
+    let epochs = doc.array_field("epochs").expect("epochs");
+    assert_eq!(epochs.len(), 2);
+    assert_eq!(epochs[0].u64_field("epoch"), Ok(0));
 }
 
 #[test]

@@ -71,8 +71,8 @@ pub use report::{
 pub use volatile::{VolatileBool, VolatileU32, VolatileU64, VolatileUsize};
 
 pub use c11tester_core::{
-    CaptureSink, ExecCoverage, ExecStats, MemOrder, MoGraphPerfStats, Policy, PruneConfig,
-    PruneMode, ThreadId, TraceEvent, TraceKey, TraceKind, TraceSink, FENCE_OBJ,
+    CaptureSink, ExecCoverage, ExecStats, GraphMetrics, MemOrder, Policy, PruneConfig, PruneMode,
+    ThreadId, TraceEvent, TraceKey, TraceKind, TraceSink, FENCE_OBJ,
 };
 pub use c11tester_runtime::{
     BurstScheduler, HandoverKind, PctScheduler, RandomScheduler, Scheduler, ScriptedScheduler,

@@ -44,6 +44,19 @@ impl Failure {
             Failure::Infra(_) => "infra",
         }
     }
+
+    /// The inverse of [`Failure::kind_name`]: the failure of kind `kind`
+    /// with its payload, `message` for the kinds that carry text and
+    /// `events` for `too-many-events`.
+    pub fn from_kind(kind: &str, message: &str, events: Option<u64>) -> Result<Failure, String> {
+        Ok(match kind {
+            "deadlock" => Failure::Deadlock,
+            "panic" => Failure::Panic(message.to_string()),
+            "too-many-events" => Failure::TooManyEvents(events.ok_or("missing number `events`")?),
+            "infra" => Failure::Infra(message.to_string()),
+            other => return Err(format!("unknown failure kind `{other}`")),
+        })
+    }
 }
 
 impl fmt::Display for Failure {

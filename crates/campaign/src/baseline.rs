@@ -9,10 +9,9 @@
 //! `c11campaign --baseline baseline.json` — nonzero exit when a rate
 //! regressed beyond a threshold.
 //!
-//! The offline environment has no serde, so [`JsonValue`] is a minimal
-//! recursive-descent JSON reader — enough to load the reports this
-//! workspace's own emitter produces (any conforming RFC 8259 document
-//! parses). [`BaselineSummary`] extracts the comparable surface from
+//! Documents are read with the workspace's one JSON reader
+//! ([`JsonValue`], in `c11tester_telemetry::json`). [`BaselineSummary`]
+//! extracts the comparable surface from
 //! `c11campaign/v4` canonical documents (and the `--json` full form,
 //! which wraps the canonical object under a `"campaign"` key):
 //! aggregate detection rates, the per-strategy columns, and the crash
@@ -21,256 +20,8 @@
 
 use std::collections::BTreeMap;
 
-// ---------------------------------------------------------------------
-// Minimal JSON reader
-// ---------------------------------------------------------------------
-
-/// A parsed JSON value.
-///
-/// Numbers keep their raw text so 64-bit integers (seeds, indices)
-/// round-trip exactly instead of through `f64`.
-#[derive(Clone, Debug, PartialEq)]
-pub enum JsonValue {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// A number, kept as its source text.
-    Number(String),
-    /// A string (unescaped).
-    String(String),
-    /// An array.
-    Array(Vec<JsonValue>),
-    /// An object in source order.
-    Object(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Parses a JSON document.
-    pub fn parse(text: &str) -> Result<JsonValue, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    /// Object field lookup (first occurrence).
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as `f64`, if it is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Number(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as `u64`, if it is a non-negative integer.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Number(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice.
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
-    if *pos < bytes.len() && bytes[*pos] == byte {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!(
-            "expected `{}` at byte {} (found {:?})",
-            byte as char,
-            *pos,
-            bytes.get(*pos).map(|b| *b as char)
-        ))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(JsonValue::Object(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
-                fields.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Object(fields));
-                    }
-                    other => {
-                        return Err(format!(
-                            "expected `,` or `}}` in object at byte {} (found {:?})",
-                            *pos,
-                            other.map(|b| *b as char)
-                        ))
-                    }
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(JsonValue::Array(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Array(items));
-                    }
-                    other => {
-                        return Err(format!(
-                            "expected `,` or `]` in array at byte {} (found {:?})",
-                            *pos,
-                            other.map(|b| *b as char)
-                        ))
-                    }
-                }
-            }
-        }
-        Some(b'"') => Ok(JsonValue::String(parse_string(bytes, pos)?)),
-        Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", JsonValue::Null),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    literal: &str,
-    value: JsonValue,
-) -> Result<JsonValue, String> {
-    if bytes[*pos..].starts_with(literal.as_bytes()) {
-        *pos += literal.len();
-        Ok(value)
-    } else {
-        Err(format!("expected `{literal}` at byte {}", *pos))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
-    }
-    let raw = std::str::from_utf8(&bytes[start..*pos]).expect("ascii number bytes");
-    if raw.is_empty() || raw.parse::<f64>().is_err() {
-        return Err(format!("bad number `{raw}` at byte {start}"));
-    }
-    Ok(JsonValue::Number(raw.to_string()))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = Vec::new();
-    while let Some(&b) = bytes.get(*pos) {
-        *pos += 1;
-        match b {
-            b'"' => {
-                return String::from_utf8(out).map_err(|_| "invalid UTF-8 in string".to_string())
-            }
-            b'\\' => {
-                let esc = bytes.get(*pos).copied().ok_or("unterminated escape")?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push(b'"'),
-                    b'\\' => out.push(b'\\'),
-                    b'/' => out.push(b'/'),
-                    b'n' => out.push(b'\n'),
-                    b'r' => out.push(b'\r'),
-                    b't' => out.push(b'\t'),
-                    b'b' => out.push(0x08),
-                    b'f' => out.push(0x0C),
-                    b'u' => {
-                        let hex = bytes.get(*pos..*pos + 4).ok_or("truncated \\u escape")?;
-                        let hex =
-                            std::str::from_utf8(hex).map_err(|_| "bad \\u escape".to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                        *pos += 4;
-                        // Surrogate pairs don't appear in our emitter's
-                        // output; map lone surrogates to U+FFFD.
-                        let c = char::from_u32(code).unwrap_or('\u{FFFD}');
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                    }
-                    other => return Err(format!("unknown escape `\\{}`", other as char)),
-                }
-            }
-            other => out.push(other),
-        }
-    }
-    Err("unterminated string".to_string())
-}
+// Re-export kept for benchmark/.
+pub use c11tester_telemetry::json::JsonValue;
 
 // ---------------------------------------------------------------------
 // Baseline summaries and diffing
@@ -320,61 +71,27 @@ impl BaselineSummary {
         let doc = JsonValue::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
         // Unwrap the full form's {"campaign": {...}, "timing": {...}}.
         let doc = doc.get("campaign").unwrap_or(&doc);
-        let schema = doc
-            .get("schema")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing `schema` field")?;
+        let schema = doc.str_field("schema")?;
         if schema != SCHEMA {
             return Err(format!("unsupported schema `{schema}` (expected {SCHEMA})"));
         }
-        let u64_field = |key: &str| {
-            doc.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or(format!("missing numeric `{key}` field"))
-        };
-        let f64_field = |key: &str| {
-            doc.get(key)
-                .and_then(JsonValue::as_f64)
-                .ok_or(format!("missing numeric `{key}` field"))
-        };
         let mut per_strategy = BTreeMap::new();
-        for row in doc
-            .get("per_strategy")
-            .and_then(JsonValue::as_array)
-            .ok_or("missing `per_strategy` array")?
-        {
-            let spec = row
-                .get("strategy")
-                .and_then(JsonValue::as_str)
-                .ok_or("per_strategy row missing `strategy`")?;
+        for row in doc.array_field("per_strategy")? {
             let rates = StrategyRates {
-                executions: row
-                    .get("executions")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or("per_strategy row missing `executions`")?,
-                race_detection_rate: row
-                    .get("race_detection_rate")
-                    .and_then(JsonValue::as_f64)
-                    .ok_or("per_strategy row missing `race_detection_rate`")?,
-                bug_detection_rate: row
-                    .get("bug_detection_rate")
-                    .and_then(JsonValue::as_f64)
-                    .ok_or("per_strategy row missing `bug_detection_rate`")?,
+                executions: row.u64_field("executions")?,
+                race_detection_rate: row.f64_field("race_detection_rate")?,
+                bug_detection_rate: row.f64_field("bug_detection_rate")?,
             };
-            per_strategy.insert(spec.to_string(), rates);
+            per_strategy.insert(row.str_field("strategy")?.to_string(), rates);
         }
         Ok(BaselineSummary {
             schema: schema.to_string(),
-            base_seed: u64_field("base_seed")?,
-            strategy: doc
-                .get("strategy")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("")
-                .to_string(),
-            executions: u64_field("executions")?,
-            race_detection_rate: f64_field("race_detection_rate")?,
-            bug_detection_rate: f64_field("bug_detection_rate")?,
-            crashes: u64_field("crashes")?,
+            base_seed: doc.u64_field("base_seed")?,
+            strategy: doc.str_field("strategy").unwrap_or("").to_string(),
+            executions: doc.u64_field("executions")?,
+            race_detection_rate: doc.f64_field("race_detection_rate")?,
+            bug_detection_rate: doc.f64_field("bug_detection_rate")?,
+            crashes: doc.u64_field("crashes")?,
             per_strategy,
         })
     }
@@ -532,27 +249,6 @@ impl std::fmt::Display for BaselineDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_reader_handles_the_emitters_shapes() {
-        let doc = JsonValue::parse(
-            r#"{"a":1,"b":-2.5,"c":"x\n\"y\"","d":[true,false,null],"e":{},"f":18446744073709551615}"#,
-        )
-        .expect("valid JSON");
-        assert_eq!(doc.get("a").and_then(JsonValue::as_u64), Some(1));
-        assert_eq!(doc.get("b").and_then(JsonValue::as_f64), Some(-2.5));
-        assert_eq!(doc.get("c").and_then(JsonValue::as_str), Some("x\n\"y\""));
-        assert_eq!(
-            doc.get("d").and_then(JsonValue::as_array).map(|a| a.len()),
-            Some(3)
-        );
-        assert_eq!(doc.get("e"), Some(&JsonValue::Object(Vec::new())));
-        // u64::MAX round-trips exactly (would be lossy through f64).
-        assert_eq!(doc.get("f").and_then(JsonValue::as_u64), Some(u64::MAX));
-        assert!(JsonValue::parse("{\"unterminated\":").is_err());
-        assert!(JsonValue::parse("{} trailing").is_err());
-        assert!(JsonValue::parse("{1: 2}").is_err());
-    }
 
     #[test]
     fn summary_round_trips_through_a_real_campaign_report() {

@@ -25,6 +25,7 @@ use crate::exec::CrashRecord;
 use crate::json;
 use crate::{CampaignBudget, StopReason};
 use c11tester::TestReport;
+use std::time::Duration;
 
 /// One completed epoch of an adaptive campaign.
 #[derive(Clone, Debug)]
@@ -96,7 +97,7 @@ impl EpochTrace {
     /// per-strategy columns, and running cumulative totals.
     /// Byte-identical for any worker count over a fixed budget.
     pub fn canonical_json(&self) -> String {
-        json::canonical_trace(self)
+        json::canonical_trace(self, false)
     }
 
     /// The canonical trace plus the opt-in `alloc` diagnostics block
@@ -104,7 +105,14 @@ impl EpochTrace {
     /// [`crate::CampaignReport::canonical_json_with_alloc_stats`]).
     /// Not covered by the byte-identity contract.
     pub fn canonical_json_with_alloc_stats(&self) -> String {
-        json::canonical_trace_with(self, true)
+        json::canonical_trace(self, true)
+    }
+
+    /// The full JSON form of a run that produced this trace: the
+    /// canonical trace plus run-local timing (`workers`, wall seconds,
+    /// throughput), shaped like [`crate::CampaignReport::to_json`].
+    pub fn full_json(&self, workers: usize, wall_time: Duration) -> String {
+        json::full_trace(self, workers, wall_time)
     }
 
     /// The `c11coverage/v1` behavior-coverage object for the adaptive

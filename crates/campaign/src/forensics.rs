@@ -18,8 +18,8 @@
 //!   edges between consecutive stores.
 //!
 //! Bundles are numbered in [`DedupHistory`] iteration order (sorted by
-//! [`RaceKey`]), so the directory layout is deterministic for any
-//! worker count.
+//! [`c11tester::RaceKey`]), so the directory layout is deterministic
+//! for any worker count.
 //!
 //! Known limitation, inherited from the trace layer: only **model
 //! ops** (atomic / volatile stores, loads, RMWs) are traced, so the
@@ -28,9 +28,10 @@
 //! when the object has none, on the tail of the execution, which is
 //! where the detector fired.
 
-use crate::wire::{access_kind_name, esc, race_kind_name};
-use c11tester::{DedupEntry, DedupHistory, ExecutionReport, RaceKey};
-use c11tester_telemetry::{TraceEvent, TraceKind};
+use crate::json::write_race;
+use c11tester::{DedupEntry, DedupHistory, ExecutionReport};
+use c11tester_telemetry::json::{esc, JsonWriter};
+use c11tester_telemetry::{write_event_fields, TraceEvent, TraceKind};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -96,7 +97,7 @@ where
         let witness = replay(entry.first_execution)?;
         let verified = witness.report.races.iter().any(|r| r.key() == *key);
         let stem = format!("race-{i:03}");
-        let json = bundle_json(seed, key, entry, &witness, verified);
+        let json = bundle_json(seed, entry, &witness, verified);
         let dot = bundle_dot(&stem, entry, &witness.events);
         for (ext, body) in [("json", json), ("dot", dot)] {
             let path = dir.join(format!("{stem}.{ext}"));
@@ -110,64 +111,41 @@ where
 }
 
 /// The `c11forensics/v1` document for one race class.
-fn bundle_json(
-    seed: u64,
-    key: &RaceKey,
-    entry: &DedupEntry,
-    witness: &Witness,
-    verified: bool,
-) -> String {
-    let r = &entry.report;
-    let mut out = String::new();
-    out.push_str("{\"schema\":\"c11forensics/v1\"");
-    out.push_str(&format!(
-        ",\"replay\":{{\"seed\":{seed},\"epoch\":{},\"index\":{}}}",
-        witness.epoch, entry.first_execution,
-    ));
-    out.push_str(&format!(
-        ",\"race\":{{\"label\":\"{}\",\"kind\":\"{}\",\"obj\":{},\"offset\":{},\
-         \"current_tid\":{},\"current_kind\":\"{}\",\"prior_tid\":{},\"prior_atomic\":{}}}",
-        esc(&key.label),
-        race_kind_name(key.kind),
-        r.obj.0,
-        r.offset,
-        r.current_tid.index(),
-        access_kind_name(r.current_kind),
-        r.prior_tid.index(),
-        r.prior_atomic,
-    ));
-    out.push_str(&format!(
-        ",\"first_execution\":{},\"occurrences\":{}",
-        entry.first_execution, entry.occurrences,
-    ));
-    out.push_str(",\"shapes\":[");
-    for (i, s) in entry.shapes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"current_tid\":{},\"current_kind\":\"{}\",\"prior_tid\":{},\"prior_atomic\":{}}}",
-            s.current_tid,
-            access_kind_name(s.current_kind),
-            s.prior_tid,
-            s.prior_atomic,
-        ));
-    }
-    out.push(']');
-    out.push_str(&format!(",\"verified\":{verified}"));
-    let (lo, hi) = window_bounds(&witness.events, r.obj.0);
-    out.push_str(&format!(
-        ",\"trace\":{{\"total_events\":{},\"window_start\":{lo},\"window\":[",
-        witness.events.len(),
-    ));
-    for (i, e) in witness.events[lo..hi].iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&event_json(e));
-    }
-    out.push_str("]}}");
-    out
+fn bundle_json(seed: u64, entry: &DedupEntry, witness: &Witness, verified: bool) -> String {
+    let (lo, hi) = window_bounds(&witness.events, entry.report.obj.0);
+    let mut w = JsonWriter::with_capacity(2048);
+    w.object(|w| {
+        w.key("schema").str("c11forensics/v1");
+        w.key("replay").object(|w| {
+            w.key("seed").u64(seed);
+            w.key("epoch").u64(witness.epoch);
+            w.key("index").u64(entry.first_execution);
+        });
+        w.key("race").object(|w| write_race(w, &entry.report));
+        w.key("first_execution").u64(entry.first_execution);
+        w.key("occurrences").u64(entry.occurrences);
+        w.key("shapes").array(|w| {
+            for s in &entry.shapes {
+                w.object(|w| {
+                    w.key("current_tid").u64(s.current_tid);
+                    w.key("current_kind").str(s.current_kind.name());
+                    w.key("prior_tid").u64(s.prior_tid);
+                    w.key("prior_atomic").bool(s.prior_atomic);
+                });
+            }
+        });
+        w.key("verified").bool(verified);
+        w.key("trace").object(|w| {
+            w.key("total_events").u64(witness.events.len() as u64);
+            w.key("window_start").u64(lo as u64);
+            w.key("window").array(|w| {
+                for e in &witness.events[lo..hi] {
+                    w.object(|w| write_event_fields(w, e));
+                }
+            });
+        });
+    });
+    w.finish()
 }
 
 /// The window `[lo, hi)` of events bundled for the racing object: all
@@ -186,25 +164,6 @@ fn window_bounds(events: &[TraceEvent], obj: u64) -> (usize, usize) {
     }
 }
 
-/// One committed event as a JSON object (same field names as the
-/// JSONL trace encoding, minus the replay key carried bundle-wide).
-fn event_json(e: &TraceEvent) -> String {
-    let opt = |v: Option<u64>| v.map_or_else(|| "null".to_string(), |v| v.to_string());
-    format!(
-        "{{\"kind\":\"{}\",\"thread\":{},\"seq\":{},\"obj\":{},\"order\":\"{}\",\
-         \"access\":\"{}\",\"value\":{},\"rf\":{},\"old\":{}}}",
-        e.kind.name(),
-        e.thread,
-        e.seq,
-        e.obj,
-        e.order,
-        e.access,
-        e.value,
-        opt(e.rf),
-        opt(e.old),
-    )
-}
-
 /// The witness execution's event graph in Graphviz DOT: one cluster
 /// per thread, solid program-order edges, dashed `rf` edges, and
 /// per-object `mo` edges between consecutive stores. Nodes for the
@@ -217,7 +176,7 @@ fn bundle_dot(stem: &str, entry: &DedupEntry, events: &[TraceEvent]) -> String {
     out.push_str("  node [shape=box, fontname=\"monospace\", fontsize=10];\n");
     out.push_str(&format!(
         "  label=\"{} on `{}`\";\n",
-        race_kind_name(entry.report.kind),
+        entry.report.kind.name(),
         esc(&entry.report.label),
     ));
 

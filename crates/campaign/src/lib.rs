@@ -71,7 +71,7 @@ pub mod cli;
 mod epoch;
 mod exec;
 pub mod forensics;
-mod json;
+pub mod json;
 pub mod targets;
 pub mod wire;
 
@@ -137,6 +137,13 @@ pub enum StopReason {
 }
 
 impl StopReason {
+    /// Every stop reason.
+    pub const ALL: [StopReason; 3] = [
+        StopReason::BudgetExhausted,
+        StopReason::FirstBug,
+        StopReason::Deadline,
+    ];
+
     /// Stable machine-readable name (used in JSON output).
     pub fn name(self) -> &'static str {
         match self {
@@ -144,6 +151,14 @@ impl StopReason {
             StopReason::FirstBug => "first-bug",
             StopReason::Deadline => "deadline",
         }
+    }
+
+    /// The inverse of [`StopReason::name`].
+    pub fn parse(name: &str) -> Result<StopReason, String> {
+        StopReason::ALL
+            .into_iter()
+            .find(|r| r.name() == name)
+            .ok_or_else(|| format!("unknown stop reason `{name}`"))
     }
 }
 
@@ -223,7 +238,7 @@ impl CampaignReport {
     /// same configuration and fixed budget produce byte-identical
     /// canonical JSON for **any** worker counts.
     pub fn canonical_json(&self) -> String {
-        json::canonical(self)
+        json::canonical(self, false)
     }
 
     /// The canonical form plus the opt-in `alloc` diagnostics block
@@ -233,13 +248,13 @@ impl CampaignReport {
     /// recycling, which is exactly why the block is excluded from
     /// [`CampaignReport::canonical_json`] and from the goldens.
     pub fn canonical_json_with_alloc_stats(&self) -> String {
-        json::canonical_with(self, true)
+        json::canonical(self, true)
     }
 
     /// The full JSON form: the canonical object plus campaign timing
     /// (workers, wall seconds, throughput).
     pub fn to_json(&self) -> String {
-        json::full(self)
+        json::full_report(self)
     }
 
     /// The `c11coverage/v1` behavior-coverage object (see
@@ -429,7 +444,7 @@ impl Campaign {
         let wall_time = start.elapsed();
         let metrics = CampaignMetrics {
             phase: aggregate.total_stats.phase,
-            graph: aggregate.total_stats.mograph_perf.to_metrics(),
+            graph: aggregate.total_stats.mograph_perf,
             workers: worker_metrics,
             executions: aggregate.executions,
             wall_nanos: wall_time.as_nanos() as u64,

@@ -1,95 +1,14 @@
-//! Shared string tables for every JSON emitter in the workspace.
-//!
-//! The canonical campaign report (`json.rs`) and the isolation wire
-//! protocol (`c11tester-isolation`) must render the same values the
-//! same way **forever** — the fork-server byte-identity contract
-//! literally diffs their outputs. Keeping the escape function and the
-//! enum name tables here, used by both emitters (and inverted by the
-//! wire parser), makes a silent divergence impossible.
+//! The JSON string escape, re-exported under the path the benchmark
+//! imports it from. Emitters write through
+//! `c11tester_telemetry::json::JsonWriter`; enum names live on the
+//! enums (`RaceKind::name`, `AccessKind::name`).
 
-use c11tester::{AccessKind, RaceKind};
-
-/// Escapes a string per RFC 8259 (the subset our emitters produce).
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Stable name for an access kind (`non-atomic`, `atomic`,
-/// `volatile`).
-pub fn access_kind_name(kind: AccessKind) -> &'static str {
-    match kind {
-        AccessKind::NonAtomic => "non-atomic",
-        AccessKind::Atomic => "atomic",
-        AccessKind::Volatile => "volatile",
-    }
-}
-
-/// Inverse of [`access_kind_name`].
-pub fn parse_access_kind(name: &str) -> Result<AccessKind, String> {
-    match name {
-        "non-atomic" => Ok(AccessKind::NonAtomic),
-        "atomic" => Ok(AccessKind::Atomic),
-        "volatile" => Ok(AccessKind::Volatile),
-        other => Err(format!("unknown access kind `{other}`")),
-    }
-}
-
-/// Stable name for a race kind (`write-write`, `write-read`,
-/// `read-write`) — matches the [`RaceKind`] `Display` rendering.
-pub fn race_kind_name(kind: RaceKind) -> &'static str {
-    match kind {
-        RaceKind::WriteAfterWrite => "write-write",
-        RaceKind::WriteAfterRead => "write-read",
-        RaceKind::ReadAfterWrite => "read-write",
-    }
-}
-
-/// Inverse of [`race_kind_name`].
-pub fn parse_race_kind(name: &str) -> Result<RaceKind, String> {
-    match name {
-        "write-write" => Ok(RaceKind::WriteAfterWrite),
-        "write-read" => Ok(RaceKind::WriteAfterRead),
-        "read-write" => Ok(RaceKind::ReadAfterWrite),
-        other => Err(format!("unknown race kind `{other}`")),
-    }
-}
+// Re-export kept for benchmark/.
+pub use c11tester_telemetry::json::esc;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn names_round_trip_and_match_display() {
-        for kind in [
-            RaceKind::WriteAfterWrite,
-            RaceKind::WriteAfterRead,
-            RaceKind::ReadAfterWrite,
-        ] {
-            assert_eq!(race_kind_name(kind), kind.to_string());
-            assert_eq!(parse_race_kind(race_kind_name(kind)), Ok(kind));
-        }
-        for kind in [
-            AccessKind::NonAtomic,
-            AccessKind::Atomic,
-            AccessKind::Volatile,
-        ] {
-            assert_eq!(parse_access_kind(access_kind_name(kind)), Ok(kind));
-        }
-        assert!(parse_race_kind("nope").is_err());
-        assert!(parse_access_kind("nope").is_err());
-    }
 
     #[test]
     fn escaping_is_rfc8259() {

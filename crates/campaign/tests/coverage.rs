@@ -11,8 +11,8 @@
 //! before touching it (tests in one binary run on parallel threads).
 
 use c11tester::{set_coverage, Config, Model};
-use c11tester_campaign::baseline::JsonValue;
 use c11tester_campaign::{Campaign, CampaignBudget};
+use c11tester_telemetry::json::JsonValue;
 use c11tester_workloads::ds::rwlock_buggy;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 

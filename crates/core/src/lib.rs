@@ -73,7 +73,7 @@ pub use event::{
     StoreRecord, ThreadId,
 };
 pub use exec::{Execution, ThreadState};
-pub use mograph::{MoGraph, MoGraphPerfStats, MoGraphStats, NodeId};
+pub use mograph::{MoGraph, MoGraphStats, NodeId};
 pub use policy::Policy;
 pub use prune::{PruneConfig, PruneMode};
 pub use stats::{AllocStats, ExecStats};
@@ -82,6 +82,6 @@ pub use stats::{AllocStats, ExecStats};
 // events and coverage signatures without naming the telemetry crate
 // directly.
 pub use c11tester_telemetry::{
-    coverage_enabled, set_coverage, CaptureSink, ExecCoverage, Phase, PhaseProfile, TraceEvent,
-    TraceKey, TraceKind, TraceSink, FENCE_OBJ,
+    coverage_enabled, set_coverage, CaptureSink, ExecCoverage, GraphMetrics, Phase, PhaseProfile,
+    TraceEvent, TraceKey, TraceKind, TraceSink, FENCE_OBJ,
 };

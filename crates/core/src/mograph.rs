@@ -54,6 +54,7 @@
 
 use crate::clock::ClockVector;
 use crate::event::{ObjId, SeqNum, ThreadId};
+use c11tester_telemetry::GraphMetrics;
 use std::cell::Cell;
 use std::collections::VecDeque;
 
@@ -101,61 +102,6 @@ pub struct MoGraphStats {
     pub rmw_edges: u64,
 }
 
-/// Diagnostic counters for the incremental-topological-order machinery
-/// and §7.1 memory limiting. **Never canonical**: like allocation and
-/// phase diagnostics these vary with build/host details and are
-/// excluded from execution-equality checks and canonical reports.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MoGraphPerfStats {
-    /// Edge insertions that violated the maintained order and triggered
-    /// a bounded local reorder.
-    pub order_reorders: u64,
-    /// Total nodes touched (re-indexed region sizes) across reorders.
-    pub reorder_nodes: u64,
-    /// Reachability queries answered negatively by the order-index
-    /// compare alone, skipping the clock-vector comparison.
-    pub reach_fast_negative: u64,
-    /// Reachability queries that fell through to the clock-vector test.
-    pub reach_cv_checks: u64,
-    /// Tombstone compaction passes run ([`MoGraph::compact`]).
-    pub compactions: u64,
-    /// Pruned nodes physically evicted from the arena by compaction.
-    pub compacted_nodes: u64,
-    /// High-water mark of arena-resident nodes (`len()`); under
-    /// `--memory-limit` compaction this stays bounded instead of
-    /// growing with execution length.
-    pub peak_live_nodes: u64,
-}
-
-impl MoGraphPerfStats {
-    /// The telemetry-crate mirror of these counters, for the
-    /// `c11metrics/v1` diagnostic report (telemetry sits below this
-    /// crate, so the conversion lives here).
-    pub fn to_metrics(&self) -> c11tester_telemetry::GraphMetrics {
-        c11tester_telemetry::GraphMetrics {
-            order_reorders: self.order_reorders,
-            reorder_nodes: self.reorder_nodes,
-            reach_fast_negative: self.reach_fast_negative,
-            reach_cv_checks: self.reach_cv_checks,
-            compactions: self.compactions,
-            compacted_nodes: self.compacted_nodes,
-            peak_live_nodes: self.peak_live_nodes,
-        }
-    }
-
-    /// Folds another sample into this one: counters sum, the high-water
-    /// mark takes the max.
-    pub fn absorb(&mut self, other: &MoGraphPerfStats) {
-        self.order_reorders += other.order_reorders;
-        self.reorder_nodes += other.reorder_nodes;
-        self.reach_fast_negative += other.reach_fast_negative;
-        self.reach_cv_checks += other.reach_cv_checks;
-        self.compactions += other.compactions;
-        self.compacted_nodes += other.compacted_nodes;
-        self.peak_live_nodes = self.peak_live_nodes.max(other.peak_live_nodes);
-    }
-}
-
 /// The modification-order constraint graph.
 ///
 /// The node arena is **recyclable**: [`MoGraph::reset`] rewinds the
@@ -183,7 +129,7 @@ pub struct MoGraph {
     /// Live nodes currently tombstoned by pruning (compaction resets
     /// this when it evicts them).
     pruned_count: usize,
-    perf: MoGraphPerfStats,
+    perf: GraphMetrics,
     /// Reachability-query counters; `Cell` because [`MoGraph::reaches`]
     /// takes `&self` on the hot path.
     reach_fast: Cell<u64>,
@@ -253,7 +199,7 @@ impl MoGraph {
         self.order.clear();
         self.pruned_count = 0;
         self.prune_dirty = false;
-        self.perf = MoGraphPerfStats::default();
+        self.perf = GraphMetrics::default();
         self.reach_fast.set(0);
         self.reach_cv.set(0);
     }
@@ -339,7 +285,7 @@ impl MoGraph {
     }
 
     /// Diagnostic incremental-order / memory-limiting counters.
-    pub fn perf_stats(&self) -> MoGraphPerfStats {
+    pub fn perf_stats(&self) -> GraphMetrics {
         let mut p = self.perf;
         p.reach_fast_negative = self.reach_fast.get();
         p.reach_cv_checks = self.reach_cv.get();
@@ -1303,7 +1249,7 @@ mod tests {
         assert!(g.is_empty());
         assert_eq!(g.len(), 0);
         assert_eq!(g.stats(), MoGraphStats::default());
-        assert_eq!(g.perf_stats(), MoGraphPerfStats::default());
+        assert_eq!(g.perf_stats(), GraphMetrics::default());
         // Recycled slots must behave exactly like fresh nodes: no stale
         // edges, rmw pointers, clocks, or tombstones.
         let a2 = g.add_node(t(3), SeqNum(10), OBJ);
@@ -1324,7 +1270,7 @@ mod tests {
 
     #[test]
     fn perf_stats_absorb_sums_counts_and_maxes_peak() {
-        let mut a = MoGraphPerfStats {
+        let mut a = GraphMetrics {
             order_reorders: 1,
             reorder_nodes: 10,
             reach_fast_negative: 100,
@@ -1333,7 +1279,7 @@ mod tests {
             compacted_nodes: 4,
             peak_live_nodes: 50,
         };
-        let b = MoGraphPerfStats {
+        let b = GraphMetrics {
             order_reorders: 2,
             reorder_nodes: 5,
             reach_fast_negative: 1,

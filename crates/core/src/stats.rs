@@ -2,8 +2,8 @@
 //! number of atomic operations — including synchronization operations —
 //! and normal shared-memory accesses per benchmark).
 
-use crate::mograph::{MoGraphPerfStats, MoGraphStats};
-use c11tester_telemetry::PhaseProfile;
+use crate::mograph::MoGraphStats;
+use c11tester_telemetry::{GraphMetrics, PhaseProfile};
 
 /// Allocation-behavior diagnostics (hot-path observability).
 ///
@@ -79,7 +79,7 @@ pub struct ExecStats {
     /// bookkeeping describe *how* the graph answered queries, not what
     /// the execution computed — like [`AllocStats`] they must never
     /// distinguish behaviorally identical executions).
-    pub mograph_perf: MoGraphPerfStats,
+    pub mograph_perf: GraphMetrics,
     /// Allocation-behavior diagnostics (excluded from equality; see
     /// [`AllocStats`]).
     pub alloc: AllocStats,
@@ -245,11 +245,11 @@ mod tests {
         };
         let gated = ExecStats {
             atomic_loads: 4,
-            mograph_perf: MoGraphPerfStats {
+            mograph_perf: GraphMetrics {
                 reach_fast_negative: 99,
                 order_reorders: 2,
                 peak_live_nodes: 40,
-                ..MoGraphPerfStats::default()
+                ..GraphMetrics::default()
             },
             ..ExecStats::default()
         };
@@ -261,10 +261,10 @@ mod tests {
     fn absorb_accumulates_mograph_perf() {
         let mut a = ExecStats::default();
         let b = ExecStats {
-            mograph_perf: MoGraphPerfStats {
+            mograph_perf: GraphMetrics {
                 reach_cv_checks: 3,
                 peak_live_nodes: 25,
-                ..MoGraphPerfStats::default()
+                ..GraphMetrics::default()
             },
             ..ExecStats::default()
         };

@@ -4,10 +4,10 @@
 //! outcome outside the enumerated axiom-allowed set — the fuzzer
 //! writes one JSON report carrying everything needed to replay the
 //! failure offline: the `(pseed, seed, epoch, index)` replay key, the
-//! violations, the rendered program, and its shrunk form. Hand-rolled
-//! JSON like every other report writer in the workspace (no serde).
+//! violations, the rendered program, and its shrunk form.
 
 use crate::oracle::Violation;
+use c11tester_telemetry::json::JsonWriter;
 
 /// One fuzz mismatch, serializable as `c11fuzz/v1`.
 #[derive(Clone, Debug)]
@@ -34,75 +34,50 @@ pub struct MismatchReport {
     pub shrunk: Vec<String>,
 }
 
-/// Escapes a string for a JSON literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn string_array(lines: &[String]) -> String {
-    let items: Vec<String> = lines.iter().map(|l| format!("\"{}\"", esc(l))).collect();
-    format!("[{}]", items.join(","))
-}
-
 impl MismatchReport {
     /// Renders the report as one `c11fuzz/v1` JSON object.
     pub fn to_json(&self) -> String {
-        let violations: Vec<String> = self
-            .violations
-            .iter()
-            .map(|v| {
-                format!(
-                    "{{\"rule\":\"{}\",\"detail\":\"{}\"}}",
-                    esc(v.rule),
-                    esc(&v.detail)
-                )
+        let strings = |w: &mut JsonWriter, lines: &[String]| {
+            w.array(|w| {
+                for line in lines {
+                    w.str(line);
+                }
             })
-            .collect();
-        let outcome = match &self.outcome {
-            None => "null".to_string(),
-            Some(threads) => {
-                let ts: Vec<String> = threads
-                    .iter()
-                    .map(|vals| {
-                        let vs: Vec<String> = vals.iter().map(|v| v.to_string()).collect();
-                        format!("[{}]", vs.join(","))
-                    })
-                    .collect();
-                format!("[{}]", ts.join(","))
-            }
         };
-        format!(
-            concat!(
-                "{{\"schema\":\"c11fuzz/v1\",",
-                "\"pseed\":{},",
-                "\"replay\":{{\"seed\":{},\"epoch\":{},\"index\":{}}},",
-                "\"scope\":\"{}\",",
-                "\"violations\":[{}],",
-                "\"outcome\":{},",
-                "\"program\":{},",
-                "\"shrunk\":{}}}"
-            ),
-            self.pseed,
-            self.seed,
-            self.epoch,
-            self.index,
-            self.scope,
-            violations.join(","),
-            outcome,
-            string_array(&self.program),
-            string_array(&self.shrunk),
-        )
+        let mut w = JsonWriter::with_capacity(512);
+        w.object(|w| {
+            w.key("schema").str("c11fuzz/v1");
+            w.key("pseed").u64(self.pseed);
+            w.key("replay").object(|w| {
+                w.key("seed").u64(self.seed);
+                w.key("epoch").u64(self.epoch);
+                w.key("index").u64(self.index);
+            });
+            w.key("scope").str(self.scope);
+            w.key("violations").array(|w| {
+                for v in &self.violations {
+                    w.object(|w| {
+                        w.key("rule").str(v.rule);
+                        w.key("detail").str(&v.detail);
+                    });
+                }
+            });
+            match &self.outcome {
+                None => w.key("outcome").null(),
+                Some(threads) => w.key("outcome").array(|w| {
+                    for values in threads {
+                        w.array(|w| {
+                            for v in values {
+                                w.u64(*v);
+                            }
+                        });
+                    }
+                }),
+            }
+            strings(w.key("program"), &self.program);
+            strings(w.key("shrunk"), &self.shrunk);
+        });
+        w.finish()
     }
 }
 

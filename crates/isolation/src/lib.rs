@@ -543,7 +543,7 @@ impl Executor for ForkServer {
         };
         let metrics = CampaignMetrics {
             phase: aggregate.total_stats.phase,
-            graph: aggregate.total_stats.mograph_perf.to_metrics(),
+            graph: aggregate.total_stats.mograph_perf,
             workers: worker_metrics,
             fork: fork_health,
             executions: aggregate.executions,
@@ -617,6 +617,40 @@ mod tests {
             err.contains("without completing a single execution"),
             "{err}"
         );
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_child_printing_deeply_nested_json_is_a_protocol_violation() {
+        // A target may write anything to its stdout. A frame of a
+        // megabyte of `[` must end the campaign with an error, not
+        // recurse the parent's frame reader off its stack.
+        use std::os::unix::fs::PermissionsExt;
+        let sh = std::path::Path::new("/bin/sh");
+        if !sh.exists() {
+            return; // exotic container; the contract is covered on CI
+        }
+        let script = std::env::temp_dir().join(format!("c11-nested-worker-{}", std::process::id()));
+        std::fs::write(
+            &script,
+            "#!/bin/sh\nn=1048576\necho $n\nhead -c $n /dev/zero | tr '\\0' '['\necho\n",
+        )
+        .expect("write script");
+        std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755))
+            .expect("chmod script");
+        let target = c11tester_campaign::targets::find("rwlock-buggy").expect("target");
+        let err = ForkServer::new(&script)
+            .run_range(
+                &Config::new(),
+                1,
+                &target,
+                0,
+                &CampaignBudget::executions(4),
+            )
+            .unwrap_err();
+        let _ = std::fs::remove_file(&script);
+        assert!(err.contains("worker protocol violation"), "{err}");
+        assert!(err.contains("nesting deeper than"), "{err}");
     }
 
     // End-to-end fork-server behavior (real children, crashes,

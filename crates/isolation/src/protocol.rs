@@ -1,38 +1,40 @@
-//! The parent↔child wire protocol: length-prefixed canonical JSON
-//! frames.
+//! The parent↔child wire protocol: length-prefixed JSON frames.
 //!
 //! A fork-server child streams one frame per completed execution plus
 //! a terminal `done` frame over its stdout pipe. Frames are
 //! **length-prefixed** (`<decimal byte length>\n<payload>\n`) so the
 //! parent can distinguish a cleanly terminated stream from one cut
-//! mid-write by a dying child, and **canonical** — objects are emitted
-//! in fixed field order by a hand-rolled emitter, exactly like the
-//! campaign report JSON (the offline build has no serde).
+//! mid-write by a dying child.
 //!
 //! The `exec` frame is a *lossless* encoding of
 //! [`c11tester::ExecutionReport`]: every field that feeds
 //! [`c11tester::TestReport::absorb`] round-trips bit-for-bit, which is
 //! what makes a fork-isolated campaign aggregate byte-identical to an
-//! in-process one. The parent parses frames with the dependency-free
-//! [`JsonValue`] reader from `c11tester_campaign::baseline`, and the
-//! string tables (escaping, enum names) are shared with the canonical
-//! report emitter via [`c11tester_campaign::wire`] so the two can
-//! never drift apart.
+//! in-process one. A frame carries each report type in the shape the
+//! documents use, written and read by that type's one pair of functions
+//! (races, stats, allocation counters and coverage in
+//! [`c11tester_campaign::json`]; graph counters and the phase profile
+//! in `c11tester_telemetry`), so the wire and the reports cannot drift
+//! apart. Decoders ignore the derived fields those shapes carry
+//! (`atomic_ops`, `distinct`, `total_nanos`). The one wire-only
+//! encoding is a [`Failure`]'s: the document row is lossy
+//! (`"N events"`), the frame must not be.
 //!
 //! **Caveat**: frames travel on the child's **stdout**. The built-in
 //! workloads never write to stdout (the model API has no output
 //! surface), but a target that did would corrupt the framing; the
 //! parent surfaces that as a protocol-violation error (bounded by
-//! [`MAX_FRAME_LEN`]) rather than silently mis-aggregating.
+//! [`MAX_FRAME_LEN`] and the reader's nesting cap) rather than silently
+//! mis-aggregating or crashing.
 
-use c11tester::{BehaviorStats, CoverageMap, ExecutionReport, Failure, RaceKey, RaceReport};
-use c11tester_campaign::baseline::JsonValue;
-use c11tester_campaign::wire::{
-    access_kind_name, esc, parse_access_kind, parse_race_kind, race_kind_name,
-};
+use c11tester::{CoverageMap, ExecutionReport, Failure};
+use c11tester_campaign::json;
 use c11tester_campaign::StopReason;
-use c11tester_core::{AllocStats, ExecStats, MoGraphPerfStats, MoGraphStats, ObjId, ThreadId};
-use c11tester_telemetry::{PhaseProfile, PHASE_COUNT};
+use c11tester_core::AllocStats;
+use c11tester_telemetry::json::{JsonValue, JsonWriter};
+use c11tester_telemetry::{
+    read_graph, read_phase, write_graph, write_phase, GraphMetrics, PhaseProfile,
+};
 use std::io::{BufRead, Write};
 
 /// Upper bound on a single frame's payload. Real exec frames are a
@@ -124,427 +126,122 @@ pub struct BatchMetrics {
     /// Mo-graph maintenance diagnostics accumulated over the batch
     /// (order-reorder/fast-path/compaction counters; like `alloc` and
     /// `phase`, excluded from stats equality and canonical JSON).
-    pub graph: MoGraphPerfStats,
+    pub graph: GraphMetrics,
 }
 
 /// Encodes an `exec` frame payload.
 pub fn exec_payload(report: &ExecutionReport) -> String {
-    let mut out = String::with_capacity(512);
-    out.push_str("{\"frame\":\"exec\"");
-    out.push_str(&format!(",\"execution\":{}", report.execution_index));
-    out.push_str(&format!(",\"strategy\":\"{}\"", esc(&report.strategy)));
-    out.push_str(",\"races\":[");
-    for (i, r) in report.races.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    let mut w = JsonWriter::with_capacity(512);
+    w.object(|w| {
+        w.key("frame").str("exec");
+        w.key("execution").u64(report.execution_index);
+        w.key("strategy").str(&report.strategy);
+        w.key("races").array(|w| {
+            for r in &report.races {
+                w.object(|w| json::write_race(w, r));
+            }
+        });
+        write_failure(w.key("failure"), report.failure.as_ref());
+        w.key("elided_volatile_races")
+            .u64(report.elided_volatile_races);
+        json::write_stats(w.key("stats"), &report.stats, false);
+    });
+    w.finish()
+}
+
+/// The lossless wire encoding of a failure: `null`, or its kind with a
+/// `message` (empty for kinds without text) and `events` (`null`
+/// except for `too-many-events`).
+fn write_failure(w: &mut JsonWriter, failure: Option<&Failure>) {
+    let Some(f) = failure else {
+        return w.null();
+    };
+    w.object(|w| {
+        w.key("kind").str(f.kind_name());
+        match f {
+            Failure::Panic(msg) | Failure::Infra(msg) => w.key("message").str(msg),
+            Failure::Deadlock | Failure::TooManyEvents(_) => w.key("message").str(""),
         }
-        out.push_str(&format!(
-            concat!(
-                "{{\"label\":\"{}\",\"kind\":\"{}\",\"obj\":{},\"offset\":{},",
-                "\"current_tid\":{},\"current_kind\":\"{}\",\"prior_tid\":{},",
-                "\"prior_atomic\":{}}}"
-            ),
-            esc(&r.label),
-            race_kind_name(r.kind),
-            r.obj.0,
-            r.offset,
-            r.current_tid.index(),
-            access_kind_name(r.current_kind),
-            r.prior_tid.index(),
-            r.prior_atomic,
-        ));
-    }
-    out.push(']');
-    match &report.failure {
-        None => out.push_str(",\"failure\":null"),
-        Some(f) => {
-            let (message, events) = match f {
-                Failure::Deadlock => (String::new(), String::from("null")),
-                Failure::Panic(msg) => (esc(msg), String::from("null")),
-                Failure::TooManyEvents(n) => (String::new(), n.to_string()),
-                Failure::Infra(msg) => (esc(msg), String::from("null")),
-            };
-            out.push_str(&format!(
-                ",\"failure\":{{\"kind\":\"{}\",\"message\":\"{message}\",\"events\":{events}}}",
-                f.kind_name(),
-            ));
+        match f {
+            Failure::TooManyEvents(n) => w.key("events").u64(*n),
+            _ => w.key("events").null(),
         }
+    });
+}
+
+/// Inverse of [`write_failure`].
+fn read_failure(v: &JsonValue) -> Result<Option<Failure>, String> {
+    if *v == JsonValue::Null {
+        return Ok(None);
     }
-    out.push_str(&format!(
-        ",\"elided_volatile_races\":{}",
-        report.elided_volatile_races
-    ));
-    let s = &report.stats;
-    out.push_str(&format!(
-        concat!(
-            ",\"stats\":{{\"atomic_loads\":{},\"atomic_stores\":{},\"rmws\":{},",
-            "\"fences\":{},\"sync_ops\":{},\"normal_accesses\":{},",
-            "\"volatile_accesses\":{},\"candidates_rejected\":{},",
-            "\"pruned_stores\":{},\"pruned_loads\":{},\"pruned_fences\":{},",
-            "\"prune_passes\":{},",
-            "\"mograph\":{{\"edges_added\":{},\"edges_redundant\":{},",
-            "\"merges\":{},\"rmw_edges\":{}}}}}"
-        ),
-        s.atomic_loads,
-        s.atomic_stores,
-        s.rmws,
-        s.fences,
-        s.sync_ops,
-        s.normal_accesses,
-        s.volatile_accesses,
-        s.candidates_rejected,
-        s.pruned_stores,
-        s.pruned_loads,
-        s.pruned_fences,
-        s.prune_passes,
-        s.mograph.edges_added,
-        s.mograph.edges_redundant,
-        s.mograph.merges,
-        s.mograph.rmw_edges,
-    ));
-    out.push('}');
-    out
+    let events = v.get("events").and_then(JsonValue::as_u64);
+    Failure::from_kind(v.str_field("kind")?, v.str_field("message")?, events).map(Some)
 }
 
 /// Encodes a `metrics` frame payload.
 pub fn metrics_payload(m: &BatchMetrics) -> String {
-    let (nanos, calls) = m.phase.raw();
-    format!(
-        concat!(
-            "{{\"frame\":\"metrics\",",
-            "\"alloc\":{{\"fresh_executions\":{},\"recycled_executions\":{},",
-            "\"clock_spills\":{}}},",
-            "\"phase\":{{\"nanos\":{},\"calls\":{}}},",
-            "\"graph\":{{\"order_reorders\":{},\"reorder_nodes\":{},",
-            "\"reach_fast_negative\":{},\"reach_cv_checks\":{},\"compactions\":{},",
-            "\"compacted_nodes\":{},\"peak_live_nodes\":{}}}}}"
-        ),
-        m.alloc.fresh_executions,
-        m.alloc.recycled_executions,
-        m.alloc.clock_spills,
-        u64_array(&nanos),
-        u64_array(&calls),
-        m.graph.order_reorders,
-        m.graph.reorder_nodes,
-        m.graph.reach_fast_negative,
-        m.graph.reach_cv_checks,
-        m.graph.compactions,
-        m.graph.compacted_nodes,
-        m.graph.peak_live_nodes,
-    )
+    let mut w = JsonWriter::with_capacity(512);
+    w.object(|w| {
+        w.key("frame").str("metrics");
+        json::write_alloc(w.key("alloc"), &m.alloc);
+        write_phase(w.key("phase"), &m.phase);
+        write_graph(w.key("graph"), &m.graph);
+    });
+    w.finish()
 }
 
-fn u64_array(xs: &[u64]) -> String {
-    let items: Vec<String> = xs.iter().map(u64::to_string).collect();
-    format!("[{}]", items.join(","))
-}
-
-/// Encodes a `coverage` frame payload. Edge and interleaving behaviors
-/// travel as flat number rows (`[key..., first_execution,
-/// occurrences]`); iteration order is the map's `BTreeMap` order, so
-/// the payload is byte-stable for a given map.
+/// Encodes a `coverage` frame payload: the map's `c11coverage/v1`
+/// fields, in the map's `BTreeMap` order, so the payload is
+/// byte-stable for a given map.
 pub fn coverage_payload(map: &CoverageMap) -> String {
-    let mut out = String::with_capacity(256);
-    out.push_str("{\"frame\":\"coverage\"");
-    out.push_str(&format!(
-        ",\"collected_executions\":{}",
-        map.collected_executions()
-    ));
-    out.push_str(",\"rf\":[");
-    for (i, ((obj, from, to), s)) in map.rf_edges().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "[{obj},{from},{to},{},{}]",
-            s.first_execution, s.occurrences
-        ));
-    }
-    out.push_str("],\"mo\":[");
-    for (i, ((obj, from, to), s)) in map.mo_edges().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "[{obj},{from},{to},{},{}]",
-            s.first_execution, s.occurrences
-        ));
-    }
-    out.push_str("],\"races\":[");
-    for (i, (key, s)) in map.races().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"label\":\"{}\",\"kind\":\"{}\",\"first_execution\":{},\"occurrences\":{}}}",
-            esc(&key.label),
-            race_kind_name(key.kind),
-            s.first_execution,
-            s.occurrences,
-        ));
-    }
-    out.push_str("],\"interleavings\":[");
-    for (i, (hash, s)) in map.interleavings().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("[{hash},{},{}]", s.first_execution, s.occurrences));
-    }
-    out.push_str("]}");
-    out
-}
-
-fn coverage_rows<'a>(
-    doc: &'a JsonValue,
-    key: &str,
-    width: usize,
-) -> Result<Vec<&'a [JsonValue]>, String> {
-    let mut rows = Vec::new();
-    for row in doc
-        .get(key)
-        .and_then(JsonValue::as_array)
-        .ok_or(format!("missing `{key}` array"))?
-    {
-        let cells = row.as_array().ok_or(format!("non-array row in `{key}`"))?;
-        if cells.len() != width {
-            return Err(format!(
-                "`{key}` row has {} cells, expected {width}",
-                cells.len()
-            ));
-        }
-        rows.push(cells);
-    }
-    Ok(rows)
-}
-
-fn row_u64(cells: &[JsonValue], i: usize, key: &str) -> Result<u64, String> {
-    cells[i]
-        .as_u64()
-        .ok_or(format!("non-integer cell in `{key}`"))
-}
-
-fn parse_coverage(doc: &JsonValue) -> Result<CoverageMap, String> {
-    let mut map = CoverageMap::new();
-    map.add_collected_executions(u64_field(doc, "collected_executions")?);
-    for cells in coverage_rows(doc, "rf", 5)? {
-        map.absorb_rf_edge(
-            (
-                row_u64(cells, 0, "rf")?,
-                row_u64(cells, 1, "rf")?,
-                row_u64(cells, 2, "rf")?,
-            ),
-            BehaviorStats {
-                first_execution: row_u64(cells, 3, "rf")?,
-                occurrences: row_u64(cells, 4, "rf")?,
-            },
-        );
-    }
-    for cells in coverage_rows(doc, "mo", 5)? {
-        map.absorb_mo_edge(
-            (
-                row_u64(cells, 0, "mo")?,
-                row_u64(cells, 1, "mo")?,
-                row_u64(cells, 2, "mo")?,
-            ),
-            BehaviorStats {
-                first_execution: row_u64(cells, 3, "mo")?,
-                occurrences: row_u64(cells, 4, "mo")?,
-            },
-        );
-    }
-    for row in doc
-        .get("races")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing `races` array")?
-    {
-        map.absorb_race(
-            RaceKey {
-                label: str_field(row, "label")?.to_string(),
-                kind: parse_race_kind(str_field(row, "kind")?)?,
-            },
-            BehaviorStats {
-                first_execution: u64_field(row, "first_execution")?,
-                occurrences: u64_field(row, "occurrences")?,
-            },
-        );
-    }
-    for cells in coverage_rows(doc, "interleavings", 3)? {
-        map.absorb_interleaving(
-            row_u64(cells, 0, "interleavings")?,
-            BehaviorStats {
-                first_execution: row_u64(cells, 1, "interleavings")?,
-                occurrences: row_u64(cells, 2, "interleavings")?,
-            },
-        );
-    }
-    Ok(map)
+    let mut w = JsonWriter::with_capacity(1024);
+    w.object(|w| {
+        w.key("frame").str("coverage");
+        json::write_coverage(w, map);
+    });
+    w.finish()
 }
 
 /// Encodes a `done` frame payload.
 pub fn done_payload(stop_reason: StopReason) -> String {
-    format!(
-        "{{\"frame\":\"done\",\"stop_reason\":\"{}\"}}",
-        stop_reason.name()
-    )
-}
-
-fn parse_stop_reason(name: &str) -> Result<StopReason, String> {
-    match name {
-        "budget-exhausted" => Ok(StopReason::BudgetExhausted),
-        "first-bug" => Ok(StopReason::FirstBug),
-        "deadline" => Ok(StopReason::Deadline),
-        other => Err(format!("unknown stop reason `{other}`")),
-    }
-}
-
-fn str_field<'a>(doc: &'a JsonValue, key: &str) -> Result<&'a str, String> {
-    doc.get(key)
-        .and_then(JsonValue::as_str)
-        .ok_or(format!("missing string `{key}`"))
-}
-
-fn u64_field(doc: &JsonValue, key: &str) -> Result<u64, String> {
-    doc.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or(format!("missing number `{key}`"))
-}
-
-fn bool_field(doc: &JsonValue, key: &str) -> Result<bool, String> {
-    match doc.get(key) {
-        Some(JsonValue::Bool(b)) => Ok(*b),
-        _ => Err(format!("missing bool `{key}`")),
-    }
-}
-
-fn phase_array_field(doc: &JsonValue, key: &str) -> Result<[u64; PHASE_COUNT], String> {
-    let arr = doc
-        .get(key)
-        .and_then(JsonValue::as_array)
-        .ok_or(format!("missing array `{key}`"))?;
-    if arr.len() != PHASE_COUNT {
-        return Err(format!(
-            "`{key}` has {} entries, expected {PHASE_COUNT}",
-            arr.len()
-        ));
-    }
-    let mut out = [0u64; PHASE_COUNT];
-    for (slot, v) in out.iter_mut().zip(arr) {
-        *slot = v.as_u64().ok_or(format!("non-integer entry in `{key}`"))?;
-    }
-    Ok(out)
-}
-
-fn parse_stats(doc: &JsonValue) -> Result<ExecStats, String> {
-    let mg = doc.get("mograph").ok_or("missing `mograph`")?;
-    Ok(ExecStats {
-        atomic_loads: u64_field(doc, "atomic_loads")?,
-        atomic_stores: u64_field(doc, "atomic_stores")?,
-        rmws: u64_field(doc, "rmws")?,
-        fences: u64_field(doc, "fences")?,
-        sync_ops: u64_field(doc, "sync_ops")?,
-        normal_accesses: u64_field(doc, "normal_accesses")?,
-        volatile_accesses: u64_field(doc, "volatile_accesses")?,
-        candidates_rejected: u64_field(doc, "candidates_rejected")?,
-        pruned_stores: u64_field(doc, "pruned_stores")?,
-        pruned_loads: u64_field(doc, "pruned_loads")?,
-        pruned_fences: u64_field(doc, "pruned_fences")?,
-        prune_passes: u64_field(doc, "prune_passes")?,
-        mograph: MoGraphStats {
-            edges_added: u64_field(mg, "edges_added")?,
-            edges_redundant: u64_field(mg, "edges_redundant")?,
-            merges: u64_field(mg, "merges")?,
-            rmw_edges: u64_field(mg, "rmw_edges")?,
-        },
-        // Alloc, phase, and graph diagnostics are not carried per
-        // execution: they travel batched in the `metrics` frame (all
-        // are excluded from stats equality and default canonical JSON).
-        mograph_perf: Default::default(),
-        alloc: Default::default(),
-        phase: Default::default(),
-    })
-}
-
-fn parse_failure(doc: &JsonValue) -> Result<Option<Failure>, String> {
-    let failure = doc.get("failure").ok_or("missing `failure`")?;
-    if *failure == JsonValue::Null {
-        return Ok(None);
-    }
-    let kind = str_field(failure, "kind")?;
-    Ok(Some(match kind {
-        "deadlock" => Failure::Deadlock,
-        "panic" => Failure::Panic(str_field(failure, "message")?.to_string()),
-        "too-many-events" => Failure::TooManyEvents(u64_field(failure, "events")?),
-        "infra" => Failure::Infra(str_field(failure, "message")?.to_string()),
-        other => return Err(format!("unknown failure kind `{other}`")),
-    }))
+    let mut w = JsonWriter::new();
+    w.object(|w| {
+        w.key("frame").str("done");
+        w.key("stop_reason").str(stop_reason.name());
+    });
+    w.finish()
 }
 
 /// Decodes one frame payload.
 pub fn parse_frame(payload: &str) -> Result<Frame, String> {
     let doc = JsonValue::parse(payload).map_err(|e| format!("invalid frame JSON: {e}"))?;
-    match str_field(&doc, "frame")? {
-        "done" => Ok(Frame::Done(parse_stop_reason(str_field(
-            &doc,
-            "stop_reason",
-        )?)?)),
-        "coverage" => Ok(Frame::Coverage(parse_coverage(&doc)?)),
-        "metrics" => {
-            let alloc = doc.get("alloc").ok_or("missing `alloc`")?;
-            let phase = doc.get("phase").ok_or("missing `phase`")?;
-            let graph = doc.get("graph").ok_or("missing `graph`")?;
-            Ok(Frame::Metrics(BatchMetrics {
-                alloc: AllocStats {
-                    fresh_executions: u64_field(alloc, "fresh_executions")?,
-                    recycled_executions: u64_field(alloc, "recycled_executions")?,
-                    clock_spills: u64_field(alloc, "clock_spills")?,
-                },
-                phase: PhaseProfile::from_raw(
-                    phase_array_field(phase, "nanos")?,
-                    phase_array_field(phase, "calls")?,
-                ),
-                graph: MoGraphPerfStats {
-                    order_reorders: u64_field(graph, "order_reorders")?,
-                    reorder_nodes: u64_field(graph, "reorder_nodes")?,
-                    reach_fast_negative: u64_field(graph, "reach_fast_negative")?,
-                    reach_cv_checks: u64_field(graph, "reach_cv_checks")?,
-                    compactions: u64_field(graph, "compactions")?,
-                    compacted_nodes: u64_field(graph, "compacted_nodes")?,
-                    peak_live_nodes: u64_field(graph, "peak_live_nodes")?,
-                },
-            }))
-        }
-        "exec" => {
-            let mut races = Vec::new();
-            for row in doc
-                .get("races")
-                .and_then(JsonValue::as_array)
-                .ok_or("missing `races` array")?
-            {
-                races.push(RaceReport {
-                    label: str_field(row, "label")?.to_string(),
-                    obj: ObjId(u64_field(row, "obj")?),
-                    offset: u64_field(row, "offset")? as u32,
-                    kind: parse_race_kind(str_field(row, "kind")?)?,
-                    current_tid: ThreadId::from_index(u64_field(row, "current_tid")? as usize),
-                    current_kind: parse_access_kind(str_field(row, "current_kind")?)?,
-                    prior_tid: ThreadId::from_index(u64_field(row, "prior_tid")? as usize),
-                    prior_atomic: bool_field(row, "prior_atomic")?,
-                });
-            }
-            Ok(Frame::Exec(Box::new(ExecutionReport {
-                execution_index: u64_field(&doc, "execution")?,
-                strategy: str_field(&doc, "strategy")?.into(),
-                races,
-                failure: parse_failure(&doc)?,
-                stats: parse_stats(doc.get("stats").ok_or("missing `stats`")?)?,
-                elided_volatile_races: u64_field(&doc, "elided_volatile_races")?,
-                // Coverage is not carried per execution: the child folds
-                // its executions' signatures locally and ships one
-                // batched `coverage` frame (mergeable, so batching
-                // cannot change the aggregate).
-                coverage: Default::default(),
-            })))
-        }
+    match doc.str_field("frame")? {
+        "done" => Ok(Frame::Done(StopReason::parse(
+            doc.str_field("stop_reason")?,
+        )?)),
+        "coverage" => Ok(Frame::Coverage(json::read_coverage(&doc)?)),
+        "metrics" => Ok(Frame::Metrics(BatchMetrics {
+            alloc: json::read_alloc(doc.field("alloc")?)?,
+            phase: read_phase(doc.field("phase")?)?,
+            graph: read_graph(doc.field("graph")?)?,
+        })),
+        "exec" => Ok(Frame::Exec(Box::new(ExecutionReport {
+            execution_index: doc.u64_field("execution")?,
+            strategy: doc.str_field("strategy")?.into(),
+            races: doc
+                .array_field("races")?
+                .iter()
+                .map(json::read_race)
+                .collect::<Result<_, _>>()?,
+            failure: read_failure(doc.field("failure")?)?,
+            stats: json::read_stats(doc.field("stats")?)?,
+            elided_volatile_races: doc.u64_field("elided_volatile_races")?,
+            // Coverage is not carried per execution: the child folds
+            // its executions' signatures locally and ships one
+            // batched `coverage` frame (mergeable, so batching
+            // cannot change the aggregate).
+            coverage: Default::default(),
+        }))),
         other => Err(format!("unknown frame type `{other}`")),
     }
 }
@@ -605,6 +302,7 @@ mod tests {
             Failure::Deadlock,
             Failure::Panic("assert \"x\" failed\n".to_string()),
             Failure::TooManyEvents(12345),
+            Failure::Infra("spawn failed\r\t\u{1}é".to_string()),
         ] {
             let report = ExecutionReport {
                 execution_index: 9,
@@ -625,7 +323,7 @@ mod tests {
 
     #[test]
     fn coverage_frames_round_trip() {
-        use c11tester::{AccessKind, RaceKind};
+        use c11tester::{AccessKind, RaceKind, RaceReport, ThreadId};
         use c11tester_core::ExecCoverage;
 
         let mut sig = ExecCoverage::collecting();
@@ -680,7 +378,7 @@ mod tests {
                 clock_spills: 5,
             },
             phase: PhaseProfile::default(),
-            graph: MoGraphPerfStats {
+            graph: GraphMetrics {
                 order_reorders: 3,
                 reorder_nodes: 11,
                 reach_fast_negative: 5_000,
@@ -718,5 +416,14 @@ mod tests {
         }
         assert!(parse_frame("{\"frame\":\"nope\"}").is_err());
         assert!(parse_frame("not json").is_err());
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        // A target that prints to stdout can put anything in a frame;
+        // the reader's nesting cap turns a megabyte of `[` into an
+        // error instead of recursing off the parent's stack.
+        let err = parse_frame(&"[".repeat(1 << 20)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
     }
 }

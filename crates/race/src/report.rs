@@ -25,14 +25,62 @@ pub enum RaceKind {
     ReadAfterWrite,
 }
 
-impl fmt::Display for RaceKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl AccessKind {
+    /// Every access kind.
+    pub const ALL: [AccessKind; 3] = [
+        AccessKind::NonAtomic,
+        AccessKind::Atomic,
+        AccessKind::Volatile,
+    ];
+
+    /// Stable name used in JSON reports and on the fork-server wire.
+    pub fn name(self) -> &'static str {
+        match self {
+            AccessKind::NonAtomic => "non-atomic",
+            AccessKind::Atomic => "atomic",
+            AccessKind::Volatile => "volatile",
+        }
+    }
+
+    /// The inverse of [`AccessKind::name`].
+    pub fn parse(name: &str) -> Result<AccessKind, String> {
+        AccessKind::ALL
+            .into_iter()
+            .find(|k| k.name() == name)
+            .ok_or_else(|| format!("unknown access kind `{name}`"))
+    }
+}
+
+impl RaceKind {
+    /// Every race kind.
+    pub const ALL: [RaceKind; 3] = [
+        RaceKind::WriteAfterWrite,
+        RaceKind::WriteAfterRead,
+        RaceKind::ReadAfterWrite,
+    ];
+
+    /// Stable name used in JSON reports, on the fork-server wire, and by
+    /// `Display`.
+    pub fn name(self) -> &'static str {
+        match self {
             RaceKind::WriteAfterWrite => "write-write",
             RaceKind::WriteAfterRead => "write-read",
             RaceKind::ReadAfterWrite => "read-write",
-        };
-        f.write_str(s)
+        }
+    }
+
+    /// The inverse of [`RaceKind::name`].
+    pub fn parse(name: &str) -> Result<RaceKind, String> {
+        RaceKind::ALL
+            .into_iter()
+            .find(|k| k.name() == name)
+            .ok_or_else(|| format!("unknown race kind `{name}`"))
+    }
+}
+
+impl fmt::Display for RaceKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -98,5 +146,18 @@ mod tests {
         assert!(s.contains("write-read"));
         assert!(s.contains("T1"));
         assert!(s.contains("T2"));
+    }
+
+    #[test]
+    fn names_round_trip_and_match_display() {
+        for kind in RaceKind::ALL {
+            assert_eq!(kind.name(), kind.to_string());
+            assert_eq!(RaceKind::parse(kind.name()), Ok(kind));
+        }
+        for kind in AccessKind::ALL {
+            assert_eq!(AccessKind::parse(kind.name()), Ok(kind));
+        }
+        assert!(RaceKind::parse("nope").is_err());
+        assert!(AccessKind::parse("nope").is_err());
     }
 }

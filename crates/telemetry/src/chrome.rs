@@ -10,7 +10,8 @@
 //! in epoch order. Relative widths are meaningful; absolute
 //! timestamps are not.
 
-use crate::metrics::{esc, CampaignMetrics, MetricsMeta};
+use crate::json::JsonWriter;
+use crate::metrics::{CampaignMetrics, MetricsMeta};
 use crate::phase::Phase;
 
 /// Track (tid) layout of the synthetic timeline.
@@ -18,101 +19,90 @@ const TID_PHASES: u64 = 0;
 const TID_EPOCHS: u64 = 1;
 const TID_WORKER_BASE: u64 = 100;
 
-fn metadata(name: &str, tid: u64, value: &str) -> String {
-    format!(
-        "{{\"name\":\"{}\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\"args\":{{\"name\":\"{}\"}}}}",
-        name,
-        tid,
-        esc(value)
-    )
+/// A metadata (`"ph":"M"`) event naming a process or thread track.
+fn metadata(w: &mut JsonWriter, name: &str, tid: u64, value: &str) {
+    w.object(|w| {
+        w.key("name").str(name);
+        w.key("ph").str("M");
+        w.key("pid").u64(1);
+        w.key("tid").u64(tid);
+        w.key("args").object(|w| w.key("name").str(value));
+    });
 }
 
-fn slice(name: &str, tid: u64, ts_us: u64, dur_us: u64, args: &str) -> String {
-    format!(
-        "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{{}}}}}",
-        esc(name),
-        tid,
-        ts_us,
-        dur_us,
-        args
-    )
+/// A complete (`"ph":"X"`) slice; `args` writes its argument fields.
+fn slice(
+    w: &mut JsonWriter,
+    name: &str,
+    tid: u64,
+    ts_us: u64,
+    dur_us: u64,
+    args: impl FnOnce(&mut JsonWriter),
+) {
+    w.object(|w| {
+        w.key("name").str(name);
+        w.key("ph").str("X");
+        w.key("pid").u64(1);
+        w.key("tid").u64(tid);
+        w.key("ts").u64(ts_us);
+        w.key("dur").u64(dur_us);
+        w.key("args").object(args);
+    });
 }
 
 /// Renders the metrics aggregate as a well-formed Chrome trace-event
 /// array.
 pub fn chrome_trace(metrics: &CampaignMetrics, meta: &MetricsMeta) -> String {
-    let mut events: Vec<String> = Vec::new();
-    events.push(metadata(
-        "process_name",
-        TID_PHASES,
-        &format!("c11campaign {}", meta.target),
-    ));
-    events.push(metadata("thread_name", TID_PHASES, "engine phases"));
+    let mut w = JsonWriter::with_capacity(1024);
+    w.array(|w| {
+        metadata(
+            w,
+            "process_name",
+            TID_PHASES,
+            &format!("c11campaign {}", meta.target),
+        );
+        metadata(w, "thread_name", TID_PHASES, "engine phases");
 
-    // Phase slices, consecutive on one track.
-    let mut ts = 0u64;
-    for phase in Phase::ALL {
-        let dur = metrics.phase.nanos(phase) / 1_000;
-        let args = format!("\"calls\":{}", metrics.phase.calls(phase));
-        events.push(slice(phase.name(), TID_PHASES, ts, dur, &args));
-        ts += dur;
-    }
-
-    // One busy-span per worker.
-    let mut workers = metrics.workers.clone();
-    workers.sort_by_key(|w| w.worker);
-    for w in &workers {
-        let tid = TID_WORKER_BASE + w.worker;
-        events.push(metadata(
-            "thread_name",
-            tid,
-            &format!("worker {}", w.worker),
-        ));
-        let args = format!("\"executions\":{}", w.executions);
-        events.push(slice(
-            &format!("worker {}", w.worker),
-            tid,
-            0,
-            w.busy_nanos / 1_000,
-            &args,
-        ));
-    }
-
-    // Epochs end-to-end in epoch order.
-    if !metrics.epochs.is_empty() {
-        events.push(metadata("thread_name", TID_EPOCHS, "adaptive epochs"));
-        let mut epochs = metrics.epochs.clone();
-        epochs.sort_by_key(|e| e.epoch);
+        // Phase slices, consecutive on one track.
         let mut ts = 0u64;
-        for e in &epochs {
-            let dur = e.wall_nanos / 1_000;
-            let args = format!(
-                "\"mix\":\"{}\",\"start_index\":{},\"executions\":{}",
-                esc(&e.mix),
-                e.start_index,
-                e.executions
-            );
-            events.push(slice(
-                &format!("epoch {}", e.epoch),
-                TID_EPOCHS,
-                ts,
-                dur,
-                &args,
-            ));
+        for phase in Phase::ALL {
+            let dur = metrics.phase.nanos(phase) / 1_000;
+            slice(w, phase.name(), TID_PHASES, ts, dur, |w| {
+                w.key("calls").u64(metrics.phase.calls(phase))
+            });
             ts += dur;
         }
-    }
 
-    let mut out = String::with_capacity(events.iter().map(String::len).sum::<usize>() + 64);
-    out.push('[');
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+        // One busy-span per worker.
+        let mut workers = metrics.workers.clone();
+        workers.sort_by_key(|m| m.worker);
+        for m in &workers {
+            let tid = TID_WORKER_BASE + m.worker;
+            let name = format!("worker {}", m.worker);
+            metadata(w, "thread_name", tid, &name);
+            slice(w, &name, tid, 0, m.busy_nanos / 1_000, |w| {
+                w.key("executions").u64(m.executions)
+            });
         }
-        out.push_str(e);
-    }
-    out.push(']');
-    out
+
+        // Epochs end-to-end in epoch order.
+        if !metrics.epochs.is_empty() {
+            metadata(w, "thread_name", TID_EPOCHS, "adaptive epochs");
+            let mut epochs = metrics.epochs.clone();
+            epochs.sort_by_key(|e| e.epoch);
+            let mut ts = 0u64;
+            for e in &epochs {
+                let dur = e.wall_nanos / 1_000;
+                slice(w, &format!("epoch {}", e.epoch), TID_EPOCHS, ts, dur, |w| {
+                    w.key("mix").str(&e.mix);
+                    w.key("start_index").u64(e.start_index);
+                    w.key("executions").u64(e.executions);
+                });
+                ts += dur;
+            }
+        }
+    });
+    w.finish()
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! Deterministic-contract-safe observability for the c11tester-rs
 //! workspace: phase profiling, a campaign metrics registry with
-//! `c11metrics/v1` + Chrome-trace export, and structured schedule
-//! traces.
+//! `c11metrics/v1` + Chrome-trace export, structured schedule traces,
+//! and the one JSON writer and reader every crate above shares
+//! ([`json`]).
 //!
 //! This crate is a dependency-free leaf **below** the core model
 //! crate, so every type here is built from plain `u64`/`&'static str`
@@ -18,6 +19,7 @@
 
 pub mod chrome;
 pub mod coverage;
+pub mod json;
 pub mod metrics;
 pub mod phase;
 pub mod trace;
@@ -25,12 +27,14 @@ pub mod trace;
 pub use chrome::chrome_trace;
 pub use coverage::{coverage_enabled, set_coverage, ExecCoverage};
 pub use metrics::{
-    CampaignMetrics, EpochMetric, ForkHealth, GraphMetrics, MetricsMeta, WorkerMetrics,
+    read_graph, write_graph, CampaignMetrics, EpochMetric, ForkHealth, GraphMetrics, MetricsMeta,
+    WorkerMetrics,
 };
 pub use phase::{
-    phase_start, profiling_enabled, set_profiling, Phase, PhaseProfile, PhaseTimer, PHASE_COUNT,
+    phase_start, profiling_enabled, read_phase, set_profiling, write_phase, Phase, PhaseProfile,
+    PhaseTimer,
 };
 pub use trace::{
-    event_jsonl, set_tracing, tracing_enabled, CaptureSink, JsonlSink, MemorySink, StderrSink,
-    TraceEvent, TraceKey, TraceKind, TraceSink, FENCE_OBJ,
+    event_jsonl, set_tracing, tracing_enabled, write_event_fields, CaptureSink, JsonlSink,
+    MemorySink, StderrSink, TraceEvent, TraceKey, TraceKind, TraceSink, FENCE_OBJ,
 };

@@ -9,35 +9,8 @@
 //! timing-dependent and would break byte-identity; they are emitted
 //! only via `c11campaign --metrics-out` (see `docs/METRICS.md`).
 
-use crate::phase::{Phase, PhaseProfile};
-
-/// Minimal RFC 8259 string escaping for the hand-rolled emitters
-/// (same subset as the campaign wire module; telemetry sits below it
-/// in the crate graph, so the helper is duplicated rather than
-/// imported).
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
+use crate::json::{JsonValue, JsonWriter};
+use crate::phase::{write_phase, PhaseProfile};
 
 /// One campaign worker's share of the load.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -97,12 +70,12 @@ impl ForkHealth {
     }
 }
 
-/// Campaign-wide mo-graph maintenance diagnostics: the telemetry-side
-/// mirror of the core crate's `MoGraphPerfStats` (telemetry sits below
-/// core in the crate graph, so the counters are carried as plain
-/// numbers here). Incremental-topological-order fast-path hit rates
-/// and `--memory-limit` compaction bookkeeping — diagnostic only,
-/// never part of canonical campaign JSON.
+/// Mo-graph maintenance diagnostics: incremental-topological-order
+/// fast-path hit rates and `--memory-limit` compaction bookkeeping. The
+/// core graph counts them per execution (`ExecStats::mograph_perf`), the
+/// campaign sums them (`CampaignMetrics::graph`). Diagnostic only:
+/// excluded from stats equality and never part of canonical campaign
+/// JSON.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GraphMetrics {
     /// Edge insertions that violated the maintained topological order
@@ -136,6 +109,33 @@ impl GraphMetrics {
         self.compacted_nodes += other.compacted_nodes;
         self.peak_live_nodes = self.peak_live_nodes.max(other.peak_live_nodes);
     }
+}
+
+/// Writes the graph counters as one object: the `c11metrics/v1`
+/// `mograph` block and the fork server's `metrics` frame `graph` field.
+pub fn write_graph(w: &mut JsonWriter, g: &GraphMetrics) {
+    w.object(|w| {
+        w.key("order_reorders").u64(g.order_reorders);
+        w.key("reorder_nodes").u64(g.reorder_nodes);
+        w.key("reach_fast_negative").u64(g.reach_fast_negative);
+        w.key("reach_cv_checks").u64(g.reach_cv_checks);
+        w.key("compactions").u64(g.compactions);
+        w.key("compacted_nodes").u64(g.compacted_nodes);
+        w.key("peak_live_nodes").u64(g.peak_live_nodes);
+    });
+}
+
+/// Inverse of [`write_graph`].
+pub fn read_graph(v: &JsonValue) -> Result<GraphMetrics, String> {
+    Ok(GraphMetrics {
+        order_reorders: v.u64_field("order_reorders")?,
+        reorder_nodes: v.u64_field("reorder_nodes")?,
+        reach_fast_negative: v.u64_field("reach_fast_negative")?,
+        reach_cv_checks: v.u64_field("reach_cv_checks")?,
+        compactions: v.u64_field("compactions")?,
+        compacted_nodes: v.u64_field("compacted_nodes")?,
+        peak_live_nodes: v.u64_field("peak_live_nodes")?,
+    })
 }
 
 /// One adaptive epoch on the campaign timeline.
@@ -229,119 +229,73 @@ impl CampaignMetrics {
     }
 
     /// Serializes to the `c11metrics/v1` schema (field-by-field
-    /// reference in `docs/METRICS.md`). Hand-rolled deterministic
-    /// field order, like every emitter in the workspace.
+    /// reference in `docs/METRICS.md`). Workers and epochs are emitted
+    /// sorted by id, whatever order they were absorbed in.
     pub fn to_json(&self, meta: &MetricsMeta) -> String {
         let mut workers = self.workers.clone();
-        workers.sort_by_key(|w| w.worker);
+        workers.sort_by_key(|m| m.worker);
         let mut epochs = self.epochs.clone();
         epochs.sort_by_key(|e| e.epoch);
-
         let wall_secs = self.wall_nanos as f64 / 1e9;
-        let execs_per_sec = if wall_secs > 0.0 {
-            self.executions as f64 / wall_secs
-        } else {
-            0.0
-        };
+        let share = |part: f64, whole: f64| if whole > 0.0 { part / whole } else { 0.0 };
 
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\"schema\":\"c11metrics/v1\"");
-        out.push_str(&format!(
-            ",\"target\":\"{}\",\"base_seed\":{},\"policy\":\"{}\",\"workers\":{},\"isolated\":{}",
-            esc(&meta.target),
-            meta.seed,
-            esc(&meta.policy),
-            meta.workers,
-            meta.isolated,
-        ));
-        out.push_str(&format!(
-            ",\"wall_nanos\":{},\"executions\":{},\"execs_per_sec\":{}",
-            self.wall_nanos,
-            self.executions,
-            json_f64(execs_per_sec),
-        ));
-        out.push_str(",\"phase\":{");
-        for (i, phase) in Phase::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"nanos\":{},\"calls\":{}}}",
-                phase.name(),
-                self.phase.nanos(*phase),
-                self.phase.calls(*phase),
-            ));
-        }
-        out.push_str(&format!(",\"total_nanos\":{}}}", self.phase.total_nanos()));
-        out.push_str(&format!(
-            ",\"mograph\":{{\"order_reorders\":{},\"reorder_nodes\":{},\
-             \"reach_fast_negative\":{},\"reach_cv_checks\":{},\"compactions\":{},\
-             \"compacted_nodes\":{},\"peak_live_nodes\":{}}}",
-            self.graph.order_reorders,
-            self.graph.reorder_nodes,
-            self.graph.reach_fast_negative,
-            self.graph.reach_cv_checks,
-            self.graph.compactions,
-            self.graph.compacted_nodes,
-            self.graph.peak_live_nodes,
-        ));
-        out.push_str(",\"worker_utilization\":[");
-        for (i, w) in workers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let utilization = if self.wall_nanos > 0 {
-                w.busy_nanos as f64 / self.wall_nanos as f64
-            } else {
-                0.0
-            };
-            out.push_str(&format!(
-                "{{\"worker\":{},\"executions\":{},\"busy_nanos\":{},\"utilization\":{},\
-                 \"handover\":\"{}\"}}",
-                w.worker,
-                w.executions,
-                w.busy_nanos,
-                json_f64(utilization),
-                esc(w.handover),
-            ));
-        }
-        out.push(']');
-        out.push_str(&format!(
-            ",\"shard_imbalance\":{}",
-            json_f64(self.shard_imbalance())
-        ));
-        out.push_str(&format!(
-            ",\"fork_server\":{{\"spawns\":{},\"respawns\":{},\"timeout_kills\":{},\"frames\":{},\
-             \"frame_rtt_mean_nanos\":{},\"frame_rtt_max_nanos\":{}}}",
-            self.fork.spawns,
-            self.fork.respawns,
-            self.fork.timeout_kills,
-            self.fork.frames,
-            json_f64(self.fork.frame_rtt_mean_nanos()),
-            self.fork.frame_rtt_nanos_max,
-        ));
-        out.push_str(",\"epochs\":[");
-        for (i, e) in epochs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"epoch\":{},\"start_index\":{},\"executions\":{},\"wall_nanos\":{},\"mix\":\"{}\"}}",
-                e.epoch,
-                e.start_index,
-                e.executions,
-                e.wall_nanos,
-                esc(&e.mix),
-            ));
-        }
-        out.push_str("]}");
-        out
+        let mut w = JsonWriter::with_capacity(1024);
+        w.object(|w| {
+            w.key("schema").str("c11metrics/v1");
+            w.key("target").str(&meta.target);
+            w.key("base_seed").u64(meta.seed);
+            w.key("policy").str(&meta.policy);
+            w.key("workers").u64(meta.workers);
+            w.key("isolated").bool(meta.isolated);
+            w.key("wall_nanos").u64(self.wall_nanos);
+            w.key("executions").u64(self.executions);
+            w.key("execs_per_sec")
+                .f64(share(self.executions as f64, wall_secs));
+            write_phase(w.key("phase"), &self.phase);
+            write_graph(w.key("mograph"), &self.graph);
+            w.key("worker_utilization").array(|w| {
+                for m in &workers {
+                    w.object(|w| {
+                        w.key("worker").u64(m.worker);
+                        w.key("executions").u64(m.executions);
+                        w.key("busy_nanos").u64(m.busy_nanos);
+                        w.key("utilization")
+                            .f64(share(m.busy_nanos as f64, self.wall_nanos as f64));
+                        w.key("handover").str(m.handover);
+                    });
+                }
+            });
+            w.key("shard_imbalance").f64(self.shard_imbalance());
+            w.key("fork_server").object(|w| {
+                w.key("spawns").u64(self.fork.spawns);
+                w.key("respawns").u64(self.fork.respawns);
+                w.key("timeout_kills").u64(self.fork.timeout_kills);
+                w.key("frames").u64(self.fork.frames);
+                w.key("frame_rtt_mean_nanos")
+                    .f64(self.fork.frame_rtt_mean_nanos());
+                w.key("frame_rtt_max_nanos")
+                    .u64(self.fork.frame_rtt_nanos_max);
+            });
+            w.key("epochs").array(|w| {
+                for e in &epochs {
+                    w.object(|w| {
+                        w.key("epoch").u64(e.epoch);
+                        w.key("start_index").u64(e.start_index);
+                        w.key("executions").u64(e.executions);
+                        w.key("wall_nanos").u64(e.wall_nanos);
+                        w.key("mix").str(&e.mix);
+                    });
+                }
+            });
+        });
+        w.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phase::Phase;
 
     fn worker(worker: u64, executions: u64, busy_nanos: u64) -> WorkerMetrics {
         WorkerMetrics {
@@ -511,7 +465,14 @@ mod tests {
 
     #[test]
     fn escaping_covers_the_rfc_subset() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc("\u{1}"), "\\u0001");
+        let meta = MetricsMeta {
+            target: "a\"b\\c\nd\u{1}".into(),
+            ..MetricsMeta::default()
+        };
+        let json = CampaignMetrics::default().to_json(&meta);
+        assert!(
+            json.contains("\"target\":\"a\\\"b\\\\c\\nd\\u0001\""),
+            "{json}"
+        );
     }
 }

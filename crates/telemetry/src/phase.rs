@@ -14,6 +14,7 @@
 //! `Instant` syscall, keeping the disabled-telemetry overhead within
 //! the ≤2% bench budget.
 
+use crate::json::{JsonValue, JsonWriter};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
@@ -112,18 +113,33 @@ impl PhaseProfile {
     pub fn reset(&mut self) {
         *self = PhaseProfile::default();
     }
+}
 
-    /// Raw `(nanos, calls)` arrays, indexed by [`Phase::ALL`] order —
-    /// for wire serialization.
-    pub fn raw(&self) -> ([u64; PHASE_COUNT], [u64; PHASE_COUNT]) {
-        (self.nanos, self.calls)
-    }
+/// Writes `profile` as the `c11metrics/v1` `phase` object: one
+/// `{"nanos":…,"calls":…}` entry per phase in [`Phase::ALL`] order,
+/// then the derived `total_nanos`. The fork server's `metrics` frame
+/// carries the same object.
+pub fn write_phase(w: &mut JsonWriter, profile: &PhaseProfile) {
+    w.object(|w| {
+        for phase in Phase::ALL {
+            w.key(phase.name()).object(|w| {
+                w.key("nanos").u64(profile.nanos(phase));
+                w.key("calls").u64(profile.calls(phase));
+            });
+        }
+        w.key("total_nanos").u64(profile.total_nanos());
+    });
+}
 
-    /// Rebuilds a profile from its [`raw`](Self::raw) arrays — for
-    /// wire deserialization.
-    pub fn from_raw(nanos: [u64; PHASE_COUNT], calls: [u64; PHASE_COUNT]) -> PhaseProfile {
-        PhaseProfile { nanos, calls }
+/// Inverse of [`write_phase`] (`total_nanos` is derived and ignored).
+pub fn read_phase(v: &JsonValue) -> Result<PhaseProfile, String> {
+    let mut profile = PhaseProfile::default();
+    for phase in Phase::ALL {
+        let entry = v.field(phase.name())?;
+        profile.nanos[phase.idx()] = entry.u64_field("nanos")?;
+        profile.calls[phase.idx()] = entry.u64_field("calls")?;
     }
+    Ok(profile)
 }
 
 /// Global profiling gate. Off by default; flipped on by
@@ -196,12 +212,16 @@ mod tests {
     }
 
     #[test]
-    fn raw_round_trips() {
+    fn json_round_trips() {
         let mut p = PhaseProfile::default();
         p.record(Phase::MoGraph, 42);
         p.record(Phase::RaceDetect, 9);
-        let (nanos, calls) = p.raw();
-        assert_eq!(PhaseProfile::from_raw(nanos, calls), p);
+        let mut w = JsonWriter::new();
+        write_phase(&mut w, &p);
+        let json = w.finish();
+        assert!(json.ends_with(",\"total_nanos\":51}"), "{json}");
+        let doc = JsonValue::parse(&json).expect("valid JSON");
+        assert_eq!(read_phase(&doc), Ok(p));
     }
 
     #[test]

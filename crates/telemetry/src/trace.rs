@@ -13,6 +13,7 @@
 //! name `ThreadId`/`ObjId`/`MemOrder` — core converts at the
 //! recording site.
 
+use crate::json::JsonWriter;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The replay coordinates of one execution: `seed` and global `index`
@@ -81,32 +82,32 @@ pub struct TraceEvent {
     pub old: Option<u64>,
 }
 
-/// Encodes one event as a JSONL line carrying its replay key.
+/// Writes the event's fields into an open object: the one encoding of
+/// a committed event, shared by the JSONL trace and the forensics
+/// bundle's event window.
+pub fn write_event_fields(w: &mut JsonWriter, e: &TraceEvent) {
+    w.key("kind").str(e.kind.name());
+    w.key("thread").u64(e.thread);
+    w.key("seq").u64(e.seq);
+    w.key("obj").u64(e.obj);
+    w.key("order").str(e.order);
+    w.key("access").str(e.access);
+    w.key("value").u64(e.value);
+    w.key("rf").opt_u64(e.rf);
+    w.key("old").opt_u64(e.old);
+}
+
+/// Encodes one event as a `c11trace/v1` JSONL line: its replay key,
+/// then the event's fields.
 pub fn event_jsonl(key: TraceKey, e: &TraceEvent) -> String {
-    let mut line = format!(
-        "{{\"seed\":{},\"epoch\":{},\"index\":{},\"kind\":\"{}\",\"thread\":{},\"seq\":{},\
-         \"obj\":{},\"order\":\"{}\",\"access\":\"{}\",\"value\":{}",
-        key.seed,
-        key.epoch,
-        key.index,
-        e.kind.name(),
-        e.thread,
-        e.seq,
-        e.obj,
-        e.order,
-        e.access,
-        e.value,
-    );
-    match e.rf {
-        Some(rf) => line.push_str(&format!(",\"rf\":{rf}")),
-        None => line.push_str(",\"rf\":null"),
-    }
-    match e.old {
-        Some(old) => line.push_str(&format!(",\"old\":{old}")),
-        None => line.push_str(",\"old\":null"),
-    }
-    line.push('}');
-    line
+    let mut w = JsonWriter::with_capacity(160);
+    w.object(|w| {
+        w.key("seed").u64(key.seed);
+        w.key("epoch").u64(key.epoch);
+        w.key("index").u64(key.index);
+        write_event_fields(w, e);
+    });
+    w.finish()
 }
 
 /// Receives the committed-event sequence of each traced execution.
