@@ -65,7 +65,8 @@ OPTIONS:
     --exec-timeout <SECS>   with --isolate: kill a child that spends longer
                             than SECS wall-clock on a single execution and
                             record a timeout crash
-    --batch <N>             with --isolate: executions per child process
+    --batch <N>             with --isolate: executions per batch: the unit
+                            of fold, fresh state and crash re-run
                             [default: 64]
     --baseline <FILE>       diff this run's detection rates against a saved
                             canonical/full JSON report (v2, v3, or v4); exits
@@ -92,7 +93,7 @@ OPTIONS:
                             worker count and recycling, so it is excluded
                             from the byte-identity contract and goldens.
                             Works with --isolate too: children report their
-                            batch counters over the wire in a metrics frame.
+                            batch counters over the wire in each batch frame.
     --metrics-out <FILE>    write a c11metrics/v1 diagnostic report (phase
                             timings, per-worker utilization, fork-server
                             health, epoch timeline; see docs/METRICS.md)
@@ -298,24 +299,27 @@ fn list_targets() {
     }
 }
 
-/// Restores default `SIGPIPE` so `c11campaign ... | head` exits
-/// quietly instead of panicking on a closed stdout (Rust ignores
-/// `SIGPIPE` by default; declared directly since the `libc` crate is
-/// unavailable offline).
+/// Sets `SIGPIPE` to its default action (`true`), so `c11campaign ... |
+/// head` exits quietly instead of panicking on a closed stdout, or back
+/// to Rust's ignore (`false`), so the fork server's write to a child
+/// that just died is an `EPIPE` it triages rather than the campaign's
+/// death. Declared directly since the `libc` crate is unavailable
+/// offline.
 #[cfg(unix)]
-fn reset_sigpipe() {
+fn default_sigpipe(default: bool) {
     extern "C" {
         fn signal(signum: i32, handler: usize) -> usize;
     }
     const SIGPIPE: i32 = 13;
     const SIG_DFL: usize = 0;
+    const SIG_IGN: usize = 1;
     unsafe {
-        signal(SIGPIPE, SIG_DFL);
+        signal(SIGPIPE, if default { SIG_DFL } else { SIG_IGN });
     }
 }
 
 #[cfg(not(unix))]
-fn reset_sigpipe() {}
+fn default_sigpipe(_default: bool) {}
 
 /// Diffs the current run against the saved baseline; returns the exit
 /// code (0 clean, 3 regressed, 2 on load/parse errors).
@@ -422,11 +426,12 @@ fn write_adaptive_forensics(
 }
 
 fn main() -> ExitCode {
-    reset_sigpipe();
-    // Hidden fork-server re-entry: `c11campaign --worker …` runs one
-    // batch of executions serially and streams length-prefixed JSON
-    // frames to stdout (see `c11tester_isolation::worker`). Must be
-    // the first argument — the fork server always puts it there.
+    default_sigpipe(true);
+    // Hidden fork-server re-entry: `c11campaign --worker …` serves
+    // batch requests from stdin, running each batch serially and
+    // streaming length-prefixed frames to stdout (see
+    // `c11tester_isolation::worker`). Must be the first argument — the
+    // fork server always puts it there.
     let mut argv = std::env::args().skip(1).peekable();
     if argv.peek().map(String::as_str) == Some("--worker") {
         argv.next();
@@ -496,8 +501,10 @@ fn main() -> ExitCode {
     }
 
     // With --isolate, executions run in child processes that re-enter
-    // this binary in --worker mode.
+    // this binary in --worker mode. Their stdin pipes must not deliver
+    // SIGPIPE to the campaign until it has finished.
     let fork = if args.isolate {
+        default_sigpipe(false);
         match ForkServer::current_exe() {
             Ok(fork) => {
                 let fork = match args.batch {
@@ -623,6 +630,7 @@ fn main() -> ExitCode {
         )
     };
 
+    default_sigpipe(true);
     if let Some(path) = args.metrics_out.as_deref() {
         let meta = c11tester_telemetry::MetricsMeta {
             target: target.name.to_string(),

@@ -13,7 +13,9 @@
 //!   index) are byte-identical across worker counts, while the same
 //!   invocation without `--isolate` dies;
 //! * **timeout triage** — `--exec-timeout` kills a wedged child and
-//!   records a timeout crash instead of hanging the campaign.
+//!   records a timeout crash instead of hanging the campaign;
+//! * **fork accounting** — one child per pool worker on a healthy
+//!   target, one more per death on a crashing one, as exact counts.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -50,7 +52,7 @@ fn healthy_target_fork_server_matches_in_process_byte_for_byte() {
         "--target",
         "rwlock-buggy",
         "--executions",
-        "48",
+        "96",
         "--seed",
         "7",
         "--mix",
@@ -70,7 +72,7 @@ fn healthy_target_fork_server_matches_in_process_byte_for_byte() {
         );
     }
     // Batch size must be invisible too (batches repartition the same
-    // global index stream).
+    // global index stream; 96 executions are two default batches).
     let mut args = base.to_vec();
     args.extend(["--isolate", "--workers", "4", "--batch", "7"]);
     assert_eq!(
@@ -351,4 +353,102 @@ fn library_exec_timeout_defeats_a_spinning_target() {
     assert_eq!(report.aggregate.executions, 0);
     assert_eq!(report.crashes.len(), 2);
     assert!(report.crashes.iter().all(|c| c.kind == CrashKind::Timeout));
+}
+
+/// A library campaign through the fork server on the real binary.
+fn fork_campaign(
+    target: &str,
+    executions: u64,
+    workers: usize,
+    batch: u64,
+) -> c11tester_campaign::CampaignReport {
+    use c11tester::Config;
+    use c11tester_campaign::{targets, Campaign, CampaignBudget};
+    use c11tester_isolation::ForkServer;
+
+    let target = targets::find(target).expect("target exists");
+    let fork = ForkServer::new(Path::new(BIN)).with_batch_size(batch);
+    Campaign::new(Config::new().with_seed(7))
+        .with_workers(workers)
+        .run_target(&fork, &target, &CampaignBudget::executions(executions))
+        .expect("fork server runs")
+}
+
+#[test]
+fn a_healthy_range_spawns_exactly_one_child_per_worker() {
+    // 48 batches over 4 workers: every pool thread gets work, and each
+    // serves all of its batches from one child.
+    let report = fork_campaign("rwlock-buggy", 384, 4, 8);
+    let fork = report.metrics.fork;
+    assert_eq!(report.aggregate.executions, 384);
+    assert_eq!(fork.spawns, 4, "{fork:?}");
+    assert_eq!(fork.respawns, 0, "{fork:?}");
+    assert_eq!(fork.rerun_executions, 0, "{fork:?}");
+    // One tick per execution plus a batch and a done frame per batch.
+    assert_eq!(fork.frames, 384 + 2 * 48, "{fork:?}");
+}
+
+#[test]
+fn a_crashing_range_respawns_once_per_death_and_reruns_prefixes() {
+    let report = fork_campaign("null-deref-buggy", 200, 4, 16);
+    let fork = report.metrics.fork;
+    let crashes = report.crashes.len() as u64;
+    assert!(crashes > 0);
+    assert_eq!(fork.timeout_kills, 0);
+    assert_eq!(fork.respawns, crashes + fork.timeout_kills, "{fork:?}");
+    assert_eq!(fork.spawns, 4 + fork.respawns, "{fork:?}");
+    assert!(
+        fork.rerun_executions > 0,
+        "some crash came after completed executions of its batch: {fork:?}"
+    );
+    assert_eq!(report.aggregate.executions + crashes, 200);
+}
+
+#[test]
+fn crash_reruns_are_invisible_across_batch_sizes_and_worker_counts() {
+    // The canonical report, crash records included, must not depend on
+    // how the budget was cut into batches (and so on which prefixes were
+    // re-run) or on how many children ran them.
+    let mut reference: Option<String> = None;
+    let mut reruns = 0;
+    for batch in ["1", "7", "64"] {
+        for workers in ["1", "4", "8"] {
+            let metrics = std::env::temp_dir().join(format!(
+                "c11-rerun-{}-{batch}-{workers}.json",
+                std::process::id()
+            ));
+            let json = canonical(&[
+                "--target",
+                "null-deref-buggy",
+                "--executions",
+                "200",
+                "--seed",
+                "7",
+                "--isolate",
+                "--batch",
+                batch,
+                "--workers",
+                workers,
+                "--canonical",
+                "--metrics-out",
+                metrics.to_str().expect("utf-8 path"),
+            ]);
+            let doc = std::fs::read_to_string(&metrics).expect("metrics written");
+            let _ = std::fs::remove_file(&metrics);
+            let doc = c11tester_telemetry::json::JsonValue::parse(&doc).expect("metrics parse");
+            reruns += doc
+                .field("fork_server")
+                .and_then(|f| f.u64_field("rerun_executions"))
+                .expect("rerun_executions");
+            assert!(crash_count(&json) > 0);
+            match &reference {
+                None => reference = Some(json),
+                Some(expected) => assert_eq!(
+                    &json, expected,
+                    "diverged at --batch {batch} --workers {workers}"
+                ),
+            }
+        }
+    }
+    assert!(reruns > 0, "no crash re-ran a non-empty prefix");
 }

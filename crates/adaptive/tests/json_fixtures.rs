@@ -11,9 +11,9 @@
 //! * hand-built values whose strings hold every escape class the writer
 //!   distinguishes ([`NASTY`]) wherever a document carries free text.
 //!
-//! The fork-server frames are checked as round-trip *values* instead of
-//! bytes: a frame is an internal encoding, so what must hold is that
-//! decoding gives back what was encoded.
+//! The fork-server batch frames are checked as round-trip *values*
+//! instead of bytes: a frame is an internal encoding, so what must hold
+//! is that decoding gives back what was encoded.
 //!
 //! Regenerate with:
 //!
@@ -22,8 +22,8 @@
 //! ```
 
 use c11tester::{
-    AccessKind, Config, CoverageMap, DedupHistory, ExecCoverage, ExecStats, ExecutionReport,
-    Failure, Model, RaceKind, RaceReport, TestReport, ThreadId, TraceEvent, TraceKey, TraceKind,
+    AccessKind, Config, DedupHistory, ExecCoverage, ExecStats, ExecutionReport, Failure, Model,
+    RaceKind, RaceReport, TestReport, ThreadId, TraceEvent, TraceKey, TraceKind,
 };
 use c11tester_adaptive::AdaptiveReport;
 use c11tester_campaign::forensics::{self, Witness};
@@ -32,9 +32,7 @@ use c11tester_campaign::{
 };
 use c11tester_core::ObjId;
 use c11tester_genprog::{MismatchReport, Violation};
-use c11tester_isolation::protocol::{
-    coverage_payload, exec_payload, metrics_payload, parse_frame, BatchMetrics, Frame,
-};
+use c11tester_isolation::protocol::{batch_payload, exec_payload, parse_frame, Frame};
 use c11tester_isolation::WorkerSpec;
 use c11tester_telemetry::{
     CampaignMetrics, EpochMetric, ForkHealth, GraphMetrics, MetricsMeta, Phase, WorkerMetrics,
@@ -422,6 +420,7 @@ fn metrics() -> (CampaignMetrics, MetricsMeta) {
             spawns: 3,
             respawns: 1,
             timeout_kills: 1,
+            rerun_executions: 4,
             frames: 7,
             frame_rtt_nanos_total: 1_000_000,
             frame_rtt_nanos_max: 700_001,
@@ -550,27 +549,30 @@ fn every_document_matches_its_byte_fixture() {
     }
 }
 
-fn decode_exec(report: &ExecutionReport) -> ExecutionReport {
-    match parse_frame(&exec_payload(report)).expect("exec frame parses") {
-        Frame::Exec(decoded) => *decoded,
-        other => panic!("exec payload decoded as {other:?}"),
+fn decode_batch(payload: &str) -> TestReport {
+    match parse_frame(payload).expect("batch frame parses") {
+        Frame::Batch(decoded) => *decoded,
+        other => panic!("batch payload decoded as {other:?}"),
     }
 }
 
-fn assert_same_execution(decoded: &ExecutionReport, report: &ExecutionReport) {
-    assert_eq!(decoded.execution_index, report.execution_index);
-    assert_eq!(decoded.strategy, report.strategy);
-    assert_eq!(decoded.races, report.races);
-    assert_eq!(decoded.failure, report.failure);
-    assert_eq!(decoded.stats, report.stats);
-    assert_eq!(decoded.elided_volatile_races, report.elided_volatile_races);
+/// Stats equality ignores the diagnostic blocks; the wire must not drop
+/// them.
+fn assert_same_fold(decoded: &TestReport, sent: &TestReport) {
+    assert_eq!(decoded, sent);
+    assert_eq!(decoded.total_stats.alloc, sent.total_stats.alloc);
+    assert_eq!(
+        decoded.total_stats.mograph_perf,
+        sent.total_stats.mograph_perf
+    );
+    assert_eq!(decoded.total_stats.phase, sent.total_stats.phase);
 }
 
 #[test]
 fn frames_round_trip_hand_built_and_real_reports_as_values() {
-    // Hand-built: every failure kind, free text everywhere.
-    let mut direct = TestReport::default();
-    let mut wired = TestReport::default();
+    // Hand-built: every failure kind, free text everywhere, two
+    // strategies, diagnostic stats, coverage with full-range keys.
+    let mut fold = TestReport::default();
     for index in 0..10 {
         let failure = match index % 5 {
             0 => Some(Failure::Panic(NASTY.to_string())),
@@ -579,85 +581,57 @@ fn frames_round_trip_hand_built_and_real_reports_as_values() {
             3 => Some(Failure::Infra(NASTY.to_string())),
             _ => None,
         };
-        let mut report = execution(index, NASTY, failure);
-        report.coverage = ExecCoverage::default();
-        let decoded = decode_exec(&report);
-        assert_same_execution(&decoded, &report);
-        direct.absorb(&report);
-        wired.absorb(&decoded);
+        let strategy = if index % 3 == 0 { NASTY } else { "pct2" };
+        fold.absorb(&execution(index, strategy, failure));
     }
-    assert_eq!(wired, direct);
+    fold.total_stats.phase.record(Phase::ReadFrom, 77);
+    fold.total_stats.mograph_perf.peak_live_nodes = 41;
+    let mut sig = ExecCoverage::collecting();
+    sig.record_rf(u64::MAX, 0, 1);
+    sig.record_switch(u64::MAX, u64::MAX - 1);
+    fold.coverage
+        .record(99, &sig, &[race(NASTY, RaceKind::WriteAfterWrite, 1)]);
+    assert_same_fold(&decode_batch(&batch_payload(&fold)), &fold);
+    // The one-execution form kept for the wire kernels.
+    let one = execution(3, NASTY, Some(Failure::TooManyEvents(u64::MAX)));
+    let mut direct = TestReport::default();
+    direct.absorb(&one);
+    assert_same_fold(&decode_batch(&exec_payload(&one)), &direct);
 
-    // Real: a worker batch with metrics and coverage, decoded the way
-    // the fork server decodes it, against the same executions run here.
+    // Real: a worker's batch as the fork server decodes it, against the
+    // same executions run here.
     let spec = WorkerSpec {
         target: "seqlock-buggy".to_string(),
         seed: 0xC11,
         policy: c11tester::Policy::C11Tester,
         mix: Some("random:1,pct2:1".to_string()),
-        first_index: 16,
-        executions: 24,
         stop_on_first_bug: false,
-        emit_metrics: true,
         profile_phases: false,
         collect_coverage: true,
         memory_limit: false,
     };
-    let mut model = Model::for_shard_from(spec.config().expect("config"), spec.first_index, 1);
-    c11tester::set_coverage(true);
-    let mut batch = BatchMetrics::default();
-    let mut coverage = CoverageMap::new();
-    let mut direct = TestReport::default();
-    let mut wired = TestReport::default();
-    for _ in 0..spec.executions {
-        let report = model.run(c11tester_workloads::ds::seqlock::run_buggy);
-        batch.alloc.absorb(&report.stats.alloc);
-        batch.graph.absorb(&report.stats.mograph_perf);
-        coverage.record(report.execution_index, &report.coverage, &report.races);
-        let decoded = decode_exec(&report);
-        assert_same_execution(&decoded, &report);
-        let mut uncovered = report.clone();
-        uncovered.coverage = ExecCoverage::default();
-        direct.absorb(&uncovered);
-        wired.absorb(&decoded);
-    }
-    c11tester::set_coverage(false);
-    assert_eq!(wired, direct);
-    assert!(direct.executions_with_bug > 0, "seqlock-buggy must fail");
-    batch.phase.record(Phase::ReadFrom, 77);
-    match parse_frame(&metrics_payload(&batch)).expect("metrics frame parses") {
-        Frame::Metrics(decoded) => assert_eq!(decoded, batch),
-        other => panic!("metrics payload decoded as {other:?}"),
-    }
-    assert!(coverage.distinct_total() > 0);
-    // The same frames, as the worker writes them, stream back to an
-    // aggregate equal to running the batch here.
     let mut buf = Vec::new();
-    c11tester::set_coverage(true);
-    spec.run(&mut buf).expect("batch runs");
+    spec.serve(&b"16 24 -\n"[..], &mut buf).expect("batch runs");
+    let mut model = Model::for_shard_from(spec.config().expect("config"), 16, 1);
+    let mut direct = TestReport::default();
+    for _ in 0..24 {
+        direct.absorb(&model.run(c11tester_workloads::ds::seqlock::run_buggy));
+    }
     c11tester::set_coverage(false);
     let mut reader = std::io::BufReader::new(&buf[..]);
-    let mut streamed = TestReport::default();
+    let (mut ticks, mut streamed) = (0, None);
     while let Some(payload) = c11tester_isolation::protocol::read_frame(&mut reader).expect("frame")
     {
         match parse_frame(&payload).expect("frame parses") {
-            Frame::Exec(report) => streamed.absorb(&report),
-            Frame::Coverage(map) => streamed.coverage.merge(&map),
-            Frame::Metrics(_) | Frame::Done(_) => {}
+            Frame::Tick => ticks += 1,
+            Frame::Batch(report) => streamed = Some(*report),
+            Frame::Done(reason) => assert_eq!(reason, StopReason::BudgetExhausted),
         }
     }
-    direct.coverage = coverage.clone();
-    assert_eq!(streamed, direct);
-
-    // A coverage map with free text and full-range keys.
-    let mut sig = ExecCoverage::collecting();
-    sig.record_rf(u64::MAX, 0, 1);
-    sig.record_switch(u64::MAX, u64::MAX - 1);
-    coverage.record(99, &sig, &[race(NASTY, RaceKind::WriteAfterWrite, 1)]);
-    match parse_frame(&coverage_payload(&coverage)).expect("coverage frame parses") {
-        Frame::Coverage(decoded) => assert_eq!(decoded, coverage),
-        other => panic!("coverage payload decoded as {other:?}"),
-    }
+    assert_eq!(ticks, 24);
+    assert_same_fold(&streamed.expect("batch frame"), &direct);
+    assert!(direct.executions_with_bug > 0, "seqlock-buggy must fail");
+    assert!(direct.coverage.distinct_total() > 0);
 }
 
 #[test]

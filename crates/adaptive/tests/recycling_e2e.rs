@@ -2,8 +2,8 @@
 //! `c11campaign` binary.
 //!
 //! An in-process campaign worker recycles one `Execution` along its
-//! whole shard; a fork-isolated campaign with `--batch 1` puts every
-//! execution in a brand-new child process — maximally *fresh* state.
+//! whole shard; a fork-isolated campaign with `--batch 1` runs every
+//! execution on a brand-new `Model` — maximally *fresh* state.
 //! Byte-identical canonical JSON between the two proves the recycled
 //! hot path is observationally invisible through the entire stack
 //! (engine, wire protocol, aggregation), at several worker counts.
@@ -44,7 +44,7 @@ fn recycled_in_process_matches_fresh_per_execution_children() {
     let mut recycled = base.to_vec();
     recycled.extend(["--workers", "1"]);
     let recycled = canonical(&recycled);
-    // --batch 1 forks a fresh child per execution: nothing recycled.
+    // --batch 1 gives every execution a fresh model: nothing recycled.
     for workers in ["1", "4", "8"] {
         let mut fresh = base.to_vec();
         fresh.extend(["--isolate", "--batch", "1", "--workers", workers]);
@@ -66,10 +66,10 @@ fn alloc_stats_flag_requires_canonical_and_emits_block() {
     );
     assert!(String::from_utf8_lossy(&out.stderr).contains("--alloc-stats requires --canonical"));
 
-    // The isolated combination works too: children batch their
-    // provisioning counters into the wire protocol's `metrics` frame.
-    // 8 executions in batches of 4 means two children, each starting
-    // fresh and recycling within its batch.
+    // The isolated combination works too: children ship their
+    // provisioning counters in each batch frame. 8 executions in
+    // batches of 4 means two batches, each starting on a fresh model
+    // and recycling within itself.
     let with = canonical(&[
         "--target",
         "rwlock-buggy",

@@ -9,11 +9,11 @@
 //!   program under test that segfaults, aborts, or wedges takes the
 //!   whole campaign down with it.
 //! * `ForkServer` (in the `c11tester-isolation` crate) — worker
-//!   **processes**: each batch of executions runs in a child that
-//!   re-enters the campaign binary via the hidden `c11campaign
-//!   --worker` mode and streams per-execution results back over a
-//!   pipe. A child death becomes a [`CrashRecord`] instead of a
-//!   campaign death.
+//!   **processes**: each pool worker runs its batches in one long-lived
+//!   child that re-enters the campaign binary via the hidden
+//!   `c11campaign --worker` mode, ticks once per execution and ships
+//!   each batch's folded report back over a pipe. A child death becomes
+//!   a [`CrashRecord`] instead of a campaign death.
 //!
 //! Both backends answer the same question for the same inputs: the
 //! aggregate over a fixed-budget index range is **byte-identical**

@@ -28,7 +28,7 @@
 //! when the object has none, on the tail of the execution, which is
 //! where the detector fired.
 
-use crate::json::write_race;
+use crate::json::{write_race, write_shapes};
 use c11tester::{DedupEntry, DedupHistory, ExecutionReport};
 use c11tester_telemetry::json::{esc, JsonWriter};
 use c11tester_telemetry::{write_event_fields, TraceEvent, TraceKind};
@@ -124,16 +124,7 @@ fn bundle_json(seed: u64, entry: &DedupEntry, witness: &Witness, verified: bool)
         w.key("race").object(|w| write_race(w, &entry.report));
         w.key("first_execution").u64(entry.first_execution);
         w.key("occurrences").u64(entry.occurrences);
-        w.key("shapes").array(|w| {
-            for s in &entry.shapes {
-                w.object(|w| {
-                    w.key("current_tid").u64(s.current_tid);
-                    w.key("current_kind").str(s.current_kind.name());
-                    w.key("prior_tid").u64(s.prior_tid);
-                    w.key("prior_atomic").bool(s.prior_atomic);
-                });
-            }
-        });
+        write_shapes(w.key("shapes"), &entry.shapes);
         w.key("verified").bool(verified);
         w.key("trace").object(|w| {
             w.key("total_events").u64(witness.events.len() as u64);

@@ -1,9 +1,11 @@
 //! The report documents: `c11campaign/v4` (plain report, adaptive
 //! epoch trace, `--json` full form) and `c11coverage/v1`, plus the one
 //! encoding of each report type they share with the fork-server wire
-//! (`c11tester-isolation`'s `protocol`): a race, an `ExecStats`, an
-//! `AllocStats` and a `CoverageMap` are each written by one function
-//! here and read back by its `read_*` inverse.
+//! (`c11tester-isolation`'s `protocol`): a race, a dedup entry, a
+//! per-strategy row, an `ExecStats`, an `AllocStats` and a `CoverageMap`
+//! are each written by one function here and read back by its `read_*`
+//! inverse. Where a document row drops detail the wire needs (a dedup
+//! entry's shapes, a bucket's own history), the wire appends it.
 //!
 //! Everything goes through [`JsonWriter`], so field order is the order
 //! of the calls below and fixed per type. The canonical forms'
@@ -14,11 +16,12 @@ use crate::epoch::EpochTrace;
 use crate::exec::CrashRecord;
 use crate::{CampaignBudget, CampaignReport};
 use c11tester::{
-    AccessKind, BehaviorStats, CoverageMap, DedupHistory, Failure, RaceKey, RaceKind, RaceReport,
-    StrategyLedger, TestReport, ThreadId,
+    AccessKind, AccessShape, BehaviorStats, CoverageMap, DedupEntry, DedupHistory, Failure,
+    RaceKey, RaceKind, RaceReport, StrategyBucket, StrategyLedger, TestReport, ThreadId,
 };
 use c11tester_core::{AllocStats, ExecStats, MoGraphStats, ObjId};
 use c11tester_telemetry::json::{JsonValue, JsonWriter};
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 // ---------------------------------------------------------------------
@@ -27,7 +30,7 @@ use std::time::Duration;
 
 /// Writes a race report's fields into an open object: the exemplar row
 /// of `distinct_races`, the forensics bundle's `race` object and each
-/// race of an `exec` frame.
+/// dedup entry of a `batch` frame.
 pub fn write_race(w: &mut JsonWriter, r: &RaceReport) {
     w.key("label").str(&r.label);
     w.key("kind").str(r.kind.name());
@@ -53,13 +56,90 @@ pub fn read_race(v: &JsonValue) -> Result<RaceReport, String> {
     })
 }
 
+/// Writes the access-pair shapes behind one dedup key, in set order: the
+/// forensics bundle's `shapes` array and each wire dedup entry's.
+pub fn write_shapes(w: &mut JsonWriter, shapes: &BTreeSet<AccessShape>) {
+    w.array(|w| {
+        for s in shapes {
+            w.object(|w| {
+                w.key("current_tid").u64(s.current_tid);
+                w.key("current_kind").str(s.current_kind.name());
+                w.key("prior_tid").u64(s.prior_tid);
+                w.key("prior_atomic").bool(s.prior_atomic);
+            });
+        }
+    });
+}
+
+/// Inverse of [`write_shapes`].
+pub fn read_shapes(v: &JsonValue) -> Result<BTreeSet<AccessShape>, String> {
+    v.as_array()
+        .ok_or("`shapes` is not an array")?
+        .iter()
+        .map(|s| {
+            Ok(AccessShape {
+                current_tid: s.u64_field("current_tid")?,
+                current_kind: AccessKind::parse(s.str_field("current_kind")?)?,
+                prior_tid: s.u64_field("prior_tid")?,
+                prior_atomic: s.bool_field("prior_atomic")?,
+            })
+        })
+        .collect()
+}
+
+/// Writes one `distinct_races` row into an open object: the exemplar
+/// race plus its dedup provenance. (A `batch` frame appends the entry's
+/// `shapes`.)
+pub fn write_dedup_entry(w: &mut JsonWriter, e: &DedupEntry) {
+    write_race(w, &e.report);
+    w.key("first_execution").u64(e.first_execution);
+    w.key("occurrences").u64(e.occurrences);
+}
+
+/// Inverse of [`write_dedup_entry`]. The row carries no shapes, so the
+/// entry's set is empty.
+pub fn read_dedup_entry(v: &JsonValue) -> Result<DedupEntry, String> {
+    Ok(DedupEntry {
+        report: read_race(v)?,
+        first_execution: v.u64_field("first_execution")?,
+        occurrences: v.u64_field("occurrences")?,
+        shapes: BTreeSet::new(),
+    })
+}
+
+/// Writes one `per_strategy` row into an open object. (A `batch` frame
+/// appends the bucket's own dedup history.)
+pub fn write_strategy_row(w: &mut JsonWriter, name: &str, b: &StrategyBucket) {
+    w.key("strategy").str(name);
+    w.key("executions").u64(b.executions);
+    w.key("executions_with_race").u64(b.executions_with_race);
+    w.key("executions_with_bug").u64(b.executions_with_bug);
+    w.key("race_detection_rate").f64(b.race_detection_rate());
+    w.key("bug_detection_rate").f64(b.bug_detection_rate());
+    w.key("distinct_races").u64(b.races.len() as u64);
+}
+
+/// Inverse of [`write_strategy_row`]: the strategy spec and its bucket,
+/// whose dedup history the row does not carry (the rates and the count
+/// are derived and ignored).
+pub fn read_strategy_row(v: &JsonValue) -> Result<(String, StrategyBucket), String> {
+    let bucket = StrategyBucket {
+        executions: v.u64_field("executions")?,
+        executions_with_race: v.u64_field("executions_with_race")?,
+        executions_with_bug: v.u64_field("executions_with_bug")?,
+        races: DedupHistory::new(),
+    };
+    Ok((v.str_field("strategy")?.to_string(), bucket))
+}
+
 /// Writes the stats object: the behavioral counters, the derived
 /// `atomic_ops` and the `mograph` block. `alloc` appends the
 /// allocation-diagnostic block (recycled/fresh provisioning, clock
 /// spills), which is **off by default and never part of the canonical
 /// form**: recycled counts depend on worker count and provisioning, so
 /// including them would break the byte-identity contract.
-/// `c11campaign --alloc-stats` opts in explicitly.
+/// `c11campaign --alloc-stats` opts in explicitly, and the fork-server
+/// wire always does.
 pub fn write_stats(w: &mut JsonWriter, s: &ExecStats, alloc: bool) {
     w.object(|w| {
         w.key("atomic_loads").u64(s.atomic_loads);
@@ -87,13 +167,18 @@ pub fn write_stats(w: &mut JsonWriter, s: &ExecStats, alloc: bool) {
     });
 }
 
-/// Inverse of [`write_stats`] for the behavioral counters. `atomic_ops`
-/// is derived and ignored; the diagnostic blocks (`alloc`, `phase`, the
-/// graph counters) stay zero — the wire ships them batched in the
-/// `metrics` frame.
+/// Inverse of [`write_stats`]. `atomic_ops` is derived and ignored; the
+/// `alloc` block is read when present. The other diagnostic blocks
+/// (`phase`, the graph counters) stay zero: the `batch` frame carries
+/// them beside the stats object.
 pub fn read_stats(v: &JsonValue) -> Result<ExecStats, String> {
     let mg = v.field("mograph")?;
     Ok(ExecStats {
+        alloc: v
+            .get("alloc")
+            .map(read_alloc)
+            .transpose()?
+            .unwrap_or_default(),
         atomic_loads: v.u64_field("atomic_loads")?,
         atomic_stores: v.u64_field("atomic_stores")?,
         rmws: v.u64_field("rmws")?,
@@ -116,8 +201,8 @@ pub fn read_stats(v: &JsonValue) -> Result<ExecStats, String> {
     })
 }
 
-/// Writes the allocation counters as one object: the `--alloc-stats`
-/// block and the `metrics` frame's `alloc` field.
+/// Writes the allocation counters as one object: the stats' `alloc`
+/// block.
 pub fn write_alloc(w: &mut JsonWriter, a: &AllocStats) {
     w.object(|w| {
         w.key("fresh_executions").u64(a.fresh_executions);
@@ -161,7 +246,7 @@ fn write_distinct(w: &mut JsonWriter, map: &CoverageMap) {
 /// Writes a coverage map's fields into an open object:
 /// `collected_executions`, the derived `distinct` counts, and the four
 /// behavior arrays in key order. Shared by both `c11coverage/v1` forms
-/// and the `coverage` frame.
+/// and the `batch` frame's `coverage` object.
 pub fn write_coverage(w: &mut JsonWriter, map: &CoverageMap) {
     w.key("collected_executions")
         .u64(map.collected_executions());
@@ -287,15 +372,7 @@ fn write_crash_records(w: &mut JsonWriter, crashes: &[CrashRecord]) {
 fn write_per_strategy(w: &mut JsonWriter, ledger: &StrategyLedger) {
     w.key("per_strategy").array(|w| {
         for (name, b) in ledger.iter() {
-            w.object(|w| {
-                w.key("strategy").str(name);
-                w.key("executions").u64(b.executions);
-                w.key("executions_with_race").u64(b.executions_with_race);
-                w.key("executions_with_bug").u64(b.executions_with_bug);
-                w.key("race_detection_rate").f64(b.race_detection_rate());
-                w.key("bug_detection_rate").f64(b.bug_detection_rate());
-                w.key("distinct_races").u64(b.races.len() as u64);
-            });
+            w.object(|w| write_strategy_row(w, name, b));
         }
     });
 }
@@ -305,11 +382,7 @@ fn write_per_strategy(w: &mut JsonWriter, ledger: &StrategyLedger) {
 fn write_distinct_races(w: &mut JsonWriter, races: &DedupHistory) {
     w.key("distinct_races").array(|w| {
         for (_, entry) in races.iter() {
-            w.object(|w| {
-                write_race(w, &entry.report);
-                w.key("first_execution").u64(entry.first_execution);
-                w.key("occurrences").u64(entry.occurrences);
-            });
+            w.object(|w| write_dedup_entry(w, entry));
         }
     });
 }

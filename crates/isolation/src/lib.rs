@@ -1,9 +1,9 @@
 //! # c11tester-isolation
 //!
 //! Process-level isolation for campaigns: a **fork/exec worker pool**
-//! in which every batch of executions runs in a child process, so a
-//! program under test that segfaults, aborts, or wedges takes down
-//! one child — never the campaign.
+//! in which executions run in long-lived child processes, so a program
+//! under test that segfaults, aborts, or wedges takes down one child —
+//! never the campaign.
 //!
 //! The C11Tester paper evaluates real, crash-prone concurrent
 //! programs; for those, the crash *is* the detection signal. The
@@ -13,23 +13,28 @@
 //! abstraction differently:
 //!
 //! 1. the global execution-index range is partitioned into contiguous
-//!    **batches**;
-//! 2. each batch is handed to a child process that re-enters the
-//!    campaign binary via the hidden `c11campaign --worker` mode,
-//!    identified **purely by `(target, seed, index range)`** — no
-//!    closures, no shared memory — so the child runs exactly the
+//!    **batches**, and each pool thread spawns **one child** at its
+//!    first batch, re-entering the campaign binary via the hidden
+//!    `c11campaign --worker` mode. The child is identified **purely by
+//!    `(target, seed)`** plus the configuration flags — no closures, no
+//!    shared memory ([`worker::WorkerSpec`]);
+//! 2. the thread sends the child one request line per batch (first
+//!    index, count, time left) on its stdin; the child runs exactly the
 //!    executions an in-process campaign would have run at those
-//!    indices ([`worker::WorkerSpec`]);
-//! 3. the child streams one length-prefixed canonical-JSON frame per
-//!    completed execution back over its stdout pipe
-//!    ([`protocol`]), and the parent folds them into the ordinary
-//!    mergeable [`c11tester::TestReport`];
-//! 4. a child that dies before its terminal `done` frame was
-//!    mid-execution: the parent triages the death (signal, exit code,
-//!    or `exec_timeout` kill) into a [`CrashRecord`] at global index
-//!    `batch start + frames received`, then **respawns the remainder**
-//!    of the batch, so one crash costs one child — the budget always
-//!    completes.
+//!    indices, on a fresh model per batch;
+//! 3. the child writes one empty **tick** frame per completed execution
+//!    and ends the batch with one **batch** frame — its fold of the
+//!    batch, a lossless [`c11tester::TestReport`] — and a `done` frame
+//!    ([`protocol`]); the parent merges the fold;
+//! 4. a child that dies mid-batch was mid-execution: the parent triages
+//!    the death (signal, exit code, or `exec_timeout` kill) into a
+//!    [`CrashRecord`] at global index `first + ticks received`, replaces
+//!    the child, **re-runs the completed prefix** (its fold died with
+//!    the child) and continues after the crash. Ranges only shrink, so
+//!    the budget always completes;
+//! 5. when the queue drains or a stop triggers, the thread closes the
+//!    child's stdin; the child exits 0 and is reaped. Children never
+//!    outlive [`Executor::run_range`].
 //!
 //! Determinism is preserved end to end: whether execution `i` crashes
 //! is a pure function of `(config, i)` (the same schedule replays the
@@ -39,6 +44,11 @@
 //! `c11campaign/v4` canonical JSON are **byte-identical across worker
 //! counts and batch sizes**, and byte-identical to an in-process run
 //! on any healthy target.
+//!
+//! The fork server writes requests to pipes whose reader may have just
+//! died: the campaign process must not die of `SIGPIPE` while it runs
+//! (Rust's default disposition, ignored, is right; `c11campaign`
+//! restores the default only to print its report).
 //!
 //! ```no_run
 //! use c11tester::Config;
@@ -72,7 +82,7 @@ pub(crate) fn coverage_gate_lock() -> std::sync::MutexGuard<'static, ()> {
 
 pub use worker::{parse_worker_args, worker_main, WorkerSpec};
 
-use crate::protocol::{read_frame, Frame};
+use crate::protocol::{read_frame, Frame, Request};
 use c11tester::{Config, TestReport};
 use c11tester_campaign::targets::Target;
 use c11tester_campaign::{
@@ -80,19 +90,33 @@ use c11tester_campaign::{
 };
 use c11tester_telemetry::{CampaignMetrics, ForkHealth, WorkerMetrics};
 use std::collections::VecDeque;
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::process::{ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Default executions per child process.
+/// Default executions per batch: the unit of fold, fresh state and
+/// crash re-run.
 ///
-/// Large enough to amortize process startup on healthy targets, small
-/// enough that a crash (which costs one respawn of the remainder)
-/// stays cheap.
+/// Large enough that the batch frame and the per-batch model are noise
+/// next to the executions, small enough that a crash (which re-runs the
+/// batch's completed prefix) stays cheap.
 pub const DEFAULT_BATCH_SIZE: u64 = 64;
+
+/// How long the parent waits past the campaign deadline for a child to
+/// finish its in-flight execution and ship its batch fold. Children stop
+/// between executions once the deadline passes, so only an execution
+/// that never returns meets this backstop, which kills the child.
+const DEADLINE_GRACE: Duration = Duration::from_secs(1);
+
+/// Consecutive deaths without progress (an exit before the first tick,
+/// or a death after the last tick but before the batch frame) after
+/// which a batch gives up: the signature of a broken worker binary, not
+/// of a crashing target.
+const MAX_BARREN_DEATHS: u32 = 3;
 
 /// The fork/exec campaign backend: an [`Executor`] whose workers are
 /// child processes re-entering the campaign binary in `--worker` mode.
@@ -125,7 +149,8 @@ impl ForkServer {
             .map_err(|e| format!("cannot resolve current executable: {e}"))
     }
 
-    /// Sets the number of executions per child process.
+    /// Sets the number of executions per batch: the unit of fold, fresh
+    /// state and crash re-run.
     ///
     /// # Panics
     ///
@@ -153,55 +178,67 @@ impl ForkServer {
         &self.program
     }
 
-    /// Runs one child over `[first, first + executions)` and folds its
-    /// frames into `report`. `Ok(Finished)` means the `done` frame
-    /// arrived; `Ok(Died {..})` is a triaged crash of the execution at
-    /// `first + completed`; `Ok(DeadlineExpired {..})` means the
-    /// campaign deadline passed while the child was working (the child
-    /// is killed, completed frames are kept, nothing is recorded as a
-    /// crash); `Err` is an infrastructure failure (cannot spawn,
-    /// protocol violation from a live child).
-    fn run_child(
-        &self,
-        spec: &WorkerSpec,
-        deadline_at: Option<Instant>,
-        report: &mut TestReport,
-        health: &mut ForkHealth,
-    ) -> Result<ChildOutcome, String> {
-        let mut child = Command::new(&self.program)
+    /// Spawns one worker child and the thread that forwards its frames.
+    fn spawn(&self, spec: &WorkerSpec, health: &mut ForkHealth) -> Result<Child, String> {
+        let mut process = Command::new(&self.program)
             .args(spec.to_args())
-            .stdin(Stdio::null())
+            .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .spawn()
             .map_err(|e| format!("cannot spawn worker `{}`: {e}", self.program.display()))?;
         health.spawns += 1;
-        let mut last_frame_at = Instant::now();
-        let stdout = child.stdout.take().expect("stdout was piped");
-        let (tx, rx) = mpsc::channel::<std::io::Result<String>>();
+        let stdin = process.stdin.take();
+        let stdout = process.stdout.take().expect("stdout was piped");
+        let (tx, frames) = mpsc::channel();
         let reader = std::thread::spawn(move || {
+            // Forward frames until the stream ends or fails (the
+            // failure is forwarded too).
             let mut input = BufReader::new(stdout);
-            loop {
-                match read_frame(&mut input) {
-                    Ok(Some(payload)) => {
-                        if tx.send(Ok(payload)).is_err() {
-                            break;
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(e) => {
-                        let _ = tx.send(Err(e));
-                        break;
-                    }
+            while let Some(frame) = read_frame(&mut input).transpose() {
+                let failed = frame.is_err();
+                if tx.send(frame).is_err() || failed {
+                    break;
                 }
             }
         });
-        let mut completed = 0u64;
-        let outcome = loop {
+        Ok(Child {
+            process,
+            stdin,
+            frames,
+            reader: Some(reader),
+        })
+    }
+
+    /// Sends `request` to `child` and collects its frames, bounded by
+    /// the per-execution timeout and the campaign deadline. With `last`
+    /// the child's stdin closes behind the request, so the child exits
+    /// as soon as it has served it instead of when it is dropped.
+    /// `Err` is a protocol violation by a live child (which is killed).
+    fn serve(
+        &self,
+        child: &mut Child,
+        request: Request,
+        last: bool,
+        deadline_at: Option<Instant>,
+        health: &mut ForkHealth,
+    ) -> Result<Served, String> {
+        if let Some(stdin) = child.stdin.as_mut() {
+            // A child that died before reading its request shows up as
+            // the end of its stream below; the failed write adds nothing.
+            let _ = stdin.write_all(request.line().as_bytes());
+        }
+        if last {
+            child.stdin = None;
+        }
+        let backstop = deadline_at.map(|at| at + DEADLINE_GRACE);
+        let mut last_frame_at = Instant::now();
+        let (mut ticks, mut fold) = (0u64, None);
+        loop {
             // Wait for the next frame, bounded by the per-execution
-            // timeout and/or the campaign deadline (whichever is
+            // timeout and/or the deadline backstop (whichever is
             // nearer). Without either, wait forever.
-            let wait = match (self.exec_timeout, deadline_at) {
+            let wait = match (self.exec_timeout, backstop) {
                 (None, None) => None,
                 (timeout, Some(at)) => {
                     let remaining = at.saturating_duration_since(Instant::now());
@@ -210,192 +247,217 @@ impl ForkServer {
                 (Some(t), None) => Some(t),
             };
             let msg = match wait {
-                Some(timeout) => match rx.recv_timeout(timeout) {
+                Some(wait) => match child.frames.recv_timeout(wait) {
                     Ok(msg) => Some(msg),
                     Err(mpsc::RecvTimeoutError::Timeout) => {
-                        let _ = child.kill();
-                        let _ = child.wait();
+                        child.kill();
                         // Distinguish "this execution overran its
                         // budget" from "the whole campaign ran out of
                         // time": only the former is a crash.
-                        let deadline_hit = deadline_at.is_some_and(|at| Instant::now() >= at);
-                        break Ok(if deadline_hit {
-                            ChildOutcome::DeadlineExpired
-                        } else {
-                            health.timeout_kills += 1;
-                            ChildOutcome::Died {
-                                completed,
-                                kind: CrashKind::Timeout,
-                            }
+                        if deadline_at.is_some_and(|at| Instant::now() >= at) {
+                            return Ok(Served::DeadlineExpired);
+                        }
+                        health.timeout_kills += 1;
+                        return Ok(Served::Died {
+                            ticks,
+                            kind: CrashKind::Timeout,
                         });
                     }
                     Err(mpsc::RecvTimeoutError::Disconnected) => None,
                 },
-                None => rx.recv().ok(),
+                None => child.frames.recv().ok(),
             };
-            match msg {
-                Some(Ok(payload)) => {
-                    // Frame round-trip time: the gap between spawn (or
-                    // the previous frame) and this frame's arrival.
-                    let rtt = last_frame_at.elapsed().as_nanos() as u64;
-                    last_frame_at = Instant::now();
-                    health.frames += 1;
-                    health.frame_rtt_nanos_total += rtt;
-                    health.frame_rtt_nanos_max = health.frame_rtt_nanos_max.max(rtt);
-                    match protocol::parse_frame(&payload) {
-                        Ok(Frame::Exec(exec)) => {
-                            report.absorb(&exec);
-                            completed += 1;
-                        }
-                        Ok(Frame::Metrics(m)) => {
-                            // Diagnostic-only: alloc, phase, and graph
-                            // counters are excluded from stats equality
-                            // and from canonical JSON, so folding them
-                            // in never perturbs the determinism
-                            // contract.
-                            report.total_stats.alloc.absorb(&m.alloc);
-                            report.total_stats.phase.absorb(&m.phase);
-                            report.total_stats.mograph_perf.absorb(&m.graph);
-                        }
-                        Ok(Frame::Coverage(map)) => {
-                            // Diagnostic-only, and mergeable: the
-                            // child's batched fold aggregates to the
-                            // exact map an in-process run would have
-                            // built from the same executions.
-                            report.coverage.merge(&map);
-                        }
-                        Ok(Frame::Done(reason)) => {
-                            let _ = child.wait();
-                            break Ok(ChildOutcome::Finished(reason));
-                        }
-                        Err(e) => {
-                            // A live child speaking garbage is a bug in
-                            // the harness, not in the program under
-                            // test.
-                            let _ = child.kill();
-                            let _ = child.wait();
-                            break Err(format!("worker protocol violation: {e}"));
-                        }
-                    }
+            let payload = match msg {
+                Some(Ok(payload)) => payload,
+                // The stream ended, between frames or inside one: the
+                // child died mid-batch. Triage the death.
+                None => return child.death(ticks),
+                Some(Err(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
+                    return child.death(ticks)
                 }
-                // Stream ended (EOF or cut mid-frame) without `done`:
-                // the child died mid-execution. Triage the death.
-                Some(Err(_)) | None => {
-                    let status = child
-                        .wait()
-                        .map_err(|e| format!("cannot reap worker: {e}"))?;
-                    break Ok(ChildOutcome::Died {
-                        completed,
-                        kind: triage(status),
-                    });
+                // Anything else a live child sends is a bug in the
+                // harness (or a target writing to stdout), not a crash
+                // of the program under test.
+                Some(Err(e)) => return child.violation(e),
+            };
+            // Frame round-trip time: the gap between the request (or
+            // the previous frame) and this frame's arrival.
+            let rtt = last_frame_at.elapsed().as_nanos() as u64;
+            last_frame_at = Instant::now();
+            health.frames += 1;
+            health.frame_rtt_nanos_total += rtt;
+            health.frame_rtt_nanos_max = health.frame_rtt_nanos_max.max(rtt);
+            match protocol::parse_frame(&payload) {
+                Ok(Frame::Tick) if fold.is_none() && ticks < request.count => ticks += 1,
+                Ok(Frame::Batch(report)) if fold.is_none() && report.executions == ticks => {
+                    fold = Some(report);
                 }
+                Ok(Frame::Done(reason)) if fold.is_some() => {
+                    return Ok(Served::Finished(fold.take().unwrap_or_default(), reason));
+                }
+                Ok(_) => {
+                    return child.violation(format!(
+                        "frame out of order after {ticks} of {} ticks",
+                        request.count
+                    ))
+                }
+                Err(e) => return child.violation(e),
             }
-        };
-        let _ = reader.join();
-        outcome
+        }
     }
 
-    /// Processes one batch, respawning children past crashes until the
-    /// range is covered or an early stop triggers.
+    /// Runs the batch `(start, len)` on the pool thread's child
+    /// (spawned here at the thread's first batch), replacing a child
+    /// that dies and re-running past the death until the batch is
+    /// covered or a stop triggers. `last`: no batch is left in the
+    /// queue, so the child's final request can close its stdin.
+    #[allow(clippy::too_many_arguments)]
     fn run_batch(
         &self,
         config: &Config,
-        template: &WorkerSpec,
-        start: u64,
-        len: u64,
+        spec: &WorkerSpec,
+        slot: &mut Option<Child>,
+        batch: (u64, u64),
+        last: bool,
         deadline_at: Option<Instant>,
-    ) -> Result<BatchResult, String> {
-        let mut result = BatchResult {
-            aggregate: TestReport::default(),
-            crashes: Vec::new(),
-            stop_reason: StopReason::BudgetExhausted,
-            health: ForkHealth::default(),
-        };
-        let end = start + len;
-        let mut cursor = start;
-        // Consecutive children that exited (not signal/timeout) without
-        // completing a single execution: that is the signature of a
-        // broken worker binary, not of a crashing target — escalate to
-        // an infrastructure error instead of spawning one child per
-        // remaining index.
-        let mut barren_exits = 0u32;
-        const MAX_BARREN_EXITS: u32 = 3;
-        while cursor < end {
-            let spec = WorkerSpec {
-                first_index: cursor,
-                executions: end - cursor,
-                ..template.clone()
-            };
-            if cursor != start {
-                // Every spawn past the first covers a post-crash
-                // remainder of the batch.
-                result.health.respawns += 1;
+        share: &mut PoolShare,
+    ) -> Result<StopReason, String> {
+        // Ranges left to run, next on top: the batch, then what deaths
+        // leave of it.
+        let mut pending = vec![batch];
+        let mut barren = 0u32;
+        while let Some((first, count)) = pending.pop() {
+            if slot.is_none() {
+                *slot = Some(self.spawn(spec, &mut share.health)?);
             }
-            match self.run_child(
-                &spec,
-                deadline_at,
-                &mut result.aggregate,
-                &mut result.health,
-            )? {
-                ChildOutcome::Finished(reason) => {
-                    result.stop_reason = reason;
-                    break;
-                }
-                ChildOutcome::DeadlineExpired => {
-                    result.stop_reason = StopReason::Deadline;
-                    break;
-                }
-                ChildOutcome::Died { completed, kind } => {
-                    let index = cursor + completed;
-                    if index >= end {
-                        // The child died *after* completing every
-                        // execution in its range (e.g. killed between
-                        // its last exec frame and the `done` frame):
-                        // nothing was in flight, so there is no crash
-                        // to record.
-                        break;
+            let child = slot.as_mut().expect("spawned above");
+            let request = Request {
+                first,
+                count,
+                time_left: deadline_at.map(|at| at.saturating_duration_since(Instant::now())),
+            };
+            let last = last && pending.is_empty();
+            match self.serve(child, request, last, deadline_at, &mut share.health)? {
+                Served::Finished(fold, reason) => {
+                    share.aggregate.merge(&fold);
+                    barren = 0;
+                    if reason != StopReason::BudgetExhausted {
+                        return Ok(reason);
                     }
-                    if matches!(kind, CrashKind::Exit(_)) && completed == 0 {
-                        barren_exits += 1;
-                        if barren_exits >= MAX_BARREN_EXITS {
+                }
+                Served::DeadlineExpired => {
+                    *slot = None;
+                    return Ok(StopReason::Deadline);
+                }
+                Served::Died { ticks, kind } => {
+                    // Replace the dead child at once: one spawn per pool
+                    // worker, plus one per death.
+                    *slot = None;
+                    *slot = Some(self.spawn(spec, &mut share.health)?);
+                    share.health.respawns += 1;
+                    if ticks == count || (matches!(kind, CrashKind::Exit(_)) && ticks == 0) {
+                        barren += 1;
+                        if barren >= MAX_BARREN_DEATHS {
                             return Err(format!(
-                                "worker `{}` exited {barren_exits} times in a row without \
-                                 completing a single execution — broken worker binary? \
-                                 (it must support `--worker`; run it by hand to see its error)",
+                                "worker `{}` died {barren} times in a row without completing \
+                                 a single execution or shipping its batch — broken worker \
+                                 binary? (it must support `--worker`; run it by hand to see \
+                                 its error)",
                                 self.program.display(),
                             ));
                         }
                     } else {
-                        barren_exits = 0;
+                        barren = 0;
                     }
-                    result.crashes.push(CrashRecord {
-                        index,
-                        strategy: config.strategy_for(index).spec(),
-                        kind,
-                    });
-                    cursor = index + 1;
+                    if ticks < count {
+                        let index = first + ticks;
+                        share.crashes.push(CrashRecord {
+                            index,
+                            strategy: config.strategy_for(index).spec(),
+                            kind,
+                        });
+                        if ticks + 1 < count {
+                            pending.push((index + 1, count - ticks - 1));
+                        }
+                    }
+                    // The fold of the completed prefix died with the
+                    // child: the replacement runs it again.
+                    if ticks > 0 {
+                        share.health.rerun_executions += ticks;
+                        pending.push((first, ticks));
+                    }
                 }
             }
         }
-        Ok(result)
+        Ok(StopReason::BudgetExhausted)
     }
 }
 
-/// How one child process ended.
-enum ChildOutcome {
-    /// The terminal `done` frame arrived.
-    Finished(StopReason),
-    /// The child died after streaming `completed` exec frames.
-    Died { completed: u64, kind: CrashKind },
-    /// The campaign deadline expired while the child was working; the
-    /// child was killed and its in-flight execution is *not* a crash.
+/// One live worker child: its stdin (requests) and the thread that
+/// forwards its frames.
+struct Child {
+    process: std::process::Child,
+    stdin: Option<ChildStdin>,
+    frames: mpsc::Receiver<std::io::Result<String>>,
+    reader: Option<JoinHandle<()>>,
+}
+
+impl Child {
+    fn kill(&mut self) {
+        let _ = self.process.kill();
+        let _ = self.process.wait();
+    }
+
+    /// Reaps a child whose stream ended mid-batch and triages how it
+    /// died.
+    fn death(&mut self, ticks: u64) -> Result<Served, String> {
+        let status = self
+            .process
+            .wait()
+            .map_err(|e| format!("cannot reap worker: {e}"))?;
+        Ok(Served::Died {
+            ticks,
+            kind: triage(status),
+        })
+    }
+
+    fn violation<T>(&mut self, what: impl std::fmt::Display) -> Result<T, String> {
+        self.kill();
+        Err(format!("worker protocol violation: {what}"))
+    }
+}
+
+impl Drop for Child {
+    /// Closing stdin is how a healthy child is told to exit: it reads
+    /// end of input, exits 0, and is reaped here. A dead or killed child
+    /// is reaped already.
+    fn drop(&mut self) {
+        drop(self.stdin.take());
+        let _ = self.process.wait();
+        if let Some(reader) = self.reader.take() {
+            let _ = reader.join();
+        }
+    }
+}
+
+/// How one request to a child ended.
+enum Served {
+    /// The batch frame and `done` arrived (boxed: a report is two
+    /// orders of magnitude larger than the other variants).
+    Finished(Box<TestReport>, StopReason),
+    /// The child died after `ticks` ticks.
+    Died { ticks: u64, kind: CrashKind },
+    /// The campaign deadline passed while the child was working, and it
+    /// did not ship within [`DEADLINE_GRACE`]; it was killed, and its
+    /// in-flight execution is *not* a crash.
     DeadlineExpired,
 }
 
-struct BatchResult {
+/// What one pool thread hands back.
+#[derive(Default)]
+struct PoolShare {
     aggregate: TestReport,
     crashes: Vec<CrashRecord>,
-    stop_reason: StopReason,
     health: ForkHealth,
 }
 
@@ -440,99 +502,103 @@ impl Executor for ForkServer {
         }
         let workers = workers.clamp(1, queue.len().max(1));
         let queue = Mutex::new(queue);
-        // What every child of this range runs, up to its index slice.
-        let template = WorkerSpec {
+        // What every child of this range runs; batches arrive as
+        // requests.
+        let spec = WorkerSpec {
             target: target.name.to_string(),
             seed: config.seed,
             policy: config.policy,
             mix: config.mix.as_ref().map(|m| m.spec()),
-            first_index,
-            executions: 0,
             stop_on_first_bug: budget.stop_on_first_bug,
-            // Children always report batch alloc counters (one
-            // tiny frame per batch); phase profiling is forwarded
-            // only when the parent itself is profiling.
-            emit_metrics: true,
+            // Phase profiling and coverage are forwarded only when the
+            // parent itself collects them.
             profile_phases: c11tester_telemetry::profiling_enabled(),
             collect_coverage: c11tester_telemetry::coverage_enabled(),
             memory_limit: config.prune.limits_memory(),
         };
         // Handover is not on the worker flag surface: report the kind
         // the children's own config selects, not the parent's.
-        let handover = template.config()?.handover.effective().name();
+        let handover = spec.config()?.handover.effective().name();
         let bug_stop = AtomicBool::new(false);
         let deadline_stop = AtomicBool::new(false);
         let failed = AtomicBool::new(false);
-        let (tx, rx) = mpsc::channel::<Result<BatchResult, String>>();
-        // Diagnostic side channel: one message per pool thread at exit.
-        let (mtx, mrx) = mpsc::channel::<WorkerMetrics>();
+        // One message per pool thread, at its exit.
+        let (tx, rx) = mpsc::channel::<Result<(PoolShare, WorkerMetrics), String>>();
 
         std::thread::scope(|scope| {
             for w in 0..workers {
                 let tx = tx.clone();
-                let mtx = mtx.clone();
-                let (queue, template) = (&queue, &template);
+                let (queue, spec) = (&queue, &spec);
                 let (bug_stop, deadline_stop, failed) = (&bug_stop, &deadline_stop, &failed);
                 scope.spawn(move || {
                     let busy_start = Instant::now();
-                    let mut completed = 0u64;
-                    loop {
+                    let mut share = PoolShare::default();
+                    let mut child = None;
+                    let result = loop {
                         if bug_stop.load(Ordering::Relaxed) || failed.load(Ordering::Relaxed) {
-                            break;
+                            break Ok(());
                         }
-                        if let Some(deadline) = budget.deadline {
-                            if start.elapsed() >= deadline {
-                                deadline_stop.store(true, Ordering::Relaxed);
-                                break;
-                            }
+                        if budget.deadline.is_some_and(|d| start.elapsed() >= d) {
+                            deadline_stop.store(true, Ordering::Relaxed);
+                            break Ok(());
                         }
-                        let Some((batch_start, len)) =
-                            queue.lock().expect("queue lock").pop_front()
-                        else {
-                            break;
+                        // The queue only shrinks: once it is empty, this
+                        // thread's batch is its last.
+                        let popped = {
+                            let mut queue = queue.lock().expect("queue lock");
+                            queue.pop_front().map(|batch| (batch, queue.is_empty()))
                         };
-                        let result =
-                            self.run_batch(config, template, batch_start, len, deadline_at);
-                        match &result {
-                            Ok(batch) if batch.stop_reason == StopReason::FirstBug => {
-                                bug_stop.store(true, Ordering::Relaxed);
+                        let Some((batch, last)) = popped else {
+                            break Ok(());
+                        };
+                        match self.run_batch(
+                            config,
+                            spec,
+                            &mut child,
+                            batch,
+                            last,
+                            deadline_at,
+                            &mut share,
+                        ) {
+                            Ok(StopReason::FirstBug) => bug_stop.store(true, Ordering::Relaxed),
+                            Ok(StopReason::Deadline) => {
+                                deadline_stop.store(true, Ordering::Relaxed)
                             }
-                            Ok(batch) if batch.stop_reason == StopReason::Deadline => {
-                                deadline_stop.store(true, Ordering::Relaxed);
+                            Ok(StopReason::BudgetExhausted) => {}
+                            Err(e) => {
+                                failed.store(true, Ordering::Relaxed);
+                                break Err(e);
                             }
-                            Err(_) => failed.store(true, Ordering::Relaxed),
-                            Ok(_) => {}
                         }
-                        if let Ok(batch) = &result {
-                            completed += batch.aggregate.executions;
-                        }
-                        if tx.send(result).is_err() {
-                            break;
-                        }
-                    }
-                    let _ = mtx.send(WorkerMetrics {
+                    };
+                    // Closing its stdin ends the child (see `Child`'s
+                    // drop): healthy children end by end of input,
+                    // never by kill.
+                    drop(child);
+                    let metrics = WorkerMetrics {
                         worker: w as u64,
-                        executions: completed,
+                        executions: share.aggregate.executions,
                         busy_nanos: busy_start.elapsed().as_nanos() as u64,
                         handover,
-                    });
+                    };
+                    let _ = tx.send(result.map(|()| (share, metrics)));
                 });
             }
             drop(tx);
-            drop(mtx);
         });
 
         let mut aggregate = TestReport::default();
         let mut crashes = Vec::new();
         let mut fork_health = ForkHealth::default();
-        while let Ok(result) = rx.recv() {
-            let batch = result?;
-            aggregate.merge(&batch.aggregate);
-            crashes.extend(batch.crashes);
-            fork_health.absorb(&batch.health);
+        let mut worker_metrics = Vec::with_capacity(workers);
+        for result in rx {
+            let (share, metrics) = result?;
+            aggregate.merge(&share.aggregate);
+            crashes.extend(share.crashes);
+            fork_health.absorb(&share.health);
+            worker_metrics.push(metrics);
         }
         crashes.sort_by_key(|c| c.index);
-        let mut worker_metrics: Vec<WorkerMetrics> = mrx.iter().collect();
         worker_metrics.sort_by_key(|m| m.worker);
         let stop_reason = if bug_stop.load(Ordering::Relaxed) {
             StopReason::FirstBug
@@ -563,6 +629,16 @@ impl Executor for ForkServer {
 mod tests {
     use super::*;
 
+    /// Held by every test that spawns children. A fake worker script
+    /// must not be written while another test forks: the forked child
+    /// holds the script's write descriptor until its own `exec`, and
+    /// executing the script meanwhile fails with `ETXTBSY`.
+    fn spawn_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn builder_covers_program_batch_and_timeout() {
         let fork = ForkServer::new("/bin/true")
@@ -578,6 +654,7 @@ mod tests {
     fn spawn_failure_is_an_error_not_a_crash() {
         // A missing worker binary is an infrastructure failure: the
         // pool must report it instead of fabricating crash records.
+        let _spawn = spawn_lock();
         let fork = ForkServer::new("/nonexistent/worker-binary");
         let target = c11tester_campaign::targets::find("rwlock-buggy").expect("target");
         let err = fork
@@ -602,6 +679,7 @@ mod tests {
         if !program.exists() {
             return; // exotic container; the contract is covered on CI
         }
+        let _spawn = spawn_lock();
         let fork = ForkServer::new(program);
         let target = c11tester_campaign::targets::find("rwlock-buggy").expect("target");
         let err = fork
@@ -619,42 +697,88 @@ mod tests {
         );
     }
 
+    /// Runs a one-worker range on a fake worker: a `/bin/sh` script with
+    /// `body`. `None` when the host has no `/bin/sh`.
+    #[cfg(unix)]
+    fn run_fake_worker(name: &str, body: &str) -> Option<Result<RangeOutcome, String>> {
+        use std::os::unix::fs::PermissionsExt;
+        if !std::path::Path::new("/bin/sh").exists() {
+            return None; // exotic container; the contract is covered on CI
+        }
+        let _spawn = spawn_lock();
+        let script = std::env::temp_dir().join(format!("c11-{name}-{}", std::process::id()));
+        std::fs::write(&script, format!("#!/bin/sh\n{body}\n")).expect("write script");
+        std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755))
+            .expect("chmod script");
+        let target = c11tester_campaign::targets::find("rwlock-buggy").expect("target");
+        let outcome = ForkServer::new(&script).run_range(
+            &Config::new(),
+            1,
+            &target,
+            0,
+            &CampaignBudget::executions(4),
+        );
+        let _ = std::fs::remove_file(&script);
+        Some(outcome)
+    }
+
     #[cfg(unix)]
     #[test]
     fn a_child_printing_deeply_nested_json_is_a_protocol_violation() {
         // A target may write anything to its stdout. A frame of a
         // megabyte of `[` must end the campaign with an error, not
         // recurse the parent's frame reader off its stack.
-        use std::os::unix::fs::PermissionsExt;
-        let sh = std::path::Path::new("/bin/sh");
-        if !sh.exists() {
-            return; // exotic container; the contract is covered on CI
-        }
-        let script = std::env::temp_dir().join(format!("c11-nested-worker-{}", std::process::id()));
-        std::fs::write(
-            &script,
-            "#!/bin/sh\nn=1048576\necho $n\nhead -c $n /dev/zero | tr '\\0' '['\necho\n",
-        )
-        .expect("write script");
-        std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755))
-            .expect("chmod script");
-        let target = c11tester_campaign::targets::find("rwlock-buggy").expect("target");
-        let err = ForkServer::new(&script)
-            .run_range(
-                &Config::new(),
-                1,
-                &target,
-                0,
-                &CampaignBudget::executions(4),
-            )
-            .unwrap_err();
-        let _ = std::fs::remove_file(&script);
+        let Some(outcome) = run_fake_worker(
+            "nested-worker",
+            "n=1048576\necho $n\nhead -c $n /dev/zero | tr '\\0' '['\necho",
+        ) else {
+            return;
+        };
+        let err = outcome.unwrap_err();
         assert!(err.contains("worker protocol violation"), "{err}");
         assert!(err.contains("nesting deeper than"), "{err}");
     }
 
+    #[cfg(unix)]
+    #[test]
+    fn an_endless_length_line_is_a_bounded_protocol_violation() {
+        // 32 MiB of digits and no newline: the parent must stop after
+        // the 20 digits a length can have, and say so in a short error,
+        // instead of buffering (and quoting) the whole stream.
+        let Some(outcome) = run_fake_worker(
+            "digits-worker",
+            "head -c 33554432 /dev/zero | tr '\\0' '1'\ncat > /dev/null",
+        ) else {
+            return;
+        };
+        let err = outcome.unwrap_err();
+        assert!(err.contains("worker protocol violation"), "{err}");
+        assert!(err.contains("longer than 20 digits"), "{err}");
+        assert!(err.len() < 200, "{} bytes of error", err.len());
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn framing_errors_from_a_live_child_are_violations_not_crashes() {
+        // Each child stays alive (reading its stdin) after the bad
+        // bytes; none of them died, so none may become a crash record.
+        for (name, body, expect) in [
+            ("badlen-worker", "printf 'abc\\n'", "bad frame length line"),
+            ("huge-worker", "printf '99999999\\n'", "exceeds"),
+            ("notutf8-worker", "printf '2\\n\\377\\376\\n'", "not UTF-8"),
+            ("nonewline-worker", "printf '2\\nab!'", "trailing newline"),
+        ] {
+            let Some(outcome) = run_fake_worker(name, &format!("{body}\ncat > /dev/null")) else {
+                return;
+            };
+            let err = outcome.unwrap_err();
+            assert!(err.contains("worker protocol violation"), "{name}: {err}");
+            assert!(err.contains(expect), "{name}: {err}");
+        }
+    }
+
     // End-to-end fork-server behavior (real children, crashes,
-    // timeouts, deadlines) is exercised in
+    // timeouts, deadlines, fork accounting) is exercised in
     // crates/adaptive/tests/isolation.rs, where the `c11campaign`
     // binary with its `--worker` mode exists.
 }

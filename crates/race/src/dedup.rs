@@ -88,6 +88,18 @@ pub struct DedupEntry {
     pub shapes: BTreeSet<AccessShape>,
 }
 
+impl DedupEntry {
+    /// Folds another entry of the same race class into this one.
+    fn merge(&mut self, other: &DedupEntry) {
+        self.occurrences += other.occurrences;
+        self.shapes.extend(other.shapes.iter().copied());
+        if other.first_execution < self.first_execution {
+            self.first_execution = other.first_execution;
+            self.report = other.report.clone();
+        }
+    }
+}
+
 /// An order-independent, mergeable history of deduplicated races.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DedupHistory {
@@ -135,16 +147,19 @@ impl DedupHistory {
                 Entry::Vacant(v) => {
                     v.insert(oe.clone());
                 }
-                Entry::Occupied(mut cur) => {
-                    let e = cur.get_mut();
-                    e.occurrences += oe.occurrences;
-                    e.shapes.extend(oe.shapes.iter().copied());
-                    if oe.first_execution < e.first_execution {
-                        e.first_execution = oe.first_execution;
-                        e.report = oe.report.clone();
-                    }
-                }
+                Entry::Occupied(mut cur) => cur.get_mut().merge(oe),
             }
+        }
+    }
+
+    /// Folds one entry into the history, exactly as [`DedupHistory::merge`]
+    /// folds a one-entry history: how a decoded history is rebuilt.
+    pub fn absorb_entry(&mut self, entry: DedupEntry) {
+        match self.entries.entry(entry.report.key()) {
+            Entry::Vacant(v) => {
+                v.insert(entry);
+            }
+            Entry::Occupied(mut cur) => cur.get_mut().merge(&entry),
         }
     }
 

@@ -114,6 +114,18 @@ impl StrategyLedger {
         }
     }
 
+    /// Folds one strategy's bucket into the ledger, exactly as
+    /// [`StrategyLedger::merge`] folds a one-bucket ledger: how a decoded
+    /// ledger is rebuilt.
+    pub fn absorb_bucket(&mut self, strategy: String, bucket: StrategyBucket) {
+        match self.buckets.entry(strategy) {
+            Entry::Vacant(v) => {
+                v.insert(bucket);
+            }
+            Entry::Occupied(mut cur) => cur.get_mut().merge(&bucket),
+        }
+    }
+
     /// Number of distinct strategies recorded.
     pub fn len(&self) -> usize {
         self.buckets.len()

@@ -33,12 +33,17 @@ pub struct WorkerMetrics {
 /// Fork-server child health counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ForkHealth {
-    /// Child processes spawned (first spawn of each batch included).
+    /// Child processes spawned: one per pool worker, plus respawns.
     pub spawns: u64,
-    /// Respawns after a child died mid-batch (crash triage path).
+    /// Children spawned to replace one that died mid-batch (crash and
+    /// timeout triage path): one per death.
     pub respawns: u64,
     /// Children killed by the per-execution timeout.
     pub timeout_kills: u64,
+    /// Executions run a second time because the child that completed
+    /// them died before shipping their batch fold (the prefix of a
+    /// batch before a crash).
+    pub rerun_executions: u64,
     /// Protocol frames received from children.
     pub frames: u64,
     /// Total parent-side inter-frame latency.
@@ -53,6 +58,7 @@ impl ForkHealth {
         self.spawns += other.spawns;
         self.respawns += other.respawns;
         self.timeout_kills += other.timeout_kills;
+        self.rerun_executions += other.rerun_executions;
         self.frames += other.frames;
         self.frame_rtt_nanos_total = self
             .frame_rtt_nanos_total
@@ -112,7 +118,7 @@ impl GraphMetrics {
 }
 
 /// Writes the graph counters as one object: the `c11metrics/v1`
-/// `mograph` block and the fork server's `metrics` frame `graph` field.
+/// `mograph` block and the fork server's `batch` frame `graph` field.
 pub fn write_graph(w: &mut JsonWriter, g: &GraphMetrics) {
     w.object(|w| {
         w.key("order_reorders").u64(g.order_reorders);
@@ -270,6 +276,7 @@ impl CampaignMetrics {
                 w.key("spawns").u64(self.fork.spawns);
                 w.key("respawns").u64(self.fork.respawns);
                 w.key("timeout_kills").u64(self.fork.timeout_kills);
+                w.key("rerun_executions").u64(self.fork.rerun_executions);
                 w.key("frames").u64(self.fork.frames);
                 w.key("frame_rtt_mean_nanos")
                     .f64(self.fork.frame_rtt_mean_nanos());
@@ -323,6 +330,7 @@ mod tests {
             ..CampaignMetrics::default()
         };
         b.fork.respawns = 2;
+        b.fork.rerun_executions = 5;
         b.epochs.push(EpochMetric {
             epoch: 0,
             start_index: 0,
@@ -343,6 +351,7 @@ mod tests {
         assert_eq!(ab.wall_nanos, 500);
         assert_eq!(ab.fork.spawns, 1);
         assert_eq!(ab.fork.respawns, 2);
+        assert_eq!(ab.fork.rerun_executions, 5);
         let w0 = ab.workers.iter().find(|w| w.worker == 0).expect("w0");
         assert_eq!(w0.executions, 15);
     }

@@ -117,7 +117,7 @@ impl PhaseProfile {
 
 /// Writes `profile` as the `c11metrics/v1` `phase` object: one
 /// `{"nanos":…,"calls":…}` entry per phase in [`Phase::ALL`] order,
-/// then the derived `total_nanos`. The fork server's `metrics` frame
+/// then the derived `total_nanos`. The fork server's `batch` frame
 /// carries the same object.
 pub fn write_phase(w: &mut JsonWriter, profile: &PhaseProfile) {
     w.object(|w| {
