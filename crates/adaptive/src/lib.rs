@@ -12,7 +12,7 @@
 //! open-loop; an [`AdaptiveCampaign`] closes the loop:
 //!
 //! 1. the budget is split into fixed-size **epochs**;
-//! 2. each epoch runs as an ordinary sharded campaign over a
+//! 2. each epoch runs as an ordinary campaign over a
 //!    contiguous range of the global execution-index stream
 //!    ([`Campaign::run_range`]) under the current mix;
 //! 3. the epoch's merged per-strategy detection columns
@@ -59,14 +59,16 @@ pub use reweight::{parse_policy, CoverageUcb, ExpWeights, Fixed, ReweightCtx, Re
 
 use c11tester::{Config, CoverageMap, ExecutionReport, Model, StrategyMix, TestReport};
 use c11tester_campaign::targets::Target;
-use c11tester_campaign::{Campaign, CampaignBudget, EpochRecord, EpochTrace, Executor, StopReason};
+use c11tester_campaign::{
+    Campaign, CampaignBudget, EpochRecord, EpochTrace, Executor, RangeOutcome, StopReason,
+};
 use c11tester_telemetry::{CampaignMetrics, EpochMetric};
 use std::time::{Duration, Instant};
 
 /// Default epoch length (executions per epoch) when none is set.
 pub const DEFAULT_EPOCH_LEN: u64 = 64;
 
-/// An adaptive campaign: epochs of sharded execution under a mix the
+/// An adaptive campaign: epochs of parallel execution under a mix the
 /// controller reweights between epochs.
 ///
 /// See the [crate docs](crate) for the determinism contract.
@@ -163,15 +165,9 @@ impl AdaptiveCampaign {
         F: Fn() + Send + Sync,
     {
         self.run_epochs(budget, |config, first_index, epoch_budget| {
-            let report = Campaign::new(config.clone())
+            Ok(Campaign::new(config.clone())
                 .with_workers(self.workers)
-                .run_range(first_index, epoch_budget, &program);
-            Ok((
-                report.aggregate,
-                Vec::new(),
-                report.stop_reason,
-                report.metrics,
-            ))
+                .run_range(first_index, epoch_budget, &program))
         })
         .expect("in-process epochs are infallible")
     }
@@ -192,40 +188,21 @@ impl AdaptiveCampaign {
         budget: &CampaignBudget,
     ) -> Result<AdaptiveReport, String> {
         self.run_epochs(budget, |config, first_index, epoch_budget| {
-            let outcome =
-                executor.run_range(config, self.workers, target, first_index, epoch_budget)?;
-            Ok((
-                outcome.aggregate,
-                outcome.crashes,
-                outcome.stop_reason,
-                outcome.metrics,
-            ))
+            executor.run_range(config, self.workers, target, first_index, epoch_budget)
         })
     }
 
     /// The shared epoch loop: `run_range` produces each epoch's
-    /// `(aggregate, crashes, stop reason)` for a contiguous global
-    /// index range; reweighting between epochs is a pure function of
-    /// the completed-epoch records plus the crash-aware reward ledger.
+    /// [`RangeOutcome`] for a contiguous global index range; reweighting
+    /// between epochs is a pure function of the completed-epoch records
+    /// plus the crash-aware reward ledger.
     fn run_epochs<R>(
         &self,
         budget: &CampaignBudget,
         mut run_range: R,
     ) -> Result<AdaptiveReport, String>
     where
-        R: FnMut(
-            &Config,
-            u64,
-            &CampaignBudget,
-        ) -> Result<
-            (
-                TestReport,
-                Vec<c11tester_campaign::CrashRecord>,
-                StopReason,
-                CampaignMetrics,
-            ),
-            String,
-        >,
+        R: FnMut(&Config, u64, &CampaignBudget) -> Result<RangeOutcome, String>,
     {
         let start = Instant::now();
         let mut mix = self.initial_mix.clone();
@@ -260,8 +237,12 @@ impl AdaptiveCampaign {
             }
             let config = self.config.clone().with_mix(mix.clone());
             let epoch_started = Instant::now();
-            let (epoch_aggregate, crashes, epoch_stop, epoch_metrics) =
-                run_range(&config, next_index, &epoch_budget)?;
+            let RangeOutcome {
+                aggregate: epoch_aggregate,
+                crashes,
+                stop_reason: epoch_stop,
+                metrics: epoch_metrics,
+            } = run_range(&config, next_index, &epoch_budget)?;
             metrics.absorb(&epoch_metrics);
             metrics.epochs.push(EpochMetric {
                 epoch,
@@ -345,10 +326,11 @@ impl AdaptiveCampaign {
     /// range (`epoch_len`, clipped by the overall budget). The nominal
     /// range — not the completed-execution count — is the bound
     /// because an early-stopped epoch (first bug, deadline) completes
-    /// a strided subset of its range across workers: the flagged
-    /// execution's index can exceed the completed count, and replaying
-    /// any in-range index is deterministic regardless of whether the
-    /// campaign happened to finish it.
+    /// part of its range, not necessarily a prefix (workers claim
+    /// indices concurrently): the flagged execution's index can exceed
+    /// the completed count, and replaying any in-range index is
+    /// deterministic regardless of whether the campaign happened to
+    /// finish it.
     pub fn replay<F>(
         &self,
         trace: &EpochTrace,
@@ -520,9 +502,10 @@ mod tests {
         assert_eq!(report.trace.stop_reason, StopReason::FirstBug);
         assert!(report.aggregate().executions < 1_000);
         assert!(report.aggregate().executions_with_bug > 0);
-        // Even though the early stop completed only a strided subset
-        // of the epoch, the flagged execution replays: the replay
-        // bound is the epoch's nominal range, not its completed count.
+        // Even though the early stop completed only part of the epoch,
+        // not necessarily a prefix, the flagged execution replays: the
+        // replay bound is the epoch's nominal range, not its completed
+        // count.
         let first = report.first_bug_execution().expect("bug found");
         let record = report
             .trace

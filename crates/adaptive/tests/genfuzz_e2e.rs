@@ -29,7 +29,7 @@ fn gen_target_canonical_json_is_worker_count_and_isolation_invariant() {
         "--target",
         "gen:7",
         "--executions",
-        "24",
+        "96",
         "--seed",
         "0xF00D",
         "--canonical",

@@ -82,13 +82,21 @@ fn healthy_target_fork_server_matches_in_process_byte_for_byte() {
     );
 }
 
-/// The read-path fixtures of crates/campaign/tests/determinism.rs
-/// (captured before the single-pass read path), through fork-isolated
-/// children.
+/// The graph and read-path fixtures of
+/// crates/campaign/tests/determinism.rs (each captured before the
+/// rework it guards), through fork-isolated children.
 #[test]
 fn read_path_fixtures_reproduce_under_isolation() {
     let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../campaign/tests/golden");
     for (fixture, args) in [
+        (
+            "mpmc_queue_graph.json",
+            &["--target", "mpmc-queue", "--executions", "200"][..],
+        ),
+        (
+            "mpmc_queue_large_graph.json",
+            &["--target", "mpmc-queue-large", "--executions", "200"][..],
+        ),
         (
             "silo_large_graph.json",
             &["--target", "silo-large", "--executions", "50"][..],
@@ -451,4 +459,127 @@ fn crash_reruns_are_invisible_across_batch_sizes_and_worker_counts() {
         }
     }
     assert!(reruns > 0, "no crash re-ran a non-empty prefix");
+}
+
+// ---- fault injection on real children ----------------------------------
+//
+// The real `c11campaign --worker` behind a `/bin/sh` wrapper that
+// damages its stdout: cut inside the first batch frame, or that frame's
+// body corrupted at equal length. A campaign must return within a fixed
+// bound, with crash records or a bounded error — never hang — and an
+// `Ok` report must still tile its budget.
+
+/// Runs 12 executions of `rwlock-buggy` (batches of 4, 2 workers)
+/// through a fork server whose worker is `wrapper` — a `/bin/sh` body
+/// in which `$WORKER` is the real worker binary and `$DIR` a temporary
+/// directory of its own. Panics if the campaign does not return within
+/// a minute. `None` when the host has no `/bin/sh`.
+#[cfg(unix)]
+fn run_wrapped(
+    name: &str,
+    wrapper: &str,
+) -> Option<Result<c11tester_campaign::CampaignReport, String>> {
+    use c11tester::Config;
+    use c11tester_campaign::{targets, Campaign, CampaignBudget};
+    use c11tester_isolation::ForkServer;
+
+    if !Path::new("/bin/sh").exists() {
+        return None;
+    }
+    let dir = std::env::temp_dir().join(format!("c11-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temporary dir");
+    let script = dir.join("worker");
+    // Written by a child shell, so this process never holds a write
+    // descriptor to the script that a concurrent fork could inherit
+    // (executing it would then fail with ETXTBSY).
+    let body = format!(
+        "#!/bin/sh\nWORKER='{BIN}'\nDIR='{}'\n{wrapper}\n",
+        dir.display()
+    );
+    let mut writer = Command::new("/bin/sh")
+        .args(["-c", "cat > \"$0\" && chmod 755 \"$0\""])
+        .arg(&script)
+        .stdin(std::process::Stdio::piped())
+        .spawn()
+        .expect("sh runs");
+    std::io::Write::write_all(&mut writer.stdin.take().expect("piped"), body.as_bytes())
+        .expect("script written");
+    assert!(writer.wait().expect("sh exits").success());
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let target = targets::find("rwlock-buggy").expect("target exists");
+        let fork = ForkServer::new(&script).with_batch_size(4);
+        let report = Campaign::new(Config::new().with_seed(7))
+            .with_workers(2)
+            .run_target(&fork, &target, &CampaignBudget::executions(12));
+        let _ = tx.send(report);
+    });
+    let outcome = rx
+        .recv_timeout(Duration::from_secs(60))
+        .unwrap_or_else(|_| panic!("{name}: the campaign hung"));
+    let _ = std::fs::remove_dir_all(&dir);
+    if let Ok(report) = &outcome {
+        assert_eq!(
+            report.aggregate.executions + report.crashes.len() as u64,
+            12,
+            "{name}: completed executions + crashes tile the budget"
+        );
+    }
+    Some(outcome)
+}
+
+/// The real worker's stdout cut after 40 bytes — four ticks are 12
+/// bytes, so the cut falls inside the first batch frame. The shell
+/// hands the stream to the pipeline and lets go of it, so the parent
+/// sees the cut as the end of the stream while the worker lingers,
+/// blocked on its next request. (A background list reads `/dev/null`
+/// unless told otherwise, hence the saved stdin.)
+#[cfg(unix)]
+const CUT: &str = "exec 3>&1 4<&0 >/dev/null
+\"$WORKER\" \"$@\" <&4 3>&- 4<&- | head -c 40 >&3 3>&- 4<&- &
+exec 3>&- 4<&-
+wait";
+
+#[cfg(unix)]
+#[test]
+fn a_stream_cut_inside_every_batch_frame_is_a_bounded_error() {
+    // Every child's stream ends after its ticks but before its batch
+    // ships: no progress, so the pool gives up after a short streak.
+    let Some(outcome) = run_wrapped("cut-always", CUT) else {
+        return;
+    };
+    let err = outcome.expect_err("no batch ever ships");
+    assert!(err.contains("died 3 times in a row"), "{err}");
+}
+
+#[cfg(unix)]
+#[test]
+fn a_stream_cut_inside_one_batch_frame_reruns_that_batch() {
+    // Only the first child is cut; its batch re-runs on the next one.
+    let wrapper =
+        format!("if mkdir \"$DIR/cut\" 2>/dev/null; then\n{CUT}\nelse exec \"$WORKER\" \"$@\"; fi");
+    let Some(outcome) = run_wrapped("cut-once", &wrapper) else {
+        return;
+    };
+    let report = outcome.expect("the campaign survives one cut");
+    assert!(report.crashes.is_empty(), "{:?}", report.crashes);
+    assert_eq!(report.aggregate.executions, 12);
+    let fork = report.metrics.fork;
+    assert_eq!(fork.respawns, 1, "{fork:?}");
+    assert_eq!(fork.rerun_executions, 4, "{fork:?}");
+}
+
+#[cfg(unix)]
+#[test]
+fn a_corrupted_batch_frame_body_is_a_protocol_violation() {
+    // Same length, one digit changed: the fold claims five executions
+    // after four ticks.
+    let wrapper = "\"$WORKER\" \"$@\" | sed -u 's/^{\"frame\":\"batch\",\"executions\":4,/{\"frame\":\"batch\",\"executions\":5,/'";
+    let Some(outcome) = run_wrapped("corrupt", wrapper) else {
+        return;
+    };
+    let err = outcome.expect_err("a corrupted fold must not be merged");
+    assert!(err.contains("worker protocol violation"), "{err}");
 }

@@ -612,10 +612,10 @@ fn frames_round_trip_hand_built_and_real_reports_as_values() {
     };
     let mut buf = Vec::new();
     spec.serve(&b"16 24 -\n"[..], &mut buf).expect("batch runs");
-    let mut model = Model::for_shard_from(spec.config().expect("config"), 16, 1);
+    let mut model = Model::new(spec.config().expect("config"));
     let mut direct = TestReport::default();
-    for _ in 0..24 {
-        direct.absorb(&model.run(c11tester_workloads::ds::seqlock::run_buggy));
+    for index in 16..16 + 24 {
+        direct.absorb(&model.run_at(index, c11tester_workloads::ds::seqlock::run_buggy));
     }
     c11tester::set_coverage(false);
     let mut reader = std::io::BufReader::new(&buf[..]);

@@ -9,7 +9,7 @@
 //! which can race with concurrent atomic accesses — a real bug class
 //! C11Tester detects.
 
-use crate::ctx::{self, RmwDecision};
+use crate::ctx;
 pub use c11tester_core::MemOrder as Ordering;
 use c11tester_core::{ObjId, StoreKind};
 
@@ -80,7 +80,7 @@ impl RawAtomic {
     /// Generic read-modify-write; `f` maps the read value to the
     /// written value. Returns the value read.
     pub fn rmw(&self, order: Ordering, f: impl FnOnce(u64) -> u64) -> u64 {
-        ctx::atomic_rmw(self.obj, order, |old| RmwDecision::Write(f(old)))
+        ctx::atomic_rmw(self.obj, order, f)
     }
 
     /// Compare-exchange; on success writes `new` with `success`
@@ -92,20 +92,7 @@ impl RawAtomic {
         success: Ordering,
         failure: Ordering,
     ) -> Result<u64, u64> {
-        let mut matched = false;
-        let old = ctx::atomic_rmw(self.obj, success, |old| {
-            if old == expected {
-                matched = true;
-                RmwDecision::Write(new)
-            } else {
-                RmwDecision::NoWrite(failure)
-            }
-        });
-        if matched {
-            Ok(old)
-        } else {
-            Err(old)
-        }
+        ctx::atomic_cas(self.obj, expected, new, success, failure)
     }
 }
 

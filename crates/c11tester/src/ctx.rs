@@ -436,65 +436,80 @@ pub(crate) fn atomic_load(obj: ObjId, order: MemOrder, kind: StoreKind) -> u64 {
     })
 }
 
-/// Outcome of an RMW decision closure.
-pub(crate) enum RmwDecision {
-    /// Commit a write of the value.
-    Write(u64),
-    /// Do not write (failed compare_exchange); perform a load with the
-    /// given order instead.
-    NoWrite(MemOrder),
+/// A read-modify-write: reads from an RMW-eligible store, writes
+/// `f(value read)`, and returns the value read. `f` runs between the
+/// read and the write, with the engine borrowed: a model operation
+/// inside it is a re-entry, which the engine cell turns into a panic
+/// (an RMW is one indivisible event — there is no state in which a
+/// nested operation could run).
+pub(crate) fn atomic_rmw(obj: ObjId, order: MemOrder, f: impl FnOnce(u64) -> u64) -> u64 {
+    let (Ok(read) | Err(read)) = rmw(obj, order, order, |_| true, f);
+    read
 }
 
-/// A read-modify-write: reads from an RMW-eligible store, lets `f`
-/// decide the written value (or decline, for failed CAS), and returns
-/// the value read. `f` runs between the read and the write, with the
-/// engine borrowed: a model operation inside it is a re-entry, which
-/// the engine cell turns into a panic (an RMW is one indivisible
-/// event — there is no state in which a nested operation could run).
-pub(crate) fn atomic_rmw(obj: ObjId, order: MemOrder, f: impl FnOnce(u64) -> RmwDecision) -> u64 {
+/// A strong compare-exchange: `Ok(read)` if it read `expected` and
+/// wrote `new` under `success`, `Err(read)` if it read anything else,
+/// as a load under `failure`.
+pub(crate) fn atomic_cas(
+    obj: ObjId,
+    expected: u64,
+    new: u64,
+    success: MemOrder,
+    failure: MemOrder,
+) -> Result<u64, u64> {
+    rmw(obj, success, failure, |read| read == expected, |_| new)
+}
+
+/// One read decision over the stores an RMW may read: the RMW-feasible
+/// stores under `success`. A candidate whose value `matches` is read by
+/// an RMW writing `f(value)`; any other by a failed CAS, which is a load
+/// under `failure`. Only a `SeqCst` failure over a weaker success
+/// constrains that load further (seq_cst is the one order the
+/// read-feasibility check distinguishes), so only then are
+/// non-matching candidates that are not load-feasible under `failure`
+/// dropped before the draw.
+fn rmw(
+    obj: ObjId,
+    success: MemOrder,
+    failure: MemOrder,
+    matches: impl Fn(u64) -> bool,
+    f: impl FnOnce(u64) -> u64,
+) -> Result<u64, u64> {
     with_ctx(|ctx, tid| {
         let mut guard = schedule_point(ctx, tid, OpClass::Other);
         let eng = &mut *guard;
         // tsan11-family baselines strengthen RMWs to acq_rel (see
         // `Policy::strengthens_rmw`).
-        let order = eng.exec.policy().effective_rmw_order(order);
+        let success = eng.exec.policy().effective_rmw_order(success);
         let mut cands = std::mem::take(&mut eng.cands_buf);
         eng.exec
-            .feasible_read_candidates_into(tid, obj, order, true, &mut cands);
+            .feasible_read_candidates_into(tid, obj, success, true, &mut cands);
+        if failure.is_seq_cst() && !success.is_seq_cst() {
+            cands.retain(|&c| {
+                matches(eng.exec.store_value(c))
+                    || eng.exec.check_read_feasible(tid, obj, failure, c)
+            });
+        }
         assert!(
             !cands.is_empty(),
             "RMW on an object with no feasible store — was the atomic initialized?"
         );
         let choice = eng.scheduler.choose_read(cands.len());
         let cand = cands[choice];
-        let old = eng.exec.store_value(cand);
-        let value = match f(old) {
-            RmwDecision::Write(new) => {
-                let (read, _) = eng.exec.commit_rmw(tid, obj, order, cand, new);
-                race_check(eng, obj, 0, tid, AccessKind::Atomic, true);
-                read
-            }
-            RmwDecision::NoWrite(fail_order) => {
-                // A failed CAS is just a load with the failure ordering.
-                let cand = if eng.exec.check_read_feasible(tid, obj, fail_order, cand) {
-                    cand
-                } else {
-                    // Rare: the failure ordering adds constraints that
-                    // exclude the candidate; fall back to a legal one.
-                    eng.exec
-                        .feasible_read_candidates_into(tid, obj, fail_order, false, &mut cands);
-                    let ix = eng.scheduler.choose_read(cands.len());
-                    cands[ix]
-                };
-                let v = eng.exec.commit_load(tid, obj, fail_order, cand);
-                race_check(eng, obj, 0, tid, AccessKind::Atomic, false);
-                v
-            }
+        let value = eng.exec.store_value(cand);
+        let result = if matches(value) {
+            let (read, _) = eng.exec.commit_rmw(tid, obj, success, cand, f(value));
+            race_check(eng, obj, 0, tid, AccessKind::Atomic, true);
+            Ok(read)
+        } else {
+            let read = eng.exec.commit_load(tid, obj, failure, cand);
+            race_check(eng, obj, 0, tid, AccessKind::Atomic, false);
+            Err(read)
         };
         cands.clear();
         eng.cands_buf = cands;
         finish_op(ctx, guard);
-        value
+        result
     })
 }
 

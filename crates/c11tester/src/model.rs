@@ -27,10 +27,9 @@ use std::sync::Arc;
 /// strategies derive their random stream from `(config.seed, index)`
 /// alone — so execution `i` under a given [`Config`] is reproducible
 /// regardless of which model instance (or campaign worker) runs it.
-/// [`Model::for_shard`] creates a model that walks the index arithmetic
-/// progression `shard, shard + stride, shard + 2·stride, …`; a campaign
-/// with `N` workers gives worker `w` the shard `(w, N)`, partitioning
-/// the same index set the serial model `(0, 1)` walks.
+/// [`Model::run`] walks the indices `0, 1, 2, …`; [`Model::run_at`]
+/// runs any index, which is how campaign workers run the indices they
+/// claim.
 ///
 /// # Examples
 ///
@@ -73,9 +72,6 @@ pub struct Model {
     ctx: Option<Arc<ModelCtx>>,
     /// Global index the next `run` call executes.
     execution_index: u64,
-    /// Index step between consecutive `run` calls (1 for serial models,
-    /// the worker count for campaign shards).
-    stride: u64,
     /// Executions performed by this instance.
     runs: u64,
     /// Destination for structured schedule traces
@@ -98,8 +94,7 @@ pub struct Model {
 }
 
 /// The reusable pieces of a disassembled [`Model`]
-/// ([`Model::into_parts`]): enough to reconstruct or rewire the model
-/// onto a different execution-index shard.
+/// ([`Model::into_parts`]): enough to reconstruct the model.
 pub struct ModelParts {
     /// The configuration the model ran with.
     pub config: Config,
@@ -109,8 +104,6 @@ pub struct ModelParts {
     pub race: RaceDetector,
     /// The global index the next execution would have used.
     pub next_execution_index: u64,
-    /// The index stride.
-    pub stride: u64,
 }
 
 impl std::fmt::Debug for ModelParts {
@@ -118,7 +111,6 @@ impl std::fmt::Debug for ModelParts {
         f.debug_struct("ModelParts")
             .field("config", &self.config)
             .field("next_execution_index", &self.next_execution_index)
-            .field("stride", &self.stride)
             .finish_non_exhaustive()
     }
 }
@@ -128,7 +120,6 @@ impl std::fmt::Debug for Model {
         f.debug_struct("Model")
             .field("config", &self.config)
             .field("execution_index", &self.execution_index)
-            .field("stride", &self.stride)
             .field("runs", &self.runs)
             .finish_non_exhaustive()
     }
@@ -137,44 +128,11 @@ impl std::fmt::Debug for Model {
 impl Model {
     /// Creates a model with the given configuration.
     pub fn new(config: Config) -> Self {
-        Model::for_shard(config, 0, 1)
-    }
-
-    /// Creates a model that executes the index progression
-    /// `shard, shard + stride, shard + 2·stride, …` — the seed-shard
-    /// constructor campaigns use to partition one logical execution
-    /// stream over `stride` workers. `Model::for_shard(config, 0, 1)`
-    /// is the serial model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride == 0` or `shard >= stride`.
-    pub fn for_shard(config: Config, shard: u64, stride: u64) -> Self {
-        assert!(
-            shard < stride,
-            "shard index {shard} out of range for stride {stride}"
-        );
-        Model::for_shard_from(config, shard, stride)
-    }
-
-    /// Creates a model that executes the index progression
-    /// `first_index, first_index + stride, …` — [`Model::for_shard`]
-    /// with an arbitrary starting index instead of one below `stride`.
-    /// Epoch-granular campaigns use this to walk a *range* of the
-    /// global execution stream: epoch `e` of length `L` gives worker
-    /// `w` of `N` the progression starting at `e·L + w`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride == 0`.
-    pub fn for_shard_from(config: Config, first_index: u64, stride: u64) -> Self {
-        assert!(stride > 0, "shard stride must be positive");
         Model::from_parts(ModelParts {
             config,
             scheduler: None,
             race: RaceDetector::new(),
-            next_execution_index: first_index,
-            stride,
+            next_execution_index: 0,
         })
     }
 
@@ -186,7 +144,6 @@ impl Model {
             scheduler: Some(scheduler),
             race: RaceDetector::new(),
             next_execution_index: 0,
-            stride: 1,
         })
     }
 
@@ -207,7 +164,6 @@ impl Model {
             scheduler,
             race,
             next_execution_index: self.execution_index,
-            stride: self.stride,
         }
     }
 
@@ -220,7 +176,6 @@ impl Model {
             scheduler: parts.scheduler,
             ctx: None,
             execution_index: parts.next_execution_index,
-            stride: parts.stride,
             runs: 0,
             trace_sink: None,
             trace_epoch: 0,
@@ -271,25 +226,20 @@ impl Model {
         self.execution_index
     }
 
-    /// The index stride between consecutive runs.
-    pub fn stride(&self) -> u64 {
-        self.stride
-    }
-
     /// Runs the program once under controlled scheduling at the next
-    /// index of this model's shard progression.
+    /// index.
     pub fn run<F>(&mut self, f: F) -> ExecutionReport
     where
         F: Fn() + Send + Sync,
     {
         let index = self.execution_index;
         let report = self.run_at(index, f);
-        self.execution_index += self.stride;
+        self.execution_index += 1;
         report
     }
 
     /// Runs the program once at an explicit global execution index,
-    /// without advancing the shard progression. With the built-in
+    /// without advancing [`Model::next_execution_index`]. With the built-in
     /// strategies this reproduces exactly the execution a campaign (or
     /// any other model over the same [`Config`]) labeled with that
     /// index — the replay entry point for "execution #i raced".
@@ -413,8 +363,7 @@ impl Model {
         }
     }
 
-    /// Runs the next `executions` indices of this model's shard
-    /// progression, aggregating detection rates and deduplicated
+    /// Runs the next `executions` indices, aggregating detection rates and deduplicated
     /// reports (paper §7.6).
     ///
     /// This is the **serial reference path for campaigns**: a
@@ -502,25 +451,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_models_walk_their_index_progression() {
-        let mut shard = Model::for_shard(Config::new(), 2, 4);
-        assert_eq!(shard.next_execution_index(), 2);
-        assert_eq!(shard.stride(), 4);
-        let r0 = shard.run(|| {});
-        let r1 = shard.run(|| {});
-        assert_eq!(r0.execution_index, 2);
-        assert_eq!(r1.execution_index, 6);
-        assert_eq!(shard.executions(), 2);
-        assert_eq!(shard.next_execution_index(), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn shard_index_must_be_below_stride() {
-        let _ = Model::for_shard(Config::new(), 4, 4);
-    }
-
-    #[test]
     fn run_at_replays_a_specific_index() {
         // The program's outcome is a pure function of the execution
         // index: replaying index 3 on a fresh model must reproduce what
@@ -544,7 +474,7 @@ mod tests {
         let r = replay.run_at(3, program);
         assert_eq!(r.execution_index, 3);
         assert_eq!(r.stats, serial_reports[3].stats);
-        // run_at does not advance the shard progression.
+        // run_at does not advance the index `run` uses next.
         assert_eq!(replay.next_execution_index(), 0);
     }
 
@@ -606,20 +536,22 @@ mod tests {
 
     #[test]
     fn into_parts_roundtrip_preserves_progression() {
-        let mut m = Model::for_shard(Config::new().with_seed(5), 1, 2);
+        let mut m = Model::new(Config::new().with_seed(5));
+        let _ = m.run(|| {});
         let _ = m.run(|| {});
         let parts = m.into_parts();
-        assert_eq!(parts.next_execution_index, 3);
-        assert_eq!(parts.stride, 2);
+        assert_eq!(parts.next_execution_index, 2);
         let mut m2 = Model::from_parts(parts);
         let r = m2.run(|| {});
-        assert_eq!(r.execution_index, 3);
+        assert_eq!(r.execution_index, 2);
+        assert_eq!(m2.next_execution_index(), 3);
     }
 
     #[test]
     fn run_many_aggregate_is_partition_invariant() {
-        // Stripe the same 6 indices over 1, 2, and 3 shards; merged
-        // aggregates must be identical to the serial run_many report.
+        // Stripe the same 6 indices over 2 and 3 models with `run_at`;
+        // merged aggregates must be identical to the serial run_many
+        // report.
         use crate::sync::atomic::{AtomicU32, Ordering};
         use std::sync::Arc;
         let program = || {
@@ -637,9 +569,11 @@ mod tests {
         for workers in [2u64, 3] {
             let mut merged = TestReport::default();
             for w in 0..workers {
-                let mut shard = Model::for_shard(config(), w, workers);
-                let quota = (6 - w).div_ceil(workers);
-                let part = shard.run_many(quota, program);
+                let mut shard = Model::new(config());
+                let mut part = TestReport::default();
+                for index in (w..6).step_by(workers as usize) {
+                    part.absorb(&shard.run_at(index, program));
+                }
                 merged.merge(&part);
             }
             assert_eq!(merged, reference, "partition over {workers} shards");

@@ -241,6 +241,31 @@ fn rmw_atomicity_no_lost_updates() {
     }
 }
 
+/// A strong CAS that fails did not read its expected value, also when
+/// its failure order (`SeqCst`) is stronger than its success order
+/// (`Release`) — the shrunk `gen:395` shape. The store of 1 is consumed
+/// by T1's `fetch_add`, so T2's CAS can succeed only by reading 1
+/// before the `fetch_add` does; whatever else it reads, it fails.
+#[test]
+fn failed_cas_with_a_stronger_failure_order_never_reads_expected() {
+    let seen = outcomes(2000, 395, Policy::C11Tester, || {
+        let x = Arc::new(AtomicU32::new(0));
+        let x2 = Arc::clone(&x);
+        let t1 = c11tester::thread::spawn(move || {
+            x2.store(1, Ordering::SeqCst);
+            x2.fetch_add(2, Ordering::Release)
+        });
+        let cas = x.compare_exchange(1, 3, Ordering::Release, Ordering::SeqCst);
+        (cas, t1.join())
+    });
+    assert!(
+        !seen.iter().any(|&(cas, _)| cas == Err(1)),
+        "a failed CAS read its expected value: {seen:?}"
+    );
+    assert!(seen.iter().any(|&(cas, _)| cas == Ok(1)), "{seen:?}");
+    assert!(seen.iter().any(|&(cas, _)| cas.is_err()), "{seen:?}");
+}
+
 /// C++20 release sequences: an RMW continues the release sequence, so
 /// an acquire load reading the RMW synchronizes with the head store.
 #[test]

@@ -1,7 +1,7 @@
 //! Epoch-granular campaign traces.
 //!
 //! An adaptive campaign splits its execution budget into fixed-size
-//! **epochs**: each epoch runs as an ordinary sharded campaign over a
+//! **epochs**: each epoch runs as an ordinary campaign over a
 //! contiguous range of the global execution-index stream
 //! ([`crate::Campaign::run_range`]) under that epoch's
 //! [`c11tester::StrategyMix`], and a controller reweights the mix
@@ -55,8 +55,8 @@ impl EpochRecord {
     /// `start_index` plus the number of executions the epoch
     /// *completed*. For a fixed-budget epoch this is one past its last
     /// global index; an early-stopped epoch (first bug, deadline)
-    /// completes a strided subset across workers, so a flagged index
-    /// may lie at or beyond this bound — use the trace's nominal
+    /// completes part of its range, not necessarily a prefix, so a
+    /// flagged index may lie at or beyond this bound — use the trace's nominal
     /// `epoch_len` for the full index range.
     pub fn end_index(&self) -> u64 {
         self.start_index + self.aggregate.executions

@@ -4,16 +4,19 @@
 //! a budget, a global execution-index stream. An [`Executor`] decides
 //! *where* those executions run:
 //!
-//! * [`InProcess`] — the classic path: worker **threads** inside the
-//!   campaign process ([`crate::Campaign::run_range`]). Fastest, but a
-//!   program under test that segfaults, aborts, or wedges takes the
-//!   whole campaign down with it.
+//! * in-process — worker **threads** inside the campaign process
+//!   ([`crate::Campaign::run_range`]). Fastest, but a program under
+//!   test that segfaults, aborts, or wedges takes the whole campaign
+//!   down with it.
 //! * `ForkServer` (in the `c11tester-isolation` crate) — worker
-//!   **processes**: each pool worker runs its batches in one long-lived
-//!   child that re-enters the campaign binary via the hidden
+//!   **processes**: each pool worker runs the batches it claims in one
+//!   long-lived child that re-enters the campaign binary via the hidden
 //!   `c11campaign --worker` mode, ticks once per execution and ships
 //!   each batch's folded report back over a pipe. A child death becomes
 //!   a [`CrashRecord`] instead of a campaign death.
+//!
+//! Both claim index ranges from one queue and fold them with one
+//! function ([`crate::pool`]).
 //!
 //! Both backends answer the same question for the same inputs: the
 //! aggregate over a fixed-budget index range is **byte-identical**
@@ -115,7 +118,7 @@ pub struct RangeOutcome {
     /// Order-independent aggregate over the completed executions.
     pub aggregate: TestReport,
     /// Executions that killed their worker, sorted by index. Always
-    /// empty for [`InProcess`] (a crash there kills the campaign).
+    /// empty in-process (a crash there kills the campaign).
     pub crashes: Vec<CrashRecord>,
     /// Why the range ended.
     pub stop_reason: StopReason,
@@ -154,94 +157,25 @@ pub trait Executor: std::fmt::Debug + Sync {
     ) -> Result<RangeOutcome, String>;
 }
 
-/// The classic thread-pool backend: executions run on worker threads
-/// inside the current process via [`Campaign::run_range`].
-///
-/// No isolation: a segfault or abort in the program under test kills
-/// the whole campaign, and a wedged execution wedges its worker. Use
-/// the fork server (`c11tester-isolation`) for crash-prone targets.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct InProcess;
-
-impl Executor for InProcess {
-    fn name(&self) -> &'static str {
-        "in-process"
-    }
-
-    fn run_range(
-        &self,
-        config: &Config,
-        workers: usize,
-        target: &Target,
-        first_index: u64,
-        budget: &CampaignBudget,
-    ) -> Result<RangeOutcome, String> {
-        let target = *target;
-        let report = Campaign::new(config.clone())
-            .with_workers(workers)
-            .run_range(first_index, budget, move || target.run());
-        Ok(RangeOutcome {
-            aggregate: report.aggregate,
-            crashes: Vec::new(),
-            stop_reason: report.stop_reason,
-            metrics: report.metrics,
-        })
-    }
-}
-
 impl Campaign {
     /// Runs the campaign on a *named* target through an [`Executor`] —
-    /// the entry point that supports process isolation. With
-    /// [`InProcess`] this is equivalent to [`Campaign::run`] on the
-    /// target's body; with a fork server, crashing executions are
-    /// recorded in [`CampaignReport::crashes`] instead of killing the
-    /// campaign.
+    /// the entry point that supports process isolation: with a fork
+    /// server, crashing executions are recorded in
+    /// [`CampaignReport::crashes`] instead of killing the campaign.
     pub fn run_target(
         &self,
         executor: &dyn Executor,
         target: &Target,
         budget: &CampaignBudget,
     ) -> Result<CampaignReport, String> {
-        let start = std::time::Instant::now();
         let outcome = executor.run_range(self.config(), self.workers(), target, 0, budget)?;
-        Ok(CampaignReport {
-            base_seed: self.config().seed,
-            policy: self.config().policy.name(),
-            strategy: self.config().strategy_label(),
-            budget: budget.clone(),
-            stop_reason: outcome.stop_reason,
-            aggregate: outcome.aggregate,
-            crashes: outcome.crashes,
-            workers: self.workers(),
-            wall_time: start.elapsed(),
-            metrics: outcome.metrics,
-        })
+        Ok(self.report(budget, outcome, self.workers()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::targets;
-    use c11tester::Config;
-
-    #[test]
-    fn in_process_executor_matches_the_closure_path() {
-        let target = targets::find("rwlock-buggy").expect("target exists");
-        let config = Config::new().with_seed(0xEE);
-        let campaign = Campaign::new(config.clone()).with_workers(2);
-        let via_executor = campaign
-            .run_target(&InProcess, &target, &CampaignBudget::executions(24))
-            .expect("in-process execution is infallible");
-        let via_closure = campaign.run(&CampaignBudget::executions(24), move || target.run());
-        assert_eq!(via_executor.aggregate, via_closure.aggregate);
-        assert!(via_executor.crashes.is_empty());
-        assert_eq!(
-            via_executor.canonical_json(),
-            via_closure.canonical_json(),
-            "executor and closure paths must agree byte-for-byte"
-        );
-    }
 
     #[test]
     fn crash_kinds_render_and_name_stably() {

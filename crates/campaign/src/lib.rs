@@ -6,18 +6,19 @@
 //! re-run a program under randomized controlled scheduling thousands of
 //! times and report the fraction of executions that exhibit each race.
 //! The [`c11tester::Model`] drives executions strictly serially on one
-//! OS thread; a [`Campaign`] shards the same logical execution stream
-//! over `N` worker threads:
+//! OS thread; a [`Campaign`] fans the same logical execution stream
+//! out over `N` worker threads:
 //!
-//! * worker `w` owns a [`Model::for_shard`] walking execution indices
-//!   `w, w + N, w + 2N, …` — the built-in strategies derive their
-//!   random stream from `(seed, index)` alone, so **any single
-//!   execution is reproducible by `(seed, execution_index)` regardless
-//!   of worker count** (replay with [`Model::run_at`]);
-//! * aggregation is **shard-local**: each worker folds its executions
+//! * workers claim execution indices from one shared queue
+//!   ([`pool`]) and run each on their own [`Model`] with
+//!   [`Model::run_at`] — the built-in strategies derive their random
+//!   stream from `(seed, index)` alone, so **any single execution is
+//!   reproducible by `(seed, execution_index)` regardless of worker
+//!   count** or of which worker ran it;
+//! * aggregation is **worker-local**: each worker folds its executions
 //!   into its own [`TestReport`] (race dedup histories, summed
 //!   [`c11tester_core::ExecStats`], detection counts) and hands back
-//!   one partial when its loop ends; the caller, which runs shard 0
+//!   one partial when its loop ends; the caller, which runs worker 0
 //!   itself, folds the others into its own with the order-independent
 //!   [`TestReport::merge`] — no per-execution cross-thread message;
 //! * the resulting [`CampaignReport`] is **byte-identical for any
@@ -39,8 +40,8 @@
 //!
 //! Campaigns can also run **fork-isolated**: the [`Executor`]
 //! abstraction separates what to explore from where executions run.
-//! [`InProcess`] is the thread-pool backend above; the fork server in
-//! the `c11tester-isolation` crate runs batches in child processes so
+//! The fork server in the `c11tester-isolation` crate claims batches
+//! from the same queue and runs them in child processes so
 //! a segfaulting program under test becomes a [`CrashRecord`] in
 //! [`CampaignReport::crashes`] instead of killing the campaign
 //! (canonical JSON schema `c11campaign/v4`; see `docs/SCHEMA.md`).
@@ -72,17 +73,17 @@ mod epoch;
 mod exec;
 pub mod forensics;
 pub mod json;
+pub mod pool;
 pub mod targets;
 pub mod wire;
 
 pub use epoch::{EpochRecord, EpochTrace};
-pub use exec::{CrashKind, CrashRecord, Executor, InProcess, RangeOutcome};
+pub use exec::{CrashKind, CrashRecord, Executor, RangeOutcome};
 pub use forensics::{CaptureSink, ForensicsSummary, Witness};
 
 use c11tester::{Config, Model, TestReport};
-use c11tester_telemetry::{CampaignMetrics, WorkerMetrics};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use c11tester_telemetry::CampaignMetrics;
+use std::time::Duration;
 
 /// Resource bounds for one campaign.
 ///
@@ -339,128 +340,70 @@ impl Campaign {
 
     /// Runs the campaign: fans executions of `program` out over the
     /// workers until the budget is exhausted (or an early-stop bound
-    /// triggers) and merges the workers' shard-local aggregates.
+    /// triggers) and merges the workers' aggregates.
     pub fn run<F>(&self, budget: &CampaignBudget, program: F) -> CampaignReport
     where
         F: Fn() + Send + Sync,
     {
-        self.run_range(0, budget, program)
+        let outcome = self.run_range(0, budget, program);
+        let workers = outcome.metrics.workers.len();
+        self.report(budget, outcome, workers)
     }
 
     /// Runs the campaign over the global execution-index range
     /// `first_index .. first_index + budget.max_executions` — the
-    /// epoch-granular entry point. Epoch `e` of an adaptive campaign
-    /// with epoch length `L` runs `run_range(e·L, …)` so every epoch
-    /// keeps walking the *same* global index stream: an execution is
-    /// still reproducible by `(config, global index)` alone, and a
+    /// epoch-granular entry point, the in-process counterpart of
+    /// [`Executor::run_range`]. Epoch `e` of an adaptive campaign with
+    /// epoch length `L` runs `run_range(e·L, …)` so every epoch keeps
+    /// walking the *same* global index stream: an execution is still
+    /// reproducible by `(config, global index)` alone, and a
     /// fixed-budget range aggregates byte-identically for any worker
-    /// count, exactly like [`Campaign::run`] (which is
-    /// `run_range(0, …)`).
+    /// count, exactly like [`Campaign::run`].
     ///
-    /// `N` workers are the calling thread plus `N − 1` scoped threads;
-    /// a panic on any of them is re-raised here.
+    /// Workers claim one index at a time ([`pool::run_pool`]) and keep
+    /// one [`Model`] each for the whole range; `N` workers are the
+    /// calling thread plus `N − 1` scoped threads, never more than
+    /// there are executions. A panic on any of them is re-raised here.
     pub fn run_range<F>(
         &self,
         first_index: u64,
         budget: &CampaignBudget,
         program: F,
-    ) -> CampaignReport
+    ) -> RangeOutcome
     where
         F: Fn() + Send + Sync,
     {
-        let start = Instant::now();
-        let end_index = first_index.saturating_add(budget.max_executions);
-        // Never spin up more workers than executions: shard `w` of `N`
-        // would walk `first + w, first + w + N, …`, all ≥ end_index.
-        let workers = self
-            .workers
-            .min(budget.max_executions.max(1).min(usize::MAX as u64) as usize)
-            .max(1);
-        let bug_stop = AtomicBool::new(false);
-        let deadline_stop = AtomicBool::new(false);
-        let stopped = || bug_stop.load(Ordering::Relaxed) || deadline_stop.load(Ordering::Relaxed);
+        let handover = self.config.handover.effective().name();
+        pool::run_pool(self.workers, first_index, budget, 1, handover, |pool| {
+            let mut share = pool::Share::default();
+            let mut model = Model::new(self.config.clone());
+            let Ok(_) = pool::fold_claims(pool, &mut model, &program, &mut share.fold, || {
+                Ok::<(), std::convert::Infallible>(())
+            });
+            Ok(share)
+        })
+        .expect("in-process workers are infallible")
+    }
 
-        // One shard: walk indices `first + w, first + w + N, …`, folding
-        // each execution into a shard-local partial where `Model::run`
-        // returned it. Nothing crosses threads until the loop ends.
-        let run_shard = |w: usize| -> (TestReport, WorkerMetrics) {
-            let busy_start = Instant::now();
-            let mut partial = TestReport::default();
-            let mut model =
-                Model::for_shard_from(self.config.clone(), first_index + w as u64, workers as u64);
-            while model.next_execution_index() < end_index && !stopped() {
-                if budget.deadline.is_some_and(|d| start.elapsed() >= d) {
-                    deadline_stop.store(true, Ordering::Relaxed);
-                    break;
-                }
-                let report = model.run(&program);
-                partial.absorb(&report);
-                if budget.stop_on_first_bug && report.found_bug() {
-                    bug_stop.store(true, Ordering::Relaxed);
-                    break;
-                }
-            }
-            let metrics = WorkerMetrics {
-                worker: w as u64,
-                executions: partial.executions,
-                busy_nanos: busy_start.elapsed().as_nanos() as u64,
-                handover: self.config.handover.effective().name(),
-            };
-            (partial, metrics)
-        };
-
-        // The caller runs shard 0 itself and adopts that partial by
-        // move; shards 1..N run on scoped threads and return theirs
-        // through the join handles, merged by reference.
-        let (aggregate, worker_metrics) = std::thread::scope(|scope| {
-            let run_shard = &run_shard;
-            let spawned: Vec<_> = (1..workers)
-                .map(|w| {
-                    std::thread::Builder::new()
-                        .name(format!("c11campaign-{w}"))
-                        .spawn_scoped(scope, move || run_shard(w))
-                        .expect("failed to spawn campaign worker")
-                })
-                .collect();
-            let (mut aggregate, own_metrics) = run_shard(0);
-            let mut worker_metrics = vec![own_metrics];
-            for handle in spawned {
-                let (partial, metrics) = handle
-                    .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-                aggregate.merge(&partial);
-                worker_metrics.push(metrics);
-            }
-            (aggregate, worker_metrics)
-        });
-
-        let stop_reason = if bug_stop.load(Ordering::Relaxed) {
-            StopReason::FirstBug
-        } else if deadline_stop.load(Ordering::Relaxed) {
-            StopReason::Deadline
-        } else {
-            StopReason::BudgetExhausted
-        };
-        let wall_time = start.elapsed();
-        let metrics = CampaignMetrics {
-            phase: aggregate.total_stats.phase,
-            graph: aggregate.total_stats.mograph_perf,
-            workers: worker_metrics,
-            executions: aggregate.executions,
-            wall_nanos: wall_time.as_nanos() as u64,
-            ..CampaignMetrics::default()
-        };
+    /// The report of a range this campaign ran from index 0 on
+    /// `workers` workers.
+    fn report(
+        &self,
+        budget: &CampaignBudget,
+        outcome: RangeOutcome,
+        workers: usize,
+    ) -> CampaignReport {
         CampaignReport {
             base_seed: self.config.seed,
             policy: self.config.policy.name(),
             strategy: self.config.strategy_label(),
             budget: budget.clone(),
-            stop_reason,
-            aggregate,
-            crashes: Vec::new(),
+            stop_reason: outcome.stop_reason,
+            aggregate: outcome.aggregate,
+            crashes: outcome.crashes,
             workers,
-            wall_time,
-            metrics,
+            wall_time: Duration::from_nanos(outcome.metrics.wall_nanos),
+            metrics: outcome.metrics,
         }
     }
 }

@@ -195,11 +195,13 @@ fn worker_rows_sum_to_the_aggregate_under_every_budget_kind() {
     assert_worker_rows_sum_to_aggregate(&deadline);
 }
 
-// ---- read-path fixtures -----------------------------------------------
+// ---- graph and read-path fixtures ---------------------------------------
 //
-// Canonical reports captured from the commit *before* the single-pass
-// read path (`c11campaign --target <t> --seed 3089 --canonical`), on
-// the targets the older graph fixtures do not reach: `silo-large`
+// Canonical reports (`c11campaign --target <t> --seed 3089
+// --canonical`), each captured from the commit *before* the rework it
+// guards. The `mpmc-queue` pair predates the incremental-topological-
+// order mo-graph. The others predate the single-pass read path, on the
+// targets the older graph fixtures do not reach: `silo-large`
 // (250-long `fetch_add` chain, spun-on lock words), `gdax` (a race in
 // every execution) and `mpmc-queue-10x --memory-limit` (pruning and
 // compaction beside inserts). A selection, chain-end or pruning change
@@ -234,6 +236,21 @@ fn assert_matches_fixture(target: &str, executions: u64, memory_limit: bool, fix
             config.handover.name()
         );
     }
+}
+
+#[test]
+fn mpmc_queue_matches_its_parent_generated_fixture() {
+    assert_matches_fixture("mpmc-queue", 200, false, "mpmc_queue_graph.json");
+}
+
+#[test]
+fn mpmc_queue_large_matches_its_parent_generated_fixture() {
+    assert_matches_fixture(
+        "mpmc-queue-large",
+        200,
+        false,
+        "mpmc_queue_large_graph.json",
+    );
 }
 
 #[test]

@@ -37,8 +37,8 @@ fn config(seed: u64) -> Config {
 /// Fuzzes one program seed: sweeps the full-grammar program through
 /// the axiom oracle, and (when `check_tiny`) sweeps the small-scope
 /// program checking `observed ⊆ enumerated` as well. Every mismatch
-/// is shrunk and reported; an empty return means the model and the
-/// oracle agreed on every execution.
+/// is reported with the sweep's shrunk program; an empty return means
+/// the model and the oracle agreed on every execution.
 pub fn fuzz_pseed(pseed: u64, params: FuzzParams) -> Vec<MismatchReport> {
     let mut reports = Vec::new();
     oracle_sweep(&Program::generate(pseed), params, &mut reports);
@@ -50,15 +50,22 @@ pub fn fuzz_pseed(pseed: u64, params: FuzzParams) -> Vec<MismatchReport> {
 
 /// Sweeps `p` and oracle-checks every committed trace.
 fn oracle_sweep(p: &Program, params: FuzzParams, reports: &mut Vec<MismatchReport>) {
+    // The shrink predicate does not depend on which execution failed,
+    // so every report of the sweep carries the same shrunk program:
+    // computed at the first mismatch, once.
+    let mut shrunk = None;
     for (key, events) in sweep(p, config(params.seed), params.executions) {
         let violations = oracle::check_trace(&events);
         if violations.is_empty() {
             continue;
         }
-        let shrunk = shrink(p, |cand| {
-            sweep(cand, config(params.seed), params.executions)
-                .iter()
-                .any(|(_, ev)| !oracle::check_trace(ev).is_empty())
+        let shrunk = shrunk.get_or_insert_with(|| {
+            shrink(p, |cand| {
+                sweep(cand, config(params.seed), params.executions)
+                    .iter()
+                    .any(|(_, ev)| !oracle::check_trace(ev).is_empty())
+            })
+            .render()
         });
         reports.push(MismatchReport {
             pseed: p.pseed,
@@ -69,7 +76,7 @@ fn oracle_sweep(p: &Program, params: FuzzParams, reports: &mut Vec<MismatchRepor
             violations,
             outcome: None,
             program: p.render(),
-            shrunk: shrunk.render(),
+            shrunk: shrunk.clone(),
         });
     }
 }
@@ -80,22 +87,27 @@ fn oracle_sweep(p: &Program, params: FuzzParams, reports: &mut Vec<MismatchRepor
 fn tiny_sweep(p: &Program, params: FuzzParams, reports: &mut Vec<MismatchReport>) {
     debug_assert!(p.is_small_scope());
     let allowed = enumerate_outcomes(p);
+    let mut shrunk = None;
     for (key, events) in sweep(p, config(params.seed), params.executions) {
         let violations = oracle::check_trace(&events);
         let outcome = oracle::outcome(&events);
         if violations.is_empty() && allowed.contains(&outcome) {
             continue;
         }
-        let shrunk = shrink(p, |cand| {
-            if !cand.is_small_scope() {
-                return false;
-            }
-            let allowed = enumerate_outcomes(cand);
-            sweep(cand, config(params.seed), params.executions)
-                .iter()
-                .any(|(_, ev)| {
-                    !oracle::check_trace(ev).is_empty() || !allowed.contains(&oracle::outcome(ev))
-                })
+        let shrunk = shrunk.get_or_insert_with(|| {
+            shrink(p, |cand| {
+                if !cand.is_small_scope() {
+                    return false;
+                }
+                let allowed = enumerate_outcomes(cand);
+                sweep(cand, config(params.seed), params.executions)
+                    .iter()
+                    .any(|(_, ev)| {
+                        !oracle::check_trace(ev).is_empty()
+                            || !allowed.contains(&oracle::outcome(ev))
+                    })
+            })
+            .render()
         });
         reports.push(MismatchReport {
             pseed: p.pseed,
@@ -110,7 +122,7 @@ fn tiny_sweep(p: &Program, params: FuzzParams, reports: &mut Vec<MismatchReport>
             violations,
             outcome: Some(outcome),
             program: p.render(),
-            shrunk: shrunk.render(),
+            shrunk: shrunk.clone(),
         });
     }
 }
@@ -123,6 +135,7 @@ mod tests {
     fn a_small_sweep_finds_no_mismatches() {
         // The real acceptance sweep (64 pseeds) runs in CI via
         // `c11fuzz`; keep the in-tree test small.
+        let _gate = crate::tracing_gate_lock();
         let params = FuzzParams {
             seed: 0xC11,
             executions: 8,
@@ -138,6 +151,27 @@ mod tests {
                     .map(|r| r.to_json())
                     .collect::<Vec<_>>()
                     .join("\n")
+            );
+        }
+    }
+
+    #[test]
+    fn cas_failure_order_pseeds_fuzz_clean() {
+        // Each has a `…/SeqCst` CAS over a weaker success order; a
+        // failed CAS that re-drew under its failure order could read
+        // its expected value (6, 11 and 19 mismatches before the fix).
+        let _gate = crate::tracing_gate_lock();
+        let params = FuzzParams {
+            seed: 0xC11,
+            executions: 200,
+            check_tiny: true,
+        };
+        for pseed in [179, 251, 395] {
+            let reports = fuzz_pseed(pseed, params);
+            assert!(
+                reports.is_empty(),
+                "pseed {pseed}: {} mismatches",
+                reports.len()
             );
         }
     }

@@ -125,6 +125,7 @@ mod tests {
 
     #[test]
     fn sweep_traces_are_keyed_and_deterministic() {
+        let _gate = crate::tracing_gate_lock();
         let p = Program::generate(11);
         let a = sweep(&p, Config::new().with_seed(7), 4);
         let b = sweep(&p, Config::new().with_seed(7), 4);
@@ -142,6 +143,7 @@ mod tests {
     fn init_prefix_contract_holds() {
         // Every thread-0 event precedes every worker event, and worker
         // thread ids are 1..=threads.
+        let _gate = crate::tracing_gate_lock();
         for pseed in [0, 3, 11, 42] {
             let p = Program::generate(pseed);
             for (_, events) in sweep(&p, Config::new().with_seed(1), 2) {
@@ -163,6 +165,7 @@ mod tests {
 
     #[test]
     fn fences_appear_in_traces() {
+        let _gate = crate::tracing_gate_lock();
         // pseed chosen so the program contains a fence.
         let fenced = (0..200)
             .map(Program::generate)

@@ -12,16 +12,19 @@
 //! The [`ForkServer`] implements the campaign's [`Executor`]
 //! abstraction differently:
 //!
-//! 1. the global execution-index range is partitioned into contiguous
-//!    **batches**, and each pool thread spawns **one child** at its
+//! 1. pool workers claim contiguous **batches** of the global
+//!    execution-index range from the campaign's one queue
+//!    ([`c11tester_campaign::pool`]), and each spawns **one child** at its
 //!    first batch, re-entering the campaign binary via the hidden
 //!    `c11campaign --worker` mode. The child is identified **purely by
 //!    `(target, seed)`** plus the configuration flags — no closures, no
 //!    shared memory ([`worker::WorkerSpec`]);
-//! 2. the thread sends the child one request line per batch (first
+//! 2. the worker sends the child one request line per batch (first
 //!    index, count, time left) on its stdin; the child runs exactly the
 //!    executions an in-process campaign would have run at those
-//!    indices, on a fresh model per batch;
+//!    indices, folding them with the in-process fold
+//!    ([`c11tester_campaign::pool::fold_claims`]) on a fresh model per
+//!    batch;
 //! 3. the child writes one empty **tick** frame per completed execution
 //!    and ends the batch with one **batch** frame — its fold of the
 //!    batch, a lossless [`c11tester::TestReport`] — and a `done` frame
@@ -32,7 +35,7 @@
 //!    the child, **re-runs the completed prefix** (its fold died with
 //!    the child) and continues after the crash. Ranges only shrink, so
 //!    the budget always completes;
-//! 5. when the queue drains or a stop triggers, the thread closes the
+//! 5. when the queue drains or a stop triggers, the worker closes the
 //!    child's stdin; the child exits 0 and is reaped. Children never
 //!    outlive [`Executor::run_range`].
 //!
@@ -84,17 +87,16 @@ pub use worker::{parse_worker_args, worker_main, WorkerSpec};
 
 use crate::protocol::{read_frame, Frame, Request};
 use c11tester::{Config, TestReport};
+use c11tester_campaign::pool::{run_pool, Claim, Pool, Share};
 use c11tester_campaign::targets::Target;
 use c11tester_campaign::{
     CampaignBudget, CrashKind, CrashRecord, Executor, RangeOutcome, StopReason,
 };
-use c11tester_telemetry::{CampaignMetrics, ForkHealth, WorkerMetrics};
-use std::collections::VecDeque;
+use c11tester_telemetry::ForkHealth;
 use std::io::{BufReader, Write};
 use std::path::PathBuf;
 use std::process::{ChildStdin, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -306,29 +308,28 @@ impl ForkServer {
         }
     }
 
-    /// Runs the batch `(start, len)` on the pool thread's child
-    /// (spawned here at the thread's first batch), replacing a child
-    /// that dies and re-running past the death until the batch is
-    /// covered or a stop triggers. `last`: no batch is left in the
-    /// queue, so the child's final request can close its stdin.
-    #[allow(clippy::too_many_arguments)]
+    /// Runs the claimed batch on the pool worker's child (spawned here
+    /// at the worker's first batch), replacing a child that dies and
+    /// re-running past the death until the batch is covered or a stop
+    /// triggers. With `claim.last` no batch is left in the queue, so
+    /// the child's final request can close its stdin.
     fn run_batch(
         &self,
         config: &Config,
         spec: &WorkerSpec,
         slot: &mut Option<Child>,
-        batch: (u64, u64),
-        last: bool,
-        deadline_at: Option<Instant>,
-        share: &mut PoolShare,
+        claim: Claim,
+        pool: &Pool,
+        share: &mut Share,
     ) -> Result<StopReason, String> {
+        let deadline_at = pool.deadline_at();
         // Ranges left to run, next on top: the batch, then what deaths
         // leave of it.
-        let mut pending = vec![batch];
+        let mut pending = vec![(claim.range.start, claim.range.end - claim.range.start)];
         let mut barren = 0u32;
         while let Some((first, count)) = pending.pop() {
             if slot.is_none() {
-                *slot = Some(self.spawn(spec, &mut share.health)?);
+                *slot = Some(self.spawn(spec, &mut share.fork)?);
             }
             let child = slot.as_mut().expect("spawned above");
             let request = Request {
@@ -336,10 +337,10 @@ impl ForkServer {
                 count,
                 time_left: deadline_at.map(|at| at.saturating_duration_since(Instant::now())),
             };
-            let last = last && pending.is_empty();
-            match self.serve(child, request, last, deadline_at, &mut share.health)? {
+            let last = claim.last && pending.is_empty();
+            match self.serve(child, request, last, deadline_at, &mut share.fork)? {
                 Served::Finished(fold, reason) => {
-                    share.aggregate.merge(&fold);
+                    share.fold.merge(&fold);
                     barren = 0;
                     if reason != StopReason::BudgetExhausted {
                         return Ok(reason);
@@ -353,8 +354,8 @@ impl ForkServer {
                     // Replace the dead child at once: one spawn per pool
                     // worker, plus one per death.
                     *slot = None;
-                    *slot = Some(self.spawn(spec, &mut share.health)?);
-                    share.health.respawns += 1;
+                    *slot = Some(self.spawn(spec, &mut share.fork)?);
+                    share.fork.respawns += 1;
                     if ticks == count || (matches!(kind, CrashKind::Exit(_)) && ticks == 0) {
                         barren += 1;
                         if barren >= MAX_BARREN_DEATHS {
@@ -383,7 +384,7 @@ impl ForkServer {
                     // The fold of the completed prefix died with the
                     // child: the replacement runs it again.
                     if ticks > 0 {
-                        share.health.rerun_executions += ticks;
+                        share.fork.rerun_executions += ticks;
                         pending.push((first, ticks));
                     }
                 }
@@ -409,8 +410,12 @@ impl Child {
     }
 
     /// Reaps a child whose stream ended mid-batch and triages how it
-    /// died.
+    /// died. Nothing more can arrive from it, so a child that closed its
+    /// stdout but lingers (blocked on its next request) is killed first
+    /// instead of waited on forever; a dead child's exit status is fixed
+    /// before its stdout closes, so the kill does not change it.
     fn death(&mut self, ticks: u64) -> Result<Served, String> {
+        let _ = self.process.kill();
         let status = self
             .process
             .wait()
@@ -453,14 +458,6 @@ enum Served {
     DeadlineExpired,
 }
 
-/// What one pool thread hands back.
-#[derive(Default)]
-struct PoolShare {
-    aggregate: TestReport,
-    crashes: Vec<CrashRecord>,
-    health: ForkHealth,
-}
-
 #[cfg(unix)]
 fn triage(status: std::process::ExitStatus) -> CrashKind {
     use std::os::unix::process::ExitStatusExt;
@@ -490,18 +487,6 @@ impl Executor for ForkServer {
         first_index: u64,
         budget: &CampaignBudget,
     ) -> Result<RangeOutcome, String> {
-        let start = Instant::now();
-        let deadline_at = budget.deadline.map(|d| start + d);
-        let end_index = first_index.saturating_add(budget.max_executions);
-        let mut queue = VecDeque::new();
-        let mut cursor = first_index;
-        while cursor < end_index {
-            let len = self.batch_size.min(end_index - cursor);
-            queue.push_back((cursor, len));
-            cursor += len;
-        }
-        let workers = workers.clamp(1, queue.len().max(1));
-        let queue = Mutex::new(queue);
         // What every child of this range runs; batches arrive as
         // requests.
         let spec = WorkerSpec {
@@ -519,109 +504,25 @@ impl Executor for ForkServer {
         // Handover is not on the worker flag surface: report the kind
         // the children's own config selects, not the parent's.
         let handover = spec.config()?.handover.effective().name();
-        let bug_stop = AtomicBool::new(false);
-        let deadline_stop = AtomicBool::new(false);
-        let failed = AtomicBool::new(false);
-        // One message per pool thread, at its exit.
-        let (tx, rx) = mpsc::channel::<Result<(PoolShare, WorkerMetrics), String>>();
-
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let tx = tx.clone();
-                let (queue, spec) = (&queue, &spec);
-                let (bug_stop, deadline_stop, failed) = (&bug_stop, &deadline_stop, &failed);
-                scope.spawn(move || {
-                    let busy_start = Instant::now();
-                    let mut share = PoolShare::default();
-                    let mut child = None;
-                    let result = loop {
-                        if bug_stop.load(Ordering::Relaxed) || failed.load(Ordering::Relaxed) {
-                            break Ok(());
-                        }
-                        if budget.deadline.is_some_and(|d| start.elapsed() >= d) {
-                            deadline_stop.store(true, Ordering::Relaxed);
-                            break Ok(());
-                        }
-                        // The queue only shrinks: once it is empty, this
-                        // thread's batch is its last.
-                        let popped = {
-                            let mut queue = queue.lock().expect("queue lock");
-                            queue.pop_front().map(|batch| (batch, queue.is_empty()))
-                        };
-                        let Some((batch, last)) = popped else {
-                            break Ok(());
-                        };
-                        match self.run_batch(
-                            config,
-                            spec,
-                            &mut child,
-                            batch,
-                            last,
-                            deadline_at,
-                            &mut share,
-                        ) {
-                            Ok(StopReason::FirstBug) => bug_stop.store(true, Ordering::Relaxed),
-                            Ok(StopReason::Deadline) => {
-                                deadline_stop.store(true, Ordering::Relaxed)
-                            }
-                            Ok(StopReason::BudgetExhausted) => {}
-                            Err(e) => {
-                                failed.store(true, Ordering::Relaxed);
-                                break Err(e);
-                            }
-                        }
-                    };
-                    // Closing its stdin ends the child (see `Child`'s
-                    // drop): healthy children end by end of input,
-                    // never by kill.
-                    drop(child);
-                    let metrics = WorkerMetrics {
-                        worker: w as u64,
-                        executions: share.aggregate.executions,
-                        busy_nanos: busy_start.elapsed().as_nanos() as u64,
-                        handover,
-                    };
-                    let _ = tx.send(result.map(|()| (share, metrics)));
-                });
-            }
-            drop(tx);
-        });
-
-        let mut aggregate = TestReport::default();
-        let mut crashes = Vec::new();
-        let mut fork_health = ForkHealth::default();
-        let mut worker_metrics = Vec::with_capacity(workers);
-        for result in rx {
-            let (share, metrics) = result?;
-            aggregate.merge(&share.aggregate);
-            crashes.extend(share.crashes);
-            fork_health.absorb(&share.health);
-            worker_metrics.push(metrics);
-        }
-        crashes.sort_by_key(|c| c.index);
-        worker_metrics.sort_by_key(|m| m.worker);
-        let stop_reason = if bug_stop.load(Ordering::Relaxed) {
-            StopReason::FirstBug
-        } else if deadline_stop.load(Ordering::Relaxed) {
-            StopReason::Deadline
-        } else {
-            StopReason::BudgetExhausted
-        };
-        let metrics = CampaignMetrics {
-            phase: aggregate.total_stats.phase,
-            graph: aggregate.total_stats.mograph_perf,
-            workers: worker_metrics,
-            fork: fork_health,
-            executions: aggregate.executions,
-            wall_nanos: start.elapsed().as_nanos() as u64,
-            ..CampaignMetrics::default()
-        };
-        Ok(RangeOutcome {
-            aggregate,
-            crashes,
-            stop_reason,
-            metrics,
-        })
+        run_pool(
+            workers,
+            first_index,
+            budget,
+            self.batch_size,
+            handover,
+            |pool| {
+                let mut share = Share::default();
+                // Dropping the child closes its stdin, which ends it: healthy
+                // children end by end of input, never by kill.
+                let mut child = None;
+                while let Some(claim) = pool.claim() {
+                    let reason =
+                        self.run_batch(config, &spec, &mut child, claim, pool, &mut share)?;
+                    pool.record(reason);
+                }
+                Ok(share)
+            },
+        )
     }
 }
 
@@ -634,7 +535,7 @@ mod tests {
     /// holds the script's write descriptor until its own `exec`, and
     /// executing the script meanwhile fails with `ETXTBSY`.
     fn spawn_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }

@@ -10,7 +10,8 @@
 //!   flushed, so the parent knows how far the child got if the next
 //!   execution kills it;
 //! * one **batch** frame: the batch's merged [`TestReport`], folded in
-//!   the child exactly as an in-process worker folds its shard;
+//!   the child with the in-process workers' fold
+//!   ([`c11tester_campaign::pool::fold_claims`]);
 //! * one **done** frame carrying the batch's [`StopReason`].
 //!
 //! Frames are **length-prefixed** (`<decimal byte length>\n<payload>\n`)

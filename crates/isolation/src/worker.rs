@@ -9,17 +9,18 @@
 //! replays from the same coordinates (`echo "<index> 1 -" | c11campaign
 //! --worker …`).
 //!
-//! Each batch runs serially (stride 1) on a fresh [`Model`] — the batch
-//! is the unit of fresh state — writes one tick per completed execution,
-//! then its folded [`TestReport`] as one `batch` frame and a `done`
-//! frame ([`protocol`](crate::protocol)). A child that dies mid-batch
+//! Each batch runs in index order on a fresh [`Model`] — the batch is
+//! the unit of fresh state — through the in-process fold
+//! ([`fold_claims`]), writing one tick per completed execution, then
+//! its folded [`TestReport`] as one `batch` frame and a `done` frame
+//! ([`protocol`](crate::protocol)). A child that dies mid-batch
 //! was mid-execution, and the parent derives the crashing index as
 //! `first + ticks received`.
 
 use crate::protocol::{batch_payload, done_payload, write_frame, Request, TICK};
 use c11tester::{Config, Model, Policy, StrategyMix, TestReport};
-use c11tester_campaign::targets::{self, Target};
-use c11tester_campaign::StopReason;
+use c11tester_campaign::pool::{fold_claims, Pool};
+use c11tester_campaign::targets;
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -111,53 +112,34 @@ impl WorkerSpec {
             c11tester_telemetry::set_coverage(true);
         }
         let config = self.config()?;
+        let program = || target.run();
+        let pipe = |e: std::io::Error| format!("pipe closed: {e}");
         for line in input.lines() {
             let line = line.map_err(|e| format!("cannot read request: {e}"))?;
             let request = Request::parse(&line)?;
-            run_batch(&target, &config, self.stop_on_first_bug, request, out)?;
+            // A request is a one-claim pool. Its time left counts from
+            // the request's arrival, checked between executions, so a
+            // deadline never costs the fold of the executions already run.
+            let deadline_at = request
+                .time_left
+                .and_then(|left| Instant::now().checked_add(left));
+            let range = request.first..request.first.saturating_add(request.count);
+            let pool = Pool::new(range, request.count, deadline_at, self.stop_on_first_bug);
+            let mut fold = TestReport::default();
+            // Scoped so the model is torn down before the batch ships: a
+            // death in teardown must cut the batch, not follow its `done`.
+            let reason = {
+                let mut model = Model::new(config.clone());
+                fold_claims(&pool, &mut model, &program, &mut fold, || {
+                    write_frame(out, TICK)
+                })
+                .map_err(pipe)?
+            };
+            write_frame(out, &batch_payload(&fold)).map_err(pipe)?;
+            write_frame(out, &done_payload(reason)).map_err(pipe)?;
         }
         Ok(())
     }
-}
-
-/// Runs one batch: a tick per execution, then the fold and `done`. Stops
-/// early at the first bug (if asked) or once the request's time left has
-/// passed, checked between executions as an in-process worker does, so
-/// a deadline never costs the fold of the executions already run.
-fn run_batch(
-    target: &Target,
-    config: &Config,
-    stop_on_first_bug: bool,
-    request: Request,
-    out: &mut impl Write,
-) -> Result<(), String> {
-    let started = Instant::now();
-    let pipe = |e: std::io::Error| format!("pipe closed: {e}");
-    let mut fold = TestReport::default();
-    let mut reason = StopReason::BudgetExhausted;
-    // Scoped so the model is torn down before the batch ships: a death
-    // in teardown must cut the batch, not follow its `done`.
-    {
-        let mut model = Model::for_shard_from(config.clone(), request.first, 1);
-        for _ in 0..request.count {
-            if request
-                .time_left
-                .is_some_and(|left| started.elapsed() >= left)
-            {
-                reason = StopReason::Deadline;
-                break;
-            }
-            let report = model.run(|| target.run());
-            fold.absorb(&report);
-            write_frame(out, TICK).map_err(pipe)?;
-            if stop_on_first_bug && report.found_bug() {
-                reason = StopReason::FirstBug;
-                break;
-            }
-        }
-    }
-    write_frame(out, &batch_payload(&fold)).map_err(pipe)?;
-    write_frame(out, &done_payload(reason)).map_err(pipe)
 }
 
 /// Parses the argument list *after* the leading `--worker` flag (the
@@ -234,6 +216,7 @@ mod tests {
     use super::*;
     use crate::protocol::{parse_frame, read_frame, Frame};
     use c11tester::CoverageMap;
+    use c11tester_campaign::StopReason;
 
     fn spec() -> WorkerSpec {
         WorkerSpec {
@@ -283,10 +266,10 @@ mod tests {
 
     /// The executions at `[first, first + count)` run directly.
     fn direct(spec: &WorkerSpec, first: u64, count: u64) -> TestReport {
-        let mut model = Model::for_shard_from(spec.config().expect("valid config"), first, 1);
+        let mut model = Model::new(spec.config().expect("valid config"));
         let mut fold = TestReport::default();
-        for _ in 0..count {
-            fold.absorb(&model.run(|| {
+        for index in first..first + count {
+            fold.absorb(&model.run_at(index, || {
                 c11tester_workloads::ds::rwlock_buggy::run_buggy();
             }));
         }

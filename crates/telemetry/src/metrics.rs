@@ -15,7 +15,7 @@ use crate::phase::{write_phase, PhaseProfile};
 /// One campaign worker's share of the load.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerMetrics {
-    /// Worker ordinal (the shard offset).
+    /// Worker ordinal.
     pub worker: u64,
     /// Executions this worker completed.
     pub executions: u64,
