@@ -8,19 +8,18 @@
 //! c11campaign --target rwlock-buggy --adaptive ucb1 --epoch 100
 //! c11campaign --target null-deref-buggy --isolate
 //! c11campaign --target spin-forever --isolate --exec-timeout 2
-//! c11campaign --target rwlock-buggy --canonical > baseline.json
-//! c11campaign --target rwlock-buggy --baseline baseline.json
+//! c11campaign --target rwlock-buggy --canonical > report.json
 //! c11campaign --target ms-queue --deadline-secs 10 --json
 //! c11campaign --list
 //! ```
 
 use c11tester::{Config, DedupHistory, Model, Policy, StrategyMix};
 use c11tester_adaptive::AdaptiveCampaign;
-use c11tester_campaign::baseline::{BaselineDiff, BaselineSummary};
 use c11tester_campaign::cli::{parse_u64, usage_error};
 use c11tester_campaign::forensics::{self, CaptureSink, Witness};
-use c11tester_campaign::{targets, Campaign, CampaignBudget, EpochTrace};
+use c11tester_campaign::{targets, Campaign, CampaignBudget};
 use c11tester_isolation::ForkServer;
+use c11tester_telemetry::CampaignMetrics;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -68,11 +67,6 @@ OPTIONS:
     --batch <N>             with --isolate: executions per batch: the unit
                             of fold, fresh state and crash re-run
                             [default: 64]
-    --baseline <FILE>       diff this run's detection rates against a saved
-                            canonical/full JSON report (v2, v3, or v4); exits
-                            3 when a rate regressed beyond the threshold
-    --baseline-threshold <R> absolute rate drop tolerated by --baseline
-                            [default: 0.05]
     --memory-limit          first-class §7.1 memory limiting: windowed
                             execution-graph pruning plus mo-graph arena
                             compaction, so resident graph state stays bounded
@@ -85,7 +79,7 @@ OPTIONS:
     --deadline-secs <SECS>  wall-clock deadline for the campaign
     --json                  emit the full JSON report instead of text
     --canonical             emit the canonical (worker-count independent)
-                            JSON report — the format --baseline consumes
+                            c11campaign/v4 JSON report (docs/SCHEMA.md)
     --alloc-stats           with --canonical: include the allocation
                             diagnostics block (recycled-vs-fresh execution
                             provisioning, clock-vector spills) inside
@@ -144,8 +138,6 @@ struct Args {
     isolate: bool,
     exec_timeout_secs: Option<f64>,
     batch: Option<u64>,
-    baseline: Option<String>,
-    baseline_threshold: f64,
     memory_limit: bool,
     stop_on_first_bug: bool,
     deadline_secs: Option<f64>,
@@ -172,8 +164,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         isolate: false,
         exec_timeout_secs: None,
         batch: None,
-        baseline: None,
-        baseline_threshold: 0.05,
         memory_limit: false,
         stop_on_first_bug: false,
         deadline_secs: None,
@@ -230,15 +220,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
                     return Err("--batch must be at least 1".into());
                 }
                 args.batch = Some(n);
-            }
-            "--baseline" => args.baseline = Some(value()?),
-            "--baseline-threshold" => {
-                let v = value()?;
-                let t: f64 = v.parse().map_err(|_| format!("not a number: `{v}`"))?;
-                if !t.is_finite() || !(0.0..=1.0).contains(&t) {
-                    return Err("--baseline-threshold must be a rate in [0, 1]".into());
-                }
-                args.baseline_threshold = t;
             }
             "--memory-limit" => args.memory_limit = true,
             "--stop-on-first-bug" => args.stop_on_first_bug = true,
@@ -321,56 +302,16 @@ fn default_sigpipe(default: bool) {
 #[cfg(not(unix))]
 fn default_sigpipe(_default: bool) {}
 
-/// Diffs the current run against the saved baseline; returns the exit
-/// code (0 clean, 3 regressed, 2 on load/parse errors).
-fn diff_against_baseline(current_canonical: &str, baseline_path: &str, threshold: f64) -> ExitCode {
-    let current = match BaselineSummary::parse(current_canonical) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: current report unreadable: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read baseline `{baseline_path}`: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let baseline = match BaselineSummary::parse(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: baseline `{baseline_path}` unreadable: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let diff = BaselineDiff::compare(&current, &baseline, threshold);
-    eprintln!(
-        "baseline: {} (seed {:#x}, {} executions, strategy {})",
-        baseline.schema, baseline.base_seed, baseline.executions, baseline.strategy,
-    );
-    eprintln!("{diff}");
-    if diff.regressed() {
-        eprintln!("error: detection rate regressed beyond {threshold} vs `{baseline_path}`");
-        ExitCode::from(3)
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-/// Replays global execution `index` under `config` with schedule
-/// tracing enabled and returns the forensics witness. Deterministic:
-/// executions are pure functions of `(seed, index)`, so the replay
-/// commits the same events the campaign's worker did.
-fn replay_witness(config: &Config, target: targets::Target, epoch: u64, index: u64) -> Witness {
-    let was_tracing = c11tester_telemetry::tracing_enabled();
-    c11tester_telemetry::set_tracing(true);
+/// Replays global execution `index` under `config` with a capture
+/// sink installed (which arms tracing) and returns the forensics
+/// witness. Deterministic: executions are pure functions of `(seed,
+/// index)`, so the replay commits the same events the campaign's worker
+/// did.
+fn replay_witness(config: Config, target: targets::Target, epoch: u64, index: u64) -> Witness {
     let sink = CaptureSink::new();
-    let mut model = Model::new(config.clone()).with_trace_sink(Box::new(sink.clone()));
+    let mut model = Model::new(config).with_trace_sink(Box::new(sink.clone()));
     model.set_trace_epoch(epoch);
     let report = model.run_at(index, move || target.run());
-    c11tester_telemetry::set_tracing(was_tracing);
     let events = sink
         .take()
         .into_iter()
@@ -384,46 +325,21 @@ fn replay_witness(config: &Config, target: targets::Target, epoch: u64, index: u
     }
 }
 
-/// Forensics bundles for a plain campaign: every witness replays under
-/// the campaign's own config (epoch 0).
-fn write_plain_forensics(
-    dir: &str,
-    seed: u64,
-    config: &Config,
-    target: targets::Target,
-    races: &DedupHistory,
-) -> Result<forensics::ForensicsSummary, String> {
-    forensics::write_bundles(std::path::Path::new(dir), seed, races, |index| {
-        Ok(replay_witness(config, target, 0, index))
-    })
+/// A finished campaign, plain or adaptive, in the forms the tail of
+/// `main` writes out.
+struct Finished {
+    text: String,
+    full_json: String,
+    canonical_json: String,
+    coverage_json: String,
+    workers: usize,
+    metrics: CampaignMetrics,
+    races: DedupHistory,
+    witness_run: WitnessRun,
 }
 
-/// Forensics bundles for an adaptive campaign: each witness index is
-/// mapped to the epoch that ran it, and replays under that epoch's
-/// recorded mix on the base config.
-fn write_adaptive_forensics(
-    dir: &str,
-    seed: u64,
-    base_config: &Config,
-    target: targets::Target,
-    trace: &EpochTrace,
-) -> Result<forensics::ForensicsSummary, String> {
-    forensics::write_bundles(
-        std::path::Path::new(dir),
-        seed,
-        &trace.aggregate.races,
-        |index| {
-            let record = trace
-                .records
-                .iter()
-                .find(|r| index >= r.start_index && index < r.start_index + trace.epoch_len)
-                .ok_or_else(|| format!("witness execution {index} falls outside every epoch"))?;
-            let mix = StrategyMix::parse(&record.mix)?;
-            let config = base_config.clone().with_mix(mix);
-            Ok(replay_witness(&config, target, record.epoch, index))
-        },
-    )
-}
+/// Maps a witness execution index to the config and epoch that ran it.
+type WitnessRun = Box<dyn Fn(u64) -> Result<(Config, u64), String>>;
 
 fn main() -> ExitCode {
     default_sigpipe(true);
@@ -463,7 +379,18 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    match run(&args, target) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            ExitCode::from(2)
+        }
+    }
+}
 
+/// Runs the campaign `args` describe on `target` and writes its
+/// report, coverage, forensics and metrics.
+fn run(args: &Args, target: targets::Target) -> Result<(), String> {
     // Phase profiling is opt-in: off, each timer site costs one relaxed
     // atomic load. --metrics-out is what opts in (child workers inherit
     // the gate through the fork server's --profile-phases flag).
@@ -505,162 +432,117 @@ fn main() -> ExitCode {
     // SIGPIPE to the campaign until it has finished.
     let fork = if args.isolate {
         default_sigpipe(false);
-        match ForkServer::current_exe() {
-            Ok(fork) => {
-                let fork = match args.batch {
-                    Some(n) => fork.with_batch_size(n),
-                    None => fork,
-                };
-                Some(fork.with_exec_timeout(args.exec_timeout_secs.map(Duration::from_secs_f64)))
-            }
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::from(2);
-            }
+        let mut fork = ForkServer::current_exe()?;
+        if let Some(n) = args.batch {
+            fork = fork.with_batch_size(n);
         }
+        Some(fork.with_exec_timeout(args.exec_timeout_secs.map(Duration::from_secs_f64)))
     } else {
         None
     };
 
-    // Run the campaign (adaptive or plain, in-process or isolated) and
-    // collect the output forms the tail of main needs.
-    let (text, full_json, canonical_json, metrics, workers_used) = if let Some(policy) =
-        args.adaptive.as_deref()
-    {
+    // The two campaign kinds differ in how they run and in which
+    // (config, epoch) ran a witness index; everything after is shared.
+    let done = if let Some(policy) = args.adaptive.as_deref() {
         let mut campaign = AdaptiveCampaign::new(config)
-            .with_epoch_len(args.epoch.unwrap_or(c11tester_adaptive::DEFAULT_EPOCH_LEN));
-        campaign = match campaign.with_policy(policy) {
-            Ok(c) => c,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::from(2);
-            }
-        };
+            .with_epoch_len(args.epoch.unwrap_or(c11tester_adaptive::DEFAULT_EPOCH_LEN))
+            .with_policy(policy)?;
         if let Some(w) = args.workers {
             campaign = campaign.with_workers(w);
         }
-        let report = if let Some(fork) = &fork {
-            match campaign.run_target(fork, &target, &budget) {
-                Ok(report) => report,
-                Err(msg) => {
-                    eprintln!("error: {msg}");
-                    return ExitCode::from(2);
-                }
-            }
-        } else {
-            campaign.run(&budget, move || target.run())
+        let report = match &fork {
+            Some(fork) => campaign.run_target(fork, &target, &budget)?,
+            None => campaign.run(&budget, move || target.run()),
         };
-        if let Some(path) = args.coverage_out.as_deref() {
-            if let Err(e) = std::fs::write(path, report.coverage_json() + "\n") {
-                eprintln!("error: cannot write coverage to `{path}`: {e}");
-                return ExitCode::from(2);
-            }
-        }
-        if let Some(dir) = args.forensics_dir.as_deref() {
-            match write_adaptive_forensics(dir, args.seed, &base_config, target, &report.trace) {
-                Ok(summary) => eprintln!("forensics: {summary} -> {dir}"),
-                Err(msg) => {
-                    eprintln!("error: {msg}");
-                    return ExitCode::from(2);
+        Finished {
+            text: report.to_string(),
+            full_json: report.to_json(),
+            canonical_json: if args.alloc_stats {
+                report.canonical_json_with_alloc_stats()
+            } else {
+                report.canonical_json()
+            },
+            coverage_json: report.coverage_json(),
+            workers: report.workers,
+            metrics: report.metrics,
+            races: report.trace.aggregate.races,
+            // A witness replays under the mix of the epoch that ran it.
+            witness_run: Box::new({
+                let (records, epoch_len) = (report.trace.records, report.trace.epoch_len);
+                move |index| {
+                    let record = records
+                        .iter()
+                        .find(|r| (r.start_index..r.start_index + epoch_len).contains(&index))
+                        .ok_or_else(|| {
+                            format!("witness execution {index} falls outside every epoch")
+                        })?;
+                    let mix = StrategyMix::parse(&record.mix)?;
+                    Ok((base_config.clone().with_mix(mix), record.epoch))
                 }
-            }
+            }),
         }
-        let canonical = if args.alloc_stats {
-            report.canonical_json_with_alloc_stats()
-        } else {
-            report.canonical_json()
-        };
-        let workers = report.workers;
-        (
-            report.to_string(),
-            report.to_json(),
-            canonical,
-            report.metrics,
-            workers,
-        )
     } else {
         let mut campaign = Campaign::new(config);
         if let Some(w) = args.workers {
             campaign = campaign.with_workers(w);
         }
-        let report = if let Some(fork) = &fork {
-            match campaign.run_target(fork, &target, &budget) {
-                Ok(report) => report,
-                Err(msg) => {
-                    eprintln!("error: {msg}");
-                    return ExitCode::from(2);
-                }
-            }
-        } else {
-            campaign.run(&budget, move || target.run())
+        let report = match &fork {
+            Some(fork) => campaign.run_target(fork, &target, &budget)?,
+            None => campaign.run(&budget, move || target.run()),
         };
-        if let Some(path) = args.coverage_out.as_deref() {
-            if let Err(e) = std::fs::write(path, report.coverage_json() + "\n") {
-                eprintln!("error: cannot write coverage to `{path}`: {e}");
-                return ExitCode::from(2);
-            }
+        Finished {
+            text: report.to_string(),
+            full_json: report.to_json(),
+            canonical_json: if args.alloc_stats {
+                report.canonical_json_with_alloc_stats()
+            } else {
+                report.canonical_json()
+            },
+            coverage_json: report.coverage_json(),
+            workers: report.workers,
+            metrics: report.metrics,
+            races: report.aggregate.races,
+            witness_run: Box::new(move |_| Ok((base_config.clone(), 0))),
         }
-        if let Some(dir) = args.forensics_dir.as_deref() {
-            match write_plain_forensics(
-                dir,
-                args.seed,
-                &base_config,
-                target,
-                &report.aggregate.races,
-            ) {
-                Ok(summary) => eprintln!("forensics: {summary} -> {dir}"),
-                Err(msg) => {
-                    eprintln!("error: {msg}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        let canonical = if args.alloc_stats {
-            report.canonical_json_with_alloc_stats()
-        } else {
-            report.canonical_json()
-        };
-        let workers = report.workers;
-        (
-            report.to_string(),
-            report.to_json(),
-            canonical,
-            report.metrics,
-            workers,
-        )
     };
-
     default_sigpipe(true);
+
+    if let Some(path) = args.coverage_out.as_deref() {
+        std::fs::write(path, done.coverage_json + "\n")
+            .map_err(|e| format!("cannot write coverage to `{path}`: {e}"))?;
+    }
+    if let Some(dir) = args.forensics_dir.as_deref() {
+        let summary =
+            forensics::write_bundles(std::path::Path::new(dir), args.seed, &done.races, |index| {
+                let (config, epoch) = (done.witness_run)(index)?;
+                Ok(replay_witness(config, target, epoch, index))
+            })?;
+        eprintln!("forensics: {summary} -> {dir}");
+    }
     if let Some(path) = args.metrics_out.as_deref() {
         let meta = c11tester_telemetry::MetricsMeta {
             target: target.name.to_string(),
             seed: args.seed,
             policy: args.policy.name().to_string(),
-            workers: workers_used as u64,
+            workers: done.workers as u64,
             isolated: args.isolate,
         };
         let body = if args.metrics_chrome {
-            c11tester_telemetry::chrome_trace(&metrics, &meta)
+            c11tester_telemetry::chrome_trace(&done.metrics, &meta)
         } else {
-            metrics.to_json(&meta)
+            done.metrics.to_json(&meta)
         };
-        if let Err(e) = std::fs::write(path, body + "\n") {
-            eprintln!("error: cannot write metrics to `{path}`: {e}");
-            return ExitCode::from(2);
-        }
+        std::fs::write(path, body + "\n")
+            .map_err(|e| format!("cannot write metrics to `{path}`: {e}"))?;
     }
 
     if args.canonical {
-        println!("{canonical_json}");
+        println!("{}", done.canonical_json);
     } else if args.json {
-        println!("{full_json}");
+        println!("{}", done.full_json);
     } else {
         println!("target: {} ({})", target.name, target.group);
-        print!("{text}");
+        print!("{}", done.text);
     }
-
-    if let Some(path) = args.baseline.as_deref() {
-        return diff_against_baseline(&canonical_json, path, args.baseline_threshold);
-    }
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -7,11 +7,12 @@
 //! of `(seed, index range, mix)`, reweighting is a pure function of
 //! those aggregates, and the emitter is deterministic.
 //!
-//! The CI baseline-diff step runs the **CLI** with these exact
-//! parameters (`c11campaign --target rwlock-buggy --adaptive ucb1
-//! --epoch 12 --executions 48 --seed 0xC0FFEE --mix random:2,pct2:1,pct3:1
-//! --canonical`) and byte-compares against the same file, so the
-//! fixture also pins the CLI plumbing.
+//! The **CLI** must reproduce it too with these exact parameters
+//! (`c11campaign --target rwlock-buggy --adaptive ucb1 --epoch 12
+//! --executions 48 --seed 0xC0FFEE --mix random:2,pct2:1,pct3:1
+//! --canonical`), in-process and under `--isolate`, and the plain-mix
+//! golden `campaign/tests/golden/rwlock_buggy_mixed.json` without
+//! `--adaptive`, so the fixtures also pin the CLI plumbing.
 //!
 //! Regenerate with:
 //!
@@ -23,6 +24,7 @@ use c11tester::{Config, StrategyMix};
 use c11tester_adaptive::{AdaptiveCampaign, AdaptiveReport};
 use c11tester_campaign::CampaignBudget;
 use c11tester_workloads::ds::rwlock_buggy;
+use std::process::Command;
 
 const SEED: u64 = 0xC0FFEE;
 const MIX: &str = "random:2,pct2:1,pct3:1";
@@ -84,12 +86,57 @@ fn golden_trace_pins_the_schema_and_columns() {
     ] {
         assert!(golden.contains(needle), "golden trace lost `{needle}`");
     }
-    // The baseline reader must accept the golden trace.
-    let summary =
-        c11tester_campaign::baseline::BaselineSummary::parse(&golden).expect("trace parses");
-    assert_eq!(summary.schema, "c11campaign/v4");
-    assert_eq!(summary.executions, EXECUTIONS);
-    assert!(!summary.per_strategy.is_empty());
+    // The one JSON reader must accept the golden trace.
+    let doc = c11tester_telemetry::json::JsonValue::parse(&golden).expect("trace parses");
+    assert_eq!(doc.str_field("schema"), Ok("c11campaign/v4"));
+    assert_eq!(doc.u64_field("executions"), Ok(EXECUTIONS));
+    assert!(!doc.array_field("per_strategy").expect("columns").is_empty());
+}
+
+/// `c11campaign` stdout for `args`, which must succeed.
+fn cli(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_c11campaign"))
+        .args(args)
+        .output()
+        .expect("c11campaign runs");
+    assert!(
+        out.status.success(),
+        "c11campaign {args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("UTF-8 stdout")
+}
+
+#[test]
+fn the_cli_reproduces_both_rwlock_goldens() {
+    let seed = format!("{SEED:#X}");
+    let (epoch, executions) = (EPOCH_LEN.to_string(), EXECUTIONS.to_string());
+    let plain = [
+        "--target",
+        "rwlock-buggy",
+        "--executions",
+        &executions,
+        "--seed",
+        &seed,
+        "--mix",
+        MIX,
+        "--canonical",
+    ];
+    let adaptive = [&plain[..], &["--adaptive", "ucb1", "--epoch", &epoch]].concat();
+    let golden = std::fs::read_to_string(golden_path()).expect("golden file present");
+    for run in [
+        &["--workers", "1"][..],
+        &["--workers", "4"],
+        &["--isolate", "--workers", "2"],
+    ] {
+        let out = cli(&[&adaptive[..], run].concat());
+        assert!(out == golden, "the adaptive CLI diverged at {run:?}");
+    }
+    let mixed = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../campaign/tests/golden/rwlock_buggy_mixed.json");
+    let mixed = std::fs::read_to_string(mixed).expect("plain golden present");
+    let out = cli(&[&plain[..], &["--workers", "4"]].concat());
+    assert!(out == mixed, "the plain CLI diverged from its golden");
 }
 
 /// Not a test: rewrites the golden file from the current output.

@@ -40,10 +40,14 @@ fn canonical(args: &[&str]) -> String {
     String::from_utf8(out.stdout).expect("canonical JSON is UTF-8")
 }
 
+/// A top-level count of a canonical report.
+fn count(json: &str, field: &str) -> u64 {
+    let doc = c11tester_telemetry::json::JsonValue::parse(json).expect("canonical JSON parses");
+    doc.u64_field(field).expect("a count field")
+}
+
 fn crash_count(json: &str) -> u64 {
-    let summary = c11tester_campaign::baseline::BaselineSummary::parse(json)
-        .expect("canonical JSON parses as a baseline summary");
-    summary.crashes
+    count(json, "crashes")
 }
 
 #[test]
@@ -164,8 +168,7 @@ fn assert_crashes_are_triaged_deterministically(
             "SIGSEGV triaged"
         );
         // Completed executions + crashes tile the whole budget.
-        let summary = c11tester_campaign::baseline::BaselineSummary::parse(&json).expect("parses");
-        assert_eq!(summary.executions + crashes, executions);
+        assert_eq!(count(&json, "executions") + crashes, executions);
         match &reference {
             None => reference = Some(json),
             Some(expected) => assert_eq!(
@@ -574,12 +577,56 @@ fn a_stream_cut_inside_one_batch_frame_reruns_that_batch() {
 #[cfg(unix)]
 #[test]
 fn a_corrupted_batch_frame_body_is_a_protocol_violation() {
-    // Same length, one digit changed: the fold claims five executions
-    // after four ticks.
-    let wrapper = "\"$WORKER\" \"$@\" | sed -u 's/^{\"frame\":\"batch\",\"executions\":4,/{\"frame\":\"batch\",\"executions\":5,/'";
-    let Some(outcome) = run_wrapped("corrupt", wrapper) else {
+    // Same length, one digit changed. Edited `executions`, the fold
+    // would claim five executions after four ticks; edited
+    // `executions_with_race`, no tick contradicts it and only the
+    // frame digest tells the parent.
+    for (name, from, to) in [
+        (
+            "corrupt-executions",
+            r#""executions":4,"#,
+            r#""executions":5,"#,
+        ),
+        (
+            "corrupt-races",
+            r#""executions":4,"executions_with_race":4,"#,
+            r#""executions":4,"executions_with_race":3,"#,
+        ),
+    ] {
+        let wrapper = format!(
+            r#""$WORKER" "$@" | sed -u 's/^{{"frame":"batch",{from}/{{"frame":"batch",{to}/'"#
+        );
+        let Some(outcome) = run_wrapped(name, &wrapper) else {
+            return;
+        };
+        let err = outcome.expect_err("a corrupted fold must not be merged");
+        assert!(err.contains("worker protocol violation"), "{name}: {err}");
+        assert!(err.contains("does not match"), "{name}: {err}");
+    }
+}
+
+#[cfg(unix)]
+#[test]
+fn a_child_killed_by_a_signal_mid_batch_is_one_signal_crash() {
+    // The first child passes the real worker's first tick through and
+    // then SIGKILLs itself: to the parent it died by signal 9 one
+    // execution into its first batch. Later children are the real
+    // worker.
+    let wrapper = "if mkdir \"$DIR/kill\" 2>/dev/null; then
+\"$WORKER\" \"$@\" | { head -c 3; kill -KILL $$; }
+else exec \"$WORKER\" \"$@\"; fi";
+    let start = std::time::Instant::now();
+    let Some(outcome) = run_wrapped("kill-once", wrapper) else {
         return;
     };
-    let err = outcome.expect_err("a corrupted fold must not be merged");
-    assert!(err.contains("worker protocol violation"), "{err}");
+    assert!(start.elapsed() < Duration::from_secs(60));
+    let report = outcome.expect("the campaign survives a killed child");
+    let [crash] = &report.crashes[..] else {
+        panic!("one crash record: {:?}", report.crashes);
+    };
+    assert_eq!(crash.kind, c11tester_campaign::CrashKind::Signal(9));
+    // Batches of 4 start at multiples of 4: `first + 1`.
+    assert_eq!(crash.index % 4, 1, "{crash}");
+    assert_eq!(report.metrics.fork.respawns, 1, "{:?}", report.metrics.fork);
+    assert_eq!(report.aggregate.executions + 1, 12);
 }

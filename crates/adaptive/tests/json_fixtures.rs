@@ -352,12 +352,10 @@ fn forensics_nasty() -> (String, String) {
 /// The `c11trace/v1` JSONL of one `(seed, epoch, index)` of a real
 /// execution, then one hand-built event of every kind.
 fn trace_jsonl() -> String {
-    c11tester::set_tracing(true);
     let sink = c11tester::CaptureSink::new();
     let mut model = Model::new(Config::new().with_seed(7)).with_trace_sink(Box::new(sink.clone()));
     model.set_trace_epoch(2);
     model.run_at(5, c11tester_workloads::ds::rwlock_buggy::run_buggy);
-    c11tester::set_tracing(false);
     let (key, events) = sink
         .take()
         .into_iter()

@@ -1,5 +1,6 @@
 //! Model configuration.
 
+use c11tester_core::rng::mix64;
 use c11tester_core::{MemOrder, Policy, PruneConfig};
 use c11tester_runtime::HandoverKind;
 
@@ -285,11 +286,7 @@ impl StrategyMix {
     /// per-execution stream (different mixing constants), so assignment
     /// does not correlate with in-execution choices.
     pub fn strategy_at(&self, seed: u64, index: u64) -> Strategy {
-        // splitmix64 finalizer over a seed/index combination.
-        let mut z = seed ^ 0x6A09_E667_F3BC_C909u64 ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = mix64(seed ^ 0x6A09_E667_F3BC_C909u64 ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mut slot = z % self.total_weight;
         for (strategy, weight) in &self.entries {
             let w = u64::from(*weight);

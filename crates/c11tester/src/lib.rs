@@ -75,11 +75,9 @@ pub use c11tester_core::{
     ThreadId, TraceEvent, TraceKey, TraceKind, TraceSink, FENCE_OBJ,
 };
 pub use c11tester_runtime::{
-    BurstScheduler, HandoverKind, PctScheduler, RandomScheduler, Scheduler, ScriptedScheduler,
+    BurstScheduler, HandoverKind, PctScheduler, RandomScheduler, Scheduler,
 };
-pub use c11tester_telemetry::{
-    coverage_enabled, set_coverage, set_tracing, tracing_enabled, JsonlSink, MemorySink, StderrSink,
-};
+pub use c11tester_telemetry::{coverage_enabled, set_coverage, JsonlSink, MemorySink, StderrSink};
 
 /// Synchronization primitives (`std::sync` shaped).
 pub mod sync {

@@ -75,9 +75,10 @@ pub struct Model {
     /// Executions performed by this instance.
     runs: u64,
     /// Destination for structured schedule traces
-    /// ([`Model::set_trace_sink`]). When `None` but tracing is enabled
-    /// (the legacy `C11TESTER_TRACE` environment variable), events go
-    /// to a [`StderrSink`] — the env var is an alias for stderr JSONL.
+    /// ([`Model::set_trace_sink`]): an execution buffers its events iff
+    /// a sink is installed or `C11TESTER_TRACE` is set, in which case
+    /// they go to a [`StderrSink`] — the env var is an alias for stderr
+    /// JSONL.
     trace_sink: Option<Box<dyn TraceSink>>,
     /// Epoch component of the trace key (0 unless an adaptive campaign
     /// sets it via [`Model::set_trace_epoch`]).
@@ -123,6 +124,14 @@ impl std::fmt::Debug for Model {
             .field("runs", &self.runs)
             .finish_non_exhaustive()
     }
+}
+
+/// Whether `C11TESTER_TRACE` is set: trace every execution to stderr
+/// when no sink is installed. Read once per process (an environment
+/// scan takes a process-wide lock).
+fn env_trace() -> bool {
+    static TRACE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *TRACE.get_or_init(|| std::env::var_os("C11TESTER_TRACE").is_some())
 }
 
 impl Model {
@@ -184,11 +193,10 @@ impl Model {
         }
     }
 
-    /// Installs a sink for structured schedule traces. Buffering still
-    /// requires tracing to be enabled
-    /// ([`c11tester_telemetry::set_tracing`] or the `C11TESTER_TRACE`
-    /// environment variable); after each execution the committed-event
-    /// sequence is recorded keyed by `(seed, epoch, index)`.
+    /// Installs a sink for structured schedule traces, which turns
+    /// tracing on for this model's executions: after each one the
+    /// committed-event sequence is recorded keyed by `(seed, epoch,
+    /// index)`.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.trace_sink = Some(sink);
     }
@@ -197,12 +205,6 @@ impl Model {
     pub fn with_trace_sink(mut self, sink: Box<dyn TraceSink>) -> Self {
         self.trace_sink = Some(sink);
         self
-    }
-
-    /// Removes and returns the installed trace sink (to inspect an
-    /// in-memory sink after running).
-    pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.trace_sink.take()
     }
 
     /// Sets the epoch component of the trace key (adaptive campaigns
@@ -292,8 +294,8 @@ impl Model {
         let elided = std::mem::take(&mut eng.race.elided_volatile);
         eng.exec.finalize_alloc_stats();
         // Structured schedule trace: drain the committed-event buffer
-        // (non-empty only while tracing is enabled) to the sink, keyed
-        // by the execution's replay coordinates.
+        // (non-empty only while tracing is armed) to the sink, keyed by
+        // the execution's replay coordinates.
         let trace_events = eng.exec.take_trace_events();
         if !trace_events.is_empty() {
             let key = TraceKey {
@@ -330,6 +332,7 @@ impl Model {
     /// both in place. Tool state — the detector's dedup history, a
     /// custom plugin's state — lives in the engine across executions.
     fn begin(&mut self, execution_index: u64) -> Arc<ModelCtx> {
+        let trace = self.trace_sink.is_some() || env_trace();
         match &self.ctx {
             Some(ctx) => {
                 ctx.runtime.reset();
@@ -338,17 +341,19 @@ impl Model {
                 // drop below, with the engine let go, like `run_at`'s.
                 std::mem::swap(&mut eng.results, &mut self.unjoined);
                 eng.begin(&self.config, execution_index);
+                eng.exec.set_trace_buffering(trace);
                 drop(eng);
                 self.unjoined.clear();
                 Arc::clone(ctx)
             }
             None => {
-                let engine = Engine::new(
+                let mut engine = Engine::new(
                     &self.config,
                     execution_index,
                     self.race.take().expect("race detector present"),
                     self.scheduler.take(),
                 );
+                engine.exec.set_trace_buffering(trace);
                 let ctx = ModelCtx::new(
                     engine,
                     Runtime::new(self.config.handover),

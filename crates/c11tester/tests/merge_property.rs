@@ -8,26 +8,10 @@ use c11tester::{
     AccessKind, ExecCoverage, ExecStats, ExecutionReport, Failure, RaceKind, RaceReport,
     TestReport, ThreadId,
 };
+use c11tester_core::rng::SplitMix64;
 use c11tester_core::ObjId;
 
-/// splitmix64 — the test's only randomness, so a failing seed replays.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
-fn race(rng: &mut Rng) -> RaceReport {
+fn race(rng: &mut SplitMix64) -> RaceReport {
     // Four labels × two kinds: few enough classes that dedup, exemplar
     // selection and occurrence counting all see collisions.
     RaceReport {
@@ -42,7 +26,7 @@ fn race(rng: &mut Rng) -> RaceReport {
     }
 }
 
-fn execution(rng: &mut Rng, index: u64) -> ExecutionReport {
+fn execution(rng: &mut SplitMix64, index: u64) -> ExecutionReport {
     let mut races: Vec<RaceReport> = Vec::new();
     for _ in 0..rng.below(4).saturating_sub(1) {
         let r = race(rng);
@@ -85,7 +69,7 @@ fn execution(rng: &mut Rng, index: u64) -> ExecutionReport {
 #[test]
 fn sharded_fold_with_adoption_equals_serial_absorption() {
     for seed in 0..64u64 {
-        let mut rng = Rng(seed);
+        let mut rng = SplitMix64::new(seed);
         let executions = 1 + rng.below(200);
         let stream: Vec<ExecutionReport> =
             (0..executions).map(|ix| execution(&mut rng, ix)).collect();

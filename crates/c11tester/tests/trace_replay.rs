@@ -4,7 +4,7 @@
 //! for the interleaving it describes.
 
 use c11tester::sync::atomic::{AtomicU32, Ordering};
-use c11tester::{set_tracing, Config, Model, TraceEvent, TraceKey, TraceSink};
+use c11tester::{Config, Model, TraceEvent, TraceKey, TraceSink};
 use std::sync::{Arc, Mutex};
 
 type Records = Vec<(TraceKey, Vec<TraceEvent>)>;
@@ -58,7 +58,6 @@ fn traced_run(seed: u64, epoch: u64, index: u64) -> (TraceKey, Vec<TraceEvent>) 
 
 #[test]
 fn trace_is_keyed_by_seed_epoch_index_and_replays_identically() {
-    set_tracing(true);
     let (key, events) = traced_run(0xC11, 2, 5);
     assert_eq!(
         key,
@@ -83,7 +82,6 @@ fn trace_is_keyed_by_seed_epoch_index_and_replays_identically() {
 
 #[test]
 fn traces_from_distinct_indices_are_independently_replayable() {
-    set_tracing(true);
     // Record several executions in one model, then replay each index
     // from scratch and require event-for-event agreement.
     let sink = SharedSink::default();
@@ -103,7 +101,6 @@ fn traces_from_distinct_indices_are_independently_replayable() {
 
 #[test]
 fn jsonl_lines_carry_the_replay_key() {
-    set_tracing(true);
     let sink = SharedSink::default();
     let mut model = Model::new(Config::new().with_seed(9));
     model.set_trace_sink(Box::new(sink.clone()));

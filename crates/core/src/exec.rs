@@ -161,8 +161,12 @@ pub struct Execution {
     pub(crate) plan: Option<ReadPlan>,
     /// Reusable scratch of the pruning pass.
     pub(crate) prune_buf: PruneScratch,
+    /// Whether committed events are buffered into `trace_buf`
+    /// ([`Execution::set_trace_buffering`]; off in a new execution and
+    /// kept across [`Execution::reset`]).
+    pub(crate) trace: bool,
     /// Committed-event buffer for structured schedule traces. Empty
-    /// (and allocation-free) unless tracing is enabled; drained by the
+    /// (and allocation-free) unless `trace` is set; drained by the
     /// model layer into a `TraceSink` after each execution.
     pub(crate) trace_buf: Vec<TraceEvent>,
     /// Behavior-coverage signature of this execution. Disarmed
@@ -216,6 +220,7 @@ impl Execution {
             wbests_buf: Vec::new(),
             plan: None,
             prune_buf: PruneScratch::default(),
+            trace: false,
             trace_buf: Vec::new(),
             coverage: if c11tester_telemetry::coverage_enabled() {
                 ExecCoverage::collecting()
@@ -395,22 +400,15 @@ impl Execution {
     // Event bookkeeping
     // ------------------------------------------------------------------
 
-    /// Whether committed events should be buffered for a trace sink:
-    /// either programmatically enabled
-    /// ([`c11tester_telemetry::set_tracing`]) or requested via the
-    /// legacy `C11TESTER_TRACE` environment variable (an alias for the
-    /// stderr sink at the model layer).
-    pub fn trace_enabled() -> bool {
-        // Checked on every committed event: cache the environment
-        // lookup (env scans take a process-wide lock and are far more
-        // expensive than the hot path they would gate).
-        static TRACE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        *TRACE.get_or_init(|| std::env::var_os("C11TESTER_TRACE").is_some())
-            || c11tester_telemetry::tracing_enabled()
+    /// Turns committed-event buffering for a trace sink on or off. The
+    /// model layer sets it before each execution: on iff a sink will
+    /// receive the events.
+    pub fn set_trace_buffering(&mut self, on: bool) {
+        self.trace = on;
     }
 
     /// Drains the committed-event trace buffer (empty unless
-    /// [`Execution::trace_enabled`] held during the execution). The
+    /// [`Execution::set_trace_buffering`] was on during the execution). The
     /// model layer calls this once per execution and hands the events
     /// to the active `TraceSink`, keyed by `(seed, epoch, index)`.
     pub fn take_trace_events(&mut self) -> Vec<TraceEvent> {
@@ -615,7 +613,7 @@ impl Execution {
         kind: StoreKind,
     ) -> StoreIdx {
         let idx = self.store_inner(t, obj, order, value, kind, None, None);
-        if Self::trace_enabled() {
+        if self.trace {
             self.trace_buf.push(TraceEvent {
                 kind: TraceKind::Store,
                 thread: t.index() as u64,
@@ -997,7 +995,7 @@ impl Execution {
                 t.index() as u64,
             );
         }
-        if Self::trace_enabled() {
+        if self.trace {
             self.trace_buf.push(TraceEvent {
                 kind: TraceKind::Load,
                 thread: t.index() as u64,
@@ -1097,7 +1095,7 @@ impl Execution {
             Some(cand),
             hoisted_wps.filter(|_| !order.is_acquire()),
         );
-        if Self::trace_enabled() {
+        if self.trace {
             self.trace_buf.push(TraceEvent {
                 kind: TraceKind::Rmw,
                 thread: t.index() as u64,
@@ -1127,7 +1125,7 @@ impl Execution {
             return;
         }
         let seq = self.next_event(t);
-        if Self::trace_enabled() {
+        if self.trace {
             self.trace_buf.push(TraceEvent {
                 kind: TraceKind::Fence,
                 thread: t.index() as u64,
@@ -1282,8 +1280,7 @@ mod tests {
     /// `use_plan == false` the plan is dropped before every commit, so
     /// each commit takes the recompute path.
     fn drive_random(seed: u64, use_plan: bool) -> Execution {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        use crate::rng::Xoshiro256StarStar;
         const ORDERS: [MemOrder; 5] = [
             MemOrder::Relaxed,
             MemOrder::Acquire,
@@ -1291,7 +1288,7 @@ mod tests {
             MemOrder::AcqRel,
             MemOrder::SeqCst,
         ];
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Xoshiro256StarStar::new(seed);
         let mut e = Execution::new(Policy::C11Tester);
         let main = ThreadId::MAIN;
         let objs = [e.new_object(), e.new_object()];

@@ -65,6 +65,7 @@ pub mod policy;
 pub mod priorset;
 pub mod prune;
 pub mod readfrom;
+pub mod rng;
 pub mod stats;
 
 pub use clock::{ClockVector, INLINE_SLOTS};

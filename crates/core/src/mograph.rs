@@ -1093,10 +1093,9 @@ mod tests {
         // order (CoWW). We materialize those chains first, then throw
         // random forward cross edges at the graph in random insertion
         // order, and require the CV test to agree exactly with DFS.
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        use crate::rng::Xoshiro256StarStar;
         for seed in 0..30u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = Xoshiro256StarStar::new(seed);
             let mut g = graph();
             let n = 12usize;
             let nthreads = 4usize;

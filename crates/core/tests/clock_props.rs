@@ -11,12 +11,11 @@
 //! operation streams, biased so vectors straddle slots 7, 8, and 9.
 //!
 //! Like `tests/properties.rs`, cases are generated with the
-//! workspace's deterministic `rand` shim, so any failure reproduces
-//! exactly by seed.
+//! workspace's seeded generator (`c11tester_core::rng`), so any failure
+//! reproduces exactly by seed.
 
+use c11tester_core::rng::Xoshiro256StarStar;
 use c11tester_core::{ClockVector, ThreadId, INLINE_SLOTS};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 const CASES: u64 = 512;
 
@@ -84,7 +83,7 @@ fn assert_agrees(cv: &ClockVector, model: &NaiveCv, ctx: &str) {
 
 /// Draws a slot index biased toward the spill boundary: most writes
 /// land on slots 6..=9 so vectors constantly cross `INLINE_SLOTS`.
-fn boundary_slot(rng: &mut StdRng) -> usize {
+fn boundary_slot(rng: &mut Xoshiro256StarStar) -> usize {
     if rng.gen_range(0..4u64) == 0 {
         rng.gen_range(0..INLINE_SLOTS + 4)
     } else {
@@ -93,7 +92,7 @@ fn boundary_slot(rng: &mut StdRng) -> usize {
 }
 
 /// Builds a random (production, model) pair with `writes` random sets.
-fn random_pair(rng: &mut StdRng, writes: usize) -> (ClockVector, NaiveCv) {
+fn random_pair(rng: &mut Xoshiro256StarStar, writes: usize) -> (ClockVector, NaiveCv) {
     let mut cv = ClockVector::new();
     let mut model = NaiveCv::default();
     for _ in 0..writes {
@@ -109,7 +108,7 @@ fn random_pair(rng: &mut StdRng, writes: usize) -> (ClockVector, NaiveCv) {
 #[test]
 fn set_get_tracks_the_model_across_the_spill_boundary() {
     for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Xoshiro256StarStar::new(seed);
         let n_cv = rng.gen_range(0..12usize);
         let (mut cv, mut model) = random_pair(&mut rng, n_cv);
         assert_agrees(&cv, &model, &format!("seed {seed} after build"));
@@ -127,7 +126,7 @@ fn set_get_tracks_the_model_across_the_spill_boundary() {
 #[test]
 fn union_with_matches_the_model_and_its_changed_flag() {
     for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0x5EED ^ seed);
+        let mut rng = Xoshiro256StarStar::new(0x5EED ^ seed);
         let n_a = rng.gen_range(0..10usize);
         let (mut a, mut ma) = random_pair(&mut rng, n_a);
         let n_b = rng.gen_range(0..10usize);
@@ -146,7 +145,7 @@ fn union_with_matches_the_model_and_its_changed_flag() {
 #[test]
 fn leq_and_eq_match_the_model() {
     for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0xAB1E ^ seed);
+        let mut rng = Xoshiro256StarStar::new(0xAB1E ^ seed);
         let n_a = rng.gen_range(0..10usize);
         let (a, ma) = random_pair(&mut rng, n_a);
         let n_b = rng.gen_range(0..10usize);
@@ -162,7 +161,7 @@ fn leq_and_eq_match_the_model() {
 #[test]
 fn intersect_matches_the_model() {
     for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0x1234 ^ seed);
+        let mut rng = Xoshiro256StarStar::new(0x1234 ^ seed);
         let n_a = rng.gen_range(0..10usize);
         let (a, ma) = random_pair(&mut rng, n_a);
         let n_b = rng.gen_range(0..10usize);
@@ -178,7 +177,7 @@ fn intersect_matches_the_model() {
 #[test]
 fn clear_and_release_preserve_the_model_semantics() {
     for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0xC1EA ^ seed);
+        let mut rng = Xoshiro256StarStar::new(0xC1EA ^ seed);
         let n_a = rng.gen_range(0..12usize);
         let (mut a, _) = random_pair(&mut rng, n_a);
         let spilled = a.is_spilled();
@@ -204,7 +203,7 @@ fn clear_and_release_preserve_the_model_semantics() {
 #[test]
 fn iter_nonzero_matches_the_model() {
     for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0x17E4 ^ seed);
+        let mut rng = Xoshiro256StarStar::new(0x17E4 ^ seed);
         let n_a = rng.gen_range(0..12usize);
         let (a, ma) = random_pair(&mut rng, n_a);
         let got: Vec<(usize, u64)> = a.iter_nonzero().map(|(tid, v)| (tid.index(), v)).collect();

@@ -19,9 +19,8 @@
 //! ancestor-closed — because Theorem 1's exactness (and therefore
 //! `MoGraph::reaches`) is only promised under them.
 
+use c11tester_core::rng::Xoshiro256StarStar;
 use c11tester_core::{MoGraph, NodeId, ObjId, SeqNum, ThreadId};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 const CASES: u64 = 32;
 const STEPS: usize = 48;
@@ -185,7 +184,12 @@ impl Case {
     /// rmw-chain redirection) sits later in the maintained order than
     /// the target — exactly the insertions that trigger a bounded
     /// local reorder.
-    fn add_random_edge(&mut self, rng: &mut StdRng, closure: &[Vec<bool>], bias_reorder: bool) {
+    fn add_random_edge(
+        &mut self,
+        rng: &mut Xoshiro256StarStar,
+        closure: &[Vec<bool>],
+        bias_reorder: bool,
+    ) {
         let live = self.live();
         if live.len() < 2 {
             return;
@@ -225,7 +229,7 @@ impl Case {
     /// engine's §4.3 feasibility requirement: migrating `src`'s edges
     /// onto the new node must not order anything before the node's
     /// existing predecessors.
-    fn add_random_rmw(&mut self, rng: &mut StdRng, closure: &[Vec<bool>]) {
+    fn add_random_rmw(&mut self, rng: &mut Xoshiro256StarStar, closure: &[Vec<bool>]) {
         let t = rng.gen_range(0..THREADS);
         let obj = rng.gen_range(0..OBJS);
         let tail = self.tails[t][obj as usize];
@@ -260,7 +264,7 @@ impl Case {
     /// never needed reachability answers through pruned nodes), then
     /// optionally compacts, rewriting every retained id through the
     /// remap table exactly as the execution layer must.
-    fn prune_and_maybe_compact(&mut self, rng: &mut StdRng, closure: &[Vec<bool>]) {
+    fn prune_and_maybe_compact(&mut self, rng: &mut Xoshiro256StarStar, closure: &[Vec<bool>]) {
         let live = self.live();
         if live.is_empty() {
             return;
@@ -417,7 +421,7 @@ impl Case {
 }
 
 fn run_case(seed: u64, bias_reorder: bool, with_pruning: bool) {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Xoshiro256StarStar::new(seed);
     let mut case = Case::new();
     for step in 0..STEPS {
         let closure = case.o.closure();

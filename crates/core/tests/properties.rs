@@ -15,16 +15,15 @@
 //! * an [`Execution`] recycled by `reset` is indistinguishable from a
 //!   fresh one, whatever ran on it before.
 //!
-//! The harness generates its cases with the workspace's deterministic
-//! `rand` shim (the offline environment has no proptest): each property
-//! replays a fixed number of seeded random programs, so failures
-//! reproduce exactly by seed.
+//! The harness generates its cases with the workspace's seeded
+//! generator (`c11tester_core::rng`): each property replays a fixed
+//! number of seeded random programs, so failures reproduce exactly by
+//! seed.
 
+use c11tester_core::rng::Xoshiro256StarStar;
 use c11tester_core::{
     Execution, MemOrder, ObjId, Policy, PruneConfig, StoreIdx, StoreKind, ThreadId,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 const CASES: u64 = 256;
 
@@ -68,7 +67,7 @@ fn order_of(ix: u8) -> MemOrder {
 }
 
 /// Draws a random program of `1..max_len` operations.
-fn gen_ops(rng: &mut StdRng, max_len: usize) -> Vec<Op> {
+fn gen_ops(rng: &mut Xoshiro256StarStar, max_len: usize) -> Vec<Op> {
     let len = rng.gen_range(1..max_len);
     (0..len)
         .map(|_| match rng.gen_range(0..5u8) {
@@ -104,7 +103,7 @@ fn gen_ops(rng: &mut StdRng, max_len: usize) -> Vec<Op> {
 /// Runs `property` against `CASES` seeded random programs.
 fn for_random_programs(name: &str, max_len: usize, mut property: impl FnMut(&[Op])) {
     for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xC11_7E57);
+        let mut rng = Xoshiro256StarStar::new(seed ^ 0xC11_7E57);
         let ops = gen_ops(&mut rng, max_len);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| property(&ops)));
         if let Err(payload) = result {

@@ -135,7 +135,6 @@ mod tests {
     fn a_small_sweep_finds_no_mismatches() {
         // The real acceptance sweep (64 pseeds) runs in CI via
         // `c11fuzz`; keep the in-tree test small.
-        let _gate = crate::tracing_gate_lock();
         let params = FuzzParams {
             seed: 0xC11,
             executions: 8,
@@ -160,7 +159,6 @@ mod tests {
         // Each has a `…/SeqCst` CAS over a weaker success order; a
         // failed CAS that re-drew under its failure order could read
         // its expected value (6, 11 and 19 mismatches before the fix).
-        let _gate = crate::tracing_gate_lock();
         let params = FuzzParams {
             seed: 0xC11,
             executions: 200,

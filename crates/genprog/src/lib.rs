@@ -32,16 +32,6 @@ pub mod report;
 pub mod run;
 pub mod shrink;
 
-/// Serializes lib tests that sweep: [`sweep`] flips the process-global
-/// tracing gate and restores it, so two sweeps interleaving in one test
-/// process can switch tracing off under each other and truncate traces.
-#[cfg(test)]
-pub(crate) fn tracing_gate_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 pub use enumerate::{enumerate_outcomes, Outcome};
 pub use fuzz::{fuzz_pseed, FuzzParams};
 pub use oracle::{check_trace, outcome, Violation};

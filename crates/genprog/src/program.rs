@@ -94,33 +94,9 @@ pub struct Program {
     pub threads: Vec<Vec<Op>>,
 }
 
-/// The splitmix64 generator the program grammar draws from — the same
-/// finalizer the strategy-mix assignment uses, so a `pseed` is the
+/// The generator the program grammar draws from: a `pseed` is the
 /// only input.
-#[derive(Clone, Debug)]
-pub struct SplitMix64(u64);
-
-impl SplitMix64 {
-    /// Seeds the stream.
-    pub fn new(seed: u64) -> Self {
-        SplitMix64(seed)
-    }
-
-    /// Next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform-ish draw below `n` (modulo; fine for grammar choices).
-    pub fn below(&mut self, n: u64) -> u64 {
-        debug_assert!(n > 0);
-        self.next_u64() % n
-    }
-}
+pub use c11tester_core::rng::SplitMix64;
 
 /// Orderings legal for a load.
 const LOAD_ORDERS: &[MemOrder] = &[MemOrder::Relaxed, MemOrder::Acquire, MemOrder::SeqCst];

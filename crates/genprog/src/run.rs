@@ -100,8 +100,6 @@ pub type SweepCapture = (TraceKey, Vec<TraceEvent>);
 /// execution-index order. This is the trace feed for the oracle: one
 /// `(key, events)` pair per execution, keyed `(seed, 0, index)`.
 pub fn sweep(p: &Program, config: Config, executions: u64) -> Vec<SweepCapture> {
-    let was_tracing = c11tester::tracing_enabled();
-    c11tester::set_tracing(true);
     let sink = CaptureSink::new();
     let mut model = Model::new(config).with_trace_sink(Box::new(sink.clone()));
     for _ in 0..executions {
@@ -112,7 +110,6 @@ pub fn sweep(p: &Program, config: Config, executions: u64) -> Vec<SweepCapture> 
             report.failure
         );
     }
-    c11tester::set_tracing(was_tracing);
     let mut captures = sink.take();
     captures.sort_by_key(|(k, _)| k.index);
     captures
@@ -124,8 +121,38 @@ mod tests {
     use c11tester_telemetry::TraceKind;
 
     #[test]
+    fn concurrent_sweeps_each_equal_a_serial_sweep() {
+        // Each sweep's model arms tracing through its own sink, so two
+        // sweeps running at once cannot switch each other's traces off.
+        let p = Program::generate(179);
+        let config = || Config::new().with_seed(0xC11);
+        let serial = sweep(&p, config(), 200);
+        let start = std::sync::Barrier::new(2);
+        let concurrent: Vec<_> = std::thread::scope(|s| {
+            let sweeps: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        sweep(&p, config(), 200)
+                    })
+                })
+                .collect();
+            sweeps
+                .into_iter()
+                .map(|h| h.join().expect("sweep"))
+                .collect()
+        });
+        for captures in concurrent {
+            assert!(captures == serial, "a concurrent sweep diverged");
+            for (key, events) in &captures {
+                let violations = crate::check_trace(events);
+                assert!(violations.is_empty(), "index {}: {violations:?}", key.index);
+            }
+        }
+    }
+
+    #[test]
     fn sweep_traces_are_keyed_and_deterministic() {
-        let _gate = crate::tracing_gate_lock();
         let p = Program::generate(11);
         let a = sweep(&p, Config::new().with_seed(7), 4);
         let b = sweep(&p, Config::new().with_seed(7), 4);
@@ -143,7 +170,6 @@ mod tests {
     fn init_prefix_contract_holds() {
         // Every thread-0 event precedes every worker event, and worker
         // thread ids are 1..=threads.
-        let _gate = crate::tracing_gate_lock();
         for pseed in [0, 3, 11, 42] {
             let p = Program::generate(pseed);
             for (_, events) in sweep(&p, Config::new().with_seed(1), 2) {
@@ -165,7 +191,6 @@ mod tests {
 
     #[test]
     fn fences_appear_in_traces() {
-        let _gate = crate::tracing_gate_lock();
         // pseed chosen so the program contains a fence.
         let fenced = (0..200)
             .map(Program::generate)

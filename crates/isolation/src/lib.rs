@@ -629,9 +629,11 @@ mod tests {
         // A target may write anything to its stdout. A frame of a
         // megabyte of `[` must end the campaign with an error, not
         // recurse the parent's frame reader off its stack.
+        let n = 1 << 20;
+        let digest = c11tester_telemetry::fnv1a(&vec![b'['; n]);
         let Some(outcome) = run_fake_worker(
             "nested-worker",
-            "n=1048576\necho $n\nhead -c $n /dev/zero | tr '\\0' '['\necho",
+            &format!("echo '{n} {digest:016x}'\nhead -c {n} /dev/zero | tr '\\0' '['\necho"),
         ) else {
             return;
         };
@@ -644,7 +646,7 @@ mod tests {
     #[test]
     fn an_endless_length_line_is_a_bounded_protocol_violation() {
         // 32 MiB of digits and no newline: the parent must stop after
-        // the 20 digits a length can have, and say so in a short error,
+        // the 37 bytes a length line can have, and say so in a short error,
         // instead of buffering (and quoting) the whole stream.
         let Some(outcome) = run_fake_worker(
             "digits-worker",
@@ -654,7 +656,7 @@ mod tests {
         };
         let err = outcome.unwrap_err();
         assert!(err.contains("worker protocol violation"), "{err}");
-        assert!(err.contains("longer than 20 digits"), "{err}");
+        assert!(err.contains("longer than 37 bytes"), "{err}");
         assert!(err.len() < 200, "{} bytes of error", err.len());
     }
 
@@ -663,11 +665,34 @@ mod tests {
     fn framing_errors_from_a_live_child_are_violations_not_crashes() {
         // Each child stays alive (reading its stdin) after the bad
         // bytes; none of them died, so none may become a crash record.
+        let digest = |payload: &[u8]| format!("{:016x}", c11tester_telemetry::fnv1a(payload));
         for (name, body, expect) in [
-            ("badlen-worker", "printf 'abc\\n'", "bad frame length line"),
-            ("huge-worker", "printf '99999999\\n'", "exceeds"),
-            ("notutf8-worker", "printf '2\\n\\377\\376\\n'", "not UTF-8"),
-            ("nonewline-worker", "printf '2\\nab!'", "trailing newline"),
+            (
+                "badlen-worker",
+                "printf 'abc\\n'".to_string(),
+                "bad frame length line",
+            ),
+            ("huge-worker", "printf '99999999\\n'".to_string(), "exceeds"),
+            (
+                "nodigest-worker",
+                "printf '2\\nab\\n'".to_string(),
+                "bad frame length line",
+            ),
+            (
+                "baddigest-worker",
+                format!("printf '2 {}\\nab\\n'", digest(b"ba")),
+                "does not match",
+            ),
+            (
+                "notutf8-worker",
+                format!("printf '2 {}\\n\\377\\376\\n'", digest(b"\xff\xfe")),
+                "not UTF-8",
+            ),
+            (
+                "nonewline-worker",
+                format!("printf '2 {}\\nab!'", digest(b"ab")),
+                "trailing newline",
+            ),
         ] {
             let Some(outcome) = run_fake_worker(name, &format!("{body}\ncat > /dev/null")) else {
                 return;

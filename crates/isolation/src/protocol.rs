@@ -14,9 +14,12 @@
 //!   ([`c11tester_campaign::pool::fold_claims`]);
 //! * one **done** frame carrying the batch's [`StopReason`].
 //!
-//! Frames are **length-prefixed** (`<decimal byte length>\n<payload>\n`)
-//! so the parent can tell a stream that ended between frames from one
-//! cut mid-write by a dying child.
+//! Frames are **length-prefixed** (`<decimal byte length>
+//! <digest>\n<payload>\n`) so the parent can tell a stream that ended
+//! between frames from one cut mid-write by a dying child. The digest
+//! is the payload's FNV-1a-64 in 16 hex digits, so a frame damaged at
+//! equal length is a protocol violation instead of a silently merged
+//! report. Ticks are empty and carry none.
 //!
 //! The `batch` frame is a *lossless* encoding of [`TestReport`]: merging
 //! the decoded report is indistinguishable from merging the original,
@@ -37,14 +40,14 @@
 //! workloads never write to stdout (the model API has no output
 //! surface), but a target that did would corrupt the framing; the
 //! parent surfaces that as a protocol-violation error (bounded by
-//! [`MAX_FRAME_LEN`], the length line's 20 digits and the reader's
+//! [`MAX_FRAME_LEN`], the length line's 37 bytes and the reader's
 //! nesting cap) rather than silently mis-aggregating or crashing.
 
 use c11tester::{DedupHistory, ExecStats, ExecutionReport, Failure, StrategyLedger, TestReport};
 use c11tester_campaign::json;
 use c11tester_campaign::StopReason;
 use c11tester_telemetry::json::{JsonValue, JsonWriter};
-use c11tester_telemetry::{read_graph, read_phase, write_graph, write_phase};
+use c11tester_telemetry::{fnv1a, read_graph, read_phase, write_graph, write_phase};
 use std::io::{BufRead, Read, Write};
 use std::time::Duration;
 
@@ -54,9 +57,9 @@ use std::time::Duration;
 /// parent.
 pub const MAX_FRAME_LEN: usize = 1 << 24;
 
-/// Longest length line the reader accepts: the 20 digits of `u64::MAX`
-/// plus the newline.
-const MAX_LEN_LINE: usize = 21;
+/// Longest length line the reader accepts: the 20 digits of `u64::MAX`,
+/// a space, the 16-digit digest and the newline.
+const MAX_LEN_LINE: usize = 38;
 
 // ---------------------------------------------------------------------
 // Framing
@@ -65,7 +68,12 @@ const MAX_LEN_LINE: usize = 21;
 /// Writes one length-prefixed frame and flushes, so the parent sees
 /// every completed execution even if the *next* one kills the child.
 pub fn write_frame(out: &mut impl Write, payload: &str) -> std::io::Result<()> {
-    write!(out, "{}\n{}\n", payload.len(), payload)?;
+    if payload.is_empty() {
+        out.write_all(b"0\n\n")?;
+    } else {
+        let digest = fnv1a(payload.as_bytes());
+        write!(out, "{} {digest:016x}\n{payload}\n", payload.len())?;
+    }
     out.flush()
 }
 
@@ -74,8 +82,8 @@ pub fn write_frame(out: &mut impl Write, payload: &str) -> std::io::Result<()> {
 /// [`UnexpectedEof`](std::io::ErrorKind::UnexpectedEof) error, which the
 /// pool treats like the death it accompanies; any other error
 /// (`InvalidData`: a bad or overlong length line, an oversized frame,
-/// non-UTF-8) is a protocol violation by a live child. At most 21 bytes
-/// of a length line (20 digits and the newline) are read or quoted.
+/// a digest mismatch, non-UTF-8) is a protocol violation by a live
+/// child. At most 38 bytes of a length line are read or quoted.
 pub fn read_frame(input: &mut impl BufRead) -> std::io::Result<Option<String>> {
     let mut len_line = Vec::with_capacity(MAX_LEN_LINE);
     (&mut *input)
@@ -94,34 +102,57 @@ pub fn read_frame(input: &mut impl BufRead) -> std::io::Result<Option<String>> {
         }
         Some(_) => {
             return Err(bad_data(format!(
-                "frame length line longer than {} digits: {:?}…",
+                "frame length line longer than {} bytes: {:?}…",
                 MAX_LEN_LINE - 1,
                 String::from_utf8_lossy(&len_line)
             )));
         }
     }
-    let len: usize = std::str::from_utf8(&len_line)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            bad_data(format!(
-                "bad frame length line {:?}",
-                String::from_utf8_lossy(&len_line)
-            ))
-        })?;
-    if len > MAX_FRAME_LEN {
-        return Err(bad_data(format!(
-            "frame length {len} exceeds {MAX_FRAME_LEN}"
-        )));
-    }
+    let (len, digest) = parse_len_line(&len_line)?;
     let mut payload = vec![0u8; len + 1]; // + trailing newline
     input.read_exact(&mut payload)?;
     if payload.pop() != Some(b'\n') {
         return Err(bad_data("frame missing trailing newline".to_string()));
     }
+    if let Some(digest) = digest.filter(|&d| d != fnv1a(&payload)) {
+        return Err(bad_data(format!(
+            "frame digest {digest:016x} does not match its {len}-byte payload"
+        )));
+    }
     String::from_utf8(payload)
         .map(Some)
         .map_err(|_| bad_data("frame payload is not UTF-8".to_string()))
+}
+
+/// Parses a length line: `0` for a tick, `<len> <16 hex digits>` for
+/// any other frame.
+fn parse_len_line(line: &[u8]) -> std::io::Result<(usize, Option<u64>)> {
+    let bad = || {
+        bad_data(format!(
+            "bad frame length line {:?}",
+            String::from_utf8_lossy(line)
+        ))
+    };
+    let text = std::str::from_utf8(line).map_err(|_| bad())?;
+    let (len, digest) = match text.split_once(' ') {
+        Some((len, digest)) => (len, Some(digest)),
+        None => (text, None),
+    };
+    let len: usize = len.parse().map_err(|_| bad())?;
+    if len > MAX_FRAME_LEN {
+        return Err(bad_data(format!(
+            "frame length {len} exceeds {MAX_FRAME_LEN}"
+        )));
+    }
+    // A tick has no digest; every other frame has 16 hex digits of one.
+    match (len, digest) {
+        (0, None) => Ok((0, None)),
+        (1.., Some(d)) if d.len() == 16 => {
+            let digest = u64::from_str_radix(d, 16).map_err(|_| bad())?;
+            Ok((len, Some(digest)))
+        }
+        _ => Err(bad()),
+    }
 }
 
 fn bad_data(msg: String) -> std::io::Error {
@@ -365,7 +396,12 @@ mod tests {
         write_frame(&mut buf, "{\"a\":1}").expect("write");
         write_frame(&mut buf, TICK).expect("write");
         write_frame(&mut buf, "x").expect("write");
-        assert!(buf.starts_with(b"7\n{\"a\":1}\n0\n\n1\nx\n"));
+        let expected = format!(
+            "7 {:016x}\n{{\"a\":1}}\n0\n\n1 {:016x}\nx\n",
+            fnv1a(b"{\"a\":1}"),
+            fnv1a(b"x")
+        );
+        assert_eq!(buf, expected.as_bytes());
         let mut r = std::io::BufReader::new(&buf[..]);
         assert_eq!(read_frame(&mut r).expect("frame"), Some("{\"a\":1}".into()));
         assert_eq!(read_frame(&mut r).expect("tick"), Some(TICK.into()));
@@ -387,15 +423,15 @@ mod tests {
     #[test]
     fn length_lines_are_bounded_in_what_is_read_and_quoted() {
         // A long digit stream must not be buffered: the reader stops
-        // after 21 bytes and quotes no more than those. (A megabyte, not
+        // after 38 bytes and quotes no more than those. (A megabyte, not
         // an endless stream, so an unbounded reader fails this test
         // instead of exhausting memory.)
         let mut endless = std::io::BufReader::new(std::io::repeat(b'1').take(1 << 20));
         let err = read_frame(&mut endless).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         let msg = err.to_string();
-        assert!(msg.contains("longer than 20 digits"), "{msg}");
-        assert!(msg.len() < 80, "error quotes too much: {msg}");
+        assert!(msg.contains("longer than 37 bytes"), "{msg}");
+        assert!(msg.len() < 100, "error quotes too much: {msg}");
         // A 20-digit line is still a length (an oversized one here).
         let max = format!("{}\n", u64::MAX);
         let err = read_frame(&mut std::io::BufReader::new(max.as_bytes())).unwrap_err();
@@ -404,8 +440,38 @@ mod tests {
             let err = read_frame(&mut std::io::BufReader::new(bad)).unwrap_err();
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{bad:?}");
         }
-        let err = read_frame(&mut std::io::BufReader::new(&b"2\n\xff\xfe\n"[..])).unwrap_err();
+        let mut not_utf8 = format!("2 {:016x}\n", fnv1a(b"\xff\xfe")).into_bytes();
+        not_utf8.extend(b"\xff\xfe\n");
+        let err = read_frame(&mut std::io::BufReader::new(&not_utf8[..])).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("not UTF-8"), "{err}");
+    }
+
+    #[test]
+    fn a_frame_whose_digest_does_not_match_is_invalid_data() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, "{\"executions\":4}").expect("write");
+        let intact = buf.clone();
+        // One byte of the payload changed, the length kept.
+        let at = buf.len() - 3;
+        buf[at] = b'5';
+        let err = read_frame(&mut std::io::BufReader::new(&buf[..])).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("does not match"), "{err}");
+        assert!(read_frame(&mut std::io::BufReader::new(&intact[..])).is_ok());
+        // A non-empty frame without a digest, a tick with one, and a
+        // digest that is not 16 hex digits are all bad length lines.
+        let digest = format!("{:016x}", fnv1a(b"x"));
+        for bad in [
+            "1\nx\n".to_string(),
+            format!("0 {digest}\n\n"),
+            format!("1 {}\nx\n", &digest[1..]),
+            format!("1 {}g\nx\n", &digest[1..]),
+        ] {
+            let err = read_frame(&mut std::io::BufReader::new(bad.as_bytes())).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{bad:?}");
+            assert!(err.to_string().contains("bad frame length line"), "{err}");
+        }
     }
 
     #[test]

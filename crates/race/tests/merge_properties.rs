@@ -6,34 +6,12 @@
 //! results must equal a serial fold of the whole stream. This file
 //! checks the underlying laws — commutativity, associativity, and
 //! partition invariance over *random* splits and merge orders — for
-//! both [`CoverageMap`] and [`DedupHistory`], with a hand-rolled
-//! xorshift PRNG (the offline tree has no proptest).
+//! both [`CoverageMap`] and [`DedupHistory`], with the workspace's
+//! seeded SplitMix64 stream, so a failing seed replays.
 
+use c11tester_core::rng::SplitMix64;
 use c11tester_core::{ExecCoverage, ObjId, ThreadId};
 use c11tester_race::{AccessKind, CoverageMap, DedupHistory, RaceKind, RaceReport};
-
-/// xorshift64* — deterministic, seedable, no dependencies.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
-    /// Uniform-ish draw in `0..n` (n > 0).
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 /// One synthetic execution: its coverage signature plus its races.
 #[derive(Clone)]
@@ -47,7 +25,7 @@ struct Exec {
 /// purpose: collisions across executions are what exercise the
 /// min/first-sum/occurrence merge arms.
 fn stream(seed: u64, len: u64) -> Vec<Exec> {
-    let mut rng = Rng::new(seed);
+    let mut rng = SplitMix64::new(seed);
     let labels = ["flag", "head", "seq.data", "buf[0]"];
     let kinds = [
         RaceKind::WriteAfterWrite,
@@ -118,7 +96,7 @@ fn dedup_fold(execs: &[Exec]) -> DedupHistory {
 /// Splits `execs` into `parts` random slices (some possibly empty),
 /// preserving in-slice index order, then returns the slices in a
 /// shuffled merge order.
-fn random_partition(execs: &[Exec], parts: usize, rng: &mut Rng) -> Vec<Vec<Exec>> {
+fn random_partition(execs: &[Exec], parts: usize, rng: &mut SplitMix64) -> Vec<Vec<Exec>> {
     let mut slices: Vec<Vec<Exec>> = vec![Vec::new(); parts];
     for e in execs {
         slices[rng.below(parts as u64) as usize].push(e.clone());
@@ -184,7 +162,7 @@ fn coverage_fold_is_invariant_under_random_partitions() {
     for seed in 1..=20u64 {
         let execs = stream(seed, 100);
         let serial = coverage_fold(&execs);
-        let mut rng = Rng::new(seed ^ 0xDEAD_BEEF);
+        let mut rng = SplitMix64::new(seed ^ 0xDEAD_BEEF);
         for parts in [1usize, 2, 3, 7, 16] {
             let mut merged = CoverageMap::new();
             for slice in random_partition(&execs, parts, &mut rng) {
@@ -203,7 +181,7 @@ fn dedup_fold_is_invariant_under_random_partitions() {
     for seed in 1..=20u64 {
         let execs = stream(seed, 100);
         let serial = dedup_fold(&execs);
-        let mut rng = Rng::new(seed ^ 0xFACE_FEED);
+        let mut rng = SplitMix64::new(seed ^ 0xFACE_FEED);
         for parts in [1usize, 2, 3, 7, 16] {
             let mut merged = DedupHistory::new();
             for slice in random_partition(&execs, parts, &mut rng) {

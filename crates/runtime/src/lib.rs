@@ -5,7 +5,7 @@
 //! between model threads ([`Runtime`], [`Notifier`]), the cell for
 //! state the run-token holder owns ([`TokenCell`]), and pluggable
 //! testing strategies ([`Scheduler`], [`RandomScheduler`],
-//! [`BurstScheduler`], [`ScriptedScheduler`]).
+//! [`BurstScheduler`], [`PctScheduler`]).
 //!
 //! The paper controls threads with fibers plus *thread context
 //! borrowing* for TLS (§7.3–7.4). The default here is the same design:
@@ -34,5 +34,5 @@ pub mod token;
 pub use executor::{Aborted, Runtime};
 pub use handover::{HandoverKind, Notifier};
 pub use pool::ThreadPool;
-pub use scheduler::{BurstScheduler, PctScheduler, RandomScheduler, Scheduler, ScriptedScheduler};
+pub use scheduler::{BurstScheduler, PctScheduler, RandomScheduler, Scheduler};
 pub use token::{TokenCell, TokenRef};

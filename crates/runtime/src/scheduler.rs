@@ -8,9 +8,8 @@
 //! current thread running for a geometrically distributed quantum,
 //! which is how uncontrolled kernel scheduling looks to the tool.
 
+use c11tester_core::rng::Xoshiro256StarStar;
 use c11tester_core::ThreadId;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// A testing strategy: picks successor threads and load behaviors.
 ///
@@ -43,7 +42,7 @@ pub trait Scheduler: Send {
 #[derive(Debug)]
 pub struct RandomScheduler {
     base_seed: u64,
-    rng: StdRng,
+    rng: Xoshiro256StarStar,
 }
 
 impl RandomScheduler {
@@ -51,7 +50,7 @@ impl RandomScheduler {
     pub fn new(base_seed: u64) -> Self {
         RandomScheduler {
             base_seed,
-            rng: StdRng::seed_from_u64(base_seed),
+            rng: Xoshiro256StarStar::new(base_seed),
         }
     }
 }
@@ -67,7 +66,7 @@ impl Scheduler for RandomScheduler {
 
     fn begin_execution(&mut self, execution_index: u64) {
         // Split the seed stream so executions differ but replay exactly.
-        self.rng = StdRng::seed_from_u64(
+        self.rng = Xoshiro256StarStar::new(
             self.base_seed
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(execution_index),
@@ -82,7 +81,7 @@ impl Scheduler for RandomScheduler {
 #[derive(Debug)]
 pub struct BurstScheduler {
     base_seed: u64,
-    rng: StdRng,
+    rng: Xoshiro256StarStar,
     /// Mean burst length in visible operations.
     mean_burst: u32,
     remaining: u32,
@@ -94,7 +93,7 @@ impl BurstScheduler {
     pub fn new(base_seed: u64, mean_burst: u32) -> Self {
         BurstScheduler {
             base_seed,
-            rng: StdRng::seed_from_u64(base_seed),
+            rng: Xoshiro256StarStar::new(base_seed),
             mean_burst: mean_burst.max(1),
             remaining: 0,
         }
@@ -124,7 +123,7 @@ impl Scheduler for BurstScheduler {
     }
 
     fn begin_execution(&mut self, execution_index: u64) {
-        self.rng = StdRng::seed_from_u64(
+        self.rng = Xoshiro256StarStar::new(
             self.base_seed
                 .wrapping_mul(0xD1B5_4A32_D192_ED03)
                 .wrapping_add(execution_index),
@@ -152,7 +151,7 @@ impl Scheduler for BurstScheduler {
 #[derive(Debug)]
 pub struct PctScheduler {
     base_seed: u64,
-    rng: StdRng,
+    rng: Xoshiro256StarStar,
     depth: u32,
     expected_ops: u64,
     /// Priority per thread id; higher runs first.
@@ -189,7 +188,7 @@ impl PctScheduler {
     pub fn new(base_seed: u64, depth: u32, expected_ops: u64) -> Self {
         let mut s = PctScheduler {
             base_seed,
-            rng: StdRng::seed_from_u64(base_seed),
+            rng: Xoshiro256StarStar::new(base_seed),
             depth: depth.max(1),
             expected_ops: expected_ops.max(1),
             priorities: Vec::new(),
@@ -265,7 +264,7 @@ impl Scheduler for PctScheduler {
     }
 
     fn begin_execution(&mut self, execution_index: u64) {
-        self.rng = StdRng::seed_from_u64(
+        self.rng = Xoshiro256StarStar::new(
             self.base_seed
                 .wrapping_mul(0xA076_1D64_78BD_642F)
                 .wrapping_add(execution_index),
@@ -279,55 +278,6 @@ impl Scheduler for PctScheduler {
         // `yield_pending`).
         self.yield_pending = true;
     }
-}
-
-/// A replay/trace scheduler driven by a fixed decision script; used by
-/// tests to force a specific interleaving. Thread decisions fall back
-/// to `current` (or the first enabled thread) once the script runs dry.
-#[derive(Debug, Default)]
-pub struct ScriptedScheduler {
-    thread_script: std::collections::VecDeque<ThreadId>,
-    read_script: std::collections::VecDeque<usize>,
-}
-
-impl ScriptedScheduler {
-    /// Creates a scripted strategy from explicit decision queues.
-    pub fn new<T, R>(threads: T, reads: R) -> Self
-    where
-        T: IntoIterator<Item = ThreadId>,
-        R: IntoIterator<Item = usize>,
-    {
-        ScriptedScheduler {
-            thread_script: threads.into_iter().collect(),
-            read_script: reads.into_iter().collect(),
-        }
-    }
-}
-
-impl Scheduler for ScriptedScheduler {
-    fn next_thread(&mut self, enabled: &[ThreadId], current: ThreadId) -> ThreadId {
-        while let Some(t) = self.thread_script.pop_front() {
-            if enabled.contains(&t) {
-                return t;
-            }
-        }
-        if enabled.contains(&current) {
-            current
-        } else {
-            enabled[0]
-        }
-    }
-
-    fn choose_read(&mut self, n: usize) -> usize {
-        match self.read_script.pop_front() {
-            Some(ix) if ix < n => ix,
-            // Script exhausted or out of range: read the newest
-            // feasible store (last candidate).
-            _ => n - 1,
-        }
-    }
-
-    fn begin_execution(&mut self, _execution_index: u64) {}
 }
 
 #[cfg(test)]
@@ -400,27 +350,6 @@ mod tests {
             }
         }
         assert!(switched, "perturb must allow switching away");
-    }
-
-    #[test]
-    fn scripted_scheduler_follows_script_then_falls_back() {
-        let mut s = ScriptedScheduler::new([t(1), t(0)], [0]);
-        let enabled = [t(0), t(1)];
-        assert_eq!(s.next_thread(&enabled, t(0)), t(1));
-        assert_eq!(s.next_thread(&enabled, t(1)), t(0));
-        // Script dry: stick with current.
-        assert_eq!(s.next_thread(&enabled, t(1)), t(1));
-        assert_eq!(s.choose_read(3), 0);
-        // Read script dry: newest candidate.
-        assert_eq!(s.choose_read(3), 2);
-    }
-
-    #[test]
-    fn scripted_scheduler_skips_disabled_entries() {
-        let mut s = ScriptedScheduler::new([t(2), t(1)], []);
-        let enabled = [t(0), t(1)];
-        // t(2) not enabled: skip to t(1).
-        assert_eq!(s.next_thread(&enabled, t(0)), t(1));
     }
 
     #[test]

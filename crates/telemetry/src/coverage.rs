@@ -24,7 +24,7 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Global coverage-collection gate (one relaxed atomic, mirroring
-/// [`crate::set_profiling`] / [`crate::set_tracing`]).
+/// [`crate::set_profiling`]).
 static COVERAGE: AtomicBool = AtomicBool::new(false);
 
 /// Enables or disables behavior-coverage collection process-wide.
@@ -46,8 +46,17 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Mixes one `u64` into an FNV-1a running hash, byte by byte.
 #[inline]
 pub fn fnv1a_mix(hash: u64, word: u64) -> u64 {
-    let mut h = hash;
-    for byte in word.to_le_bytes() {
+    fnv1a_bytes(hash, &word.to_le_bytes())
+}
+
+/// FNV-1a-64 of a byte string (the fork-server wire's frame digest).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_bytes(FNV_OFFSET, bytes)
+}
+
+#[inline]
+fn fnv1a_bytes(mut h: u64, bytes: &[u8]) -> u64 {
+    for &byte in bytes {
         h ^= u64::from(byte);
         h = h.wrapping_mul(FNV_PRIME);
     }
@@ -123,6 +132,14 @@ impl ExecCoverage {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a_mix(FNV_OFFSET, 7), fnv1a(&7u64.to_le_bytes()));
+    }
 
     #[test]
     fn gate_defaults_off_and_toggles() {

@@ -25,7 +25,7 @@ pub mod phase;
 pub mod trace;
 
 pub use chrome::chrome_trace;
-pub use coverage::{coverage_enabled, set_coverage, ExecCoverage};
+pub use coverage::{coverage_enabled, fnv1a, set_coverage, ExecCoverage};
 pub use metrics::{
     read_graph, write_graph, CampaignMetrics, EpochMetric, ForkHealth, GraphMetrics, MetricsMeta,
     WorkerMetrics,
@@ -35,6 +35,6 @@ pub use phase::{
     PhaseTimer,
 };
 pub use trace::{
-    event_jsonl, set_tracing, tracing_enabled, write_event_fields, CaptureSink, JsonlSink,
-    MemorySink, StderrSink, TraceEvent, TraceKey, TraceKind, TraceSink, FENCE_OBJ,
+    event_jsonl, write_event_fields, CaptureSink, JsonlSink, MemorySink, StderrSink, TraceEvent,
+    TraceKey, TraceKind, TraceSink, FENCE_OBJ,
 };

@@ -14,7 +14,6 @@
 //! recording site.
 
 use crate::json::JsonWriter;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The replay coordinates of one execution: `seed` and global `index`
 /// pin the interleaving; `epoch` disambiguates adaptive campaigns
@@ -199,21 +198,6 @@ impl TraceSink for JsonlSink {
             self.text.push('\n');
         }
     }
-}
-
-/// Global tracing gate, OR-ed with the `C11TESTER_TRACE` environment
-/// variable by the core execution. Lets embedders enable buffering
-/// without touching the process environment.
-static TRACING: AtomicBool = AtomicBool::new(false);
-
-/// Enables or disables schedule-trace buffering process-wide.
-pub fn set_tracing(enabled: bool) {
-    TRACING.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether programmatic trace buffering is enabled.
-pub fn tracing_enabled() -> bool {
-    TRACING.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]
