@@ -13,13 +13,13 @@
 //! c11campaign --list
 //! ```
 
-use c11tester::{Config, DedupHistory, Model, Policy, StrategyMix};
+use c11tester::{Config, Model, Policy, StrategyMix};
 use c11tester_adaptive::AdaptiveCampaign;
 use c11tester_campaign::cli::{parse_u64, usage_error};
 use c11tester_campaign::forensics::{self, CaptureSink, Witness};
-use c11tester_campaign::{targets, Campaign, CampaignBudget};
+use c11tester_campaign::{json, targets, Campaign, CampaignBudget};
 use c11tester_isolation::ForkServer;
-use c11tester_telemetry::CampaignMetrics;
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -325,22 +325,6 @@ fn replay_witness(config: Config, target: targets::Target, epoch: u64, index: u6
     }
 }
 
-/// A finished campaign, plain or adaptive, in the forms the tail of
-/// `main` writes out.
-struct Finished {
-    text: String,
-    full_json: String,
-    canonical_json: String,
-    coverage_json: String,
-    workers: usize,
-    metrics: CampaignMetrics,
-    races: DedupHistory,
-    witness_run: WitnessRun,
-}
-
-/// Maps a witness execution index to the config and epoch that ran it.
-type WitnessRun = Box<dyn Fn(u64) -> Result<(Config, u64), String>>;
-
 fn main() -> ExitCode {
     default_sigpipe(true);
     // Hidden fork-server re-entry: `c11campaign --worker …` serves
@@ -419,8 +403,6 @@ fn run(args: &Args, target: targets::Target) -> Result<(), String> {
     } else if args.adaptive.is_some() {
         config = config.with_mix(StrategyMix::parse(DEFAULT_ADAPTIVE_MIX).expect("valid default"));
     }
-    // Kept aside for forensics replays (the campaign consumes `config`).
-    let base_config = config.clone();
     let mut budget =
         CampaignBudget::executions(args.executions).with_stop_on_first_bug(args.stop_on_first_bug);
     if let Some(secs) = args.deadline_secs {
@@ -441,82 +423,49 @@ fn run(args: &Args, target: targets::Target) -> Result<(), String> {
         None
     };
 
-    // The two campaign kinds differ in how they run and in which
-    // (config, epoch) ran a witness index; everything after is shared.
-    let done = if let Some(policy) = args.adaptive.as_deref() {
-        let mut campaign = AdaptiveCampaign::new(config)
-            .with_epoch_len(args.epoch.unwrap_or(c11tester_adaptive::DEFAULT_EPOCH_LEN))
-            .with_policy(policy)?;
-        if let Some(w) = args.workers {
-            campaign = campaign.with_workers(w);
+    let mut campaign = Campaign::new(config);
+    if let Some(w) = args.workers {
+        campaign = campaign.with_workers(w);
+    }
+    // One report; an adaptive run adds its epochs to it.
+    let (trace, plain);
+    let (report, epochs) = match args.adaptive.as_deref() {
+        Some(policy) => {
+            let adaptive = AdaptiveCampaign::new(campaign.clone())
+                .with_epoch_len(args.epoch.unwrap_or(c11tester_adaptive::DEFAULT_EPOCH_LEN))
+                .with_policy(policy)?;
+            trace = match &fork {
+                Some(fork) => adaptive.run_target(fork, &target, &budget)?,
+                None => adaptive.run(&budget, move || target.run()),
+            };
+            (&trace.report, Some(&trace))
         }
-        let report = match &fork {
-            Some(fork) => campaign.run_target(fork, &target, &budget)?,
-            None => campaign.run(&budget, move || target.run()),
-        };
-        Finished {
-            text: report.to_string(),
-            full_json: report.to_json(),
-            canonical_json: if args.alloc_stats {
-                report.canonical_json_with_alloc_stats()
-            } else {
-                report.canonical_json()
-            },
-            coverage_json: report.coverage_json(),
-            workers: report.workers,
-            metrics: report.metrics,
-            races: report.trace.aggregate.races,
-            // A witness replays under the mix of the epoch that ran it.
-            witness_run: Box::new({
-                let (records, epoch_len) = (report.trace.records, report.trace.epoch_len);
-                move |index| {
-                    let record = records
-                        .iter()
-                        .find(|r| (r.start_index..r.start_index + epoch_len).contains(&index))
-                        .ok_or_else(|| {
-                            format!("witness execution {index} falls outside every epoch")
-                        })?;
-                    let mix = StrategyMix::parse(&record.mix)?;
-                    Ok((base_config.clone().with_mix(mix), record.epoch))
-                }
-            }),
-        }
-    } else {
-        let mut campaign = Campaign::new(config);
-        if let Some(w) = args.workers {
-            campaign = campaign.with_workers(w);
-        }
-        let report = match &fork {
-            Some(fork) => campaign.run_target(fork, &target, &budget)?,
-            None => campaign.run(&budget, move || target.run()),
-        };
-        Finished {
-            text: report.to_string(),
-            full_json: report.to_json(),
-            canonical_json: if args.alloc_stats {
-                report.canonical_json_with_alloc_stats()
-            } else {
-                report.canonical_json()
-            },
-            coverage_json: report.coverage_json(),
-            workers: report.workers,
-            metrics: report.metrics,
-            races: report.aggregate.races,
-            witness_run: Box::new(move |_| Ok((base_config.clone(), 0))),
+        None => {
+            plain = match &fork {
+                Some(fork) => campaign.run_target(fork, &target, &budget)?,
+                None => campaign.run(&budget, move || target.run()),
+            };
+            (&plain, None)
         }
     };
     default_sigpipe(true);
 
     if let Some(path) = args.coverage_out.as_deref() {
-        std::fs::write(path, done.coverage_json + "\n")
+        std::fs::write(path, json::coverage(report, epochs) + "\n")
             .map_err(|e| format!("cannot write coverage to `{path}`: {e}"))?;
     }
     if let Some(dir) = args.forensics_dir.as_deref() {
-        let summary =
-            forensics::write_bundles(std::path::Path::new(dir), args.seed, &done.races, |index| {
-                let (config, epoch) = (done.witness_run)(index)?;
-                Ok(replay_witness(config, target, epoch, index))
-            })?;
+        let races = &report.aggregate.races;
+        let summary = forensics::write_bundles(Path::new(dir), args.seed, races, |index| {
+            // A witness replays under the mix of the epoch that ran it.
+            let (config, epoch) = match epochs {
+                Some(trace) => trace.config_at(campaign.config(), index).ok_or_else(|| {
+                    format!("witness execution {index} falls outside every epoch")
+                })?,
+                None => (campaign.config().clone(), 0),
+            };
+            Ok(replay_witness(config, target, epoch, index))
+        })?;
         eprintln!("forensics: {summary} -> {dir}");
     }
     if let Some(path) = args.metrics_out.as_deref() {
@@ -524,25 +473,28 @@ fn run(args: &Args, target: targets::Target) -> Result<(), String> {
             target: target.name.to_string(),
             seed: args.seed,
             policy: args.policy.name().to_string(),
-            workers: done.workers as u64,
+            workers: report.workers as u64,
             isolated: args.isolate,
         };
         let body = if args.metrics_chrome {
-            c11tester_telemetry::chrome_trace(&done.metrics, &meta)
+            c11tester_telemetry::chrome_trace(&report.metrics, &meta)
         } else {
-            done.metrics.to_json(&meta)
+            report.metrics.to_json(&meta)
         };
         std::fs::write(path, body + "\n")
             .map_err(|e| format!("cannot write metrics to `{path}`: {e}"))?;
     }
 
     if args.canonical {
-        println!("{}", done.canonical_json);
+        println!("{}", json::canonical(report, epochs, args.alloc_stats));
     } else if args.json {
-        println!("{}", done.full_json);
+        println!("{}", json::full(report, epochs));
     } else {
         println!("target: {} ({})", target.name, target.group);
-        print!("{}", done.text);
+        match epochs {
+            Some(trace) => print!("{trace}"),
+            None => print!("{report}"),
+        }
     }
     Ok(())
 }

@@ -422,7 +422,6 @@ mod tests {
             start_index: 0,
             mix: "synthetic".to_string(),
             aggregate,
-            crashes: Vec::new(),
         };
         (ledger, vec![record])
     }

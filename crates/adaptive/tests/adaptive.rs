@@ -5,7 +5,8 @@
 //!   canonical JSON for 1, 4, and 8 workers;
 //! * adaptive with the `Fixed` (no-op) policy equals the plain mixed
 //!   campaign over the same budget — the closed loop degenerates to
-//!   the open loop exactly;
+//!   the open loop exactly, down to the embedded report's canonical
+//!   bytes;
 //! * a flagged execution replays by `(seed, epoch, index)` under the
 //!   strategy its epoch's mix assigned it;
 //! * on a seeded-bug workload, adaptive UCB1 reaches first-bug in no
@@ -56,8 +57,7 @@ fn adaptive_trace_json_is_byte_identical_across_1_4_8_workers() {
     let traces: Vec<String> = [1usize, 4, 8]
         .into_iter()
         .map(|w| {
-            AdaptiveCampaign::new(mixed_config())
-                .with_workers(w)
+            AdaptiveCampaign::new(Campaign::new(mixed_config()).with_workers(w))
                 .with_epoch_len(12)
                 .with_policy("ucb1")
                 .expect("valid policy")
@@ -74,8 +74,7 @@ fn adaptive_trace_json_is_byte_identical_across_1_4_8_workers() {
     let exp: Vec<String> = [1usize, 4]
         .into_iter()
         .map(|w| {
-            AdaptiveCampaign::new(mixed_config())
-                .with_workers(w)
+            AdaptiveCampaign::new(Campaign::new(mixed_config()).with_workers(w))
                 .with_epoch_len(12)
                 .with_policy("exp3")
                 .expect("valid policy")
@@ -89,29 +88,27 @@ fn adaptive_trace_json_is_byte_identical_across_1_4_8_workers() {
 #[test]
 fn adaptive_with_fixed_policy_equals_the_plain_mixed_campaign() {
     let executions = 60;
-    let adaptive = AdaptiveCampaign::new(mixed_config())
-        .with_workers(4)
+    let adaptive = AdaptiveCampaign::new(Campaign::new(mixed_config()).with_workers(4))
         .with_epoch_len(16)
         .run(&CampaignBudget::executions(executions), racy);
     let plain = Campaign::new(mixed_config())
         .with_workers(4)
         .run(&CampaignBudget::executions(executions), racy);
     // Fixed never changes the mix, epochs keep the base seed and walk
-    // global indices — so the executions are literally the same ones.
-    assert_eq!(adaptive.trace.aggregate, plain.aggregate);
-    assert_eq!(
-        adaptive.trace.mix_trajectory(),
-        vec![MIX; adaptive.trace.epochs()]
-    );
+    // global indices — so the executions are literally the same ones,
+    // and the adaptive run's report is the plain campaign's, byte for
+    // byte.
+    assert_eq!(adaptive.report.canonical_json(), plain.canonical_json());
+    assert_eq!(adaptive.report.aggregate, plain.aggregate);
+    assert_eq!(adaptive.mix_trajectory(), vec![MIX; adaptive.epochs()]);
     // And both match the serial reference.
     let serial = Model::new(mixed_config()).run_many(executions, racy);
-    assert_eq!(adaptive.trace.aggregate, serial);
+    assert_eq!(adaptive.report.aggregate, serial);
 }
 
 #[test]
 fn flagged_executions_replay_by_seed_epoch_index() {
-    let campaign = AdaptiveCampaign::new(mixed_config())
-        .with_workers(4)
+    let campaign = AdaptiveCampaign::new(Campaign::new(mixed_config()).with_workers(4))
         .with_epoch_len(12)
         .with_policy("ucb1")
         .expect("valid policy");
@@ -119,16 +116,19 @@ fn flagged_executions_replay_by_seed_epoch_index() {
 
     // Find the epoch containing the aggregate's first flagged
     // execution and replay it by (epoch, offset).
-    let first = report.first_bug_execution().expect("rwlock_buggy races");
+    let first = report
+        .report
+        .aggregate
+        .first_bug_execution()
+        .expect("rwlock_buggy races");
     let record = report
-        .trace
         .records
         .iter()
         .find(|r| first >= r.start_index && first < r.end_index())
         .expect("first bug falls in a completed epoch");
     let offset = first - record.start_index;
     let replayed = campaign
-        .replay(&report.trace, record.epoch, offset, racy)
+        .replay(&report, record.epoch, offset, racy)
         .expect("coordinates in range");
     assert_eq!(replayed.execution_index, first);
     assert!(replayed.found_bug(), "replay must reproduce the bug");
@@ -139,11 +139,11 @@ fn flagged_executions_replay_by_seed_epoch_index() {
     // Spot-check replays across later (reweighted) epochs too: the
     // recorded per-epoch mix governs the assignment, not the initial
     // mix.
-    for record in &report.trace.records {
+    for record in &report.records {
         let mix = StrategyMix::parse(&record.mix).expect("trace mix parses");
         let index = record.start_index;
         let replayed = campaign
-            .replay(&report.trace, record.epoch, 0, racy)
+            .replay(&report, record.epoch, 0, racy)
             .expect("offset 0 in range");
         assert_eq!(*replayed.strategy, *mix.strategy_at(SEED, index).spec());
     }
@@ -159,8 +159,7 @@ fn ucb1_beats_the_worst_fixed_arm_to_first_bug_and_shifts_weight() {
     let config = Config::new()
         .with_seed(seed)
         .with_mix(StrategyMix::parse(arms).expect("valid mix"));
-    let adaptive = AdaptiveCampaign::new(config)
-        .with_workers(4)
+    let adaptive = AdaptiveCampaign::new(Campaign::new(config).with_workers(4))
         .with_epoch_len(40)
         .with_policy("ucb1")
         .expect("valid policy")
@@ -182,11 +181,11 @@ fn ucb1_beats_the_worst_fixed_arm_to_first_bug_and_shifts_weight() {
         None,
         "depth-1 PCT must be blind to the depth-2 bug"
     );
-    let adaptive_first = adaptive.first_bug_execution();
+    let adaptive_first = adaptive.report.aggregate.first_bug_execution();
     assert!(
         adaptive_first.is_some(),
         "adaptive campaign must find the bug: {}",
-        adaptive.trace
+        adaptive
     );
     // Executions-to-first-bug: no worse than the worst fixed arm
     // (None = never found = worst possible).
@@ -202,7 +201,7 @@ fn ucb1_beats_the_worst_fixed_arm_to_first_bug_and_shifts_weight() {
 
     // The controller must shift weight toward the productive arm: in
     // the final epoch's mix, pct2 outweighs pct1.
-    let last = adaptive.trace.records.last().expect("epochs ran");
+    let last = adaptive.records.last().expect("epochs ran");
     let mix = StrategyMix::parse(&last.mix).expect("trace mix parses");
     let weight = |spec: &str| {
         mix.entries()
@@ -223,13 +222,12 @@ fn exp3_also_shifts_weight_toward_the_productive_arm() {
     let config = Config::new()
         .with_seed(0x52)
         .with_mix(StrategyMix::parse("pct1@16:1,pct2@16:1").expect("valid mix"));
-    let report = AdaptiveCampaign::new(config)
-        .with_workers(2)
+    let report = AdaptiveCampaign::new(Campaign::new(config).with_workers(2))
         .with_epoch_len(40)
         .with_policy("exp3")
         .expect("valid policy")
         .run(&CampaignBudget::executions(240), lost_update);
-    let last = report.trace.records.last().expect("epochs ran");
+    let last = report.records.last().expect("epochs ran");
     let mix = StrategyMix::parse(&last.mix).expect("trace mix parses");
     let weight = |spec: &str| {
         mix.entries()

@@ -21,8 +21,8 @@
 //! ```
 
 use c11tester::{Config, StrategyMix};
-use c11tester_adaptive::{AdaptiveCampaign, AdaptiveReport};
-use c11tester_campaign::CampaignBudget;
+use c11tester_adaptive::AdaptiveCampaign;
+use c11tester_campaign::{Campaign, CampaignBudget, EpochTrace};
 use c11tester_workloads::ds::rwlock_buggy;
 use std::process::Command;
 
@@ -35,12 +35,11 @@ fn golden_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/rwlock_buggy_ucb1.json")
 }
 
-fn golden_campaign() -> AdaptiveReport {
+fn golden_campaign() -> EpochTrace {
     let config = Config::new()
         .with_seed(SEED)
         .with_mix(StrategyMix::parse(MIX).expect("valid mix"));
-    AdaptiveCampaign::new(config)
-        .with_workers(4)
+    AdaptiveCampaign::new(Campaign::new(config).with_workers(4))
         .with_epoch_len(EPOCH_LEN)
         .with_policy("ucb1")
         .expect("valid policy")

@@ -308,6 +308,102 @@ fn adaptive_isolated_campaigns_are_worker_count_independent() {
     assert!(trace.contains("\"crash_records\":[{\"execution\":"));
 }
 
+/// An adaptive run's crashes have one source of truth, the report's
+/// sorted `crashes`: each epoch's are the ones in its index range, run
+/// under the strategy its mix assigned, and the document's per-epoch
+/// `crashes` scalars sum to the top-level count.
+#[test]
+fn adaptive_isolated_crashes_tile_the_epochs_in_index_order() {
+    use c11tester::{Config, StrategyMix};
+    use c11tester_adaptive::AdaptiveCampaign;
+    use c11tester_campaign::{targets, Campaign, CampaignBudget};
+    use c11tester_isolation::ForkServer;
+    use c11tester_telemetry::json::JsonValue;
+
+    let target = targets::find("null-deref-buggy").expect("target exists");
+    let fork = ForkServer::new(Path::new(BIN)).with_batch_size(16);
+    let mix = StrategyMix::parse("random:1,pct2:1,pct3:1,burst:1").expect("valid mix");
+    let campaign = Campaign::new(Config::new().with_seed(7).with_mix(mix)).with_workers(2);
+    let trace = AdaptiveCampaign::new(campaign.clone())
+        .with_epoch_len(30)
+        .with_policy("ucb1")
+        .expect("valid policy")
+        .run_target(&fork, &target, &CampaignBudget::executions(120))
+        .expect("fork server runs");
+    let crashes = &trace.report.crashes;
+    assert!(!crashes.is_empty(), "null-deref-buggy crashes");
+    let per_epoch: Vec<_> = trace
+        .records
+        .iter()
+        .flat_map(|r| trace.crashes_in(r).iter().cloned())
+        .collect();
+    assert_eq!(&per_epoch, crashes, "epochs' crashes, in index order");
+    for record in &trace.records {
+        for crash in trace.crashes_in(record) {
+            let (config, epoch) = trace
+                .config_at(campaign.config(), crash.index)
+                .expect("a crash lies in an epoch");
+            assert_eq!(epoch, record.epoch);
+            assert_eq!(crash.strategy, config.strategy_for(crash.index).spec());
+        }
+    }
+
+    let doc = JsonValue::parse(&trace.canonical_json()).expect("canonical JSON parses");
+    let epochs = doc.array_field("epochs").expect("epoch rows");
+    let epoch_crashes: u64 = epochs
+        .iter()
+        .map(|e| e.u64_field("crashes").expect("crashes"))
+        .sum();
+    assert_eq!(epoch_crashes, doc.u64_field("crashes").expect("crashes"));
+    assert_eq!(epoch_crashes, crashes.len() as u64);
+    let records: Vec<u64> = doc
+        .array_field("crash_records")
+        .expect("crash records")
+        .iter()
+        .map(|c| c.u64_field("execution").expect("execution"))
+        .collect();
+    let indices: Vec<u64> = crashes.iter().map(|c| c.index).collect();
+    assert_eq!(records, indices);
+}
+
+/// The children rebuild their config from the worker flags; what those
+/// flags carry must reach them, and a config they cannot carry is
+/// refused before anything spawns.
+#[test]
+fn the_fork_server_carries_a_single_strategy_and_refuses_what_it_cannot_carry() {
+    use c11tester::{Config, Strategy};
+    use c11tester_campaign::{targets, Campaign, CampaignBudget};
+    use c11tester_isolation::ForkServer;
+
+    let target = targets::find("rwlock-buggy").expect("target exists");
+    let budget = CampaignBudget::executions(48);
+    let pct2 = Config::new()
+        .with_seed(7)
+        .with_strategy(Strategy::parse_spec("pct2").expect("spec"));
+    let in_process = Campaign::new(pct2.clone())
+        .with_workers(2)
+        .run(&budget, || target.run());
+    let isolated = Campaign::new(pct2.clone())
+        .with_workers(2)
+        .run_target(&ForkServer::new(Path::new(BIN)), &target, &budget)
+        .expect("fork server runs");
+    assert_eq!(isolated.canonical_json(), in_process.canonical_json());
+    assert!(in_process
+        .canonical_json()
+        .contains("\"per_strategy\":[{\"strategy\":\"pct2\""));
+
+    // A missing worker binary proves the refusal comes before a spawn.
+    let err = Campaign::new(pct2.with_max_events(1_000))
+        .with_workers(2)
+        .run_target(
+            &ForkServer::new("/nonexistent/worker-binary"),
+            &target,
+            &budget,
+        )
+        .unwrap_err();
+    assert!(err.contains("max_events"), "{err}");
+}
+
 #[test]
 fn library_fork_server_reports_crashes_through_run_target() {
     use c11tester::Config;

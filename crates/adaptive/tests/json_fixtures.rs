@@ -25,8 +25,8 @@ use c11tester::{
     AccessKind, Config, DedupHistory, ExecCoverage, ExecStats, ExecutionReport, Failure, Model,
     RaceKind, RaceReport, TestReport, ThreadId, TraceEvent, TraceKey, TraceKind,
 };
-use c11tester_adaptive::AdaptiveReport;
 use c11tester_campaign::forensics::{self, Witness};
+use c11tester_campaign::json;
 use c11tester_campaign::{
     CampaignBudget, CampaignReport, CrashKind, CrashRecord, EpochRecord, EpochTrace, StopReason,
 };
@@ -264,6 +264,7 @@ fn campaign_report() -> CampaignReport {
     }
 }
 
+/// A hand-built adaptive run: two epochs, one crash in the first.
 fn epoch_trace() -> EpochTrace {
     let records = vec![
         EpochRecord {
@@ -271,14 +272,12 @@ fn epoch_trace() -> EpochTrace {
             start_index: 0,
             mix: NASTY.to_string(),
             aggregate: aggregate(0, 6),
-            crashes: vec![crash(5, CrashKind::Exit(2))],
         },
         EpochRecord {
             epoch: 1,
             start_index: 6,
             mix: "random:1,pct2:3".to_string(),
             aggregate: aggregate(6, 5),
-            crashes: Vec::new(),
         },
     ];
     let mut aggregate = TestReport::default();
@@ -286,24 +285,21 @@ fn epoch_trace() -> EpochTrace {
         aggregate.merge(&r.aggregate);
     }
     EpochTrace {
-        base_seed: 7,
-        policy: NASTY,
+        report: CampaignReport {
+            base_seed: 7,
+            policy: NASTY,
+            strategy: NASTY.to_string(),
+            budget: CampaignBudget::executions(12),
+            stop_reason: StopReason::FirstBug,
+            aggregate,
+            crashes: vec![crash(5, CrashKind::Exit(2))],
+            workers: 2,
+            wall_time: Duration::from_nanos(333_333_333),
+            metrics: CampaignMetrics::default(),
+        },
         adaptive_policy: NASTY.to_string(),
         epoch_len: 6,
-        initial_mix: NASTY.to_string(),
-        budget: CampaignBudget::executions(12),
-        stop_reason: StopReason::FirstBug,
         records,
-        aggregate,
-    }
-}
-
-fn adaptive_report() -> AdaptiveReport {
-    AdaptiveReport {
-        trace: epoch_trace(),
-        workers: 2,
-        wall_time: Duration::from_nanos(333_333_333),
-        metrics: CampaignMetrics::default(),
     }
 }
 
@@ -495,22 +491,25 @@ fn captures() -> Vec<(&'static str, String)> {
     let (m, meta) = metrics();
     let (zero, zero_meta) = metrics_zero();
     let report = campaign_report();
-    let adaptive = adaptive_report();
+    let adaptive = epoch_trace();
     vec![
         ("coverage_plain.json", coverage_plain()),
         ("coverage_ucb.json", coverage_ucb()),
-        ("coverage_nasty.json", report.coverage_json()),
-        ("coverage_trace_nasty.json", adaptive.coverage_json()),
+        ("coverage_nasty.json", json::coverage(&report, None)),
         (
-            "campaign_nasty.json",
-            report.canonical_json_with_alloc_stats(),
+            "coverage_trace_nasty.json",
+            json::coverage(&adaptive.report, Some(&adaptive)),
         ),
-        ("campaign_nasty_full.json", report.to_json()),
+        ("campaign_nasty.json", json::canonical(&report, None, true)),
+        ("campaign_nasty_full.json", json::full(&report, None)),
         (
             "trace_nasty.json",
-            adaptive.canonical_json_with_alloc_stats(),
+            json::canonical(&adaptive.report, Some(&adaptive), true),
         ),
-        ("trace_nasty_full.json", adaptive.to_json()),
+        (
+            "trace_nasty_full.json",
+            json::full(&adaptive.report, Some(&adaptive)),
+        ),
         ("forensics_race-000.json", forensics_json),
         ("forensics_race-000.dot", forensics_dot),
         ("forensics_nasty.json", nasty_json),

@@ -32,7 +32,7 @@ use c11tester_adaptive::AdaptiveCampaign;
 use c11tester_bench::{
     campaign_runs, columns, paper_config, rule, runs_from_env, time_policy_runs,
 };
-use c11tester_campaign::CampaignBudget;
+use c11tester_campaign::{Campaign, CampaignBudget};
 use c11tester_workloads::{ds, DsBench};
 
 const SEED: u64 = 0x7AB1E2;
@@ -159,12 +159,12 @@ fn adaptive_table(runs: u64) {
             // Epoch-driven: the budget runs in `epoch_len`-execution
             // epochs and `policy` reweights the mix between them from
             // the per-strategy detection columns.
-            let report = AdaptiveCampaign::new(mixed_config(&mix))
+            let trace = AdaptiveCampaign::new(Campaign::new(mixed_config(&mix)))
                 .with_epoch_len(epoch_len)
                 .with_policy(policy)
                 .expect("valid reweighting policy")
                 .run(&CampaignBudget::executions(runs), body);
-            let first = report.first_bug_execution();
+            let first = trace.report.aggregate.first_bug_execution();
             let verdict = if first.unwrap_or(u64::MAX) <= worst_fixed {
                 "<= worst fixed"
             } else {
@@ -173,15 +173,10 @@ fn adaptive_table(runs: u64) {
             println!(
                 "  {:<22} {:>6.1}%  first bug {}  ({} epochs, final mix {}, {})",
                 format!("adaptive {policy}"),
-                100.0 * report.bug_detection_rate(),
+                100.0 * trace.report.bug_detection_rate(),
                 fmt_first_bug(first),
-                report.trace.epochs(),
-                report
-                    .trace
-                    .records
-                    .last()
-                    .map(|r| r.mix.as_str())
-                    .unwrap_or("-"),
+                trace.epochs(),
+                trace.mix_trajectory().last().unwrap_or(&"-"),
                 verdict,
             );
         }

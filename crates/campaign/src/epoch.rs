@@ -5,27 +5,26 @@
 //! contiguous range of the global execution-index stream
 //! ([`crate::Campaign::run_range`]) under that epoch's
 //! [`c11tester::StrategyMix`], and a controller reweights the mix
-//! between epochs from the per-strategy detection columns. The
-//! [`EpochTrace`] is the closed-loop run's canonical record: one
-//! [`EpochRecord`] per epoch (mix, per-strategy columns, aggregate)
-//! plus the overall aggregate, serialized as `c11campaign/v4`
-//! canonical JSON.
+//! between epochs from the per-strategy detection columns. The run's
+//! record is an [`EpochTrace`]: the [`CampaignReport`] any campaign
+//! produces (header, budget, stop reason, overall aggregate, every
+//! crash, timing) plus what only an adaptive run has — its policy, its
+//! epoch length and one [`EpochRecord`] per epoch (mix, aggregate with
+//! per-strategy columns). It serializes as `c11campaign/v4` canonical
+//! JSON with an `adaptive` header and an `epochs` array.
 //!
 //! Determinism: every epoch keeps the campaign's **base seed** and
 //! walks **global** execution indices, so execution `start_index + i`
 //! of epoch `e` is reproducible by `(seed, epoch-mix, index)` alone —
-//! parse [`EpochRecord::mix`], set it on the base config, and
-//! [`c11tester::Model::run_at`] the global index. Because fixed-budget
-//! range campaigns aggregate byte-identically for any worker count and
-//! reweighting is a pure function of completed-epoch aggregates, the
-//! whole trace (and its canonical JSON) is byte-identical across
-//! worker counts.
+//! [`EpochTrace::config_at`] rebuilds the config that ran it for
+//! [`c11tester::Model::run_at`]. Because fixed-budget range campaigns
+//! aggregate byte-identically for any worker count and reweighting is a
+//! pure function of completed-epoch aggregates, the whole trace (and
+//! its canonical JSON) is byte-identical across worker counts.
 
 use crate::exec::CrashRecord;
-use crate::json;
-use crate::{CampaignBudget, StopReason};
-use c11tester::TestReport;
-use std::time::Duration;
+use crate::{json, CampaignReport};
+use c11tester::{Config, StrategyMix, TestReport};
 
 /// One completed epoch of an adaptive campaign.
 #[derive(Clone, Debug)]
@@ -41,9 +40,6 @@ pub struct EpochRecord {
     /// The epoch's aggregate (including its per-strategy ledger),
     /// identical to a serial run of the same index range.
     pub aggregate: TestReport,
-    /// Executions of this epoch that killed their worker process,
-    /// sorted by index. Always empty for in-process epochs.
-    pub crashes: Vec<CrashRecord>,
 }
 
 impl EpochRecord {
@@ -63,65 +59,34 @@ impl EpochRecord {
     }
 }
 
-/// The canonical record of one adaptive (epoch-driven) campaign run.
+/// The record of one adaptive (epoch-driven) campaign run: its
+/// campaign report plus its epochs.
 #[derive(Clone, Debug)]
 pub struct EpochTrace {
-    /// Base seed shared by every epoch (epochs vary the *mix*, never
-    /// the seed, so global indices stay replayable).
-    pub base_seed: u64,
-    /// Memory-model policy name.
-    pub policy: &'static str,
+    /// The run as a campaign report. Its `strategy` is the initial mix
+    /// (epoch 0's), its aggregate is merged over all epochs (equal to a
+    /// single campaign over the same index stream when the mix never
+    /// changes), its `crashes` are every epoch's in index order, and its
+    /// metrics carry a per-epoch timeline.
+    pub report: CampaignReport,
     /// Canonical spec of the reweighting policy (`fixed`, `ucb1[@c]`,
     /// `exp3[@eta]`, …).
     pub adaptive_policy: String,
     /// Nominal epoch length in executions (the final epoch may be
     /// shorter when the budget is not a multiple).
     pub epoch_len: u64,
-    /// Canonical spec of the initial mix (epoch 0's mix).
-    pub initial_mix: String,
-    /// The overall budget the adaptive campaign ran under.
-    pub budget: CampaignBudget,
-    /// Why the campaign stopped.
-    pub stop_reason: StopReason,
     /// Completed epochs in order.
     pub records: Vec<EpochRecord>,
-    /// Aggregate merged over all epochs — equal to a single campaign
-    /// over the same index stream when the mix never changes.
-    pub aggregate: TestReport,
 }
 
 impl EpochTrace {
     /// The canonical (worker-count independent) `c11campaign/v4` JSON
-    /// form: the plain report's aggregate fields plus an `adaptive`
-    /// header and an `epochs` array carrying each epoch's mix,
-    /// per-strategy columns, and running cumulative totals.
-    /// Byte-identical for any worker count over a fixed budget.
+    /// form: the plain report's fields plus an `adaptive` header and an
+    /// `epochs` array carrying each epoch's mix, per-strategy columns,
+    /// and running cumulative totals. Byte-identical for any worker
+    /// count over a fixed budget.
     pub fn canonical_json(&self) -> String {
-        json::canonical_trace(self, false)
-    }
-
-    /// The canonical trace plus the opt-in `alloc` diagnostics block
-    /// inside `stats` (see
-    /// [`crate::CampaignReport::canonical_json_with_alloc_stats`]).
-    /// Not covered by the byte-identity contract.
-    pub fn canonical_json_with_alloc_stats(&self) -> String {
-        json::canonical_trace(self, true)
-    }
-
-    /// The full JSON form of a run that produced this trace: the
-    /// canonical trace plus run-local timing (`workers`, wall seconds,
-    /// throughput), shaped like [`crate::CampaignReport::to_json`].
-    pub fn full_json(&self, workers: usize, wall_time: Duration) -> String {
-        json::full_trace(self, workers, wall_time)
-    }
-
-    /// The `c11coverage/v1` behavior-coverage object for the adaptive
-    /// run: the overall behavior arrays plus a per-epoch
-    /// `new_behaviors` growth curve (see `docs/COVERAGE.md`).
-    /// Meaningful only when the run collected coverage; byte-identical
-    /// across worker counts, like [`EpochTrace::canonical_json`].
-    pub fn coverage_json(&self) -> String {
-        json::coverage_trace(self)
+        json::canonical(&self.report, Some(self), false)
     }
 
     /// The record for epoch `e`, if it completed.
@@ -140,93 +105,131 @@ impl EpochTrace {
         self.records.iter().map(|r| r.mix.as_str()).collect()
     }
 
-    /// Every crash record across all epochs, in index order (epochs
-    /// cover disjoint ascending index ranges, so concatenation is
-    /// already sorted).
-    pub fn crash_records(&self) -> Vec<CrashRecord> {
-        self.records
-            .iter()
-            .flat_map(|r| r.crashes.iter().cloned())
-            .collect()
+    /// The crashes of one epoch: the part of the report's sorted
+    /// `crashes` that lies in the epoch's nominal index range.
+    pub fn crashes_in(&self, record: &EpochRecord) -> &[CrashRecord] {
+        let crashes = &self.report.crashes;
+        let below = |bound: u64| crashes.partition_point(|c| c.index < bound);
+        let end = record.start_index.saturating_add(self.epoch_len);
+        &crashes[below(record.start_index)..below(end)]
+    }
+
+    /// The config and epoch that ran global execution `index`: `base`
+    /// (the campaign's config) under the mix of the epoch whose
+    /// *nominal* range — `epoch_len`, clipped by the budget — holds the
+    /// index. `None` when no completed epoch's range does. The nominal
+    /// range, not the completed count, is the bound: an early-stopped
+    /// epoch completes part of its range, not necessarily a prefix, and
+    /// any in-range index replays deterministically.
+    pub fn config_at(&self, base: &Config, index: u64) -> Option<(Config, u64)> {
+        if index >= self.report.budget.max_executions {
+            return None;
+        }
+        let record = self.records.iter().find(|r| {
+            (r.start_index..r.start_index.saturating_add(self.epoch_len)).contains(&index)
+        })?;
+        let mix = StrategyMix::parse(&record.mix).ok()?;
+        Some((base.clone().with_mix(mix), record.epoch))
     }
 }
 
 impl std::fmt::Display for EpochTrace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let r = &self.report;
+        writeln!(
+            f,
+            "adaptive: {} executions on {} worker(s) in {:.2?}, policy {}, initial mix {}",
+            r.aggregate.executions, r.workers, r.wall_time, self.adaptive_policy, r.strategy,
+        )?;
         writeln!(
             f,
             "adaptive campaign: {} epoch(s) of {} execution(s), policy {}, seed {:#x}, {}",
             self.records.len(),
             self.epoch_len,
             self.adaptive_policy,
-            self.base_seed,
-            self.stop_reason.name(),
+            r.base_seed,
+            r.stop_reason.name(),
         )?;
         let mut cumulative_bugs = 0u64;
-        for r in &self.records {
-            cumulative_bugs += r.aggregate.executions_with_bug;
+        for rec in &self.records {
+            cumulative_bugs += rec.aggregate.executions_with_bug;
+            let crashes = self.crashes_in(rec).len();
             writeln!(
                 f,
                 "  epoch {:>3} [{}..{}): mix {} — {}/{} with bugs (cum {}){}",
-                r.epoch,
-                r.start_index,
-                r.end_index(),
-                r.mix,
-                r.aggregate.executions_with_bug,
-                r.aggregate.executions,
+                rec.epoch,
+                rec.start_index,
+                rec.end_index(),
+                rec.mix,
+                rec.aggregate.executions_with_bug,
+                rec.aggregate.executions,
                 cumulative_bugs,
-                if r.crashes.is_empty() {
+                if crashes == 0 {
                     String::new()
                 } else {
-                    format!(", {} crash(es)", r.crashes.len())
+                    format!(", {crashes} crash(es)")
                 },
             )?;
         }
-        write!(f, "{}", self.aggregate)
+        write!(f, "{}", r.aggregate)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CampaignBudget, CrashKind, StopReason};
+    use c11tester_telemetry::CampaignMetrics;
+    use std::time::Duration;
+
+    fn record(epoch: u64, mix: &str) -> EpochRecord {
+        EpochRecord {
+            epoch,
+            start_index: epoch * 8,
+            mix: mix.to_string(),
+            aggregate: TestReport::default(),
+        }
+    }
+
+    fn trace(crash_indices: &[u64]) -> EpochTrace {
+        EpochTrace {
+            report: CampaignReport {
+                base_seed: 7,
+                policy: "C11Tester",
+                strategy: "random:1,pct2:1".to_string(),
+                budget: CampaignBudget::executions(16),
+                stop_reason: StopReason::BudgetExhausted,
+                aggregate: TestReport::default(),
+                crashes: crash_indices
+                    .iter()
+                    .map(|&index| CrashRecord {
+                        index,
+                        strategy: "random".to_string(),
+                        kind: CrashKind::Signal(11),
+                    })
+                    .collect(),
+                workers: 1,
+                wall_time: Duration::ZERO,
+                metrics: CampaignMetrics::default(),
+            },
+            adaptive_policy: "ucb1".to_string(),
+            epoch_len: 8,
+            records: vec![record(0, "random:1,pct2:1"), record(1, "random:1,pct2:3")],
+        }
+    }
 
     #[test]
     fn record_accessors_cover_the_index_range() {
-        let aggregate = TestReport {
-            executions: 16,
-            ..Default::default()
-        };
-        let record = EpochRecord {
-            epoch: 2,
-            start_index: 32,
-            mix: "random:1".to_string(),
-            aggregate,
-            crashes: Vec::new(),
-        };
+        let mut record = record(2, "random:1");
+        record.start_index = 32;
+        record.aggregate.executions = 16;
         assert_eq!(record.executions(), 16);
         assert_eq!(record.end_index(), 48);
     }
 
     #[test]
     fn trace_lookup_and_trajectory() {
-        let record = |epoch: u64, mix: &str| EpochRecord {
-            epoch,
-            start_index: epoch * 8,
-            mix: mix.to_string(),
-            aggregate: TestReport::default(),
-            crashes: Vec::new(),
-        };
-        let trace = EpochTrace {
-            base_seed: 7,
-            policy: "C11Tester",
-            adaptive_policy: "ucb1".to_string(),
-            epoch_len: 8,
-            initial_mix: "random:1,pct2:1".to_string(),
-            budget: CampaignBudget::executions(16),
-            stop_reason: StopReason::BudgetExhausted,
-            records: vec![record(0, "random:1,pct2:1"), record(1, "random:1,pct2:3")],
-            aggregate: TestReport::default(),
-        };
+        let trace = trace(&[]);
         assert_eq!(trace.epochs(), 2);
         assert_eq!(trace.record(1).expect("epoch 1").mix, "random:1,pct2:3");
         assert!(trace.record(2).is_none());
@@ -235,5 +238,26 @@ mod tests {
             ["random:1,pct2:1", "random:1,pct2:3"]
         );
         assert!(trace.to_string().contains("epoch   1"));
+    }
+
+    #[test]
+    fn epochs_slice_the_reports_crashes_by_nominal_range() {
+        let trace = trace(&[1, 7, 8, 15]);
+        let indices =
+            |r: &EpochRecord| -> Vec<u64> { trace.crashes_in(r).iter().map(|c| c.index).collect() };
+        assert_eq!(indices(&trace.records[0]), [1, 7]);
+        assert_eq!(indices(&trace.records[1]), [8, 15]);
+        assert!(trace.to_string().contains(", 2 crash(es)"));
+    }
+
+    #[test]
+    fn config_at_resolves_the_epoch_mix_within_the_budget() {
+        let trace = trace(&[]);
+        let base = Config::new().with_seed(7);
+        let (config, epoch) = trace.config_at(&base, 9).expect("index 9 is in epoch 1");
+        assert_eq!(epoch, 1);
+        assert_eq!(config.strategy_label(), "random:1,pct2:3");
+        assert_eq!(config.seed, 7);
+        assert!(trace.config_at(&base, 16).is_none(), "past the budget");
     }
 }

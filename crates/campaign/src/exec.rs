@@ -136,10 +136,6 @@ pub struct RangeOutcome {
 /// crash list depend only on `(config, first_index, budget)` — not on
 /// worker counts, batch sizes, or scheduling of the backend itself.
 pub trait Executor: std::fmt::Debug + Sync {
-    /// Stable backend name (`in-process`, `fork-server`) for reports
-    /// and logs.
-    fn name(&self) -> &'static str;
-
     /// Runs executions `first_index .. first_index +
     /// budget.max_executions` of `target` under `config`, fanning out
     /// over `workers` threads or processes.

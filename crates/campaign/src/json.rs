@@ -1,5 +1,7 @@
-//! The report documents: `c11campaign/v4` (plain report, adaptive
-//! epoch trace, `--json` full form) and `c11coverage/v1`, plus the one
+//! The report documents: `c11campaign/v4` (canonical and `--json`
+//! full form) and `c11coverage/v1`, one writer each for plain and
+//! adaptive runs alike (an adaptive run is its [`CampaignReport`] plus
+//! the [`EpochTrace`] epochs, which add rows), plus the one
 //! encoding of each report type they share with the fork-server wire
 //! (`c11tester-isolation`'s `protocol`): a race, a dedup entry, a
 //! per-strategy row, an `ExecStats`, an `AllocStats` and a `CoverageMap`
@@ -22,7 +24,6 @@ use c11tester::{
 use c11tester_core::{AllocStats, ExecStats, MoGraphStats, ObjId};
 use c11tester_telemetry::json::{JsonValue, JsonWriter};
 use std::collections::BTreeSet;
-use std::time::Duration;
 
 // ---------------------------------------------------------------------
 // Shared report types: one writer and one reader each
@@ -415,49 +416,23 @@ fn write_aggregate_tail(w: &mut JsonWriter, a: &TestReport, alloc: bool) {
 }
 
 /// Writes the header every document starts with: schema, seed, policy,
-/// strategy label.
-fn write_header(w: &mut JsonWriter, schema: &str, seed: u64, policy: &str, strategy: &str) {
+/// strategy label (an adaptive run's is its initial mix).
+fn write_header(w: &mut JsonWriter, schema: &str, r: &CampaignReport) {
     w.key("schema").str(schema);
-    w.key("base_seed").u64(seed);
-    w.key("policy").str(policy);
-    w.key("strategy").str(strategy);
+    w.key("base_seed").u64(r.base_seed);
+    w.key("policy").str(r.policy);
+    w.key("strategy").str(&r.strategy);
 }
 
-/// The canonical (worker-count independent) object of a plain report,
-/// with the opt-in `alloc` block inside `stats` when `alloc` is set
-/// (`c11campaign --alloc-stats`; worker-count and provisioning
-/// dependent by design, so never part of the goldens).
+/// Writes the canonical (worker-count independent) `c11campaign/v4`
+/// object of `r` (see [`canonical`]).
 ///
 /// Schema history: version 2 added the `per_strategy` column array (one
 /// row per strategy spec that drove at least one execution, sorted by
 /// spec) on top of v1's aggregate, and made `strategy` the canonical
-/// spec / mix label instead of a Debug rendering. `c11campaign/v4` adds
-/// the `crashes` scalar and the `crash_records` array (fork-isolated
-/// campaigns record a worker-process death per crashing execution;
-/// in-process campaigns always emit `0` / `[]`).
-fn write_canonical(w: &mut JsonWriter, r: &CampaignReport, alloc: bool) {
-    w.object(|w| {
-        write_header(w, "c11campaign/v4", r.base_seed, r.policy, &r.strategy);
-        write_budget(w, &r.budget);
-        w.key("stop_reason").str(r.stop_reason.name());
-        write_detection_scalars(w, &r.aggregate, r.crashes.len());
-        write_per_strategy(w, &r.aggregate.per_strategy);
-        write_crash_records(w, &r.crashes);
-        write_aggregate_tail(w, &r.aggregate, alloc);
-    });
-}
-
-pub(crate) fn canonical(r: &CampaignReport, alloc: bool) -> String {
-    let mut w = JsonWriter::with_capacity(1024);
-    write_canonical(&mut w, r, alloc);
-    w.finish()
-}
-
-/// The canonical epoch-trace object for adaptive campaigns.
-///
-/// Introduced as schema version 3, which kept every plain-report
-/// aggregate field (same names, same order — a plain-report reader
-/// sees a superset) and added:
+/// spec / mix label instead of a Debug rendering. Version 3 gave
+/// adaptive runs their superset of the plain object (same names, same
+/// order), adding:
 ///
 /// * an `adaptive` header (`policy`, `epoch_len`, `initial_mix`,
 ///   `epochs`);
@@ -467,131 +442,123 @@ pub(crate) fn canonical(r: &CampaignReport, alloc: bool) -> String {
 ///   detection scalars, its per-strategy columns, and the running
 ///   `cumulative` totals after the epoch.
 ///
-/// `c11campaign/v4` adds crash accounting exactly as in the plain
-/// report: a `crashes` scalar per epoch row and at the top level, plus
-/// the top-level `crash_records` array (the epochs' records
-/// concatenated in index order).
-fn write_canonical_trace(w: &mut JsonWriter, t: &EpochTrace, alloc: bool) {
-    let all_crashes = t.crash_records();
+/// `c11campaign/v4` adds the `crashes` scalar (top level and per epoch
+/// row) and the `crash_records` array: fork-isolated campaigns record a
+/// worker-process death per crashing execution; in-process campaigns
+/// always emit `0` / `[]`.
+fn write_canonical(
+    w: &mut JsonWriter,
+    r: &CampaignReport,
+    epochs: Option<&EpochTrace>,
+    alloc: bool,
+) {
     w.object(|w| {
-        write_header(w, "c11campaign/v4", t.base_seed, t.policy, &t.initial_mix);
-        w.key("adaptive").object(|w| {
-            w.key("policy").str(&t.adaptive_policy);
-            w.key("epoch_len").u64(t.epoch_len);
-            w.key("initial_mix").str(&t.initial_mix);
-            w.key("epochs").u64(t.records.len() as u64);
-        });
-        write_budget(w, &t.budget);
-        w.key("stop_reason").str(t.stop_reason.name());
-        write_detection_scalars(w, &t.aggregate, all_crashes.len());
-        w.key("first_bug_execution")
-            .opt_u64(t.aggregate.first_bug_execution());
-        w.key("epochs").array(|w| {
-            let mut cumulative = TestReport::default();
-            for rec in &t.records {
-                cumulative.merge(&rec.aggregate);
-                w.object(|w| {
-                    w.key("epoch").u64(rec.epoch);
-                    w.key("start_index").u64(rec.start_index);
-                    w.key("mix").str(&rec.mix);
-                    write_detection_scalars(w, &rec.aggregate, rec.crashes.len());
-                    write_per_strategy(w, &rec.aggregate.per_strategy);
-                    w.key("cumulative").object(|w| {
-                        w.key("executions").u64(cumulative.executions);
-                        w.key("executions_with_race")
-                            .u64(cumulative.executions_with_race);
-                        w.key("executions_with_bug")
-                            .u64(cumulative.executions_with_bug);
-                        w.key("distinct_races").u64(cumulative.races.len() as u64);
-                        w.key("first_bug_execution")
-                            .opt_u64(cumulative.first_bug_execution());
-                    });
-                });
-            }
-        });
-        write_per_strategy(w, &t.aggregate.per_strategy);
-        write_crash_records(w, &all_crashes);
-        write_aggregate_tail(w, &t.aggregate, alloc);
-    });
-}
-
-pub(crate) fn canonical_trace(t: &EpochTrace, alloc: bool) -> String {
-    let mut w = JsonWriter::with_capacity(4096);
-    write_canonical_trace(&mut w, t, alloc);
-    w.finish()
-}
-
-/// The `--json` full form, `{"campaign":<canonical>,"timing":{…}}`, for
-/// plain reports and epoch traces alike.
-fn full(
-    workers: usize,
-    wall_time: Duration,
-    executions: u64,
-    campaign: impl FnOnce(&mut JsonWriter),
-) -> String {
-    let secs = wall_time.as_secs_f64();
-    let mut w = JsonWriter::with_capacity(1024);
-    w.object(|w| {
-        campaign(w.key("campaign"));
-        w.key("timing").object(|w| {
-            w.key("workers").u64(workers as u64);
-            w.key("wall_secs").f64(secs);
-            w.key("executions_per_second").f64(if secs > 0.0 {
-                executions as f64 / secs
-            } else {
-                0.0
+        write_header(w, "c11campaign/v4", r);
+        if let Some(t) = epochs {
+            w.key("adaptive").object(|w| {
+                w.key("policy").str(&t.adaptive_policy);
+                w.key("epoch_len").u64(t.epoch_len);
+                w.key("initial_mix").str(&r.strategy);
+                w.key("epochs").u64(t.records.len() as u64);
             });
-        });
+        }
+        write_budget(w, &r.budget);
+        w.key("stop_reason").str(r.stop_reason.name());
+        write_detection_scalars(w, &r.aggregate, r.crashes.len());
+        if let Some(t) = epochs {
+            w.key("first_bug_execution")
+                .opt_u64(r.aggregate.first_bug_execution());
+            write_epoch_rows(w, t);
+        }
+        write_per_strategy(w, &r.aggregate.per_strategy);
+        write_crash_records(w, &r.crashes);
+        write_aggregate_tail(w, &r.aggregate, alloc);
     });
+}
+
+/// Writes the canonical `"epochs":[…]` array of an adaptive run.
+fn write_epoch_rows(w: &mut JsonWriter, t: &EpochTrace) {
+    w.key("epochs").array(|w| {
+        let mut cumulative = TestReport::default();
+        for rec in &t.records {
+            cumulative.merge(&rec.aggregate);
+            w.object(|w| {
+                w.key("epoch").u64(rec.epoch);
+                w.key("start_index").u64(rec.start_index);
+                w.key("mix").str(&rec.mix);
+                write_detection_scalars(w, &rec.aggregate, t.crashes_in(rec).len());
+                write_per_strategy(w, &rec.aggregate.per_strategy);
+                w.key("cumulative").object(|w| {
+                    w.key("executions").u64(cumulative.executions);
+                    w.key("executions_with_race")
+                        .u64(cumulative.executions_with_race);
+                    w.key("executions_with_bug")
+                        .u64(cumulative.executions_with_bug);
+                    w.key("distinct_races").u64(cumulative.races.len() as u64);
+                    w.key("first_bug_execution")
+                        .opt_u64(cumulative.first_bug_execution());
+                });
+            });
+        }
+    });
+}
+
+/// The canonical document of `r` (see [`CampaignReport::canonical_json`]);
+/// `epochs` is the adaptive run whose report `r` is, if any.
+///
+/// `alloc` adds the `alloc` diagnostics block inside `stats`
+/// (recycled-vs-fresh provisioning and clock-vector spill counts;
+/// `c11campaign --alloc-stats`). The block is **not** covered by the
+/// byte-identity contract: provisioning depends on worker count and on
+/// execution-state recycling, which is why the canonical form and the
+/// goldens leave it out.
+pub fn canonical(r: &CampaignReport, epochs: Option<&EpochTrace>, alloc: bool) -> String {
+    let mut w = JsonWriter::with_capacity(4096);
+    write_canonical(&mut w, r, epochs, alloc);
     w.finish()
 }
 
-pub(crate) fn full_report(r: &CampaignReport) -> String {
-    full(r.workers, r.wall_time, r.aggregate.executions, |w| {
-        write_canonical(w, r, false)
-    })
-}
-
-pub(crate) fn full_trace(t: &EpochTrace, workers: usize, wall_time: Duration) -> String {
-    full(workers, wall_time, t.aggregate.executions, |w| {
-        write_canonical_trace(w, t, false)
-    })
+/// The `--json` full form, `{"campaign":<canonical>,"timing":{…}}`:
+/// the canonical object plus run-local timing (workers, wall seconds,
+/// throughput).
+pub fn full(r: &CampaignReport, epochs: Option<&EpochTrace>) -> String {
+    let mut w = JsonWriter::with_capacity(4096);
+    w.object(|w| {
+        write_canonical(w.key("campaign"), r, epochs, false);
+        w.key("timing").object(|w| {
+            w.key("workers").u64(r.workers as u64);
+            w.key("wall_secs").f64(r.wall_time.as_secs_f64());
+            w.key("executions_per_second").f64(r.throughput());
+        });
+    });
+    w.finish()
 }
 
 // ---------------------------------------------------------------------
 // c11coverage/v1
 // ---------------------------------------------------------------------
 
-/// The `c11coverage/v1` object for a plain (single-mix) campaign.
+/// The `c11coverage/v1` object (see `docs/COVERAGE.md`): the run's
+/// distinct rf edges, mo adjacencies, race classes and interleaving
+/// signatures with per-behavior provenance, plus a per-epoch growth
+/// curve (`new_behaviors` = behaviors first exhibited in that epoch,
+/// and the cumulative distinct counts after it), which is empty for a
+/// plain campaign.
 ///
-/// Everything inside is determined by `(config, budget)` alone when
-/// coverage collection was enabled for the whole run, so — exactly like
-/// the canonical campaign form — the emitted JSON is byte-identical
-/// across worker counts and across in-process vs fork-isolated
-/// backends. A plain campaign has no epoch structure; its `epochs`
-/// growth-curve array is empty.
-pub(crate) fn coverage(r: &CampaignReport) -> String {
-    let mut w = JsonWriter::with_capacity(1024);
-    w.object(|w| {
-        write_header(w, "c11coverage/v1", r.base_seed, r.policy, &r.strategy);
-        write_coverage(w, &r.aggregate.coverage);
-        w.key("epochs").array(|_| {});
-    });
-    w.finish()
-}
-
-/// The `c11coverage/v1` object for an adaptive campaign: the overall
-/// behavior arrays plus a per-epoch growth curve (`new_behaviors` =
-/// behaviors first exhibited in that epoch, and the cumulative distinct
-/// counts after it).
-pub(crate) fn coverage_trace(t: &EpochTrace) -> String {
+/// Meaningful only when the run collected coverage
+/// ([`c11tester::set_coverage`] / `c11campaign --coverage-out`);
+/// otherwise every array is empty. Everything inside is then determined
+/// by `(config, budget)` alone, so — exactly like the canonical form —
+/// the emitted JSON is byte-identical across worker counts and across
+/// in-process vs fork-isolated backends.
+pub fn coverage(r: &CampaignReport, epochs: Option<&EpochTrace>) -> String {
     let mut w = JsonWriter::with_capacity(2048);
     w.object(|w| {
-        write_header(w, "c11coverage/v1", t.base_seed, t.policy, &t.initial_mix);
-        write_coverage(w, &t.aggregate.coverage);
+        write_header(w, "c11coverage/v1", r);
+        write_coverage(w, &r.aggregate.coverage);
         w.key("epochs").array(|w| {
             let mut cumulative = CoverageMap::new();
-            for rec in &t.records {
+            for rec in epochs.map_or(&[][..], |t| &t.records) {
                 let new_behaviors = rec.aggregate.coverage.count_new(&cumulative);
                 cumulative.merge(&rec.aggregate.coverage);
                 w.object(|w| {
@@ -621,7 +588,7 @@ mod tests {
                 c11tester_workloads::ds::rwlock_buggy::run_buggy();
             });
         let canonical = report.canonical_json();
-        let full = report.to_json();
+        let full = super::full(&report, None);
         assert!(canonical.starts_with('{') && canonical.ends_with('}'));
         assert!(canonical.contains("\"schema\":\"c11campaign/v4\""));
         assert!(canonical.contains("\"executions\":20"));
@@ -642,7 +609,7 @@ mod tests {
 
     #[test]
     fn v3_trace_json_carries_adaptive_header_epochs_and_cumulatives() {
-        use crate::{EpochRecord, EpochTrace, StopReason};
+        use crate::{EpochRecord, EpochTrace, RangeOutcome, StopReason};
         use c11tester::StrategyMix;
         let mix = StrategyMix::parse("random:1,pct2:1").expect("valid mix");
         let config = Config::new().with_seed(9).with_mix(mix);
@@ -652,35 +619,34 @@ mod tests {
         let e1 = campaign.run_range(10, &CampaignBudget::executions(10), racy);
         let mut aggregate = e0.aggregate.clone();
         aggregate.merge(&e1.aggregate);
+        let outcome = RangeOutcome {
+            aggregate,
+            crashes: vec![crate::CrashRecord {
+                index: 13,
+                strategy: "pct2".to_string(),
+                kind: crate::CrashKind::Signal(11),
+            }],
+            stop_reason: StopReason::BudgetExhausted,
+            metrics: Default::default(),
+        };
         let trace = EpochTrace {
-            base_seed: 9,
-            policy: "C11Tester",
+            report: campaign.report(&CampaignBudget::executions(20), outcome, 2),
             adaptive_policy: "ucb1".to_string(),
             epoch_len: 10,
-            initial_mix: "random:1,pct2:1".to_string(),
-            budget: CampaignBudget::executions(20),
-            stop_reason: StopReason::BudgetExhausted,
             records: vec![
                 EpochRecord {
                     epoch: 0,
                     start_index: 0,
                     mix: "random:1,pct2:1".to_string(),
                     aggregate: e0.aggregate,
-                    crashes: Vec::new(),
                 },
                 EpochRecord {
                     epoch: 1,
                     start_index: 10,
                     mix: "random:1,pct2:3".to_string(),
                     aggregate: e1.aggregate,
-                    crashes: vec![crate::CrashRecord {
-                        index: 13,
-                        strategy: "pct2".to_string(),
-                        kind: crate::CrashKind::Signal(11),
-                    }],
                 },
             ],
-            aggregate,
         };
         let json = trace.canonical_json();
         assert!(json.starts_with("{\"schema\":\"c11campaign/v4\""));

@@ -46,6 +46,10 @@
 //! [`CampaignReport::crashes`] instead of killing the campaign
 //! (canonical JSON schema `c11campaign/v4`; see `docs/SCHEMA.md`).
 //!
+//! An adaptive run (the `c11tester-adaptive` crate) is a campaign
+//! report too: its [`EpochTrace`] is the [`CampaignReport`] built here
+//! plus its epochs, and the [`json`] writers serve both.
+//!
 //! ```
 //! use c11tester_campaign::{Campaign, CampaignBudget};
 //! use c11tester::{Config, Model};
@@ -239,35 +243,7 @@ impl CampaignReport {
     /// same configuration and fixed budget produce byte-identical
     /// canonical JSON for **any** worker counts.
     pub fn canonical_json(&self) -> String {
-        json::canonical(self, false)
-    }
-
-    /// The canonical form plus the opt-in `alloc` diagnostics block
-    /// inside `stats` (recycled-vs-fresh provisioning and clock-vector
-    /// spill counts). **Not** covered by the byte-identity contract:
-    /// provisioning depends on worker count and on execution-state
-    /// recycling, which is exactly why the block is excluded from
-    /// [`CampaignReport::canonical_json`] and from the goldens.
-    pub fn canonical_json_with_alloc_stats(&self) -> String {
-        json::canonical(self, true)
-    }
-
-    /// The full JSON form: the canonical object plus campaign timing
-    /// (workers, wall seconds, throughput).
-    pub fn to_json(&self) -> String {
-        json::full_report(self)
-    }
-
-    /// The `c11coverage/v1` behavior-coverage object (see
-    /// `docs/COVERAGE.md`): distinct rf edges, mo adjacencies, race
-    /// classes, and interleaving signatures with per-behavior
-    /// provenance. Meaningful only when the campaign ran with coverage
-    /// collection enabled ([`c11tester::set_coverage`] /
-    /// `c11campaign --coverage-out`); otherwise every array is empty.
-    /// Byte-identical across worker counts and across in-process vs
-    /// fork-isolated backends, like the canonical form.
-    pub fn coverage_json(&self) -> String {
-        json::coverage(self)
+        json::canonical(self, None, false)
     }
 }
 
@@ -386,8 +362,10 @@ impl Campaign {
     }
 
     /// The report of a range this campaign ran from index 0 on
-    /// `workers` workers.
-    fn report(
+    /// `workers` workers — the one [`CampaignReport`] constructor, for
+    /// plain and adaptive runs alike (an adaptive run folds its epochs
+    /// into one outcome first).
+    pub fn report(
         &self,
         budget: &CampaignBudget,
         outcome: RangeOutcome,

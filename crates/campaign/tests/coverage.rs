@@ -11,7 +11,7 @@
 //! before touching it (tests in one binary run on parallel threads).
 
 use c11tester::{set_coverage, Config, Model};
-use c11tester_campaign::{Campaign, CampaignBudget};
+use c11tester_campaign::{json, Campaign, CampaignBudget};
 use c11tester_telemetry::json::JsonValue;
 use c11tester_workloads::ds::rwlock_buggy;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -46,7 +46,7 @@ fn coverage_map_is_worker_count_independent_and_matches_serial() {
             r.aggregate.coverage, reports[0].aggregate.coverage,
             "coverage map diverged across worker counts"
         );
-        assert_eq!(r.coverage_json(), reports[0].coverage_json());
+        assert_eq!(json::coverage(r, None), json::coverage(&reports[0], None));
     }
     assert_eq!(
         reports[0].aggregate.coverage, serial.coverage,
@@ -81,7 +81,8 @@ fn coverage_json_is_schema_valid_and_gate_off_runs_stay_canonical() {
     assert!(without.aggregate.coverage.is_empty());
     assert_eq!(without.aggregate.coverage.collected_executions(), 0);
 
-    let doc = JsonValue::parse(&with_coverage.coverage_json()).expect("coverage JSON parses");
+    let doc =
+        JsonValue::parse(&json::coverage(&with_coverage, None)).expect("coverage JSON parses");
     assert_eq!(
         doc.get("schema").and_then(JsonValue::as_str),
         Some("c11coverage/v1")

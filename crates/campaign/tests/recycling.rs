@@ -21,7 +21,7 @@
 //!   ending.
 
 use c11tester::{Config, Model, TestReport};
-use c11tester_campaign::{Campaign, CampaignBudget};
+use c11tester_campaign::{json, Campaign, CampaignBudget};
 
 /// A workload with 10 child threads + main: clock vectors must spill
 /// past the 8-slot inline capacity, and the spilled vectors are
@@ -154,7 +154,7 @@ fn alloc_stats_only_surface_behind_the_flag() {
         !canonical.contains("\"alloc\""),
         "default canonical JSON must not carry alloc diagnostics"
     );
-    let with_alloc = report.canonical_json_with_alloc_stats();
+    let with_alloc = json::canonical(&report, None, true);
     assert!(with_alloc.contains("\"alloc\":{\"fresh_executions\":"));
     // One worker: the first execution is fresh, the rest recycled.
     assert!(with_alloc.contains("\"alloc\":{\"fresh_executions\":1,\"recycled_executions\":9,"));

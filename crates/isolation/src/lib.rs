@@ -86,7 +86,7 @@ pub(crate) fn coverage_gate_lock() -> std::sync::MutexGuard<'static, ()> {
 pub use worker::{parse_worker_args, worker_main, WorkerSpec};
 
 use crate::protocol::{read_frame, Frame, Request};
-use c11tester::{Config, TestReport};
+use c11tester::{Config, StrategyMix, TestReport};
 use c11tester_campaign::pool::{run_pool, Claim, Pool, Share};
 use c11tester_campaign::targets::Target;
 use c11tester_campaign::{
@@ -474,11 +474,34 @@ fn triage(status: std::process::ExitStatus) -> CrashKind {
     CrashKind::Exit(status.code().unwrap_or(-1))
 }
 
-impl Executor for ForkServer {
-    fn name(&self) -> &'static str {
-        "fork-server"
+/// Refuses a parent config that differs from the one its children
+/// rebuild from the worker flags, naming the first lost field: the
+/// children would silently run another configuration. Handover is
+/// excluded by design (it changes how threads hand over, not what an
+/// execution does).
+fn check_carried(parent: &Config, child: &Config) -> Result<(), String> {
+    let lost = [
+        (
+            "volatile_load_order",
+            parent.volatile_load_order != child.volatile_load_order,
+        ),
+        (
+            "volatile_store_order",
+            parent.volatile_store_order != child.volatile_store_order,
+        ),
+        ("max_events", parent.max_events != child.max_events),
+        ("prune", parent.prune != child.prune),
+    ];
+    match lost.into_iter().find(|&(_, differs)| differs) {
+        Some((field, _)) => Err(format!(
+            "the fork server cannot carry `Config::{field}` to its workers \
+             (their flags carry seed, policy, strategy mix and --memory-limit)"
+        )),
+        None => Ok(()),
     }
+}
 
+impl Executor for ForkServer {
     fn run_range(
         &self,
         config: &Config,
@@ -488,12 +511,18 @@ impl Executor for ForkServer {
         budget: &CampaignBudget,
     ) -> Result<RangeOutcome, String> {
         // What every child of this range runs; batches arrive as
-        // requests.
+        // requests. The mix always goes over (a single strategy as a
+        // one-entry mix, which assigns it to every index), so no child
+        // falls back to its policy's default strategy.
+        let mix = config
+            .mix
+            .clone()
+            .unwrap_or_else(|| StrategyMix::single(config.strategy));
         let spec = WorkerSpec {
             target: target.name.to_string(),
             seed: config.seed,
             policy: config.policy,
-            mix: config.mix.as_ref().map(|m| m.spec()),
+            mix: Some(mix.spec()),
             stop_on_first_bug: budget.stop_on_first_bug,
             // Phase profiling and coverage are forwarded only when the
             // parent itself collects them.
@@ -502,8 +531,11 @@ impl Executor for ForkServer {
             memory_limit: config.prune.limits_memory(),
         };
         // Handover is not on the worker flag surface: report the kind
-        // the children's own config selects, not the parent's.
-        let handover = spec.config()?.handover.effective().name();
+        // the children's own config selects, not the parent's. Any
+        // other field the flags lose refuses the range before a spawn.
+        let child = spec.config()?;
+        check_carried(config, &child)?;
+        let handover = child.handover.effective().name();
         run_pool(
             workers,
             first_index,
@@ -548,7 +580,6 @@ mod tests {
         assert_eq!(fork.program(), std::path::Path::new("/bin/true"));
         assert_eq!(fork.batch_size, 16);
         assert_eq!(fork.exec_timeout, Some(Duration::from_millis(250)));
-        assert_eq!(fork.name(), "fork-server");
     }
 
     #[test]

@@ -36,7 +36,9 @@ pub struct WorkerSpec {
     pub seed: u64,
     /// Memory-model policy.
     pub policy: Policy,
-    /// Strategy mix spec, if the campaign mixes strategies.
+    /// Strategy mix spec. The fork server always sends one (a single
+    /// strategy as a one-entry mix); `None` runs the policy's default
+    /// strategy.
     pub mix: Option<String>,
     /// Stop a batch at its first bug (the parent stops dispatching
     /// further batches when it sees the resulting `done` frame).
