@@ -28,7 +28,6 @@
 //! must reach first-bug no later than the **worst** fixed arm.
 
 use c11tester::{Policy, Strategy, StrategyMix};
-use c11tester_adaptive::AdaptiveCampaign;
 use c11tester_bench::{
     campaign_runs, columns, paper_config, rule, runs_from_env, time_policy_runs,
 };
@@ -159,11 +158,11 @@ fn adaptive_table(runs: u64) {
             // Epoch-driven: the budget runs in `epoch_len`-execution
             // epochs and `policy` reweights the mix between them from
             // the per-strategy detection columns.
-            let trace = AdaptiveCampaign::new(Campaign::new(mixed_config(&mix)))
+            let trace = Campaign::new(mixed_config(&mix))
                 .with_epoch_len(epoch_len)
                 .with_policy(policy)
                 .expect("valid reweighting policy")
-                .run(&CampaignBudget::executions(runs), body);
+                .trace(&CampaignBudget::executions(runs), body);
             let first = trace.report.aggregate.first_bug_execution();
             let verdict = if first.unwrap_or(u64::MAX) <= worst_fixed {
                 "<= worst fixed"

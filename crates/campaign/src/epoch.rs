@@ -1,14 +1,17 @@
-//! Epoch-granular campaign traces.
+//! The campaign driver and its record.
 //!
-//! An adaptive campaign splits its execution budget into fixed-size
-//! **epochs**: each epoch runs as an ordinary campaign over a
-//! contiguous range of the global execution-index stream
-//! ([`crate::Campaign::run_range`]) under that epoch's
-//! [`c11tester::StrategyMix`], and a controller reweights the mix
-//! between epochs from the per-strategy detection columns. The run's
+//! [`Campaign::drive`] is the one loop that turns a configuration, a
+//! budget and a range runner (the in-process pool, or an
+//! [`crate::Executor`]) into a report. A campaign with an epoch length
+//! splits its budget into fixed-size **epochs**: each runs over a
+//! contiguous range of the global execution-index stream under that
+//! epoch's [`c11tester::StrategyMix`], and the policy
+//! ([`crate::Reweighter`]) reweights the mix between epochs from the
+//! per-strategy detection columns. A plain campaign is one epoch
+//! spanning the budget that records and reweights nothing. The run's
 //! record is an [`EpochTrace`]: the [`CampaignReport`] any campaign
 //! produces (header, budget, stop reason, overall aggregate, every
-//! crash, timing) plus what only an adaptive run has — its policy, its
+//! crash, timing) plus what only an epoched run has — its policy, its
 //! epoch length and one [`EpochRecord`] per epoch (mix, aggregate with
 //! per-strategy columns). It serializes as `c11campaign/v4` canonical
 //! JSON with an `adaptive` header and an `epochs` array.
@@ -17,16 +20,21 @@
 //! walks **global** execution indices, so execution `start_index + i`
 //! of epoch `e` is reproducible by `(seed, epoch-mix, index)` alone —
 //! [`EpochTrace::config_at`] rebuilds the config that ran it for
-//! [`c11tester::Model::run_at`]. Because fixed-budget range campaigns
-//! aggregate byte-identically for any worker count and reweighting is a
-//! pure function of completed-epoch aggregates, the whole trace (and
-//! its canonical JSON) is byte-identical across worker counts.
+//! [`c11tester::Model::run_at`]. Because fixed-budget ranges aggregate
+//! byte-identically for any worker count and reweighting is a pure
+//! function of completed-epoch aggregates, the whole trace (and its
+//! canonical JSON) is byte-identical across worker counts.
 
 use crate::exec::CrashRecord;
-use crate::{json, CampaignReport};
-use c11tester::{Config, StrategyMix, TestReport};
+use crate::{
+    json, Campaign, CampaignBudget, CampaignReport, RangeOutcome, ReweightCtx, StopReason,
+};
+use c11tester::{Config, CoverageMap, StrategyLedger, StrategyMix, TestReport};
+use c11tester_telemetry::{CampaignMetrics, EpochMetric};
+use std::collections::BTreeMap;
+use std::time::Instant;
 
-/// One completed epoch of an adaptive campaign.
+/// One completed epoch of an epoched campaign.
 #[derive(Clone, Debug)]
 pub struct EpochRecord {
     /// 0-based epoch number.
@@ -59,8 +67,9 @@ impl EpochRecord {
     }
 }
 
-/// The record of one adaptive (epoch-driven) campaign run: its
-/// campaign report plus its epochs.
+/// The record of one campaign run: its report plus its epochs. A plain
+/// run records none: its `records` are empty and its `epoch_len` is the
+/// budget.
 #[derive(Clone, Debug)]
 pub struct EpochTrace {
     /// The run as a campaign report. Its `strategy` is the initial mix
@@ -87,11 +96,6 @@ impl EpochTrace {
     /// count over a fixed budget.
     pub fn canonical_json(&self) -> String {
         json::canonical(&self.report, Some(self), false)
-    }
-
-    /// The record for epoch `e`, if it completed.
-    pub fn record(&self, epoch: u64) -> Option<&EpochRecord> {
-        self.records.iter().find(|r| r.epoch == epoch)
     }
 
     /// Number of completed epochs.
@@ -130,6 +134,138 @@ impl EpochTrace {
         })?;
         let mix = StrategyMix::parse(&record.mix).ok()?;
         Some((base.clone().with_mix(mix), record.epoch))
+    }
+}
+
+impl Campaign {
+    /// The one campaign driver: runs `budget` through `run_range`, which
+    /// runs the global indices `first_index .. first_index +
+    /// range.max_executions` under a config, and folds the ranges into
+    /// one report. With an epoch length the ranges are epochs, each
+    /// recorded, and the policy picks each next epoch's mix from the
+    /// completed epochs' records plus a crash-aware reward ledger; the
+    /// loop ends when the budget is covered, a deadline expires, or —
+    /// with `budget.stop_on_first_bug` — a bug is found. A plain
+    /// campaign is one range spanning the budget.
+    pub(crate) fn drive(
+        &self,
+        budget: &CampaignBudget,
+        run_range: &mut dyn FnMut(&Config, u64, &CampaignBudget) -> Result<RangeOutcome, String>,
+    ) -> Result<EpochTrace, String> {
+        let start = Instant::now();
+        let epoch_len = self.epoch_len.unwrap_or(budget.max_executions);
+        let mut config = self.config.clone();
+        let mut records: Vec<EpochRecord> = Vec::new();
+        let mut total = RangeOutcome {
+            aggregate: TestReport::default(),
+            crashes: Vec::new(),
+            stop_reason: StopReason::BudgetExhausted,
+            metrics: CampaignMetrics::default(),
+        };
+        // The reward signal: the merged per-strategy ledger, with every
+        // crash booked as a bugged execution for its strategy. Kept
+        // separate from `aggregate.per_strategy` so report invariants
+        // (bucket counters sum to completed executions) still hold.
+        let mut reward_ledger = StrategyLedger::new();
+        // Coverage bookkeeping for reweighters that reward discovery:
+        // the cumulative behavior map plus, per epoch, how many new
+        // behaviors each strategy spec was first to exhibit. Both stay
+        // empty (and cost nothing) without coverage collection.
+        let mut coverage_cumulative = CoverageMap::new();
+        let mut coverage_deltas: Vec<BTreeMap<String, u64>> = Vec::new();
+        let mut next_index = 0u64;
+        let mut epoch = 0u64;
+        loop {
+            let len = epoch_len.min(budget.max_executions - next_index);
+            // An empty budget has no epochs, but a plain run still
+            // runs its one (empty) range, as `Campaign::run` always has.
+            if len == 0 && self.epoch_len.is_some() {
+                break;
+            }
+            let mut range =
+                CampaignBudget::executions(len).with_stop_on_first_bug(budget.stop_on_first_bug);
+            if let Some(deadline) = budget.deadline {
+                let elapsed = start.elapsed();
+                if elapsed >= deadline {
+                    total.stop_reason = StopReason::Deadline;
+                    break;
+                }
+                range = range.with_deadline(deadline - elapsed);
+            }
+            let epoch_started = Instant::now();
+            let outcome = run_range(&config, next_index, &range)?;
+            if self.epoch_len.is_none() {
+                // A plain run is this one range.
+                total = outcome;
+                break;
+            }
+            total.metrics.absorb(&outcome.metrics);
+            total.metrics.epochs.push(EpochMetric {
+                epoch,
+                start_index: next_index,
+                executions: outcome.aggregate.executions,
+                wall_nanos: epoch_started.elapsed().as_nanos() as u64,
+                mix: config.strategy_label(),
+            });
+            total.aggregate.merge(&outcome.aggregate);
+            reward_ledger.merge(&outcome.aggregate.per_strategy);
+            for crash in &outcome.crashes {
+                reward_ledger.record(&crash.strategy, crash.index, &[], true);
+            }
+            // Epochs cover ascending disjoint ranges, so appending keeps
+            // the crash list sorted by index.
+            total.crashes.extend(outcome.crashes);
+            // Attribute each behavior this epoch was first to exhibit
+            // to the strategy that drove its first execution (a pure
+            // function of (epoch mix, global index), so the delta is
+            // worker-count independent like everything else here).
+            let mut delta = BTreeMap::new();
+            outcome
+                .aggregate
+                .coverage
+                .for_each_new(&coverage_cumulative, |first_execution| {
+                    let spec = config.strategy_for(first_execution).spec();
+                    *delta.entry(spec).or_insert(0u64) += 1;
+                });
+            coverage_cumulative.merge(&outcome.aggregate.coverage);
+            coverage_deltas.push(delta);
+            records.push(EpochRecord {
+                epoch,
+                start_index: next_index,
+                mix: config.strategy_label(),
+                aggregate: outcome.aggregate,
+            });
+            if outcome.stop_reason != StopReason::BudgetExhausted {
+                total.stop_reason = outcome.stop_reason;
+                break;
+            }
+            next_index += len;
+            epoch += 1;
+            if next_index >= budget.max_executions {
+                break;
+            }
+            let initial_mix = self.config.mix.as_ref().expect("epochs have arms");
+            let mix = self.policy.reweight(&ReweightCtx {
+                base_seed: self.config.seed,
+                next_epoch: epoch,
+                initial_mix,
+                epochs: &records,
+                cumulative: &reward_ledger,
+                coverage_deltas: &coverage_deltas,
+            });
+            config = config.with_mix(mix);
+        }
+        // Sequential epochs: the campaign's wall clock is the loop's,
+        // not the maximum over epochs that `absorb` (a parallel merge)
+        // keeps.
+        total.metrics.wall_nanos = start.elapsed().as_nanos() as u64;
+        total.metrics.executions = total.aggregate.executions;
+        Ok(EpochTrace {
+            report: self.report(budget, total),
+            adaptive_policy: self.policy.spec(),
+            epoch_len,
+            records,
+        })
     }
 }
 
@@ -231,8 +367,6 @@ mod tests {
     fn trace_lookup_and_trajectory() {
         let trace = trace(&[]);
         assert_eq!(trace.epochs(), 2);
-        assert_eq!(trace.record(1).expect("epoch 1").mix, "random:1,pct2:3");
-        assert!(trace.record(2).is_none());
         assert_eq!(
             trace.mix_trajectory(),
             ["random:1,pct2:1", "random:1,pct2:3"]

@@ -5,7 +5,7 @@
 //! *where* those executions run:
 //!
 //! * in-process — worker **threads** inside the campaign process
-//!   ([`crate::Campaign::run_range`]). Fastest, but a program under
+//!   ([`crate::Campaign::run`]). Fastest, but a program under
 //!   test that segfaults, aborts, or wedges takes the whole campaign
 //!   down with it.
 //! * `ForkServer` (in the `c11tester-isolation` crate) — worker
@@ -16,7 +16,9 @@
 //!   a [`CrashRecord`] instead of a campaign death.
 //!
 //! Both claim index ranges from one queue and fold them with one
-//! function ([`crate::pool`]).
+//! function ([`crate::pool`]), and one driver
+//! ([`crate::Campaign::trace`] / [`crate::Campaign::trace_target`])
+//! folds their ranges into the report.
 //!
 //! Both backends answer the same question for the same inputs: the
 //! aggregate over a fixed-budget index range is **byte-identical**
@@ -32,7 +34,7 @@
 //! it can resolve in its own address space via [`crate::targets`].
 
 use crate::targets::Target;
-use crate::{Campaign, CampaignBudget, CampaignReport, StopReason};
+use crate::{Campaign, CampaignBudget, CampaignReport, EpochTrace, StopReason};
 use c11tester::{Config, TestReport};
 use c11tester_telemetry::CampaignMetrics;
 
@@ -164,8 +166,25 @@ impl Campaign {
         target: &Target,
         budget: &CampaignBudget,
     ) -> Result<CampaignReport, String> {
-        let outcome = executor.run_range(self.config(), self.workers(), target, 0, budget)?;
-        Ok(self.report(budget, outcome, self.workers()))
+        Ok(self.trace_target(executor, target, budget)?.report)
+    }
+
+    /// Runs the campaign like [`Campaign::run_target`] and returns its
+    /// record with the epochs. Epochs behave exactly as in
+    /// [`Campaign::trace`]; under a fork server, crashing executions
+    /// land in the report's `crashes` (and, by index range, in their
+    /// epoch's [`EpochTrace::crashes_in`]), and the reweighter's reward
+    /// signal counts each crash as a found bug for the strategy that
+    /// drove the crashing index.
+    pub fn trace_target(
+        &self,
+        executor: &dyn Executor,
+        target: &Target,
+        budget: &CampaignBudget,
+    ) -> Result<EpochTrace, String> {
+        self.drive(budget, &mut |config, first_index, range| {
+            executor.run_range(config, self.workers, target, first_index, range)
+        })
     }
 }
 

@@ -29,7 +29,8 @@
 //! where the detector fired.
 
 use crate::json::{write_race, write_shapes};
-use c11tester::{DedupEntry, DedupHistory, ExecutionReport};
+use crate::{Campaign, EpochTrace};
+use c11tester::{DedupEntry, DedupHistory, ExecutionReport, Model};
 use c11tester_telemetry::json::{esc, JsonWriter};
 use c11tester_telemetry::{write_event_fields, TraceEvent, TraceKind};
 use std::collections::BTreeMap;
@@ -44,8 +45,8 @@ const WINDOW: usize = 16;
 // re-exported here so forensics callers keep their import path.
 pub use c11tester_telemetry::CaptureSink;
 
-/// One re-run of a race's witness execution, produced by the replay
-/// closure handed to [`write_bundles`].
+/// One re-run of an execution with tracing enabled
+/// ([`Campaign::replay`]): a race's witness for [`write_bundles`].
 #[derive(Debug)]
 pub struct Witness {
     /// Epoch the witness index fell into (0 for plain campaigns).
@@ -77,9 +78,8 @@ impl std::fmt::Display for ForensicsSummary {
 
 /// Writes one `race-NNN.{json,dot}` bundle per deduplicated race into
 /// `dir`, creating it if needed. `replay` re-runs the given global
-/// execution index with tracing enabled and returns the [`Witness`];
-/// how (plain `Model::run_at`, or an adaptive epoch's reconstructed
-/// mix) is the caller's business. Bundle numbering follows the
+/// execution index with tracing enabled and returns the [`Witness`]
+/// (in practice [`Campaign::replay`]). Bundle numbering follows the
 /// history's sorted iteration order, so output is deterministic.
 pub fn write_bundles<R>(
     dir: &Path,
@@ -108,6 +108,42 @@ where
         summary.verified += usize::from(verified);
     }
     Ok(summary)
+}
+
+impl Campaign {
+    /// Replays global execution `index` of `trace`, a run of this
+    /// campaign, with a capture sink installed (which arms tracing):
+    /// serially, under the config that ran it — for an epoched run, the
+    /// mix of the epoch whose nominal range holds the index
+    /// ([`EpochTrace::config_at`]). `None` when no such epoch completed
+    /// or the index is outside the budget. Executions are pure
+    /// functions of `(config, index)`, so the replay commits the events
+    /// the campaign's worker did.
+    pub fn replay<F>(&self, trace: &EpochTrace, index: u64, program: F) -> Option<Witness>
+    where
+        F: Fn() + Send + Sync,
+    {
+        let (config, epoch) = match self.epoch_len {
+            Some(_) => trace.config_at(&self.config, index)?,
+            None if index < trace.report.budget.max_executions => (self.config.clone(), 0),
+            None => return None,
+        };
+        let sink = CaptureSink::new();
+        let mut model = Model::new(config).with_trace_sink(Box::new(sink.clone()));
+        model.set_trace_epoch(epoch);
+        let report = model.run_at(index, program);
+        let events = sink
+            .take()
+            .into_iter()
+            .find(|(k, _)| k.index == index)
+            .map(|(_, ev)| ev)
+            .unwrap_or_default();
+        Some(Witness {
+            epoch,
+            report,
+            events,
+        })
+    }
 }
 
 /// The `c11forensics/v1` document for one race class.

@@ -609,45 +609,22 @@ mod tests {
 
     #[test]
     fn v3_trace_json_carries_adaptive_header_epochs_and_cumulatives() {
-        use crate::{EpochRecord, EpochTrace, RangeOutcome, StopReason};
         use c11tester::StrategyMix;
         let mix = StrategyMix::parse("random:1,pct2:1").expect("valid mix");
         let config = Config::new().with_seed(9).with_mix(mix);
-        let campaign = crate::Campaign::new(config).with_workers(2);
         let racy = || c11tester_workloads::ds::rwlock_buggy::run_buggy();
-        let e0 = campaign.run_range(0, &CampaignBudget::executions(10), racy);
-        let e1 = campaign.run_range(10, &CampaignBudget::executions(10), racy);
-        let mut aggregate = e0.aggregate.clone();
-        aggregate.merge(&e1.aggregate);
-        let outcome = RangeOutcome {
-            aggregate,
-            crashes: vec![crate::CrashRecord {
-                index: 13,
-                strategy: "pct2".to_string(),
-                kind: crate::CrashKind::Signal(11),
-            }],
-            stop_reason: StopReason::BudgetExhausted,
-            metrics: Default::default(),
-        };
-        let trace = EpochTrace {
-            report: campaign.report(&CampaignBudget::executions(20), outcome, 2),
-            adaptive_policy: "ucb1".to_string(),
-            epoch_len: 10,
-            records: vec![
-                EpochRecord {
-                    epoch: 0,
-                    start_index: 0,
-                    mix: "random:1,pct2:1".to_string(),
-                    aggregate: e0.aggregate,
-                },
-                EpochRecord {
-                    epoch: 1,
-                    start_index: 10,
-                    mix: "random:1,pct2:3".to_string(),
-                    aggregate: e1.aggregate,
-                },
-            ],
-        };
+        let mut trace = crate::Campaign::new(config)
+            .with_workers(2)
+            .with_epoch_len(10)
+            .trace(&CampaignBudget::executions(20), racy);
+        // Dress the trace up as a reweighted run with a crash.
+        trace.adaptive_policy = "ucb1".to_string();
+        trace.records[1].mix = "random:1,pct2:3".to_string();
+        trace.report.crashes.push(crate::CrashRecord {
+            index: 13,
+            strategy: "pct2".to_string(),
+            kind: crate::CrashKind::Signal(11),
+        });
         let json = trace.canonical_json();
         assert!(json.starts_with("{\"schema\":\"c11campaign/v4\""));
         assert!(json.contains(

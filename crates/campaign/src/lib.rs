@@ -46,9 +46,17 @@
 //! [`CampaignReport::crashes`] instead of killing the campaign
 //! (canonical JSON schema `c11campaign/v4`; see `docs/SCHEMA.md`).
 //!
-//! An adaptive run (the `c11tester-adaptive` crate) is a campaign
-//! report too: its [`EpochTrace`] is the [`CampaignReport`] built here
-//! plus its epochs, and the [`json`] writers serve both.
+//! Campaigns can also **adapt the mix**: with an epoch length
+//! ([`Campaign::with_epoch_len`]) and a reweighting policy
+//! ([`Campaign::with_policy`]: [`Ucb1`], [`ExpWeights`],
+//! [`CoverageUcb`], or the [`Fixed`] control) the budget runs in
+//! epochs over contiguous ranges of the same global index stream, and
+//! the policy picks each next epoch's mix from the completed epochs'
+//! per-strategy detection columns ([`reweight`]). One driver runs every
+//! campaign: a plain run is one epoch spanning the budget that records
+//! and reweights nothing. Its record, an [`EpochTrace`], is the
+//! [`CampaignReport`] plus the epochs, and the [`json`] writers serve
+//! both.
 //!
 //! ```
 //! use c11tester_campaign::{Campaign, CampaignBudget};
@@ -78,16 +86,23 @@ mod exec;
 pub mod forensics;
 pub mod json;
 pub mod pool;
+pub mod reweight;
 pub mod targets;
 pub mod wire;
 
 pub use epoch::{EpochRecord, EpochTrace};
 pub use exec::{CrashKind, CrashRecord, Executor, RangeOutcome};
 pub use forensics::{CaptureSink, ForensicsSummary, Witness};
+pub use reweight::{parse_policy, CoverageUcb, ExpWeights, Fixed, ReweightCtx, Reweighter, Ucb1};
 
-use c11tester::{Config, Model, TestReport};
+use c11tester::{Config, Model, StrategyMix, TestReport};
 use c11tester_telemetry::CampaignMetrics;
+use std::sync::Arc;
 use std::time::Duration;
+
+/// Epoch length (executions per epoch) of a campaign given a policy
+/// but no epoch length.
+pub const DEFAULT_EPOCH_LEN: u64 = 64;
 
 /// Resource bounds for one campaign.
 ///
@@ -195,7 +210,10 @@ pub struct CampaignReport {
     /// campaigns; populated by fork-isolated runs
     /// ([`Campaign::run_target`] with a fork-server [`Executor`]).
     pub crashes: Vec<CrashRecord>,
-    /// Number of worker threads used (not part of the canonical form).
+    /// Number of pool workers that ran (worker threads in-process,
+    /// fork-server pool workers under isolation), counted by id across
+    /// epochs; never more than there were claims. Not part of the
+    /// canonical form.
     pub workers: usize,
     /// Wall-clock duration (not part of the canonical form).
     pub wall_time: Duration,
@@ -281,6 +299,10 @@ impl std::fmt::Display for CampaignReport {
 pub struct Campaign {
     config: Config,
     workers: usize,
+    /// Executions per epoch; `None` runs the budget as one epoch.
+    epoch_len: Option<u64>,
+    /// Picks each next epoch's mix.
+    policy: Arc<dyn Reweighter>,
 }
 
 impl Campaign {
@@ -290,7 +312,12 @@ impl Campaign {
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        Campaign { config, workers }
+        Campaign {
+            config,
+            workers,
+            epoch_len: None,
+            policy: Arc::new(Fixed),
+        }
     }
 
     /// Sets the worker-thread count.
@@ -304,12 +331,41 @@ impl Campaign {
         self
     }
 
-    /// The configured worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
+    /// Runs the budget in epochs of `epoch_len` executions (the final
+    /// epoch may be shorter), reweighted by the policy
+    /// ([`Campaign::with_policy`], [`Fixed`] by default). The arms are
+    /// the entries of the config's mix; a config without a mix gets the
+    /// single-arm mix of its fixed strategy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `epoch_len == 0`.
+    pub fn with_epoch_len(mut self, epoch_len: u64) -> Self {
+        assert!(epoch_len > 0, "epochs need at least one execution");
+        self.epoch_len = Some(epoch_len);
+        self.with_arms()
     }
 
-    /// The campaign's model configuration.
+    /// Sets the reweighting policy by spec ([`parse_policy`]: `fixed`,
+    /// `ucb1[@c]`, `coverage-ucb[@c]`, `exp3[@eta]`); a campaign without
+    /// an epoch length gets [`DEFAULT_EPOCH_LEN`].
+    pub fn with_policy(mut self, spec: &str) -> Result<Self, String> {
+        self.policy = Arc::from(parse_policy(spec)?);
+        self.epoch_len.get_or_insert(DEFAULT_EPOCH_LEN);
+        Ok(self.with_arms())
+    }
+
+    /// Gives an unmixed config the single-arm mix of its strategy.
+    fn with_arms(mut self) -> Self {
+        if self.config.mix.is_none() {
+            let mix = StrategyMix::single(self.config.strategy);
+            self.config = self.config.with_mix(mix);
+        }
+        self
+    }
+
+    /// The campaign's model configuration (with its arms as the mix
+    /// once an epoch length or policy is set).
     pub fn config(&self) -> &Config {
         &self.config
     }
@@ -321,56 +377,59 @@ impl Campaign {
     where
         F: Fn() + Send + Sync,
     {
-        let outcome = self.run_range(0, budget, program);
-        let workers = outcome.metrics.workers.len();
-        self.report(budget, outcome, workers)
+        self.trace(budget, program).report
     }
 
-    /// Runs the campaign over the global execution-index range
-    /// `first_index .. first_index + budget.max_executions` — the
-    /// epoch-granular entry point, the in-process counterpart of
-    /// [`Executor::run_range`]. Epoch `e` of an adaptive campaign with
-    /// epoch length `L` runs `run_range(e·L, …)` so every epoch keeps
-    /// walking the *same* global index stream: an execution is still
-    /// reproducible by `(config, global index)` alone, and a
-    /// fixed-budget range aggregates byte-identically for any worker
-    /// count, exactly like [`Campaign::run`].
+    /// Runs the campaign like [`Campaign::run`] and returns its record
+    /// with the epochs (none without an epoch length or policy). Only
+    /// the fixed-budget mode promises worker-count independent traces
+    /// (an early stop cuts the stream at a racy point).
     ///
     /// Workers claim one index at a time ([`pool::run_pool`]) and keep
-    /// one [`Model`] each for the whole range; `N` workers are the
-    /// calling thread plus `N − 1` scoped threads, never more than
-    /// there are executions. A panic on any of them is re-raised here.
-    pub fn run_range<F>(
-        &self,
-        first_index: u64,
-        budget: &CampaignBudget,
-        program: F,
-    ) -> RangeOutcome
+    /// one [`Model`] each for an epoch; `N` workers are the calling
+    /// thread plus `N − 1` scoped threads, never more than there are
+    /// executions. A panic on any of them is re-raised here.
+    ///
+    /// ```
+    /// use c11tester::{Config, StrategyMix};
+    /// use c11tester_campaign::{Campaign, CampaignBudget};
+    ///
+    /// let config = Config::new()
+    ///     .with_seed(7)
+    ///     .with_mix(StrategyMix::parse("random:1,pct2:1").unwrap());
+    /// let trace = Campaign::new(config)
+    ///     .with_workers(2)
+    ///     .with_epoch_len(12)
+    ///     .with_policy("ucb1")
+    ///     .unwrap()
+    ///     .trace(&CampaignBudget::executions(36), || {
+    ///         c11tester_workloads::ds::rwlock_buggy::run_buggy();
+    ///     });
+    /// assert_eq!(trace.epochs(), 3);
+    /// assert_eq!(trace.report.aggregate.executions, 36);
+    /// ```
+    pub fn trace<F>(&self, budget: &CampaignBudget, program: F) -> EpochTrace
     where
         F: Fn() + Send + Sync,
     {
-        let handover = self.config.handover.effective().name();
-        pool::run_pool(self.workers, first_index, budget, 1, handover, |pool| {
-            let mut share = pool::Share::default();
-            let mut model = Model::new(self.config.clone());
-            let Ok(_) = pool::fold_claims(pool, &mut model, &program, &mut share.fold, || {
-                Ok::<(), std::convert::Infallible>(())
-            });
-            Ok(share)
+        self.drive(budget, &mut |config, first_index, range| {
+            let handover = config.handover.effective().name();
+            pool::run_pool(self.workers, first_index, range, 1, handover, |pool| {
+                let mut share = pool::Share::default();
+                let mut model = Model::new(config.clone());
+                let Ok(_) = pool::fold_claims(pool, &mut model, &program, &mut share.fold, || {
+                    Ok::<(), std::convert::Infallible>(())
+                });
+                Ok(share)
+            })
         })
         .expect("in-process workers are infallible")
     }
 
-    /// The report of a range this campaign ran from index 0 on
-    /// `workers` workers — the one [`CampaignReport`] constructor, for
-    /// plain and adaptive runs alike (an adaptive run folds its epochs
-    /// into one outcome first).
-    pub fn report(
-        &self,
-        budget: &CampaignBudget,
-        outcome: RangeOutcome,
-        workers: usize,
-    ) -> CampaignReport {
+    /// The report of a run over `budget` — the one [`CampaignReport`]
+    /// constructor. Its `workers` is the number of pool workers that ran:
+    /// the outcome's worker rows, merged by id across epochs.
+    fn report(&self, budget: &CampaignBudget, outcome: RangeOutcome) -> CampaignReport {
         CampaignReport {
             base_seed: self.config.seed,
             policy: self.config.policy.name(),
@@ -379,7 +438,7 @@ impl Campaign {
             stop_reason: outcome.stop_reason,
             aggregate: outcome.aggregate,
             crashes: outcome.crashes,
-            workers,
+            workers: outcome.metrics.workers.len(),
             wall_time: Duration::from_nanos(outcome.metrics.wall_nanos),
             metrics: outcome.metrics,
         }
@@ -416,23 +475,21 @@ mod tests {
 
     #[test]
     fn run_range_partitions_the_global_stream() {
-        // Epoch-granular runs over [0,20) + [20,60) must merge to the
-        // single campaign over [0,60): same config, same global
+        // Epoch-granular runs over [0,20) + [20,40) + [40,60) must merge
+        // to the single campaign over [0,60): same config, same global
         // indices, order-independent aggregation.
         let config = Config::new().with_seed(0xE9);
         let campaign = Campaign::new(config.clone()).with_workers(3);
         let whole = campaign.run(&CampaignBudget::executions(60), racy_program);
+        let trace = campaign
+            .with_epoch_len(20)
+            .trace(&CampaignBudget::executions(60), racy_program);
+        let starts: Vec<u64> = trace.records.iter().map(|r| r.start_index).collect();
+        assert_eq!(starts, [0, 20, 40]);
         let mut merged = TestReport::default();
-        merged.merge(
-            &campaign
-                .run_range(0, &CampaignBudget::executions(20), racy_program)
-                .aggregate,
-        );
-        merged.merge(
-            &campaign
-                .run_range(20, &CampaignBudget::executions(40), racy_program)
-                .aggregate,
-        );
+        for record in &trace.records {
+            merged.merge(&record.aggregate);
+        }
         assert_eq!(merged, whole.aggregate);
     }
 
@@ -464,5 +521,90 @@ mod tests {
             .run(&CampaignBudget::executions(0), racy_program);
         assert_eq!(report.aggregate.executions, 0);
         assert_eq!(report.stop_reason, StopReason::BudgetExhausted);
+    }
+
+    fn mixed_config(seed: u64) -> Config {
+        Config::new()
+            .with_seed(seed)
+            .with_mix(StrategyMix::parse("random:2,pct2:1").expect("valid mix"))
+    }
+
+    #[test]
+    fn epochs_tile_the_budget_including_a_short_tail() {
+        let trace = Campaign::new(mixed_config(3))
+            .with_workers(2)
+            .with_epoch_len(8)
+            .trace(&CampaignBudget::executions(20), || {});
+        assert_eq!(trace.epochs(), 3);
+        let lens: Vec<u64> = trace.records.iter().map(|r| r.executions()).collect();
+        assert_eq!(lens, [8, 8, 4]);
+        let starts: Vec<u64> = trace.records.iter().map(|r| r.start_index).collect();
+        assert_eq!(starts, [0, 8, 16]);
+        assert_eq!(trace.report.aggregate.executions, 20);
+        assert_eq!(trace.report.stop_reason, StopReason::BudgetExhausted);
+    }
+
+    #[test]
+    fn unmixed_config_degenerates_to_a_single_arm() {
+        let trace = Campaign::new(Config::new().with_seed(5))
+            .with_workers(1)
+            .with_epoch_len(4)
+            .with_policy("ucb1")
+            .expect("valid policy")
+            .trace(&CampaignBudget::executions(8), || {});
+        assert_eq!(trace.report.strategy, "random:1");
+        // Both epochs ran the lone arm.
+        assert_eq!(trace.mix_trajectory(), ["random:1", "random:1"]);
+    }
+
+    #[test]
+    fn zero_budget_yields_an_empty_trace() {
+        let trace = Campaign::new(mixed_config(1))
+            .with_policy("fixed")
+            .expect("valid policy")
+            .trace(&CampaignBudget::executions(0), racy_program);
+        assert_eq!(trace.epochs(), 0);
+        assert_eq!(trace.report.aggregate.executions, 0);
+        assert!(trace.canonical_json().contains("\"epochs\":[]"));
+    }
+
+    #[test]
+    fn stop_on_first_bug_ends_the_epoch_loop() {
+        let budget = CampaignBudget::executions(1_000).with_stop_on_first_bug(true);
+        let campaign = Campaign::new(mixed_config(9))
+            .with_workers(2)
+            .with_epoch_len(50);
+        let trace = campaign.trace(&budget, racy_program);
+        assert_eq!(trace.report.stop_reason, StopReason::FirstBug);
+        assert!(trace.report.aggregate.executions < 1_000);
+        assert!(trace.report.aggregate.executions_with_bug > 0);
+        // Even though the early stop completed only part of the epoch,
+        // not necessarily a prefix, the flagged execution replays: the
+        // replay bound is the epoch's nominal range, not its completed
+        // count.
+        let first = trace
+            .report
+            .aggregate
+            .first_bug_execution()
+            .expect("bug found");
+        let replayed = campaign
+            .replay(&trace, first, racy_program)
+            .expect("flagged execution must be replayable after an early stop");
+        assert_eq!(replayed.report.execution_index, first);
+        assert!(replayed.report.found_bug());
+    }
+
+    #[test]
+    fn replay_rejects_out_of_range_coordinates() {
+        let campaign = Campaign::new(mixed_config(7)).with_epoch_len(4);
+        let trace = campaign.trace(&CampaignBudget::executions(8), racy_program);
+        assert!(campaign.replay(&trace, 0, racy_program).is_some());
+        assert!(campaign.replay(&trace, 7, racy_program).is_some());
+        assert!(campaign.replay(&trace, 8, racy_program).is_none());
+        // A plain run replays its own budget's indices, no further.
+        let plain = Campaign::new(mixed_config(7));
+        let trace = plain.trace(&CampaignBudget::executions(8), racy_program);
+        assert!(plain.replay(&trace, 7, racy_program).is_some());
+        assert!(plain.replay(&trace, 8, racy_program).is_none());
     }
 }

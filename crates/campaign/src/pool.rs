@@ -3,7 +3,7 @@
 //! Workers claim contiguous index ranges from one queue ([`Pool`]) and
 //! fold them with one function ([`fold_claims`]); [`run_pool`] drives
 //! the workers and assembles their shares into a [`RangeOutcome`].
-//! In-process workers ([`crate::Campaign::run_range`]) claim one index
+//! In-process workers ([`crate::Campaign::trace`]) claim one index
 //! at a time and fold it on their own thread. A fork-server pool worker
 //! (the `c11tester-isolation` crate) claims a batch and sends it to its
 //! child process, which folds it as a one-claim pool of its own.

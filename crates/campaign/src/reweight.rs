@@ -18,8 +18,8 @@
 //! unreachable, which both keeps exploration alive and keeps every
 //! spec's detection column flowing).
 
+use crate::EpochRecord;
 use c11tester::{Strategy, StrategyMix};
-use c11tester_campaign::EpochRecord;
 use c11tester_race::StrategyLedger;
 use std::collections::BTreeMap;
 

@@ -206,7 +206,7 @@ fn worker_rows_sum_to_the_aggregate_under_every_budget_kind() {
 // every execution) and `mpmc-queue-10x --memory-limit` (pruning and
 // compaction beside inserts). A selection, chain-end or pruning change
 // that moves one verdict, candidate order or RNG draw shows up here.
-// The `--isolate` leg lives in crates/adaptive/tests/isolation.rs,
+// The `--isolate` leg lives in the root package's tests/isolation.rs,
 // where the fork server's binary is; the fiber-vs-park twin on smaller
 // programs is handover_twin.rs.
 

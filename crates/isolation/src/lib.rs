@@ -736,6 +736,6 @@ mod tests {
 
     // End-to-end fork-server behavior (real children, crashes,
     // timeouts, deadlines, fork accounting) is exercised in
-    // crates/adaptive/tests/isolation.rs, where the `c11campaign`
+    // the root package's tests/isolation.rs, where the `c11campaign`
     // binary with its `--worker` mode exists.
 }

@@ -13,11 +13,9 @@
 //! c11campaign --list
 //! ```
 
-use c11tester::{Config, Model, Policy, StrategyMix};
-use c11tester_adaptive::AdaptiveCampaign;
+use c11tester::{Config, Policy, StrategyMix};
 use c11tester_campaign::cli::{parse_u64, usage_error};
-use c11tester_campaign::forensics::{self, CaptureSink, Witness};
-use c11tester_campaign::{json, targets, Campaign, CampaignBudget};
+use c11tester_campaign::{forensics, json, parse_policy, targets, Campaign, CampaignBudget};
 use c11tester_isolation::ForkServer;
 use std::path::Path;
 use std::process::ExitCode;
@@ -195,7 +193,7 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--adaptive" => {
                 let v = value()?;
                 // Validate eagerly for a parse-time error message.
-                c11tester_adaptive::parse_policy(&v)?;
+                parse_policy(&v)?;
                 args.adaptive = Some(v);
             }
             "--epoch" => {
@@ -302,29 +300,6 @@ fn default_sigpipe(default: bool) {
 #[cfg(not(unix))]
 fn default_sigpipe(_default: bool) {}
 
-/// Replays global execution `index` under `config` with a capture
-/// sink installed (which arms tracing) and returns the forensics
-/// witness. Deterministic: executions are pure functions of `(seed,
-/// index)`, so the replay commits the same events the campaign's worker
-/// did.
-fn replay_witness(config: Config, target: targets::Target, epoch: u64, index: u64) -> Witness {
-    let sink = CaptureSink::new();
-    let mut model = Model::new(config).with_trace_sink(Box::new(sink.clone()));
-    model.set_trace_epoch(epoch);
-    let report = model.run_at(index, move || target.run());
-    let events = sink
-        .take()
-        .into_iter()
-        .find(|(k, _)| k.index == index)
-        .map(|(_, ev)| ev)
-        .unwrap_or_default();
-    Witness {
-        epoch,
-        report,
-        events,
-    }
-}
-
 fn main() -> ExitCode {
     default_sigpipe(true);
     // Hidden fork-server re-entry: `c11campaign --worker …` serves
@@ -427,28 +402,19 @@ fn run(args: &Args, target: targets::Target) -> Result<(), String> {
     if let Some(w) = args.workers {
         campaign = campaign.with_workers(w);
     }
-    // One report; an adaptive run adds its epochs to it.
-    let (trace, plain);
-    let (report, epochs) = match args.adaptive.as_deref() {
-        Some(policy) => {
-            let adaptive = AdaptiveCampaign::new(campaign.clone())
-                .with_epoch_len(args.epoch.unwrap_or(c11tester_adaptive::DEFAULT_EPOCH_LEN))
-                .with_policy(policy)?;
-            trace = match &fork {
-                Some(fork) => adaptive.run_target(fork, &target, &budget)?,
-                None => adaptive.run(&budget, move || target.run()),
-            };
-            (&trace.report, Some(&trace))
-        }
-        None => {
-            plain = match &fork {
-                Some(fork) => campaign.run_target(fork, &target, &budget)?,
-                None => campaign.run(&budget, move || target.run()),
-            };
-            (&plain, None)
-        }
+    if let Some(policy) = args.adaptive.as_deref() {
+        campaign = campaign
+            .with_epoch_len(args.epoch.unwrap_or(c11tester_campaign::DEFAULT_EPOCH_LEN))
+            .with_policy(policy)?;
+    }
+    let trace = match &fork {
+        Some(fork) => campaign.trace_target(fork, &target, &budget)?,
+        None => campaign.trace(&budget, move || target.run()),
     };
     default_sigpipe(true);
+    // One report; an adaptive run adds its epochs to it.
+    let report = &trace.report;
+    let epochs = args.adaptive.is_some().then_some(&trace);
 
     if let Some(path) = args.coverage_out.as_deref() {
         std::fs::write(path, json::coverage(report, epochs) + "\n")
@@ -458,13 +424,9 @@ fn run(args: &Args, target: targets::Target) -> Result<(), String> {
         let races = &report.aggregate.races;
         let summary = forensics::write_bundles(Path::new(dir), args.seed, races, |index| {
             // A witness replays under the mix of the epoch that ran it.
-            let (config, epoch) = match epochs {
-                Some(trace) => trace.config_at(campaign.config(), index).ok_or_else(|| {
-                    format!("witness execution {index} falls outside every epoch")
-                })?,
-                None => (campaign.config().clone(), 0),
-            };
-            Ok(replay_witness(config, target, epoch, index))
+            campaign
+                .replay(&trace, index, move || target.run())
+                .ok_or_else(|| format!("witness execution {index} falls outside every epoch"))
         })?;
         eprintln!("forensics: {summary} -> {dir}");
     }

@@ -16,19 +16,18 @@
 //!   the per-execution [`model::Model`] driver;
 //! * [`campaign`] (`c11tester-campaign`) — parallel exploration
 //!   campaigns that shard thousands of executions across worker
-//!   threads with deterministic per-execution seeds;
-//! * [`adaptive`] (`c11tester-adaptive`) — adaptive epoch-driven
-//!   campaigns: deterministic bandit controllers (UCB1, EXP3-style)
-//!   that reweight the strategy mix between epochs from the live
-//!   per-strategy detection columns.
+//!   threads with deterministic per-execution seeds, optionally in
+//!   epochs whose strategy mix a deterministic bandit controller (UCB1,
+//!   EXP3-style) reweights from the live per-strategy detection
+//!   columns.
 //!
-//! This crate re-exports them under one roof and hosts the repository's
-//! `examples/` and cross-crate integration tests.
+//! This crate re-exports them under one roof and hosts the
+//! `c11campaign` and `c11fuzz` binaries, the repository's `examples/`
+//! and its end-to-end and cross-crate integration tests.
 
 #![warn(missing_docs)]
 
 pub use c11tester as model;
-pub use c11tester_adaptive as adaptive;
 pub use c11tester_campaign as campaign;
 pub use c11tester_core as core;
 pub use c11tester_race as race;

@@ -4,9 +4,9 @@
 //! * an adaptive UCB1 campaign produces **byte-identical**
 //!   canonical JSON for 1, 4, and 8 workers;
 //! * adaptive with the `Fixed` (no-op) policy equals the plain mixed
-//!   campaign over the same budget — the closed loop degenerates to
-//!   the open loop exactly, down to the embedded report's canonical
-//!   bytes;
+//!   campaign over the same budget, in-process and through the fork
+//!   server — the closed loop degenerates to the open loop exactly,
+//!   down to the embedded report's canonical bytes;
 //! * a flagged execution replays by `(seed, epoch, index)` under the
 //!   strategy its epoch's mix assigned it;
 //! * on a seeded-bug workload, adaptive UCB1 reaches first-bug in no
@@ -16,8 +16,8 @@
 
 use c11tester::sync::atomic::{AtomicU32, Ordering};
 use c11tester::{Config, Model, Strategy, StrategyMix};
-use c11tester_adaptive::AdaptiveCampaign;
-use c11tester_campaign::{Campaign, CampaignBudget};
+use c11tester_campaign::{targets, Campaign, CampaignBudget};
+use c11tester_isolation::ForkServer;
 use c11tester_workloads::ds::rwlock_buggy;
 use std::sync::Arc;
 
@@ -57,11 +57,12 @@ fn adaptive_trace_json_is_byte_identical_across_1_4_8_workers() {
     let traces: Vec<String> = [1usize, 4, 8]
         .into_iter()
         .map(|w| {
-            AdaptiveCampaign::new(Campaign::new(mixed_config()).with_workers(w))
+            Campaign::new(mixed_config())
+                .with_workers(w)
                 .with_epoch_len(12)
                 .with_policy("ucb1")
                 .expect("valid policy")
-                .run(&budget, racy)
+                .trace(&budget, racy)
                 .canonical_json()
         })
         .collect();
@@ -74,11 +75,12 @@ fn adaptive_trace_json_is_byte_identical_across_1_4_8_workers() {
     let exp: Vec<String> = [1usize, 4]
         .into_iter()
         .map(|w| {
-            AdaptiveCampaign::new(Campaign::new(mixed_config()).with_workers(w))
+            Campaign::new(mixed_config())
+                .with_workers(w)
                 .with_epoch_len(12)
                 .with_policy("exp3")
                 .expect("valid policy")
-                .run(&budget, racy)
+                .trace(&budget, racy)
                 .canonical_json()
         })
         .collect();
@@ -88,64 +90,87 @@ fn adaptive_trace_json_is_byte_identical_across_1_4_8_workers() {
 #[test]
 fn adaptive_with_fixed_policy_equals_the_plain_mixed_campaign() {
     let executions = 60;
-    let adaptive = AdaptiveCampaign::new(Campaign::new(mixed_config()).with_workers(4))
-        .with_epoch_len(16)
-        .run(&CampaignBudget::executions(executions), racy);
-    let plain = Campaign::new(mixed_config())
-        .with_workers(4)
-        .run(&CampaignBudget::executions(executions), racy);
-    // Fixed never changes the mix, epochs keep the base seed and walk
-    // global indices — so the executions are literally the same ones,
-    // and the adaptive run's report is the plain campaign's, byte for
-    // byte.
-    assert_eq!(adaptive.report.canonical_json(), plain.canonical_json());
-    assert_eq!(adaptive.report.aggregate, plain.aggregate);
-    assert_eq!(adaptive.mix_trajectory(), vec![MIX; adaptive.epochs()]);
+    let budget = CampaignBudget::executions(executions);
+    let plain = Campaign::new(mixed_config()).with_workers(4);
+    let fixed = plain.clone().with_epoch_len(16);
+    // Both backends: in-process workers, and fork-server children of
+    // the real binary.
+    let target = targets::find("rwlock-buggy").expect("target exists");
+    let fork = ForkServer::new(env!("CARGO_BIN_EXE_c11campaign")).with_batch_size(7);
+    let runs = [
+        (fixed.trace(&budget, racy), plain.run(&budget, racy)),
+        (
+            fixed
+                .trace_target(&fork, &target, &budget)
+                .expect("fork server runs"),
+            plain
+                .run_target(&fork, &target, &budget)
+                .expect("fork server runs"),
+        ),
+    ];
     // And both match the serial reference.
     let serial = Model::new(mixed_config()).run_many(executions, racy);
-    assert_eq!(adaptive.report.aggregate, serial);
+    for (adaptive, plain) in &runs {
+        // Fixed never changes the mix, epochs keep the base seed and
+        // walk global indices — so the executions are literally the
+        // same ones, and the adaptive run's report is the plain
+        // campaign's, byte for byte.
+        assert_eq!(adaptive.report.canonical_json(), plain.canonical_json());
+        assert_eq!(adaptive.report.aggregate, plain.aggregate);
+        assert_eq!(adaptive.epochs(), 4);
+        assert_eq!(adaptive.mix_trajectory(), vec![MIX; adaptive.epochs()]);
+        assert_eq!(adaptive.report.aggregate, serial);
+    }
 }
 
 #[test]
 fn flagged_executions_replay_by_seed_epoch_index() {
-    let campaign = AdaptiveCampaign::new(Campaign::new(mixed_config()).with_workers(4))
+    let campaign = Campaign::new(mixed_config())
+        .with_workers(4)
         .with_epoch_len(12)
         .with_policy("ucb1")
         .expect("valid policy");
-    let report = campaign.run(&CampaignBudget::executions(48), racy);
+    let trace = campaign.trace(&CampaignBudget::executions(48), racy);
 
     // Find the epoch containing the aggregate's first flagged
-    // execution and replay it by (epoch, offset).
-    let first = report
+    // execution and replay it by its global index.
+    let first = trace
         .report
         .aggregate
         .first_bug_execution()
         .expect("rwlock_buggy races");
-    let record = report
+    let record = trace
         .records
         .iter()
         .find(|r| first >= r.start_index && first < r.end_index())
         .expect("first bug falls in a completed epoch");
-    let offset = first - record.start_index;
     let replayed = campaign
-        .replay(&report, record.epoch, offset, racy)
-        .expect("coordinates in range");
-    assert_eq!(replayed.execution_index, first);
-    assert!(replayed.found_bug(), "replay must reproduce the bug");
+        .replay(&trace, first, racy)
+        .expect("index in range");
+    assert_eq!(replayed.epoch, record.epoch);
+    assert_eq!(replayed.report.execution_index, first);
+    assert!(replayed.report.found_bug(), "replay must reproduce the bug");
     // The replay ran under the strategy the epoch's mix assigned.
     let mix = StrategyMix::parse(&record.mix).expect("trace mix parses");
-    assert_eq!(*replayed.strategy, *mix.strategy_at(SEED, first).spec());
+    assert_eq!(
+        *replayed.report.strategy,
+        *mix.strategy_at(SEED, first).spec()
+    );
 
     // Spot-check replays across later (reweighted) epochs too: the
     // recorded per-epoch mix governs the assignment, not the initial
     // mix.
-    for record in &report.records {
+    for record in &trace.records {
         let mix = StrategyMix::parse(&record.mix).expect("trace mix parses");
         let index = record.start_index;
         let replayed = campaign
-            .replay(&report, record.epoch, 0, racy)
-            .expect("offset 0 in range");
-        assert_eq!(*replayed.strategy, *mix.strategy_at(SEED, index).spec());
+            .replay(&trace, index, racy)
+            .expect("epoch start in range");
+        assert_eq!(replayed.epoch, record.epoch);
+        assert_eq!(
+            *replayed.report.strategy,
+            *mix.strategy_at(SEED, index).spec()
+        );
     }
 }
 
@@ -159,11 +184,12 @@ fn ucb1_beats_the_worst_fixed_arm_to_first_bug_and_shifts_weight() {
     let config = Config::new()
         .with_seed(seed)
         .with_mix(StrategyMix::parse(arms).expect("valid mix"));
-    let adaptive = AdaptiveCampaign::new(Campaign::new(config).with_workers(4))
+    let adaptive = Campaign::new(config)
+        .with_workers(4)
         .with_epoch_len(40)
         .with_policy("ucb1")
         .expect("valid policy")
-        .run(&CampaignBudget::executions(executions), lost_update);
+        .trace(&CampaignBudget::executions(executions), lost_update);
 
     // Fixed single-strategy campaigns over the same seed and budget.
     let fixed_first_bug = |strategy: &str| {
@@ -222,11 +248,12 @@ fn exp3_also_shifts_weight_toward_the_productive_arm() {
     let config = Config::new()
         .with_seed(0x52)
         .with_mix(StrategyMix::parse("pct1@16:1,pct2@16:1").expect("valid mix"));
-    let report = AdaptiveCampaign::new(Campaign::new(config).with_workers(2))
+    let report = Campaign::new(config)
+        .with_workers(2)
         .with_epoch_len(40)
         .with_policy("exp3")
         .expect("valid policy")
-        .run(&CampaignBudget::executions(240), lost_update);
+        .trace(&CampaignBudget::executions(240), lost_update);
     let last = report.records.last().expect("epochs ran");
     let mix = StrategyMix::parse(&last.mix).expect("trace mix parses");
     let weight = |spec: &str| {

@@ -2,7 +2,8 @@
 //! strategy-mixed campaign per built-in target group: the full
 //! document's `campaign` object is the same invocation's `--canonical`
 //! bytes, and its `per_strategy` columns have one row per mix entry
-//! that ran.
+//! that ran. Every mode reports the same worker count: the pool
+//! workers that ran.
 
 use c11tester::StrategyMix;
 use c11tester_telemetry::json::JsonValue;
@@ -89,4 +90,54 @@ fn json_reports_embed_the_canonical_report_with_one_column_per_strategy() {
             "{target}: rows sum to the budget"
         );
     }
+}
+
+/// The text line, `--json` `timing.workers` and the `--metrics-out`
+/// header all report the pool workers that ran — the metrics document's
+/// worker rows — in-process, under `--isolate` and under `--adaptive`.
+/// Two executions make two one-index claims in-process but a single
+/// 64-index batch under `--isolate`, so `--workers 8` runs 2 and 1.
+#[test]
+fn every_mode_reports_the_pool_workers_that_ran() {
+    let dir = std::env::temp_dir().join(format!("c11-workers-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let metrics = dir.join("metrics.json");
+    let metrics_s = metrics.to_str().expect("utf-8 path");
+    let base = [
+        "--target",
+        "rwlock-buggy",
+        "--executions",
+        "2",
+        "--workers",
+        "8",
+    ];
+    for (mode, ran) in [
+        (&[][..], 2u64),
+        (&["--isolate"][..], 1),
+        (&["--adaptive", "ucb1"][..], 2),
+    ] {
+        let args = [&base[..], mode].concat();
+        let text = cli(&[&args[..], &["--metrics-out", metrics_s]].concat());
+        let doc = JsonValue::parse(&std::fs::read_to_string(&metrics).expect("metrics written"))
+            .expect("metrics parse");
+        let rows = doc
+            .array_field("worker_utilization")
+            .expect("worker rows")
+            .len() as u64;
+        assert_eq!(rows, ran, "{mode:?}: worker rows");
+        assert_eq!(
+            doc.u64_field("workers"),
+            Ok(rows),
+            "{mode:?}: metrics header"
+        );
+        assert!(
+            text.contains(&format!(" on {rows} worker(s) ")),
+            "{mode:?}: {text}"
+        );
+        let full = cli(&[&args[..], &["--json"]].concat());
+        let full = JsonValue::parse(full.trim_end()).expect("--json output parses");
+        let timing = full.field("timing").expect("timing object");
+        assert_eq!(timing.u64_field("workers"), Ok(rows), "{mode:?}: --json");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

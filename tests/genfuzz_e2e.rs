@@ -2,7 +2,8 @@
 //! real binaries: `gen:<pseed>` campaign targets (determinism across
 //! worker counts and isolation, malformed-spec usage errors) and the
 //! `c11fuzz` differential fuzzer (clean sweeps, report files, usage
-//! errors).
+//! errors, and the fuzz slices: a quick one here, a soak one
+//! `#[ignore]`d).
 
 use std::process::{Command, Output};
 
@@ -142,4 +143,41 @@ fn fuzz_cli_usage_errors_exit_2() {
     let help = run(FUZZ, &["--help"]);
     assert!(help.status.success());
     assert!(String::from_utf8_lossy(&help.stdout).contains("c11fuzz"));
+}
+
+/// `c11fuzz` sweeps that must stay clean, exit 0 and say so.
+fn fuzz_clean(sweeps: &[&[&str]]) {
+    for args in sweeps {
+        let out = run(FUZZ, args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("no mismatches"),
+            "c11fuzz {args:?}: {stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
+/// The quick fuzz slice: 128 pseeds through the full grammar with every
+/// committed trace re-validated by the C11-axiom oracle (plus the
+/// tiny-program outcome check against the small-scope enumerator), and
+/// two compare-exchange-heavy pseeds (179, 395) at the budget that
+/// reached their mismatches before `ctx::atomic_cas` became one
+/// decision. A mismatch prints its shrunk reproducer and its
+/// `(pseed, seed, epoch, index)` replay key.
+#[test]
+fn fuzz_quick_slice_is_clean() {
+    fuzz_clean(&[
+        &["--count", "128", "--executions", "64"],
+        &["--pseed", "179", "--executions", "2000"],
+        &["--pseed", "395", "--executions", "2000"],
+    ]);
+}
+
+/// The soak fuzz slice, 800 pseeds x 2000 executions (~80 s in release):
+/// `cargo test --release --test genfuzz_e2e -- --ignored fuzz_soak`.
+#[test]
+#[ignore = "soak: ~80 s in release"]
+fn fuzz_soak_slice_is_clean() {
+    fuzz_clean(&[&["--start", "2400", "--count", "800", "--executions", "2000"]]);
 }

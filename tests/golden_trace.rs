@@ -11,17 +11,16 @@
 //! (`c11campaign --target rwlock-buggy --adaptive ucb1 --epoch 12
 //! --executions 48 --seed 0xC0FFEE --mix random:2,pct2:1,pct3:1
 //! --canonical`), in-process and under `--isolate`, and the plain-mix
-//! golden `campaign/tests/golden/rwlock_buggy_mixed.json` without
+//! golden `crates/campaign/tests/golden/rwlock_buggy_mixed.json` without
 //! `--adaptive`, so the fixtures also pin the CLI plumbing.
 //!
 //! Regenerate with:
 //!
 //! ```text
-//! cargo test -p c11tester-adaptive --test golden_trace -- --ignored regenerate
+//! cargo test --test golden_trace -- --ignored regenerate
 //! ```
 
 use c11tester::{Config, StrategyMix};
-use c11tester_adaptive::AdaptiveCampaign;
 use c11tester_campaign::{Campaign, CampaignBudget, EpochTrace};
 use c11tester_workloads::ds::rwlock_buggy;
 use std::process::Command;
@@ -39,11 +38,12 @@ fn golden_campaign() -> EpochTrace {
     let config = Config::new()
         .with_seed(SEED)
         .with_mix(StrategyMix::parse(MIX).expect("valid mix"));
-    AdaptiveCampaign::new(Campaign::new(config).with_workers(4))
+    Campaign::new(config)
+        .with_workers(4)
         .with_epoch_len(EPOCH_LEN)
         .with_policy("ucb1")
         .expect("valid policy")
-        .run(&CampaignBudget::executions(EXECUTIONS), || {
+        .trace(&CampaignBudget::executions(EXECUTIONS), || {
             rwlock_buggy::run_buggy()
         })
 }
@@ -132,7 +132,7 @@ fn the_cli_reproduces_both_rwlock_goldens() {
         assert!(out == golden, "the adaptive CLI diverged at {run:?}");
     }
     let mixed = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../campaign/tests/golden/rwlock_buggy_mixed.json");
+        .join("crates/campaign/tests/golden/rwlock_buggy_mixed.json");
     let mixed = std::fs::read_to_string(mixed).expect("plain golden present");
     let out = cli(&[&plain[..], &["--workers", "4"]].concat());
     assert!(out == mixed, "the plain CLI diverged from its golden");

@@ -91,7 +91,7 @@ fn healthy_target_fork_server_matches_in_process_byte_for_byte() {
 /// rework it guards), through fork-isolated children.
 #[test]
 fn read_path_fixtures_reproduce_under_isolation() {
-    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../campaign/tests/golden");
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/campaign/tests/golden");
     for (fixture, args) in [
         (
             "mpmc_queue_graph.json",
@@ -315,7 +315,6 @@ fn adaptive_isolated_campaigns_are_worker_count_independent() {
 #[test]
 fn adaptive_isolated_crashes_tile_the_epochs_in_index_order() {
     use c11tester::{Config, StrategyMix};
-    use c11tester_adaptive::AdaptiveCampaign;
     use c11tester_campaign::{targets, Campaign, CampaignBudget};
     use c11tester_isolation::ForkServer;
     use c11tester_telemetry::json::JsonValue;
@@ -323,12 +322,13 @@ fn adaptive_isolated_crashes_tile_the_epochs_in_index_order() {
     let target = targets::find("null-deref-buggy").expect("target exists");
     let fork = ForkServer::new(Path::new(BIN)).with_batch_size(16);
     let mix = StrategyMix::parse("random:1,pct2:1,pct3:1,burst:1").expect("valid mix");
-    let campaign = Campaign::new(Config::new().with_seed(7).with_mix(mix)).with_workers(2);
-    let trace = AdaptiveCampaign::new(campaign.clone())
+    let campaign = Campaign::new(Config::new().with_seed(7).with_mix(mix))
+        .with_workers(2)
         .with_epoch_len(30)
         .with_policy("ucb1")
-        .expect("valid policy")
-        .run_target(&fork, &target, &CampaignBudget::executions(120))
+        .expect("valid policy");
+    let trace = campaign
+        .trace_target(&fork, &target, &CampaignBudget::executions(120))
         .expect("fork server runs");
     let crashes = &trace.report.crashes;
     assert!(!crashes.is_empty(), "null-deref-buggy crashes");

@@ -18,7 +18,7 @@
 //! Regenerate with:
 //!
 //! ```text
-//! cargo test -p c11tester-adaptive --test json_fixtures -- --ignored regenerate
+//! cargo test --test json_fixtures -- --ignored regenerate
 //! ```
 
 use c11tester::{
