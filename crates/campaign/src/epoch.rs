@@ -11,10 +11,12 @@
 //! spanning the budget that records and reweights nothing. The run's
 //! record is an [`EpochTrace`]: the [`CampaignReport`] any campaign
 //! produces (header, budget, stop reason, overall aggregate, every
-//! crash, timing) plus what only an epoched run has — its policy, its
-//! epoch length and one [`EpochRecord`] per epoch (mix, aggregate with
-//! per-strategy columns). It serializes as `c11campaign/v4` canonical
-//! JSON with an `adaptive` header and an `epochs` array.
+//! crash, timing) plus what only an epoched run has — its
+//! [`EpochSchedule`] (policy and epoch length) and one [`EpochRecord`]
+//! per epoch (mix, aggregate with per-strategy columns). An epoched
+//! trace serializes as `c11campaign/v4` canonical JSON with an
+//! `adaptive` header and an `epochs` array; a plain one as the plain
+//! report's document.
 //!
 //! Determinism: every epoch keeps the campaign's **base seed** and
 //! walks **global** execution indices, so execution `start_index + i`
@@ -67,9 +69,19 @@ impl EpochRecord {
     }
 }
 
+/// How an epoched run split its budget and reweighted its mix.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct EpochSchedule {
+    /// Canonical spec of the reweighting policy (`fixed`, `ucb1[@c]`,
+    /// `exp3[@eta]`, …).
+    pub policy: String,
+    /// Nominal epoch length in executions (the final epoch may be
+    /// shorter when the budget is not a multiple).
+    pub epoch_len: u64,
+}
+
 /// The record of one campaign run: its report plus its epochs. A plain
-/// run records none: its `records` are empty and its `epoch_len` is the
-/// budget.
+/// run has no `schedule` and records no epochs.
 #[derive(Clone, Debug)]
 pub struct EpochTrace {
     /// The run as a campaign report. Its `strategy` is the initial mix
@@ -78,22 +90,19 @@ pub struct EpochTrace {
     /// changes), its `crashes` are every epoch's in index order, and its
     /// metrics carry a per-epoch timeline.
     pub report: CampaignReport,
-    /// Canonical spec of the reweighting policy (`fixed`, `ucb1[@c]`,
-    /// `exp3[@eta]`, …).
-    pub adaptive_policy: String,
-    /// Nominal epoch length in executions (the final epoch may be
-    /// shorter when the budget is not a multiple).
-    pub epoch_len: u64,
-    /// Completed epochs in order.
+    /// The epoch configuration; `None` for a plain run.
+    pub schedule: Option<EpochSchedule>,
+    /// Completed epochs in order (none for a plain run).
     pub records: Vec<EpochRecord>,
 }
 
 impl EpochTrace {
     /// The canonical (worker-count independent) `c11campaign/v4` JSON
-    /// form: the plain report's fields plus an `adaptive` header and an
-    /// `epochs` array carrying each epoch's mix, per-strategy columns,
-    /// and running cumulative totals. Byte-identical for any worker
-    /// count over a fixed budget.
+    /// form: for an epoched run, the plain report's fields plus an
+    /// `adaptive` header and an `epochs` array carrying each epoch's
+    /// mix, per-strategy columns, and running cumulative totals; for a
+    /// plain run, the plain report's document. Byte-identical for any
+    /// worker count over a fixed budget.
     pub fn canonical_json(&self) -> String {
         json::canonical(&self.report, Some(self), false)
     }
@@ -101,6 +110,14 @@ impl EpochTrace {
     /// Number of completed epochs.
     pub fn epochs(&self) -> usize {
         self.records.len()
+    }
+
+    /// Nominal length of each epoch's index range: the schedule's, or
+    /// the whole budget for a plain run.
+    fn epoch_len(&self) -> u64 {
+        self.schedule
+            .as_ref()
+            .map_or(self.report.budget.max_executions, |s| s.epoch_len)
     }
 
     /// The mix specs in epoch order — the controller's reweighting
@@ -114,7 +131,7 @@ impl EpochTrace {
     pub fn crashes_in(&self, record: &EpochRecord) -> &[CrashRecord] {
         let crashes = &self.report.crashes;
         let below = |bound: u64| crashes.partition_point(|c| c.index < bound);
-        let end = record.start_index.saturating_add(self.epoch_len);
+        let end = record.start_index.saturating_add(self.epoch_len());
         &crashes[below(record.start_index)..below(end)]
     }
 
@@ -129,9 +146,11 @@ impl EpochTrace {
         if index >= self.report.budget.max_executions {
             return None;
         }
-        let record = self.records.iter().find(|r| {
-            (r.start_index..r.start_index.saturating_add(self.epoch_len)).contains(&index)
-        })?;
+        let epoch_len = self.epoch_len();
+        let record = self
+            .records
+            .iter()
+            .find(|r| (r.start_index..r.start_index.saturating_add(epoch_len)).contains(&index))?;
         let mix = StrategyMix::parse(&record.mix).ok()?;
         Some((base.clone().with_mix(mix), record.epoch))
     }
@@ -262,8 +281,10 @@ impl Campaign {
         total.metrics.executions = total.aggregate.executions;
         Ok(EpochTrace {
             report: self.report(budget, total),
-            adaptive_policy: self.policy.spec(),
-            epoch_len,
+            schedule: self.epoch_len.map(|epoch_len| EpochSchedule {
+                policy: self.policy.spec(),
+                epoch_len,
+            }),
             records,
         })
     }
@@ -272,17 +293,20 @@ impl Campaign {
 impl std::fmt::Display for EpochTrace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let r = &self.report;
+        let Some(schedule) = &self.schedule else {
+            return write!(f, "{r}");
+        };
         writeln!(
             f,
             "adaptive: {} executions on {} worker(s) in {:.2?}, policy {}, initial mix {}",
-            r.aggregate.executions, r.workers, r.wall_time, self.adaptive_policy, r.strategy,
+            r.aggregate.executions, r.workers, r.wall_time, schedule.policy, r.strategy,
         )?;
         writeln!(
             f,
             "adaptive campaign: {} epoch(s) of {} execution(s), policy {}, seed {:#x}, {}",
             self.records.len(),
-            self.epoch_len,
-            self.adaptive_policy,
+            schedule.epoch_len,
+            schedule.policy,
             r.base_seed,
             r.stop_reason.name(),
         )?;
@@ -348,8 +372,10 @@ mod tests {
                 wall_time: Duration::ZERO,
                 metrics: CampaignMetrics::default(),
             },
-            adaptive_policy: "ucb1".to_string(),
-            epoch_len: 8,
+            schedule: Some(EpochSchedule {
+                policy: "ucb1".to_string(),
+                epoch_len: 8,
+            }),
             records: vec![record(0, "random:1,pct2:1"), record(1, "random:1,pct2:3")],
         }
     }

@@ -452,12 +452,14 @@ fn write_canonical(
     epochs: Option<&EpochTrace>,
     alloc: bool,
 ) {
+    // A plain run's trace writes the plain document.
+    let epochs = epochs.and_then(|t| Some((t, t.schedule.as_ref()?)));
     w.object(|w| {
         write_header(w, "c11campaign/v4", r);
-        if let Some(t) = epochs {
+        if let Some((t, schedule)) = epochs {
             w.key("adaptive").object(|w| {
-                w.key("policy").str(&t.adaptive_policy);
-                w.key("epoch_len").u64(t.epoch_len);
+                w.key("policy").str(&schedule.policy);
+                w.key("epoch_len").u64(schedule.epoch_len);
                 w.key("initial_mix").str(&r.strategy);
                 w.key("epochs").u64(t.records.len() as u64);
             });
@@ -465,7 +467,7 @@ fn write_canonical(
         write_budget(w, &r.budget);
         w.key("stop_reason").str(r.stop_reason.name());
         write_detection_scalars(w, &r.aggregate, r.crashes.len());
-        if let Some(t) = epochs {
+        if let Some((t, _)) = epochs {
             w.key("first_bug_execution")
                 .opt_u64(r.aggregate.first_bug_execution());
             write_epoch_rows(w, t);
@@ -504,7 +506,8 @@ fn write_epoch_rows(w: &mut JsonWriter, t: &EpochTrace) {
 }
 
 /// The canonical document of `r` (see [`CampaignReport::canonical_json`]);
-/// `epochs` is the adaptive run whose report `r` is, if any.
+/// `epochs` is the run whose report `r` is, if any — only an epoched
+/// one adds to the plain document.
 ///
 /// `alloc` adds the `alloc` diagnostics block inside `stats`
 /// (recycled-vs-fresh provisioning and clock-vector spill counts;
@@ -618,7 +621,7 @@ mod tests {
             .with_epoch_len(10)
             .trace(&CampaignBudget::executions(20), racy);
         // Dress the trace up as a reweighted run with a crash.
-        trace.adaptive_policy = "ucb1".to_string();
+        trace.schedule.as_mut().expect("epoched").policy = "ucb1".to_string();
         trace.records[1].mix = "random:1,pct2:3".to_string();
         trace.report.crashes.push(crate::CrashRecord {
             index: 13,

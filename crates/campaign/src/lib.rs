@@ -90,7 +90,7 @@ pub mod reweight;
 pub mod targets;
 pub mod wire;
 
-pub use epoch::{EpochRecord, EpochTrace};
+pub use epoch::{EpochRecord, EpochSchedule, EpochTrace};
 pub use exec::{CrashKind, CrashRecord, Executor, RangeOutcome};
 pub use forensics::{CaptureSink, ForensicsSummary, Witness};
 pub use reweight::{parse_policy, CoverageUcb, ExpWeights, Fixed, ReweightCtx, Reweighter, Ucb1};
@@ -565,7 +565,30 @@ mod tests {
             .trace(&CampaignBudget::executions(0), racy_program);
         assert_eq!(trace.epochs(), 0);
         assert_eq!(trace.report.aggregate.executions, 0);
-        assert!(trace.canonical_json().contains("\"epochs\":[]"));
+        let json = trace.canonical_json();
+        assert!(json.contains("\"adaptive\":{\"policy\":\"fixed\""));
+        assert!(json.contains("\"epochs\":[]"));
+    }
+
+    #[test]
+    fn a_plain_trace_writes_the_plain_documents() {
+        let trace = Campaign::new(mixed_config(4))
+            .with_workers(2)
+            .trace(&CampaignBudget::executions(12), racy_program);
+        assert_eq!(trace.schedule, None);
+        let report = &trace.report;
+        assert_eq!(
+            json::canonical(report, Some(&trace), false),
+            json::canonical(report, None, false)
+        );
+        assert_eq!(trace.canonical_json(), report.canonical_json());
+        assert_eq!(json::full(report, Some(&trace)), json::full(report, None));
+        assert_eq!(
+            json::coverage(report, Some(&trace)),
+            json::coverage(report, None)
+        );
+        assert!(!trace.canonical_json().contains("\"adaptive\""));
+        assert_eq!(trace.to_string(), report.to_string());
     }
 
     #[test]

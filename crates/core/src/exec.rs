@@ -19,6 +19,8 @@
 //! *read plan*; a step 3 for the same `(thread, object, order)` with no
 //! event in between builds the chosen candidate's prior set from it
 //! instead of recomputing, so each operation scans the histories once.
+//! Within step 2 the plan also resolves each prior-set member's
+//! mo-graph node and RMW-chain tail once, for all candidates.
 
 use crate::clock::ClockVector;
 use crate::event::{
@@ -28,7 +30,9 @@ use crate::event::{
 use crate::location::{seq_prefix_len, LocationState};
 use crate::mograph::{MoGraph, NodeId};
 use crate::policy::Policy;
-use crate::priorset::{edges_into_feasible, prior_set_of};
+#[cfg(debug_assertions)]
+use crate::priorset::edges_into_feasible;
+use crate::priorset::{prior_set_of, PlannedSet};
 use crate::prune::{PruneConfig, PruneScratch};
 use crate::stats::{AllocStats, ExecStats};
 use c11tester_telemetry::{phase_start, ExecCoverage, Phase, PhaseProfile, TraceEvent, TraceKind};
@@ -74,7 +78,7 @@ pub(crate) struct ReadPlan {
     /// Event count at selection time.
     seq: u64,
     /// For an RMW selection: length of the `WritePriorSet` proper at
-    /// the front of `wbests_buf`.
+    /// the front of `wbests`.
     wps_len: Option<usize>,
 }
 
@@ -152,12 +156,12 @@ pub struct Execution {
     pub(crate) pset_buf: Vec<StoreIdx>,
     /// The per-thread prior-set bests of the latest candidate
     /// selection; meaningful while `plan` is set.
-    pub(crate) bests_buf: Vec<StoreIdx>,
+    pub(crate) bests: PlannedSet,
     /// The RMW write prior set of the latest candidate selection;
     /// meaningful while `plan` names its length.
-    pub(crate) wbests_buf: Vec<StoreIdx>,
-    /// What the latest candidate selection computed `bests_buf` (and
-    /// `wbests_buf`) for; consumed by the next commit.
+    pub(crate) wbests: PlannedSet,
+    /// What the latest candidate selection computed `bests` (and
+    /// `wbests`) for; consumed by the next commit.
     pub(crate) plan: Option<ReadPlan>,
     /// Reusable scratch of the pruning pass.
     pub(crate) prune_buf: PruneScratch,
@@ -216,8 +220,8 @@ impl Execution {
             stats,
             prune_cfg,
             pset_buf: Vec::new(),
-            bests_buf: Vec::new(),
-            wbests_buf: Vec::new(),
+            bests: PlannedSet::default(),
+            wbests: PlannedSet::default(),
             plan: None,
             prune_buf: PruneScratch::default(),
             trace: false,
@@ -647,7 +651,7 @@ impl Execution {
     /// after the node exists, *before* the write-prior-set edges, so
     /// that edge migration and clock-vector propagation interleave
     /// correctly. `hoisted_wps` is the length of an already computed
-    /// write prior set at the front of `wbests_buf` (see
+    /// write prior set at the front of `wbests` (see
     /// [`Execution::commit_rmw`]).
     #[allow(clippy::too_many_arguments)]
     fn store_inner(
@@ -667,7 +671,7 @@ impl Execution {
         match hoisted_wps {
             Some(len) => {
                 pset.clear();
-                pset.extend_from_slice(&self.wbests_buf[..len]);
+                pset.extend_from_slice(&self.wbests.members[..len]);
                 #[cfg(debug_assertions)]
                 {
                     let mut fresh = Vec::new();
@@ -799,13 +803,11 @@ impl Execution {
     /// [`Execution::vet_candidate`] is asked about *and* the commit of
     /// the chosen one.
     fn plan_read(&mut self, t: ThreadId, obj: ObjId, order: MemOrder, for_rmw: bool) {
-        let mut bests = std::mem::take(&mut self.bests_buf);
-        self.read_prior_bests_into(t, obj, order, &mut bests);
-        self.bests_buf = bests;
+        self.plan_bests(t, obj, order);
         let wps_len = for_rmw.then(|| {
-            let mut wbests = std::mem::take(&mut self.wbests_buf);
-            let len = self.rmw_write_prior_set_into(t, obj, order, &mut wbests);
-            self.wbests_buf = wbests;
+            let mut wbests = std::mem::take(&mut self.wbests);
+            let len = wbests.refill(|w| self.rmw_write_prior_set_into(t, obj, order, w));
+            self.wbests = wbests;
             len
         });
         self.plan = Some(ReadPlan {
@@ -815,6 +817,14 @@ impl Execution {
             seq: self.seq,
             wps_len,
         });
+    }
+
+    /// Fills `bests` with the read prior set's per-thread bests for
+    /// `(t, obj, order)`, unresolved.
+    fn plan_bests(&mut self, t: ThreadId, obj: ObjId, order: MemOrder) {
+        let mut bests = std::mem::take(&mut self.bests);
+        bests.refill(|b| self.read_prior_bests_into(t, obj, order, b));
+        self.bests = bests;
     }
 
     /// The candidate-dependent half of the §4.3 check against the
@@ -832,16 +842,12 @@ impl Execution {
             let Execution {
                 stores,
                 graph,
-                pset_buf,
-                bests_buf,
-                wbests_buf,
+                bests,
+                wbests,
                 ..
             } = self;
-            prior_set_of(bests_buf, cand, pset_buf);
-            let ok = edges_into_feasible(stores, graph, pset_buf, cand)
-                && (!for_rmw || edges_into_feasible(stores, graph, wbests_buf, cand));
-            pset_buf.clear();
-            ok
+            bests.feasible(stores, graph, cand)
+                && (!for_rmw || wbests.feasible(stores, graph, cand))
         };
         if !ok {
             self.stats.candidates_rejected += 1;
@@ -902,7 +908,8 @@ impl Execution {
     /// The candidate-independent halves of the §4.3 check are planned
     /// once (`plan_read`): the O(candidates × threads)
     /// history scan of a per-candidate check becomes O(threads)
-    /// followed by O(|priorset|) clock work per candidate. Verdicts,
+    /// followed by O(|priorset|) clock work per candidate, each member
+    /// resolved to its node and chain tail once. Verdicts,
     /// rejection counts, and mo-graph node creation order are
     /// identical to running [`Execution::check_read_feasible`] /
     /// [`Execution::check_rmw_feasible`] per candidate.
@@ -945,16 +952,14 @@ impl Execution {
             .take()
             .filter(|p| (p.t, p.obj, p.order, p.seq) == (t, obj, order, self.seq));
         if plan.is_none() {
-            let mut bests = std::mem::take(&mut self.bests_buf);
-            self.read_prior_bests_into(t, obj, order, &mut bests);
-            self.bests_buf = bests;
+            self.plan_bests(t, obj, order);
         }
-        prior_set_of(&self.bests_buf, cand, pset);
+        prior_set_of(&self.bests.members, cand, pset);
         #[cfg(debug_assertions)]
         {
             let mut fresh = Vec::new();
             self.read_prior_bests_into(t, obj, order, &mut fresh);
-            debug_assert_eq!(self.bests_buf, fresh, "read plan went stale");
+            debug_assert_eq!(self.bests.members, fresh, "read plan went stale");
             debug_assert!(
                 edges_into_feasible(&mut self.stores, &mut self.graph, pset, cand),
                 "commit of an infeasible candidate"
@@ -1018,17 +1023,19 @@ impl Execution {
         self.stores[cand.index()].value
     }
 
-    /// Fig. 9 `[ACQUIRE LOAD]` / `[RELAXED LOAD]`.
-    fn apply_load_clocks(&mut self, t: ThreadId, order: MemOrder, src: StoreIdx) {
+    /// Fig. 9 `[ACQUIRE LOAD]` / `[RELAXED LOAD]`. Returns whether the
+    /// thread's clock `C_t` grew.
+    fn apply_load_clocks(&mut self, t: ThreadId, order: MemOrder, src: StoreIdx) -> bool {
         let Execution {
             stores, threads, ..
         } = self;
         let src_rf = &stores[src.index()].rf_cv;
         let thread = &mut threads[t.index()];
         if order.is_acquire() {
-            thread.cv.union_with(src_rf);
+            thread.cv.union_with(src_rf)
         } else {
             thread.fence_acq.union_with(src_rf);
+            false
         }
     }
 
@@ -1071,7 +1078,7 @@ impl Execution {
         self.add_edges(&pset, cand);
         pset.clear();
         self.pset_buf = pset;
-        self.apply_load_clocks(t, order, cand);
+        let acquired = self.apply_load_clocks(t, order, cand);
         let old = self.stores[cand.index()].value;
         if self.coverage.collected {
             self.coverage.record_rf(
@@ -1085,7 +1092,8 @@ impl Execution {
         // rmw edge before the write-prior-set edges, per Fig. 11). The
         // selection's write prior set saw pre-acquire clocks, so it
         // stands in for the store half's only when the load half just
-        // now acquired nothing.
+        // now acquired nothing: a relaxed or release RMW, or an acquire
+        // one whose source's release clock `C_t` already covered.
         let idx = self.store_inner(
             t,
             obj,
@@ -1093,7 +1101,7 @@ impl Execution {
             new_value,
             StoreKind::Atomic,
             Some(cand),
-            hoisted_wps.filter(|_| !order.is_acquire()),
+            hoisted_wps.filter(|_| !acquired),
         );
         if self.trace {
             self.trace_buf.push(TraceEvent {
@@ -1272,13 +1280,95 @@ mod tests {
         format!("{e:?}")
     }
 
+    /// Vets `cands` for an operation by `t` at `obj` the per-candidate
+    /// way the read plan replaces — a fresh `prior_set_of` and
+    /// `edges_into_feasible` for every candidate — on a clone of `e`.
+    /// Returns the clone and the accepted candidates.
+    fn reference_vet(
+        e: &Execution,
+        (t, obj, order, for_rmw): (ThreadId, ObjId, MemOrder, bool),
+        cands: &[StoreIdx],
+    ) -> (Execution, Vec<StoreIdx>) {
+        use crate::priorset::edges_into_feasible;
+        let mut r = e.clone();
+        let (mut bests, mut wps, mut pset) = (Vec::new(), Vec::new(), Vec::new());
+        r.read_prior_bests_into(t, obj, order, &mut bests);
+        if for_rmw {
+            r.rmw_write_prior_set_into(t, obj, order, &mut wps);
+        }
+        let mut accepted = Vec::new();
+        for &c in cands {
+            let ok = r.sc_read_allowed(obj, order, c) && {
+                prior_set_of(&bests, c, &mut pset);
+                edges_into_feasible(&mut r.stores, &mut r.graph, &pset, c)
+                    && (!for_rmw || edges_into_feasible(&mut r.stores, &mut r.graph, &wps, c))
+            };
+            if ok {
+                accepted.push(c);
+            } else {
+                r.stats.candidates_rejected += 1;
+            }
+        }
+        (r, accepted)
+    }
+
+    /// The vetting counters and mo-graph nodes of a planned and a
+    /// reference run agree.
+    fn assert_same_vetting(planned: &Execution, reference: &Execution, ctx: &str) {
+        assert_eq!(
+            planned.stats().candidates_rejected,
+            reference.stats().candidates_rejected,
+            "{ctx}: candidates_rejected"
+        );
+        let (p, r) = (planned.graph.perf_stats(), reference.graph.perf_stats());
+        assert_eq!(
+            p.reach_fast_negative, r.reach_fast_negative,
+            "{ctx}: fast negatives"
+        );
+        assert_eq!(p.reach_cv_checks, r.reach_cv_checks, "{ctx}: cv checks");
+        let nodes = |e: &Execution| e.stores.iter().map(|s| s.node).collect::<Vec<_>>();
+        assert_eq!(nodes(planned), nodes(reference), "{ctx}: node creation");
+    }
+
+    /// `feasible_read_candidates_into`, with every vetted candidate's
+    /// verdict held to [`reference_vet`]'s.
+    fn select_checked(
+        e: &mut Execution,
+        op: (ThreadId, ObjId, MemOrder, bool),
+        cands: &mut Vec<StoreIdx>,
+    ) {
+        let (t, obj, order, for_rmw) = op;
+        e.read_candidates_into(t, obj, order, for_rmw, cands);
+        let (reference, accepted) = reference_vet(e, op, cands);
+        e.feasible_read_candidates_into(t, obj, order, for_rmw, cands);
+        assert_eq!(*cands, accepted, "plan and reference verdicts differ");
+        assert_same_vetting(e, &reference, "selection");
+    }
+
+    /// `check_read_feasible`, held to [`reference_vet`] likewise.
+    fn check_checked(
+        e: &mut Execution,
+        t: ThreadId,
+        obj: ObjId,
+        order: MemOrder,
+        c: StoreIdx,
+    ) -> bool {
+        let (reference, accepted) = reference_vet(e, (t, obj, order, false), &[c]);
+        let ok = e.check_read_feasible(t, obj, order, c);
+        assert_eq!(ok, accepted == [c], "plan and reference verdicts differ");
+        assert_same_vetting(e, &reference, "single check");
+        ok
+    }
+
     /// Drives a seeded random program over 4 threads × 2 objects the
     /// way the engine does — select, pick, commit — covering loads,
     /// relaxed RMWs (store half reuses the hoisted write prior set),
-    /// acquire RMWs (store half recomputes), failed CASes re-vetted
+    /// acquire RMWs (store half recomputes when the acquire grew the
+    /// thread's clock, reuses otherwise), failed CASes re-vetted
     /// under a seq_cst failure order, seq_cst stores and fences. With
     /// `use_plan == false` the plan is dropped before every commit, so
-    /// each commit takes the recompute path.
+    /// each commit takes the recompute path. Every vetted candidate's
+    /// verdict is checked against the per-candidate reference.
     fn drive_random(seed: u64, use_plan: bool) -> Execution {
         use crate::rng::Xoshiro256StarStar;
         const ORDERS: [MemOrder; 5] = [
@@ -1314,7 +1404,7 @@ mod tests {
                         MemOrder::Release | MemOrder::AcqRel => MemOrder::Acquire,
                         o => o,
                     };
-                    e.feasible_read_candidates_into(t, obj, order, false, &mut cands);
+                    select_checked(&mut e, (t, obj, order, false), &mut cands);
                     let c = cands[rng.gen_range(0..cands.len())];
                     if !use_plan {
                         e.plan = None;
@@ -1322,7 +1412,7 @@ mod tests {
                     e.commit_load(t, obj, order, c);
                 }
                 6..=7 => {
-                    e.feasible_read_candidates_into(t, obj, order, true, &mut cands);
+                    select_checked(&mut e, (t, obj, order, true), &mut cands);
                     let c = cands[rng.gen_range(0..cands.len())];
                     if !use_plan {
                         e.plan = None;
@@ -1332,16 +1422,10 @@ mod tests {
                 8 => {
                     // Failed CAS: selected as an RMW under `order`,
                     // committed as a seq_cst load.
-                    e.feasible_read_candidates_into(t, obj, order, true, &mut cands);
+                    select_checked(&mut e, (t, obj, order, true), &mut cands);
                     let mut c = cands[rng.gen_range(0..cands.len())];
-                    if !e.check_read_feasible(t, obj, MemOrder::SeqCst, c) {
-                        e.feasible_read_candidates_into(
-                            t,
-                            obj,
-                            MemOrder::SeqCst,
-                            false,
-                            &mut cands,
-                        );
+                    if !check_checked(&mut e, t, obj, MemOrder::SeqCst, c) {
+                        select_checked(&mut e, (t, obj, MemOrder::SeqCst, false), &mut cands);
                         c = cands[rng.gen_range(0..cands.len())];
                     }
                     if !use_plan {
@@ -1356,16 +1440,22 @@ mod tests {
     }
 
     /// (i) A commit fed by the plan leaves the execution exactly where
-    /// a commit that recomputed would. (Debug builds additionally
-    /// assert plan-derived == recomputed inside every commit.)
+    /// a commit that recomputed would, and every vetted candidate gets
+    /// the per-candidate reference's verdict. (Debug builds
+    /// additionally assert plan-derived == recomputed inside every
+    /// commit.)
     #[test]
     fn planned_commits_equal_recomputed_commits() {
+        let mut rejected = 0;
         for seed in 0..24 {
             let planned = drive_random(seed, true);
             let recomputed = drive_random(seed, false);
+            assert_same_vetting(&planned, &recomputed, &format!("seed {seed}"));
             assert_eq!(state(&planned), state(&recomputed), "seed {seed}");
             assert!(planned.stats().rmws > 0 && planned.stats().atomic_loads > 0);
+            rejected += planned.stats().candidates_rejected;
         }
+        assert!(rejected > 0, "the seeds exercise rejections");
     }
 
     /// `w` stored 1 then 2 to `x` and published through `flag`; `w2`

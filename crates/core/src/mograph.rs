@@ -14,15 +14,18 @@
 //! traversals. Theorem 1: for two same-location nodes in an acyclic
 //! graph, `CV_A ≤ CV_B ⇔ B is reachable from A`.
 //!
-//! # Incremental topological order
+//! # Incremental topological orders, one per location
 //!
 //! On top of the clock vectors the graph maintains an **incremental
-//! topological order** (Pearce–Kelly / Marchetti-Spaccamela-style): each
-//! live node carries an order index, and every edge points from a lower
-//! index to a higher one. Order-respecting insertions — the vast
-//! majority, since stores mostly arrive in modification order — cost
-//! O(1) extra. A violating insertion triggers a *bounded local reorder*
-//! of only the affected index range (`shift_region`).
+//! topological order** (Pearce–Kelly / Marchetti-Spaccamela-style) per
+//! location: edges only ever connect stores to the same location, so
+//! each location's nodes form an order of their own. Each live node
+//! carries its index within its location's order, and every edge points
+//! from a lower index to a higher one. Order-respecting insertions — the
+//! vast majority, since stores mostly arrive in modification order —
+//! cost O(1) extra. A violating insertion triggers a *bounded local
+//! reorder* of only the affected index range of that one location
+//! (`shift_region`); the stores of other locations never move.
 //!
 //! The order index powers two fast paths:
 //!
@@ -34,7 +37,10 @@
 //! Both gates are exact for the queries the engine issues (same-location
 //! live nodes under the CoWW invariant), so the canonical maintenance
 //! counters — and therefore the canonical campaign reports — are
-//! bit-identical to the traversal-free baseline.
+//! bit-identical to the traversal-free baseline. They only ever compare
+//! indices of two same-location nodes, and a single global order
+//! restricted to one location would be exactly that location's order,
+//! so keeping the orders apart changes no answer.
 //!
 //! # RMW chains
 //!
@@ -46,7 +52,7 @@
 //! rmw-predecessor, and every chain its tail: [`MoGraph::chain_end`],
 //! [`MoGraph::chain_tail`] and [`MoGraph::chain_downstream`] are O(1).
 //!
-//! The order additionally enables **tombstone compaction** (§7.1 memory
+//! The orders additionally enable **tombstone compaction** (§7.1 memory
 //! limiting): [`MoGraph::compact`] physically evicts pruned nodes from
 //! the arena, compacts survivors to the prefix while preserving their
 //! relative topological positions, and returns a remap table so the
@@ -111,9 +117,10 @@ pub struct MoGraphStats {
 /// reallocating per execution. Propagation uses a reusable scratch
 /// worklist rather than cloning edge lists per visited node.
 ///
-/// Invariant: `order` is a topological order of the live nodes —
-/// `order[p]` is the node at position `p`, `ord[n]` its inverse — and
-/// every mo/rmw edge `u → v` satisfies `ord[u] < ord[v]`.
+/// Invariant: `orders[o]` is a topological order of the live nodes at
+/// location `o` — `orders[o][p]` is the node at position `p`, `ord[n]`
+/// its inverse — and every mo/rmw edge `u → v` joins two nodes of one
+/// location and satisfies `ord[u] < ord[v]`.
 #[derive(Clone, Debug, Default)]
 pub struct MoGraph {
     nodes: Vec<Node>,
@@ -121,11 +128,13 @@ pub struct MoGraph {
     /// recycling and must never be read.
     live: usize,
     stats: MoGraphStats,
-    /// Topological position of each node (indexed by node index;
-    /// entries at or above `live` are stale).
+    /// Position of each node within its location's order (indexed by
+    /// node index; entries at or above `live` are stale).
     ord: Vec<u32>,
-    /// Node at each topological position; always `live` entries.
-    order: Vec<NodeId>,
+    /// Node at each position of each location's order, indexed densely
+    /// by `ObjId` like the execution's location table; the lengths sum
+    /// to `live`. Cleared, not dropped, on reset.
+    orders: Vec<Vec<NodeId>>,
     /// Live nodes currently tombstoned by pruning (compaction resets
     /// this when it evicts them).
     pruned_count: usize,
@@ -196,7 +205,9 @@ impl MoGraph {
     pub fn reset(&mut self) {
         self.live = 0;
         self.stats = MoGraphStats::default();
-        self.order.clear();
+        for order in &mut self.orders {
+            order.clear();
+        }
         self.pruned_count = 0;
         self.prune_dirty = false;
         self.perf = GraphMetrics::default();
@@ -207,12 +218,17 @@ impl MoGraph {
     /// Adds a node for a store by `tid` with sequence number `seq` at
     /// location `obj`; its clock vector starts at `⊥CV` (own slot only).
     /// Reuses a retired arena slot when one is available. A fresh node
-    /// has no edges, so appending it at the end of the topological
-    /// order keeps the order valid.
+    /// has no edges, so appending it at the end of its location's order
+    /// keeps the order valid.
     pub fn add_node(&mut self, tid: ThreadId, seq: SeqNum, obj: ObjId) -> NodeId {
         let id = NodeId(self.live as u32);
-        debug_assert_eq!(self.order.len(), self.live);
-        let pos = self.live as u32;
+        let ox = obj.0 as usize;
+        if self.orders.len() <= ox {
+            self.orders.resize_with(ox + 1, Vec::new);
+        }
+        let order = &mut self.orders[ox];
+        let pos = order.len() as u32;
+        order.push(id);
         if self.live < self.nodes.len() {
             // Recycled slot: re-initialize in place, keeping capacity.
             let n = &mut self.nodes[self.live];
@@ -242,7 +258,6 @@ impl MoGraph {
             self.links.push(ChainLink::head(id));
             self.chain_tails.push(id);
         }
-        self.order.push(id);
         self.live += 1;
         self.perf.peak_live_nodes = self.perf.peak_live_nodes.max(self.live as u64);
         id
@@ -292,8 +307,9 @@ impl MoGraph {
         p
     }
 
-    /// Topological position of a live node (test/diagnostic accessor;
-    /// the invariant is `ord(u) < ord(v)` for every edge `u → v`).
+    /// Position of a live node within its location's topological order
+    /// (test/diagnostic accessor; the invariant is `ord(u) < ord(v)` for
+    /// every edge `u → v`).
     pub fn order_index(&self, id: NodeId) -> u32 {
         debug_assert!(id.index() < self.live, "order of a retired node slot");
         self.ord[id.index()]
@@ -340,6 +356,7 @@ impl MoGraph {
         {
             let fnode = &self.nodes[from.index()];
             let tnode = &self.nodes[to.index()];
+            debug_assert_eq!(fnode.obj, tnode.obj, "mo edges join same-location stores");
             let must_add = fnode.rmw == Some(to) || fnode.tid == tnode.tid;
             // Order gate first: redundancy (`from` already reaches `to`)
             // requires ord(from) < ord(to), so most non-redundant edges
@@ -387,14 +404,15 @@ impl MoGraph {
 
     /// Repairs the topological order after inserting the violating edge
     /// `from → to` (`ord(from) > ord(to)`): seeds the affected region
-    /// at `to` and shifts everything `to` reaches past `from`.
+    /// of their location's order at `to` and shifts everything `to`
+    /// reaches past `from`.
     fn restore_order(&mut self, from: NodeId, to: NodeId) {
         let lo = self.ord[to.index()] as usize;
         let hi = self.ord[from.index()] as usize;
         debug_assert!(self.dfs.is_empty());
         self.in_f[to.index()] = true;
         self.dfs.push(to);
-        self.shift_region(lo, hi);
+        self.shift_region(self.nodes[to.index()].obj, lo, hi);
         debug_assert!(
             self.ord[from.index()] < self.ord[to.index()],
             "reorder failed to restore the edge {from:?} -> {to:?}"
@@ -402,18 +420,20 @@ impl MoGraph {
     }
 
     /// Bounded local reorder (the MNR/Pearce–Kelly "shift" step): given
-    /// seed nodes already pushed on `self.dfs` (and marked in
-    /// `self.in_f`) whose positions lie in `[lo, hi]`, computes the set
-    /// `F` of nodes forward-reachable from the seeds within positions
-    /// `≤ hi`, then stable-partitions the position range `[lo, hi]`
-    /// into non-`F` nodes followed by `F` nodes. Positions outside the
-    /// range are untouched.
+    /// seed nodes at location `obj` already pushed on `self.dfs` (and
+    /// marked in `self.in_f`) whose positions lie in `[lo, hi]`,
+    /// computes the set `F` of nodes forward-reachable from the seeds
+    /// within positions `≤ hi`, then stable-partitions the position
+    /// range `[lo, hi]` of `obj`'s order into non-`F` nodes followed by
+    /// `F` nodes. Positions outside the range, and every other
+    /// location's order, are untouched: edges never leave a location,
+    /// so neither does `F`.
     ///
     /// This restores the order invariant provided no seed reaches a
     /// node that must precede it (i.e. the graph is acyclic and every
     /// violating edge's *source* is outside `F`): `F` is closed under
     /// in-range successors, and both blocks preserve relative order.
-    fn shift_region(&mut self, lo: usize, hi: usize) {
+    fn shift_region(&mut self, obj: ObjId, lo: usize, hi: usize) {
         let mut stack = std::mem::take(&mut self.dfs);
         while let Some(n) = stack.pop() {
             let edge_count = self.nodes[n.index()].edges.len();
@@ -434,24 +454,19 @@ impl MoGraph {
         self.dfs = stack;
         let mut tmp = std::mem::take(&mut self.reorder_tmp);
         debug_assert!(tmp.is_empty());
-        for p in lo..=hi {
-            let n = self.order[p];
-            if !self.in_f[n.index()] {
-                tmp.push(n);
-            }
-        }
-        for p in lo..=hi {
-            let n = self.order[p];
+        let region = &mut self.orders[obj.0 as usize][lo..=hi];
+        tmp.extend(region.iter().filter(|n| !self.in_f[n.index()]));
+        for &n in region.iter() {
             if self.in_f[n.index()] {
                 tmp.push(n);
                 self.in_f[n.index()] = false;
             }
         }
         debug_assert_eq!(tmp.len(), hi - lo + 1);
+        region.copy_from_slice(&tmp);
         for (off, &n) in tmp.iter().enumerate() {
-            let p = lo + off;
-            self.order[p] = n;
-            self.ord[n.index()] = p as u32;
+            debug_assert_eq!(self.nodes[n.index()].obj, obj, "F left its location");
+            self.ord[n.index()] = (lo + off) as u32;
         }
         tmp.clear();
         self.reorder_tmp = tmp;
@@ -568,7 +583,7 @@ impl MoGraph {
         migrated.clear();
         self.scratch_edges = migrated;
         if !self.dfs.is_empty() {
-            self.shift_region(lo, hi);
+            self.shift_region(self.nodes[rmw.index()].obj, lo, hi);
         }
         self.add_edge(from, rmw);
         // Forced propagation over the migrated edges.
@@ -756,15 +771,22 @@ impl MoGraph {
     }
 
     /// Validates the order invariant by traversal (test/debug use
-    /// only): every mo/rmw edge goes forward in the maintained order,
-    /// and `order`/`ord` are mutually inverse over the live nodes.
+    /// only): every node sits in its own location's order, each order
+    /// and `ord` are mutually inverse, the orders together hold every
+    /// live node once, and every mo/rmw edge goes forward in the
+    /// maintained order.
     pub fn order_is_valid_slow(&self) -> bool {
-        if self.order.len() != self.live {
+        if self.orders.iter().map(Vec::len).sum::<usize>() != self.live {
             return false;
         }
-        for (p, &n) in self.order.iter().enumerate() {
-            if n.index() >= self.live || self.ord[n.index()] as usize != p {
-                return false;
+        for (o, order) in self.orders.iter().enumerate() {
+            for (p, &n) in order.iter().enumerate() {
+                if n.index() >= self.live
+                    || self.nodes[n.index()].obj.0 as usize != o
+                    || self.ord[n.index()] as usize != p
+                {
+                    return false;
+                }
             }
         }
         for (ix, node) in self.live_nodes().iter().enumerate() {
@@ -829,8 +851,8 @@ impl MoGraph {
     /// the arena. Survivors are compacted to the arena prefix in arena
     /// order (edge removal never reorders, so their relative
     /// topological positions survive the move), vacated slots become
-    /// retired slots available for recycling, and the maintained
-    /// topological order is rebuilt over the survivors.
+    /// retired slots available for recycling, and each location's
+    /// order is filtered in place down to its survivors.
     ///
     /// Returns the remap table — `remap[old_index]` is the survivor's
     /// new id, or `None` for an evicted tombstone. **The caller must
@@ -866,19 +888,21 @@ impl MoGraph {
                 n.rmw = self.remap[r.index()];
             }
         }
-        // Rebuild the topological order over the survivors, preserving
-        // their relative positions.
-        let mut tmp = std::mem::take(&mut self.reorder_tmp);
-        debug_assert!(tmp.is_empty());
-        tmp.extend(self.order.iter().filter_map(|&n| self.remap[n.index()]));
-        debug_assert_eq!(tmp.len(), w);
-        self.order.clear();
-        self.order.extend_from_slice(&tmp);
-        for (p, &n) in tmp.iter().enumerate() {
-            self.ord[n.index()] = p as u32;
+        // Filter each location's order down to its survivors, renamed,
+        // preserving their relative positions.
+        for order in &mut self.orders {
+            order.retain_mut(|n| match self.remap[n.index()] {
+                Some(new) => {
+                    *n = new;
+                    true
+                }
+                None => false,
+            });
+            for (p, &n) in order.iter().enumerate() {
+                self.ord[n.index()] = p as u32;
+            }
         }
-        tmp.clear();
-        self.reorder_tmp = tmp;
+        debug_assert_eq!(self.orders.iter().map(Vec::len).sum::<usize>(), w);
         self.perf.compactions += 1;
         self.perf.compacted_nodes += (old_live - w) as u64;
         self.live = w;
@@ -1070,6 +1094,48 @@ mod tests {
         let d = g.add_node(t(3), SeqNum(4), OBJ);
         g.add_edge(c, d);
         assert_eq!(g.perf_stats().order_reorders, 1);
+    }
+
+    #[test]
+    fn a_reorder_moves_only_its_own_location() {
+        // Creation interleaves two locations: a0 b0 a1 b1 a2 b2. The
+        // violating edge a2 -> a0 repairs A's order, whose region
+        // [ord(a0), ord(a2)] holds a0, a1 and a2 only; the B nodes
+        // created between them neither move nor count.
+        const A: ObjId = ObjId(0);
+        const B: ObjId = ObjId(3);
+        let mut g = graph();
+        let mut a = Vec::new();
+        let mut b = Vec::new();
+        for i in 0..3 {
+            a.push(g.add_node(t(2 * i), SeqNum(2 * i as u64 + 1), A));
+            b.push(g.add_node(t(2 * i + 1), SeqNum(2 * i as u64 + 2), B));
+        }
+        g.add_edge(b[0], b[1]);
+        g.add_edge(b[1], b[2]);
+        g.add_edge(a[0], a[1]);
+        let b_before: Vec<u32> = b.iter().map(|&n| g.order_index(n)).collect();
+        assert_eq!(
+            b_before,
+            [0, 1, 2],
+            "each location counts its own positions"
+        );
+        assert_eq!(g.perf_stats().order_reorders, 0);
+        g.add_edge(a[2], a[0]); // ord(a2) = 2 > ord(a0) = 0: violating
+        let p = g.perf_stats();
+        assert_eq!(p.order_reorders, 1);
+        assert_eq!(p.reorder_nodes, 3, "only A's region is partitioned");
+        let b_after: Vec<u32> = b.iter().map(|&n| g.order_index(n)).collect();
+        assert_eq!(b_after, b_before, "B's order is untouched");
+        let a_after: Vec<u32> = a.iter().map(|&n| g.order_index(n)).collect();
+        assert_eq!(a_after, [1, 2, 0], "a2 now precedes a0 -> a1");
+        assert!(g.order_is_valid_slow());
+        assert!(g.reaches(a[2], a[1]));
+        // The validator holds every node to its own location's order.
+        let mut moved = g.clone();
+        let n = moved.orders[A.0 as usize].pop().expect("A has nodes");
+        moved.orders[B.0 as usize].push(n);
+        assert!(!moved.order_is_valid_slow());
     }
 
     #[test]

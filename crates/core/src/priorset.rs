@@ -12,11 +12,17 @@
 //! Lines 6–8 of `ReadPriorSet` implement statements 5, 4, and 6 of
 //! C++11 §29.3 (seq_cst fence constraints); line 9 implements
 //! write-read and read-read coherence.
+//!
+//! A read plan vets every candidate of one operation against the same
+//! members, so `PlannedSet` holds them deduplicated once and resolves
+//! each member's mo-graph node and RMW-chain tail the first time a
+//! candidate needs it. `prior_set_of` + `edges_into_feasible` are the
+//! per-candidate reference it is held to.
 
 use crate::event::{AccessRef, FenceIdx, MemOrder, ObjId, SeqNum, StoreIdx, StoreRecord, ThreadId};
 use crate::exec::{node_of, Execution};
 use crate::location::{last_at_or_before, PerThreadLoc};
-use crate::mograph::MoGraph;
+use crate::mograph::{MoGraph, NodeId};
 
 /// Last entry of the seq-sorted `list` with sequence number strictly
 /// below `bound` (sequence numbers are integers ≥ 1, so `< b` is
@@ -149,8 +155,8 @@ impl Execution {
     /// `get_write`) for a load by `t` at `obj`. The result depends only
     /// on `(t, obj, order)` — never on the read-from candidate — so it
     /// is computed once per operation ([`Execution::plan_read`]). Bests
-    /// are pushed in history order, duplicates included;
-    /// [`prior_set_of`] applies the per-candidate filtering.
+    /// are deduplicated in first-occurrence (history) order; dropping
+    /// the candidate itself is the per-candidate half.
     pub(crate) fn read_prior_bests_into(
         &self,
         t: ThreadId,
@@ -168,7 +174,9 @@ impl Execution {
                 let f_b = f_l_seq.and_then(|b| self.last_sc_fence_before(uix, b));
                 let hb_bound = self.threads[t.index()].cv.get(ThreadId::from_index(uix));
                 if let Some(a) = self.prior_for_thread(h, is_sc_load, f_t, f_l, f_b, hb_bound) {
-                    bests.push(a);
+                    if !bests.contains(&a) {
+                        bests.push(a);
+                    }
                 }
             }
         }
@@ -225,6 +233,10 @@ impl Execution {
 ///
 /// Takes the store arena and the graph rather than the execution so the
 /// prior-set buffers can stay borrowed from it.
+///
+/// The reference for [`PlannedSet::feasible`]; only debug assertions
+/// and tests call it.
+#[cfg(any(test, debug_assertions))]
 pub(crate) fn edges_into_feasible(
     stores: &mut [StoreRecord],
     graph: &mut MoGraph,
@@ -257,6 +269,69 @@ pub(crate) fn prior_set_of(bests: &[StoreIdx], cand: StoreIdx, priorset: &mut Ve
         if a != cand && !priorset.contains(&a) {
             priorset.push(a);
         }
+    }
+}
+
+/// One of a read plan's member lists — the read prior set's bests, or
+/// an RMW's write prior set — with each member's mo-graph node and
+/// RMW-chain tail, resolved the first time a candidate is vetted
+/// against it. Within one plan no edge is added, so neither a chain
+/// tail nor any order position moves, and creating a node changes no
+/// other node's: a resolved pair stays exact for every later
+/// candidate. Resolving lazily, in member order, creates nodes exactly
+/// when the per-candidate [`edges_into_feasible`] would.
+///
+/// Its `Debug` form shows the members only: the resolutions are scratch
+/// derived from them and the graph.
+#[derive(Clone, Default)]
+pub(crate) struct PlannedSet {
+    /// The members, deduplicated, in first-occurrence order.
+    pub(crate) members: Vec<StoreIdx>,
+    /// `(node, chain tail)` of each member; `None` until first needed.
+    resolved: Vec<Option<(NodeId, NodeId)>>,
+}
+
+impl std::fmt::Debug for PlannedSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.members.fmt(f)
+    }
+}
+
+impl PlannedSet {
+    /// Refills the members with `fill`, which clears the buffer it is
+    /// handed first, and forgets every resolution.
+    pub(crate) fn refill<R>(&mut self, fill: impl FnOnce(&mut Vec<StoreIdx>) -> R) -> R {
+        let out = fill(&mut self.members);
+        self.resolved.clear();
+        self.resolved.resize(self.members.len(), None);
+        out
+    }
+
+    /// [`edges_into_feasible`] for the members, minus `cand` itself:
+    /// would an edge from any of them into `cand` close a cycle?
+    pub(crate) fn feasible(
+        &mut self,
+        stores: &mut [StoreRecord],
+        graph: &mut MoGraph,
+        cand: StoreIdx,
+    ) -> bool {
+        let n_cand = node_of(stores, graph, cand);
+        for (&e, slot) in self.members.iter().zip(&mut self.resolved) {
+            if e == cand {
+                continue;
+            }
+            let (n_e, tail) = *slot.get_or_insert_with(|| {
+                let n_e = node_of(stores, graph, e);
+                (n_e, graph.chain_tail(n_e))
+            });
+            if graph.chain_downstream(n_e, n_cand) {
+                continue;
+            }
+            if graph.reaches(n_cand, tail) {
+                return false;
+            }
+        }
+        true
     }
 }
 

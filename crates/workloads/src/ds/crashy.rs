@@ -96,7 +96,7 @@ pub fn run_spin_forever() {
 #[cfg(test)]
 mod tests {
     // `run_null_deref` can only be exercised from a process that is
-    // allowed to die (crates/adaptive/tests/isolation.rs spawns the
+    // allowed to die (the root package's tests/isolation.rs spawns the
     // CLI for that); here we only pin the *healthy* path: executions
     // where the stale read does not manifest must complete and must
     // still be schedulable by the model.

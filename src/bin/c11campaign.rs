@@ -412,12 +412,11 @@ fn run(args: &Args, target: targets::Target) -> Result<(), String> {
         None => campaign.trace(&budget, move || target.run()),
     };
     default_sigpipe(true);
-    // One report; an adaptive run adds its epochs to it.
+    // One report; an adaptive run's trace adds its epochs to it.
     let report = &trace.report;
-    let epochs = args.adaptive.is_some().then_some(&trace);
 
     if let Some(path) = args.coverage_out.as_deref() {
-        std::fs::write(path, json::coverage(report, epochs) + "\n")
+        std::fs::write(path, json::coverage(report, Some(&trace)) + "\n")
             .map_err(|e| format!("cannot write coverage to `{path}`: {e}"))?;
     }
     if let Some(dir) = args.forensics_dir.as_deref() {
@@ -448,15 +447,15 @@ fn run(args: &Args, target: targets::Target) -> Result<(), String> {
     }
 
     if args.canonical {
-        println!("{}", json::canonical(report, epochs, args.alloc_stats));
+        println!(
+            "{}",
+            json::canonical(report, Some(&trace), args.alloc_stats)
+        );
     } else if args.json {
-        println!("{}", json::full(report, epochs));
+        println!("{}", json::full(report, Some(&trace)));
     } else {
         println!("target: {} ({})", target.name, target.group);
-        match epochs {
-            Some(trace) => print!("{trace}"),
-            None => print!("{report}"),
-        }
+        print!("{trace}");
     }
     Ok(())
 }

@@ -28,7 +28,8 @@ use c11tester::{
 use c11tester_campaign::forensics::{self, Witness};
 use c11tester_campaign::json;
 use c11tester_campaign::{
-    CampaignBudget, CampaignReport, CrashKind, CrashRecord, EpochRecord, EpochTrace, StopReason,
+    CampaignBudget, CampaignReport, CrashKind, CrashRecord, EpochRecord, EpochSchedule, EpochTrace,
+    StopReason,
 };
 use c11tester_core::ObjId;
 use c11tester_genprog::{MismatchReport, Violation};
@@ -297,8 +298,10 @@ fn epoch_trace() -> EpochTrace {
             wall_time: Duration::from_nanos(333_333_333),
             metrics: CampaignMetrics::default(),
         },
-        adaptive_policy: NASTY.to_string(),
-        epoch_len: 6,
+        schedule: Some(EpochSchedule {
+            policy: NASTY.to_string(),
+            epoch_len: 6,
+        }),
         records,
     }
 }
